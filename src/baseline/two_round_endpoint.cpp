@@ -145,7 +145,7 @@ bool TwoRoundEndpoint::try_send_agree() {
   }
   wire::AgreeMsg am{target.id};
   transport_.send(nodes_of(target.members, /*exclude_self=*/true),
-                  net::Payload(am), am.wire_size());
+                  net::Payload(am), codec::wire_size(am));
   agree_sent_.insert(target.id);
   agrees_[target.id].insert(self_);
   baseline_stats_.agrees_sent += target.members.size() - 1;  // per-dest copies
@@ -168,7 +168,7 @@ bool TwoRoundEndpoint::try_send_sync() {
   }
   wire::SyncMsg sm{target.id, data.view, data.cut};
   transport_.send(nodes_of(target.members, /*exclude_self=*/true),
-                  net::Payload(sm), sm.wire_size());
+                  net::Payload(sm), codec::wire_size(sm));
   syncs_[target.id][self_] = data;
   sync_sent_.insert(target.id);
   baseline_stats_.sync_msgs_sent += target.members.size() - 1;  // per-dest
@@ -260,7 +260,7 @@ bool TwoRoundEndpoint::try_forward() {
       if (fresh.empty()) continue;
       gcs::wire::FwdMsg fm{r, current_view_, i, *m};
       transport_.send(nodes_of(fresh, /*exclude_self=*/true), net::Payload(fm),
-                      fm.wire_size());
+                      codec::wire_size(fm));
       baseline_stats_.forwards_sent += fresh.size();
       progress = true;
     }

@@ -21,6 +21,7 @@
 // and noisier, which is exactly what benches E1/E3/E5 quantify.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -28,27 +29,45 @@
 
 #include "gcs/vs_rfifo_ts_endpoint.hpp"  // for SyncMsgData
 #include "gcs/wv_rfifo_endpoint.hpp"
+#include "util/wire_codec.hpp"
 
 namespace vsgc::baseline {
 
 namespace wire {
 
+/// Tags of the baseline's two extra rounds, outside the ranges of
+/// gcs::wire::Tag and membership::wire::Tag.
+enum class Tag : std::uint8_t {
+  kAgree = 32,
+  kSync = 33,
+};
+
 /// Round 1: confirm participation in the change to view `target`.
 struct AgreeMsg {
-  ViewId target;
+  static constexpr Tag kTag = Tag::kAgree;
+  ViewId target{};
 
-  std::size_t wire_size() const { return 1 + 12; }
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.target);
+  }
+
+  friend bool operator==(const AgreeMsg&, const AgreeMsg&) = default;
 };
 
 /// Round 2: cut exchange, tagged with the agreed view identifier.
 struct SyncMsg {
-  ViewId target;
-  View view;  ///< sender's current view
-  std::map<ProcessId, std::int64_t> cut;
+  static constexpr Tag kTag = Tag::kSync;
+  ViewId target{};
+  View view{};  ///< sender's current view
+  std::map<ProcessId, std::int64_t> cut{};
 
-  std::size_t wire_size() const {
-    return 1 + 12 + view.wire_size() + 4 + cut.size() * 12;
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.target, s.view, s.cut);
   }
+
+  friend bool operator==(const SyncMsg&, const SyncMsg&) = default;
 };
 
 }  // namespace wire

@@ -10,32 +10,20 @@
 #include <string>
 
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
 
 namespace vsgc::gcs {
 
 struct AppMsg {
-  ProcessId sender;
+  ProcessId sender{};
   std::uint64_t uid = 0;
-  std::string payload;
+  std::string payload{};
+
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.sender, s.uid, s.payload);
+  }
 
   friend bool operator==(const AppMsg&, const AppMsg&) = default;
-
-  void encode(Encoder& enc) const {
-    enc.put_process(sender);
-    enc.put_u64(uid);
-    enc.put_string(payload);
-  }
-
-  static AppMsg decode(Decoder& dec) {
-    AppMsg m;
-    m.sender = dec.get_process();
-    m.uid = dec.get_u64();
-    m.payload = dec.get_string();
-    return m;
-  }
-
-  std::size_t wire_size() const { return 4 + 8 + 4 + payload.size(); }
 };
 
 }  // namespace vsgc::gcs

@@ -1,10 +1,13 @@
 // Wire messages exchanged between GCS end-points over CO_RFIFO
-// (the four message tags of Figures 9 and 10).
+// (the four message tags of Figures 9 and 10, plus the hierarchy's
+// aggregate sync).
 //
-// Each type carries a full binary codec. The simulator hands structured
-// objects across, but encode()/decode() define the real wire format: byte
-// accounting in the benches uses it, and the codec round-trip is itself a
-// tested invariant (tests/codec_test.cpp).
+// Each struct lists its fields once, in wire order, in `fields()`; the
+// codec, the encoded size and the decode checks derive from that list
+// (util/wire_codec.hpp). The simulator hands structured objects across, but
+// the derived encoding is the real wire format: byte accounting uses
+// codec::wire_size, and tests/codec_test.cpp round-trips every struct and
+// pins its bytes.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,7 @@
 #include "gcs/app_msg.hpp"
 #include "membership/view.hpp"
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
+#include "util/wire_codec.hpp"
 
 namespace vsgc::gcs::wire {
 
@@ -31,16 +34,13 @@ enum class Tag : std::uint8_t {
 /// tag=view_msg: announces that subsequent application messages from the
 /// sender belong to `view`.
 struct ViewMsg {
+  static constexpr Tag kTag = Tag::kViewMsg;
   View view{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kViewMsg));
-    view.encode(enc);
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.view);
   }
-
-  static ViewMsg decode(Decoder& dec) { return ViewMsg{View::decode(dec)}; }
-
-  std::size_t wire_size() const { return 1 + view.wire_size(); }
 
   friend bool operator==(const ViewMsg&, const ViewMsg&) = default;
 };
@@ -48,18 +48,13 @@ struct ViewMsg {
 /// tag=app_msg: an original application message (sent in the sender's
 /// current view; the receiver associates it with the sender's latest ViewMsg).
 struct AppMsgWire {
+  static constexpr Tag kTag = Tag::kAppMsg;
   AppMsg msg{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kAppMsg));
-    msg.encode(enc);
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.msg);
   }
-
-  static AppMsgWire decode(Decoder& dec) {
-    return AppMsgWire{AppMsg::decode(dec)};
-  }
-
-  std::size_t wire_size() const { return 1 + msg.wire_size(); }
 
   friend bool operator==(const AppMsgWire&, const AppMsgWire&) = default;
 };
@@ -67,30 +62,15 @@ struct AppMsgWire {
 /// tag=fwd_msg: a message forwarded on behalf of `orig`, with the view it was
 /// originally sent in and its index in the per-sender FIFO stream.
 struct FwdMsg {
+  static constexpr Tag kTag = Tag::kFwdMsg;
   ProcessId orig{};
   View view{};
   std::int64_t index = 0;  ///< 1-based FIFO index in msgs[orig][view]
   AppMsg msg{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kFwdMsg));
-    enc.put_process(orig);
-    view.encode(enc);
-    enc.put_i64(index);
-    msg.encode(enc);
-  }
-
-  static FwdMsg decode(Decoder& dec) {
-    FwdMsg m;
-    m.orig = dec.get_process();
-    m.view = View::decode(dec);
-    m.index = dec.get_i64();
-    m.msg = AppMsg::decode(dec);
-    return m;
-  }
-
-  std::size_t wire_size() const {
-    return 1 + 4 + view.wire_size() + 8 + msg.wire_size();
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.orig, s.view, s.index, s.msg);
   }
 
   friend bool operator==(const FwdMsg&, const FwdMsg&) = default;
@@ -101,35 +81,14 @@ struct FwdMsg {
 /// last message from q the sender commits to deliver before any view v' with
 /// v'.startId(sender) == cid.
 struct SyncMsg {
+  static constexpr Tag kTag = Tag::kSyncMsg;
   StartChangeId cid{};
   View view{};  ///< sender's current view when the sync message was sent
   std::map<ProcessId, std::int64_t> cut{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kSyncMsg));
-    enc.put_start_change_id(cid);
-    view.encode(enc);
-    enc.put_u32(static_cast<std::uint32_t>(cut.size()));
-    for (const auto& [p, index] : cut) {
-      enc.put_process(p);
-      enc.put_i64(index);
-    }
-  }
-
-  static SyncMsg decode(Decoder& dec) {
-    SyncMsg m;
-    m.cid = dec.get_start_change_id();
-    m.view = View::decode(dec);
-    const std::uint32_t n = dec.get_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ProcessId p = dec.get_process();
-      m.cut[p] = dec.get_i64();
-    }
-    return m;
-  }
-
-  std::size_t wire_size() const {
-    return 1 + 8 + view.wire_size() + 4 + cut.size() * 12;
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.cid, s.view, s.cut);
   }
 
   friend bool operator==(const SyncMsg&, const SyncMsg&) = default;
@@ -139,37 +98,16 @@ struct SyncMsg {
 /// Guo et al. [22]): a leader relays the synchronization messages of the
 /// processes it aggregates for, as one batched message. `hops` prevents
 /// relay loops: 0 = sent by the originating leader (other leaders forward it
-/// to their local members once), 1 = already forwarded.
+/// to their local members once), 1 = already forwarded. Each entry's SyncMsg
+/// keeps its own tag byte on the wire.
 struct AggregateSyncMsg {
+  static constexpr Tag kTag = Tag::kAggregateSync;
   std::uint8_t hops = 0;
   std::vector<std::pair<ProcessId, SyncMsg>> entries{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kAggregateSync));
-    enc.put_u8(hops);
-    enc.put_u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [p, sync] : entries) {
-      enc.put_process(p);
-      sync.encode(enc);
-    }
-  }
-
-  static AggregateSyncMsg decode(Decoder& dec) {
-    AggregateSyncMsg m;
-    m.hops = dec.get_u8();
-    const std::uint32_t n = dec.get_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ProcessId p = dec.get_process();
-      dec.get_u8();  // inner tag byte
-      m.entries.emplace_back(p, SyncMsg::decode(dec));
-    }
-    return m;
-  }
-
-  std::size_t wire_size() const {
-    std::size_t total = 2 + 4;
-    for (const auto& [p, sync] : entries) total += 4 + sync.wire_size();
-    return total;
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.hops, s.entries);
   }
 
   friend bool operator==(const AggregateSyncMsg&,

@@ -82,14 +82,14 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   }
   if (!for_locals.entries.empty() && !locals.empty()) {
     transport_.send(nodes_of(locals, /*exclude_self=*/true),
-                    net::Payload(for_locals), for_locals.wire_size());
-    vs_stats_.sync_bytes_sent += for_locals.wire_size();
+                    net::Payload(for_locals), codec::wire_size(for_locals));
+    vs_stats_.sync_bytes_sent += codec::wire_size(for_locals);
     ++vs_stats_.aggregates_relayed;
   }
   if (!for_peers.entries.empty() && !peers.empty()) {
     transport_.send(nodes_of(peers, /*exclude_self=*/true),
-                    net::Payload(for_peers), for_peers.wire_size());
-    vs_stats_.sync_bytes_sent += for_peers.wire_size();
+                    net::Payload(for_peers), codec::wire_size(for_peers));
+    vs_stats_.sync_bytes_sent += codec::wire_size(for_peers);
     ++vs_stats_.aggregates_relayed;
   }
 }
@@ -147,18 +147,18 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
   if (two_tier && my_leader != self_) {
     // Up-send to our designated leader only; it relays for us.
     transport_.send({net::node_of(my_leader)}, net::Payload(full),
-                    full.wire_size());
+                    codec::wire_size(full));
     ++vs_stats_.sync_msgs_sent;
-    vs_stats_.sync_bytes_sent += full.wire_size();
+    vs_stats_.sync_bytes_sent += codec::wire_size(full);
   } else if (two_tier) {
     // We are a leader: our own sync message starts as an aggregate.
     wire::AggregateSyncMsg agg{0, {{self_, full}}};
     const std::set<ProcessId> dests = relay_dests(change_set);
     if (!dests.empty()) {
       transport_.send(nodes_of(dests, /*exclude_self=*/true), net::Payload(agg),
-                      agg.wire_size());
+                      codec::wire_size(agg));
       vs_stats_.sync_msgs_sent += dests.size();
-      vs_stats_.sync_bytes_sent += agg.wire_size();
+      vs_stats_.sync_bytes_sent += codec::wire_size(agg);
     }
   } else {
     // Direct all-to-all (Section 5.2), with the optional Section 5.2.4
@@ -172,18 +172,18 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     if (routing_.compact_sync_to_strangers && !strangers.empty()) {
       const wire::SyncMsg compact{cid, data.view, {}};
       transport_.send(nodes_of(members, /*exclude_self=*/true),
-                      net::Payload(full), full.wire_size());
+                      net::Payload(full), codec::wire_size(full));
       transport_.send(nodes_of(strangers, /*exclude_self=*/true),
-                      net::Payload(compact), compact.wire_size());
+                      net::Payload(compact), codec::wire_size(compact));
       vs_stats_.sync_bytes_sent +=
-          full.wire_size() * members.size() +
-          compact.wire_size() * strangers.size();
+          codec::wire_size(full) * members.size() +
+          codec::wire_size(compact) * strangers.size();
     } else {
       std::set<ProcessId> all = members;
       all.insert(strangers.begin(), strangers.end());
       transport_.send(nodes_of(all, /*exclude_self=*/true), net::Payload(full),
-                      full.wire_size());
-      vs_stats_.sync_bytes_sent += full.wire_size() * all.size();
+                      codec::wire_size(full));
+      vs_stats_.sync_bytes_sent += codec::wire_size(full) * all.size();
     }
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
   }
@@ -215,8 +215,8 @@ void VsRfifoTsEndpoint::relay_as_leader(ProcessId origin,
   if (dests.empty()) return;
   wire::AggregateSyncMsg agg{0, {{origin, sync}}};
   transport_.send(nodes_of(dests, /*exclude_self=*/true), net::Payload(agg),
-                  agg.wire_size());
-  vs_stats_.sync_bytes_sent += agg.wire_size();
+                  codec::wire_size(agg));
+  vs_stats_.sync_bytes_sent += codec::wire_size(agg);
   ++vs_stats_.aggregates_relayed;
 }
 
@@ -247,8 +247,8 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
       if (!locals.empty()) {
         wire::AggregateSyncMsg fwd{1, agg->entries};
         transport_.send(nodes_of(locals, /*exclude_self=*/true),
-                        net::Payload(fwd), fwd.wire_size());
-        vs_stats_.sync_bytes_sent += fwd.wire_size();
+                        net::Payload(fwd), codec::wire_size(fwd));
+        vs_stats_.sync_bytes_sent += codec::wire_size(fwd);
         ++vs_stats_.aggregates_relayed;
       }
     }
@@ -350,7 +350,7 @@ bool VsRfifoTsEndpoint::try_forward() {
     if (fresh.empty()) continue;
     wire::FwdMsg fm{action.orig, action.view, action.index, *m};
     transport_.send(nodes_of(fresh, /*exclude_self=*/true), net::Payload(fm),
-                    fm.wire_size());
+                    codec::wire_size(fm));
     vs_stats_.forwards_sent += fresh.size();
     if (lifecycle_on()) {
       emit(spec::MsgForward{self_, m->sender, m->uid, fresh.size()});

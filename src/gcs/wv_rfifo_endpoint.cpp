@@ -190,7 +190,7 @@ bool WvRfifoEndpoint::try_send_view_msg() {
   }
   wire::ViewMsg vm{current_view_};
   transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                  net::Payload(vm), vm.wire_size());
+                  net::Payload(vm), codec::wire_size(vm));
   view_msg_[self_] = current_view_;
   ++stats_.view_msgs_sent;
   return true;
@@ -204,7 +204,7 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
     transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                    net::Payload(am), am.wire_size());
+                    net::Payload(am), codec::wire_size(am));
     ++last_sent_;
     if (lifecycle_on()) emit(spec::MsgWireSend{self_, m->sender, m->uid});
     progress = true;

@@ -1,5 +1,5 @@
-// Architecture-conformance passes: include-graph layering, sim-purity
-// ledger, and wire-codec symmetry. See deps.hpp for the pass contracts and
+// Architecture-conformance passes: include-graph layering and the
+// sim-purity ledger. See deps.hpp for the pass contracts and
 // DESIGN.md §8 for the module-layer table these passes enforce.
 #include "lint/deps.hpp"
 
@@ -20,25 +20,8 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-bool is_id(const Toks& t, std::size_t i, std::string_view s) {
-  return i < t.size() && t[i].kind == TokKind::kIdentifier && t[i].text == s;
-}
-
 bool is_punct(const Toks& t, std::size_t i, char c) {
   return i < t.size() && t[i].kind == TokKind::kPunct && t[i].text[0] == c;
-}
-
-/// Index just past the brace/paren that matches the opener at `open_idx`.
-/// Returns t.size() when unbalanced (degrade gracefully, never throw).
-std::size_t skip_balanced(const Toks& t, std::size_t open_idx, char open,
-                          char close) {
-  int depth = 0;
-  for (std::size_t i = open_idx; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kPunct) continue;
-    if (t[i].text[0] == open) ++depth;
-    if (t[i].text[0] == close && --depth == 0) return i + 1;
-  }
-  return t.size();
 }
 
 }  // namespace
@@ -387,359 +370,6 @@ void check_sim_purity(
   }
   for (const Finding& f : ledger.parse_findings) {
     findings_by_file[ledger.display_path].push_back(f);
-  }
-}
-
-// --- codec symmetry ---------------------------------------------------------
-
-namespace {
-
-struct CodecMethod {
-  bool present = false;
-  int line = 0;
-  std::size_t begin = 0;  ///< first token inside the body braces
-  std::size_t end = 0;    ///< one past the last body token
-};
-
-struct WireStruct {
-  std::string name;
-  int line = 0;
-  std::vector<std::pair<std::string, int>> members;  ///< (name, decl line)
-  CodecMethod enc;
-  CodecMethod dec;
-};
-
-/// Member/method scan for one struct body. Unlike rule_wire_init this keeps
-/// the bodies of methods named encode/decode (wire-init's `static` skip
-/// would swallow `static T decode(...)`) and drops static data members.
-void scan_struct_body(const Toks& toks, std::size_t open, std::size_t end,
-                      WireStruct& ws) {
-  static constexpr std::array<std::string_view, 9> kSkipLeaders = {
-      "friend", "using",  "typedef", "template", "operator",
-      "enum",   "struct", "class",   "union"};
-  std::size_t pos = open + 1;
-  while (pos + 1 < end) {
-    if ((is_id(toks, pos, "public") || is_id(toks, pos, "private") ||
-         is_id(toks, pos, "protected")) &&
-        is_punct(toks, pos + 1, ':')) {
-      pos += 2;
-      continue;
-    }
-    bool skip_stmt = false;
-    for (std::string_view kw : kSkipLeaders) {
-      if (is_id(toks, pos, kw)) skip_stmt = true;
-    }
-    if (skip_stmt) {
-      while (pos < end && !is_punct(toks, pos, ';')) {
-        if (is_punct(toks, pos, '{')) {
-          pos = skip_balanced(toks, pos, '{', '}');
-          continue;
-        }
-        ++pos;
-      }
-      ++pos;
-      continue;
-    }
-
-    // Strip storage/qualifier leaders; static/constexpr data is not a wire
-    // field.
-    bool is_static = false;
-    std::size_t j = pos;
-    while (j < end &&
-           (is_id(toks, j, "static") || is_id(toks, j, "constexpr") ||
-            is_id(toks, j, "inline") || is_id(toks, j, "mutable") ||
-            is_id(toks, j, "virtual"))) {
-      if (is_id(toks, j, "static") || is_id(toks, j, "constexpr")) {
-        is_static = true;
-      }
-      ++j;
-    }
-
-    // Classify by the first depth-0 punctuation: '(' => function,
-    // '='/'{' => initialized member, ';' => uninitialized member.
-    std::size_t last_ident = 0;
-    bool found = false;
-    int angle = 0;
-    char what = 0;
-    std::size_t stop = j;
-    for (std::size_t k = j; k < end; ++k) {
-      const Token& t = toks[k];
-      if (t.kind == TokKind::kIdentifier) {
-        if (angle == 0) {
-          last_ident = k;
-          found = true;
-        }
-        continue;
-      }
-      if (t.kind == TokKind::kPunct) {
-        const char c = t.text[0];
-        if (c == '<') ++angle;
-        if (c == '>' && angle > 0) --angle;
-        if (angle == 0 && (c == '(' || c == '=' || c == '{' || c == ';')) {
-          what = c;
-          stop = k;
-          break;
-        }
-      }
-    }
-    if (what == 0) break;  // ran off the struct body; degrade gracefully
-
-    if (what == '(') {
-      const std::string fname = found ? toks[last_ident].text : "";
-      std::size_t b = skip_balanced(toks, stop, '(', ')');
-      while (b < end && !is_punct(toks, b, '{') && !is_punct(toks, b, ';')) {
-        if (is_punct(toks, b, '(')) {
-          b = skip_balanced(toks, b, '(', ')');
-          continue;
-        }
-        ++b;
-      }
-      if (b < end && is_punct(toks, b, '{')) {
-        const std::size_t bend = skip_balanced(toks, b, '{', '}');
-        if (fname == "encode" && !ws.enc.present) {
-          ws.enc = {true, toks[stop].line, b + 1, bend - 1};
-        }
-        if (fname == "decode" && !ws.dec.present) {
-          ws.dec = {true, toks[stop].line, b + 1, bend - 1};
-        }
-        pos = bend;
-        if (pos < end && is_punct(toks, pos, ';')) ++pos;
-      } else {
-        pos = b < end ? b + 1 : end;
-      }
-      continue;
-    }
-
-    if (found && !is_static) {
-      ws.members.push_back({toks[last_ident].text, toks[last_ident].line});
-    }
-    std::size_t k = stop;
-    while (k < end && !is_punct(toks, k, ';')) {
-      if (is_punct(toks, k, '{')) {
-        k = skip_balanced(toks, k, '{', '}');
-        continue;
-      }
-      if (is_punct(toks, k, '(')) {
-        k = skip_balanced(toks, k, '(', ')');
-        continue;
-      }
-      ++k;
-    }
-    pos = k + 1;
-  }
-}
-
-std::vector<WireStruct> scan_wire_structs(const Toks& toks) {
-  std::vector<WireStruct> out;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_id(toks, i, "struct") && !is_id(toks, i, "class")) continue;
-    if (toks[i + 1].kind != TokKind::kIdentifier) continue;
-    std::size_t open = i + 2;
-    bool has_body = false;
-    while (open < toks.size()) {
-      if (is_punct(toks, open, '{')) {
-        has_body = true;
-        break;
-      }
-      if (is_punct(toks, open, ';')) break;
-      ++open;
-    }
-    if (!has_body) continue;
-    WireStruct ws;
-    ws.name = toks[i + 1].text;
-    ws.line = toks[i].line;
-    scan_struct_body(toks, open, skip_balanced(toks, open, '{', '}'), ws);
-    out.push_back(std::move(ws));
-  }
-  return out;
-}
-
-/// Ordered field mentions of a codec body. The body is split into chunks at
-/// statement ';' (outside parens, so classic for-headers stay whole); a
-/// chunk contributes its member-name mentions iff it touches the codec
-/// object (`enc`/`dec`) — guard clauses and local bookkeeping stay silent.
-/// Adjacent duplicates merge, so the count-then-loop container pattern
-/// (`enc.put_u32(cut.size()); for (... : cut) ...`) counts once.
-std::vector<std::string> codec_sequence(
-    const Toks& toks, const CodecMethod& m, std::string_view marker,
-    const std::vector<std::pair<std::string, int>>& members) {
-  auto is_member = [&](const std::string& s) {
-    for (const auto& [name, line] : members) {
-      if (name == s) return true;
-    }
-    return false;
-  };
-  std::vector<std::string> seq;
-  std::size_t chunk_start = m.begin;
-  int paren = 0;
-  for (std::size_t i = m.begin; i <= m.end; ++i) {
-    bool boundary = i == m.end;
-    if (!boundary && toks[i].kind == TokKind::kPunct) {
-      const char c = toks[i].text[0];
-      if (c == '(') ++paren;
-      if (c == ')' && paren > 0) --paren;
-      if (c == ';' && paren == 0) boundary = true;
-    }
-    if (!boundary) continue;
-    bool relevant = false;
-    for (std::size_t k = chunk_start; k < i; ++k) {
-      if (is_id(toks, k, marker)) {
-        relevant = true;
-        break;
-      }
-    }
-    if (relevant) {
-      for (std::size_t k = chunk_start; k < i; ++k) {
-        if (toks[k].kind == TokKind::kIdentifier && is_member(toks[k].text)) {
-          seq.push_back(toks[k].text);
-        }
-      }
-    }
-    chunk_start = i + 1;
-  }
-  std::vector<std::string> merged;
-  for (const std::string& s : seq) {
-    if (merged.empty() || merged.back() != s) merged.push_back(s);
-  }
-  return merged;
-}
-
-/// Aggregate-return decode (`return ViewMsg{View::decode(dec)}`): argument i
-/// initializes declared field i, so each argument that touches the decoder
-/// contributes that field positionally.
-void positional_decode(const Toks& toks, const CodecMethod& m,
-                       const std::string& struct_name,
-                       const std::vector<std::pair<std::string, int>>& members,
-                       std::vector<std::string>& seq) {
-  for (std::size_t i = m.begin; i + 2 < m.end; ++i) {
-    if (!is_id(toks, i, "return") || !is_id(toks, i + 1, struct_name) ||
-        !is_punct(toks, i + 2, '{')) {
-      continue;
-    }
-    const std::size_t close = skip_balanced(toks, i + 2, '{', '}');
-    std::size_t arg_start = i + 3;
-    std::size_t idx = 0;
-    int depth = 0;
-    auto flush = [&](std::size_t arg_end) {
-      if (arg_end <= arg_start) return;
-      bool relevant = false;
-      for (std::size_t k = arg_start; k < arg_end; ++k) {
-        if (is_id(toks, k, "dec") || is_id(toks, k, "decode")) relevant = true;
-      }
-      if (relevant && idx < members.size()) {
-        seq.push_back(members[idx].first);
-      }
-      ++idx;
-    };
-    for (std::size_t k = i + 3; k + 1 < close; ++k) {
-      if (toks[k].kind != TokKind::kPunct) continue;
-      const char c = toks[k].text[0];
-      if (c == '(' || c == '{') ++depth;
-      if (c == ')' || c == '}') --depth;
-      if (c == ',' && depth == 0) {
-        flush(k);
-        arg_start = k + 1;
-      }
-    }
-    flush(close - 1);
-    return;
-  }
-}
-
-int count_of(const std::vector<std::string>& seq, const std::string& name) {
-  return static_cast<int>(std::count(seq.begin(), seq.end(), name));
-}
-
-std::string join_fields(const std::vector<std::string>& seq) {
-  std::string s = "[";
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    if (i != 0) s += ", ";
-    s += seq[i];
-  }
-  return s + "]";
-}
-
-}  // namespace
-
-void rule_codec_symmetry(const std::string& path,
-                         const std::vector<Token>& toks,
-                         std::vector<Finding>& out) {
-  for (const WireStruct& ws : scan_wire_structs(toks)) {
-    if (!ws.enc.present && !ws.dec.present) continue;
-    if (ws.enc.present != ws.dec.present) {
-      out.push_back({path, ws.line, "codec-symmetry",
-                     "wire struct '" + ws.name + "' has " +
-                         (ws.enc.present ? "encode() but no decode()"
-                                         : "decode() but no encode()") +
-                         "; a one-sided codec cannot round-trip",
-                     false, ""});
-      continue;
-    }
-    if (ws.members.empty()) continue;
-
-    const std::vector<std::string> enc_seq =
-        codec_sequence(toks, ws.enc, "enc", ws.members);
-    std::vector<std::string> dec_seq =
-        codec_sequence(toks, ws.dec, "dec", ws.members);
-    if (dec_seq.empty()) {
-      positional_decode(toks, ws.dec, ws.name, ws.members, dec_seq);
-    }
-
-    for (const auto& [name, line] : ws.members) {
-      const int ce = count_of(enc_seq, name);
-      const int cd = count_of(dec_seq, name);
-      if (ce == 0) {
-        out.push_back({path, line, "codec-symmetry",
-                       "field '" + name + "' of wire struct '" + ws.name +
-                           "' is never encoded; every wire field must be "
-                           "written exactly once",
-                       false, ""});
-      } else if (ce > 1) {
-        out.push_back({path, line, "codec-symmetry",
-                       "field '" + name + "' of wire struct '" + ws.name +
-                           "' is encoded " + std::to_string(ce) +
-                           " times (non-consecutively); it must be written "
-                           "exactly once",
-                       false, ""});
-      }
-      if (cd == 0) {
-        out.push_back({path, line, "codec-symmetry",
-                       "field '" + name + "' of wire struct '" + ws.name +
-                           "' is never decoded; the decoder must read every "
-                           "encoded field",
-                       false, ""});
-      } else if (cd > 1) {
-        out.push_back({path, line, "codec-symmetry",
-                       "field '" + name + "' of wire struct '" + ws.name +
-                           "' is decoded " + std::to_string(cd) +
-                           " times (non-consecutively); it must be read "
-                           "exactly once",
-                       false, ""});
-      }
-    }
-
-    // Order check over the fields both sides touch: the decoder must read
-    // them in exactly the order the encoder wrote them.
-    auto restrict_common = [&](const std::vector<std::string>& seq,
-                               const std::vector<std::string>& other) {
-      std::vector<std::string> r;
-      for (const std::string& s : seq) {
-        if (count_of(other, s) > 0) r.push_back(s);
-      }
-      return r;
-    };
-    const std::vector<std::string> enc_common =
-        restrict_common(enc_seq, dec_seq);
-    const std::vector<std::string> dec_common =
-        restrict_common(dec_seq, enc_seq);
-    if (enc_common != dec_common) {
-      out.push_back({path, ws.dec.line, "codec-symmetry",
-                     "decode order differs from encode order in wire struct "
-                     "'" +
-                         ws.name + "': encoded " + join_fields(enc_common) +
-                         ", decoded " + join_fields(dec_common),
-                     false, ""});
-    }
   }
 }
 

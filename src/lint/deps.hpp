@@ -7,9 +7,7 @@
 //   * sim-purity ledger — every sim/ include and sim-only symbol reference
 //     in protocol code (src/transport, src/gcs, src/membership), matched
 //     against the ratchet-only allowlist tools/sim_purity_ledger.txt
-//     (sim-purity);
-//   * codec symmetry — wire structs must encode every field exactly once
-//     and decode the same fields in the same order (codec-symmetry).
+//     (sim-purity).
 //
 // These are pure functions over lexed token streams and repo-relative paths;
 // the Linter wires them into lint_source()/finalize() so virtual-path test
@@ -120,12 +118,6 @@ void check_sim_purity(
     Ledger& ledger,
     std::map<std::string, std::vector<Finding>>& findings_by_file,
     DepsResult& result);
-
-/// Codec-symmetry pass over one wire header's token stream (per-file; runs
-/// from lint_source on the wire headers).
-void rule_codec_symmetry(const std::string& path,
-                         const std::vector<Token>& toks,
-                         std::vector<Finding>& out);
 
 /// LINT_deps.json document (schema checked by tools/validate_bench_json).
 obs::JsonValue deps_to_json(const DepsResult& result, const std::string& root);

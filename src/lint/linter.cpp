@@ -40,7 +40,9 @@ bool getenv_exempt(std::string_view path) {
 }
 
 bool is_wire_header(std::string_view path) {
-  return path == "src/gcs/messages.hpp" || path == "src/membership/wire.hpp" ||
+  return path == "src/gcs/messages.hpp" || path == "src/gcs/app_msg.hpp" ||
+         path == "src/membership/wire.hpp" ||
+         path == "src/membership/view.hpp" ||
          path == "src/transport/frame.hpp";
 }
 
@@ -362,14 +364,24 @@ void rule_wire_init(const std::string& path, const Toks& toks,
       }
       if (is_id(toks, pos, "protected")) skip_stmt = true;
       if (skip_stmt) {
+        // A function definition (a parameter list before the body, e.g. a
+        // wire struct's `template <...> static void fields(...) {...}`)
+        // ends at its closing brace; a type body (enum/struct) at its ';'.
+        bool is_function = false;
         while (pos < end && !is_punct(toks, pos, ';')) {
+          if (is_punct(toks, pos, '(')) {
+            pos = skip_balanced(toks, pos, '(', ')');
+            is_function = true;
+            continue;
+          }
           if (is_punct(toks, pos, '{')) {
             pos = skip_balanced(toks, pos, '{', '}');
+            if (is_function) break;
             continue;
           }
           ++pos;
         }
-        ++pos;  // past ';'
+        if (is_punct(toks, pos, ';')) ++pos;
         continue;
       }
 
@@ -477,7 +489,6 @@ void Linter::lint_source(const std::string& rel_path,
   rule_include_guard(rel_path, lexed.tokens, file_findings);
   if (is_wire_header(rel_path)) {
     rule_wire_init(rel_path, lexed.tokens, file_findings);
-    rule_codec_symmetry(rel_path, lexed.tokens, file_findings);
   }
 
   apply_suppressions(rel_path, file_findings, lexed.pragmas);

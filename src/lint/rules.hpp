@@ -8,9 +8,8 @@
 //   * protocol hygiene — wire structs fully initialized, every spec event
 //     consumed by a checker, one include-guard style.
 //   * architecture conformance — the include graph respects the declared
-//     module layering and stays acyclic, sim dependencies in protocol code
-//     are ratchet-ledgered, and wire codecs encode/decode symmetrically
-//     (lint/deps.hpp).
+//     module layering and stays acyclic, and sim dependencies in protocol
+//     code are ratchet-ledgered (lint/deps.hpp).
 // Every rule is suppressible at the offending line with a line comment of
 // the form `vsgc-lint` + colon + ` allow(<rule>) <justification>` — except
 // bad-pragma, which polices the pragmas themselves. (The marker is spelled
@@ -28,7 +27,7 @@ struct RuleInfo {
   std::string_view summary;
 };
 
-inline constexpr std::array<RuleInfo, 13> kRules = {{
+inline constexpr std::array<RuleInfo, 12> kRules = {{
     {"banned-random",
      "ambient randomness (std::rand, random_device, mt19937, ...) in "
      "deterministic code; all randomness must flow through util/rng.hpp"},
@@ -60,9 +59,6 @@ inline constexpr std::array<RuleInfo, 13> kRules = {{
      "sim/ include or sim-only symbol (Simulator, TimerHandle, schedule*) "
      "in protocol code not covered by tools/sim_purity_ledger.txt — the "
      "ledger is a ratchet that only shrinks"},
-    {"codec-symmetry",
-     "wire struct whose encode/decode disagree: a field never or multiply "
-     "encoded/decoded, or decoded in a different order than encoded"},
     {"include-guard",
      "header does not start with '#pragma once' (the repo's single "
      "include-guard style)"},

@@ -61,22 +61,25 @@ class MembershipClient {
     if (!running_) return;
     wire::Leave notice{self_};
     transport_.send_raw(net::node_of(server_), net::Payload(notice),
-                        wire::Leave::kWireSize);
+                        codec::wire_size(notice));
     running_ = false;
     heartbeat_timer_.cancel();
   }
 
-  /// Section 8 crash/recovery: state resets, but the server retains ids, so
-  /// post-recovery notifications still satisfy Local Monotonicity.
+  /// Section 8 crash: stop heartbeating until recover().
   void crash() {
     running_ = false;
     heartbeat_timer_.cancel();
   }
 
+  /// Rejoin after crash(). The monotonicity floors (last_cid_,
+  /// last_view_id_, last_notified_id_) survive: CO_RFIFO's stream reset
+  /// resends the server's unacked notifications from the previous life
+  /// under the new incarnation, and MBRSHP's Local Monotonicity spans
+  /// recovery (Section 8), so a StartChange or view the client already
+  /// accepted must be dropped, not accepted twice. Only the delta base is
+  /// forgotten; a ViewDelta against it resyncs to a full view.
   void recover() {
-    last_view_id_ = ViewId::zero();
-    last_notified_id_ = ViewId::zero();
-    last_cid_ = StartChangeId::zero();
     last_view_ = View{};
     start();
   }
@@ -138,7 +141,7 @@ class MembershipClient {
     }
     wire::Heartbeat hb{/*from_server=*/false, self_.value, incarnation_};
     transport_.send_raw(net::node_of(server_), net::Payload(hb),
-                        wire::Heartbeat::kWireSize);
+                        codec::wire_size(hb));
     heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval,
                                      [this]() { heartbeat_tick(); });
   }

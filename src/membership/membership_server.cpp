@@ -51,7 +51,7 @@ void MembershipServer::heartbeat_tick() {
   for (ServerId s : all_servers_) {
     if (s != self_) {
       transport_->send_raw(net::node_of(s), net::Payload(hb),
-                           wire::Heartbeat::kWireSize);
+                           codec::wire_size(hb));
     }
   }
   heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval,
@@ -130,7 +130,7 @@ void MembershipServer::reconfigure(std::uint64_t min_round) {
     rec.change_started = true;
     wire::StartChange sc{rec.last_cid, est};
     ++stats_.start_changes_sent;
-    transport_->send({net::node_of(p)}, net::Payload(sc), sc.wire_size());
+    transport_->send({net::node_of(p)}, net::Payload(sc), codec::wire_size(sc));
   }
 
   // Proposal to all other participant servers.
@@ -140,7 +140,7 @@ void MembershipServer::reconfigure(std::uint64_t min_round) {
   }
   if (!peers.empty()) {
     ++stats_.proposals_sent;
-    transport_->send(peers, net::Payload(prop), prop.wire_size());
+    transport_->send(peers, net::Payload(prop), codec::wire_size(prop));
   }
 }
 
@@ -260,7 +260,7 @@ void MembershipServer::deliver_view(const View& v) {
   last_formed_ = v;
   last_epoch_ = std::max(last_epoch_, v.id.epoch);
   const wire::ViewDelivery full{v};
-  const std::size_t full_size = full.wire_size();
+  const std::size_t full_size = codec::wire_size(full);
   for (auto& [p, rec] : clients_) {
     if (!v.members.contains(p) || !fd_.alive(net::node_of(p))) {
       // This client misses the view: an unacked suffix toward it may be
@@ -277,7 +277,7 @@ void MembershipServer::deliver_view(const View& v) {
     bool sent_delta = false;
     if (rec.last_view_sent.has_value() && rec.last_view_sent->id < v.id) {
       const wire::ViewDelta delta = wire::ViewDelta::diff(*rec.last_view_sent, v);
-      const std::size_t delta_size = delta.wire_size();
+      const std::size_t delta_size = codec::wire_size(delta);
       if (delta_size < full_size) {
         ++stats_.delta_views_sent;
         stats_.view_bytes_saved += full_size - delta_size;

@@ -12,14 +12,13 @@
 #include <string>
 
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
 
 namespace vsgc {
 
 struct View {
-  ViewId id;
-  std::set<ProcessId> members;
-  std::map<ProcessId, StartChangeId> start_id;
+  ViewId id{};
+  std::set<ProcessId> members{};
+  std::map<ProcessId, StartChangeId> start_id{};
 
   /// The paper's initial view v_p = <vid0, {p}, {(p -> cid0)}>.
   static View initial(ProcessId p) {
@@ -43,33 +42,9 @@ struct View {
   friend bool operator==(const View&, const View&) = default;
   friend auto operator<=>(const View&, const View&) = default;
 
-  void encode(Encoder& enc) const {
-    enc.put_view_id(id);
-    enc.put_process_set(members);
-    enc.put_u32(static_cast<std::uint32_t>(start_id.size()));
-    for (const auto& [p, cid] : start_id) {
-      enc.put_process(p);
-      enc.put_start_change_id(cid);
-    }
-  }
-
-  static View decode(Decoder& dec) {
-    View v;
-    v.id = dec.get_view_id();
-    v.members = dec.get_process_set();
-    const std::uint32_t n = dec.get_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ProcessId p = dec.get_process();
-      v.start_id[p] = dec.get_start_change_id();
-    }
-    return v;
-  }
-
-  /// Serialized size in bytes (for benchmark byte accounting).
-  std::size_t wire_size() const {
-    Encoder enc;
-    encode(enc);
-    return enc.size();
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.id, s.members, s.start_id);
   }
 };
 

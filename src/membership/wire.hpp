@@ -1,6 +1,9 @@
 // Wire messages of the client-server membership protocol (our Moshe-style
-// [27] implementation of the MBRSHP spec). Each carries a binary codec; the
-// round-trip is validated by tests/codec_test.cpp.
+// [27] implementation of the MBRSHP spec). Each struct lists its fields
+// once, in wire order, in `fields()`; the codec and the encoded size derive
+// from that list (util/wire_codec.hpp), and `validate()` holds the decode
+// checks that go beyond the field types. tests/codec_test.cpp round-trips
+// every struct and pins its bytes.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +13,7 @@
 
 #include "membership/view.hpp"
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
+#include "util/wire_codec.hpp"
 
 namespace vsgc::membership::wire {
 
@@ -25,26 +28,13 @@ enum class Tag : std::uint8_t {
 
 /// Server -> client: the membership service is attempting to form a new view.
 struct StartChange {
+  static constexpr Tag kTag = Tag::kStartChange;
   StartChangeId cid{};
   std::set<ProcessId> set{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kStartChange));
-    enc.put_start_change_id(cid);
-    enc.put_process_set(set);
-  }
-
-  static StartChange decode(Decoder& dec) {
-    StartChange sc;
-    sc.cid = dec.get_start_change_id();
-    sc.set = dec.get_process_set();
-    return sc;
-  }
-
-  std::size_t wire_size() const {
-    Encoder enc;
-    encode(enc);
-    return enc.size();
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.cid, s.set);
   }
 
   friend bool operator==(const StartChange&, const StartChange&) = default;
@@ -52,18 +42,13 @@ struct StartChange {
 
 /// Server -> client: the agreed-upon new view.
 struct ViewDelivery {
+  static constexpr Tag kTag = Tag::kViewDelivery;
   View view{};
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kViewDelivery));
-    view.encode(enc);
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.view);
   }
-
-  static ViewDelivery decode(Decoder& dec) {
-    return ViewDelivery{View::decode(dec)};
-  }
-
-  std::size_t wire_size() const { return 1 + view.wire_size(); }
 
   friend bool operator==(const ViewDelivery&, const ViewDelivery&) = default;
 };
@@ -85,12 +70,31 @@ struct ViewDelivery {
 /// smaller; a client that cannot apply a delta (base mismatch after a lost
 /// suffix) drops it and resyncs, forcing the server back to full form.
 struct ViewDelta {
+  static constexpr Tag kTag = Tag::kViewDelta;
   ViewId id{};                 ///< the new view's id
   ViewId base{};               ///< id of the view this delta applies to
   std::uint64_t cid_bump = 0;  ///< common start-id advance for survivors
   std::set<ProcessId> leaves{};
   std::map<ProcessId, StartChangeId> joins{};
   std::map<ProcessId, StartChangeId> exceptions{};
+
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.id, s.base, s.cid_bump, s.leaves, s.joins, s.exceptions);
+  }
+
+  /// Decode check: a delta must advance the view id, and no process may
+  /// both join and leave.
+  void validate() const {
+    if (!(base < id)) {
+      throw DecodeError("view delta must advance the view id");
+    }
+    for (ProcessId p : leaves) {
+      if (joins.contains(p)) {
+        throw DecodeError("view delta joins and leaves overlap");
+      }
+    }
+  }
 
   /// Express `next` as a delta over `base_view` (any two well-formed views).
   static ViewDelta diff(const View& base_view, const View& next) {
@@ -147,57 +151,6 @@ struct ViewDelta {
     return v;
   }
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kViewDelta));
-    enc.put_view_id(id);
-    enc.put_view_id(base);
-    enc.put_u64(cid_bump);
-    enc.put_process_set(leaves);
-    enc.put_u32(static_cast<std::uint32_t>(joins.size()));
-    for (const auto& [p, cid] : joins) {
-      enc.put_process(p);
-      enc.put_start_change_id(cid);
-    }
-    enc.put_u32(static_cast<std::uint32_t>(exceptions.size()));
-    for (const auto& [p, cid] : exceptions) {
-      enc.put_process(p);
-      enc.put_start_change_id(cid);
-    }
-  }
-
-  static ViewDelta decode(Decoder& dec) {
-    ViewDelta d;
-    d.id = dec.get_view_id();
-    d.base = dec.get_view_id();
-    if (!(d.base < d.id)) {
-      throw DecodeError("view delta must advance the view id");
-    }
-    d.cid_bump = dec.get_u64();
-    d.leaves = dec.get_process_set();
-    const std::uint32_t nj = dec.get_u32();
-    for (std::uint32_t i = 0; i < nj; ++i) {
-      ProcessId p = dec.get_process();
-      d.joins[p] = dec.get_start_change_id();
-    }
-    const std::uint32_t ne = dec.get_u32();
-    for (std::uint32_t i = 0; i < ne; ++i) {
-      ProcessId p = dec.get_process();
-      d.exceptions[p] = dec.get_start_change_id();
-    }
-    for (ProcessId p : d.leaves) {
-      if (d.joins.contains(p)) {
-        throw DecodeError("view delta joins and leaves overlap");
-      }
-    }
-    return d;
-  }
-
-  std::size_t wire_size() const {
-    Encoder enc;
-    encode(enc);
-    return enc.size();
-  }
-
   friend bool operator==(const ViewDelta&, const ViewDelta&) = default;
 };
 
@@ -211,45 +164,16 @@ struct ViewDelta {
 /// IDENTICAL view (id = (r, min participant), members/startId from the
 /// proposals). This is what makes concurrently formed views collision-free.
 struct Proposal {
+  static constexpr Tag kTag = Tag::kProposal;
   ServerId from{};
   std::uint64_t round = 0;  ///< agreement round == epoch of the formed view
   std::set<ProcessId> local_alive{};
   std::map<ProcessId, StartChangeId> cids{};  ///< latest start_change ids issued
   std::set<ServerId> participants{};        ///< servers the proposer deems alive
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kProposal));
-    enc.put_u32(from.value);
-    enc.put_u64(round);
-    enc.put_process_set(local_alive);
-    enc.put_u32(static_cast<std::uint32_t>(cids.size()));
-    for (const auto& [p, cid] : cids) {
-      enc.put_process(p);
-      enc.put_start_change_id(cid);
-    }
-    enc.put_u32(static_cast<std::uint32_t>(participants.size()));
-    for (ServerId s : participants) enc.put_u32(s.value);
-  }
-
-  static Proposal decode(Decoder& dec) {
-    Proposal p;
-    p.from = ServerId{dec.get_u32()};
-    p.round = dec.get_u64();
-    p.local_alive = dec.get_process_set();
-    const std::uint32_t n = dec.get_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ProcessId q = dec.get_process();
-      p.cids[q] = dec.get_start_change_id();
-    }
-    const std::uint32_t m = dec.get_u32();
-    for (std::uint32_t i = 0; i < m; ++i) p.participants.insert(ServerId{dec.get_u32()});
-    return p;
-  }
-
-  std::size_t wire_size() const {
-    Encoder enc;
-    encode(enc);
-    return enc.size();
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.from, s.round, s.local_alive, s.cids, s.participants);
   }
 
   friend bool operator==(const Proposal&, const Proposal&) = default;
@@ -263,25 +187,14 @@ struct Proposal {
 /// detector never noticed the blip — and starts a fresh membership round so
 /// the client receives a new (monotonically larger) view.
 struct Heartbeat {
+  static constexpr Tag kTag = Tag::kHeartbeat;
   bool from_server = false;
   std::uint32_t id = 0;             ///< ProcessId or ServerId value
   std::uint64_t incarnation = 0;    ///< sender's life identifier
 
-  static constexpr std::size_t kWireSize = 14;
-
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-    enc.put_u8(from_server ? 1 : 0);
-    enc.put_u32(id);
-    enc.put_u64(incarnation);
-  }
-
-  static Heartbeat decode(Decoder& dec) {
-    Heartbeat hb;
-    hb.from_server = dec.get_u8() != 0;
-    hb.id = dec.get_u32();
-    hb.incarnation = dec.get_u64();
-    return hb;
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.from_server, s.id, s.incarnation);
   }
 
   friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
@@ -290,16 +203,13 @@ struct Heartbeat {
 /// Client -> server (raw): graceful departure; the server excludes the
 /// client immediately instead of waiting out the failure-detector timeout.
 struct Leave {
+  static constexpr Tag kTag = Tag::kLeave;
   ProcessId who{};
 
-  static constexpr std::size_t kWireSize = 5;
-
-  void encode(Encoder& enc) const {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::kLeave));
-    enc.put_process(who);
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.who);
   }
-
-  static Leave decode(Decoder& dec) { return Leave{dec.get_process()}; }
 
   friend bool operator==(const Leave&, const Leave&) = default;
 };

@@ -64,7 +64,6 @@ constexpr std::uint8_t kFlagHasSack = 0x8;   ///< selective-ack runs present
 /// retransmit budget per peer pair. `sack` lists received-but-unacked runs
 /// above ack_seq so the sender can skip retransmitting across loss gaps.
 struct FrameHeader {
-  // vsgc-lint: allow(codec-symmetry) flags is derived on encode (presence bits ORed in) and consulted per optional field on decode; codec_test round-trips both shapes
   std::uint8_t flags = 0;
   std::uint64_t incarnation = 0;      ///< sender connection incarnation
   std::uint64_t first_seq = 1;        ///< lowest seq still retransmittable
@@ -73,7 +72,6 @@ struct FrameHeader {
   std::uint64_t ack_seq = 0;          ///< cumulative ack for reverse stream
   std::uint32_t count = 0;            ///< number of payload entries
   std::uint32_t group = 0;            ///< multiplexed channel tag
-  // vsgc-lint: allow(codec-symmetry) sack is flag-gated: written once iff non-empty, read once iff kFlagHasSack — the linter sees the reserve() mention as a second write
   util::IntervalSet sack{};           ///< received runs above ack_seq
 
   void encode(Encoder& enc) const {
@@ -92,7 +90,6 @@ struct FrameHeader {
     if (!sack.empty()) sack.encode(enc);
   }
 
-  // vsgc-lint: allow(codec-symmetry) token order differs because encode emits the derived flag byte before the gated fields; byte order on the wire is identical
   static FrameHeader decode(Decoder& dec) {
     FrameHeader h;
     h.flags = dec.get_u8();
@@ -119,7 +116,6 @@ struct FrameHeader {
 
 /// A fully serializable frame: header plus raw payload bytes per entry.
 struct EncodedFrame {
-  // vsgc-lint: allow(codec-symmetry) encode() writes a local copy of header with count recomputed from payloads.size(); decode() reads it back symmetrically
   FrameHeader header{};
   std::vector<std::vector<std::uint8_t>> payloads{};
 

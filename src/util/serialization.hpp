@@ -1,8 +1,10 @@
-// Minimal binary codec used by all wire message types.
+// Minimal binary codec: little-endian byte-level Encoder/Decoder.
 //
 // The simulator passes messages as structured objects, but every wire type
-// provides encode/decode so that (a) benches can account realistic byte
-// sizes and (b) the codec round-trip is itself a tested invariant.
+// has a real byte encoding so that (a) benches can account realistic byte
+// sizes and (b) the codec round-trip is itself a tested invariant. Message
+// structs get theirs derived from a field list (util/wire_codec.hpp); the
+// transport frame and the app-layer payloads call this layer directly.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +53,6 @@ class Encoder {
   void put_view_id(ViewId v) {
     put_u64(v.epoch);
     put_u32(v.origin);
-  }
-
-  void put_process_set(const std::set<ProcessId>& s) {
-    reserve(4 + 4 * s.size());
-    put_u32(static_cast<std::uint32_t>(s.size()));
-    for (ProcessId p : s) put_process(p);
   }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -135,13 +131,6 @@ class Decoder {
     v.epoch = get_u64();
     v.origin = get_u32();
     return v;
-  }
-
-  std::set<ProcessId> get_process_set() {
-    const std::uint32_t n = get_u32();
-    std::set<ProcessId> s;
-    for (std::uint32_t i = 0; i < n; ++i) s.insert(get_process());
-    return s;
   }
 
   bool done() const { return pos_ == buf_.size(); }

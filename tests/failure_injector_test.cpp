@@ -243,6 +243,7 @@ TEST(FailureInjector, WaveIsolatesSliceInBulkAndLiftRestoresIt) {
   injector.replay(script);
   // Both ops already applied: the slice is back up.
   EXPECT_TRUE(w.network().can_send(in_wave, outside));
+  EXPECT_TRUE(w.network().can_send(in_wave2, outside));
   EXPECT_TRUE(w.run_until_converged(w.all_members(), 60 * sim::kSecond));
 }
 

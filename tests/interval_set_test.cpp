@@ -133,7 +133,9 @@ void expect_matches_oracle(const IntervalSet& s,
   bool first = true;
   for (const auto& [run_lo, run_hi] : s.runs()) {
     ASSERT_LE(run_lo, run_hi);
-    if (!first) ASSERT_GT(run_lo, prev_hi + 1) << "runs not maximal";
+    if (!first) {
+      ASSERT_GT(run_lo, prev_hi + 1) << "runs not maximal";
+    }
     prev_hi = run_hi;
     first = false;
   }

@@ -160,7 +160,7 @@ TEST(MembershipProtocol, ForgedLeaveIgnored) {
   membership::wire::Leave forged{ProcessId{2}};
   w.process(0).transport().send_raw(net::node_of(ServerId{0}),
                                     std::any(forged),
-                                    membership::wire::Leave::kWireSize);
+                                    codec::wire_size(forged));
   w.run_for(2 * sim::kSecond);
   EXPECT_TRUE(w.converged(w.all_members()))
       << "forged leave must not evict p2";

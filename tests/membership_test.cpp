@@ -226,6 +226,31 @@ TEST(Membership, LateJoinerIsAdmitted) {
   }
 }
 
+TEST(Membership, StartChangeResentAfterRecoveryIsDropped) {
+  // CO_RFIFO's stream reset resends the server's unacked StartChange from
+  // the client's previous life under the new incarnation. The client keeps
+  // its cid floor across recover(), so it must not deliver it twice (the
+  // checker on the bus would throw on the non-increasing cid).
+  Harness h(1, 2);
+  h.start();
+  h.run(2 * sim::kSecond);
+  const auto& seen = h.listeners[1]->start_changes;
+  ASSERT_FALSE(seen.empty());
+  const auto [cid, set] = seen.back();
+  const std::size_t before = seen.size();
+  h.clients[1]->crash();
+  h.transports[1]->crash();
+  h.transports[1]->recover();
+  h.clients[1]->recover();
+  EXPECT_TRUE(h.clients[1]->handle(net::node_of(ServerId{0}),
+                                   std::any(wire::StartChange{cid, set})));
+  EXPECT_EQ(seen.size(), before);
+  h.run(3 * sim::kSecond);
+  ASSERT_NE(h.last_view(1), nullptr);
+  EXPECT_EQ(h.last_view(1)->members.size(), 2u);
+  EXPECT_GT(seen.size(), before) << "the rejoin brings a fresh start_change";
+}
+
 TEST(Membership, ViewIdsStrictlyIncreasePerClient) {
   Harness h(1, 3);
   h.start();

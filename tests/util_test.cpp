@@ -7,6 +7,7 @@
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
+#include "util/wire_codec.hpp"
 
 namespace vsgc {
 namespace {
@@ -92,13 +93,13 @@ TEST(Serialization, IdsAndSetsRoundTrip) {
   enc.put_process(ProcessId{9});
   enc.put_start_change_id(StartChangeId{77});
   enc.put_view_id(ViewId{5, 2});
-  enc.put_process_set({ProcessId{1}, ProcessId{3}, ProcessId{8}});
+  const std::set<ProcessId> set{ProcessId{1}, ProcessId{3}, ProcessId{8}};
+  codec::Field<std::set<ProcessId>>::put(enc, set);
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.get_process(), ProcessId{9});
   EXPECT_EQ(dec.get_start_change_id(), StartChangeId{77});
   EXPECT_EQ(dec.get_view_id(), (ViewId{5, 2}));
-  EXPECT_EQ(dec.get_process_set(),
-            (std::set<ProcessId>{ProcessId{1}, ProcessId{3}, ProcessId{8}}));
+  EXPECT_EQ(codec::Field<std::set<ProcessId>>::get(dec), set);
   EXPECT_TRUE(dec.done());
 }
 
@@ -113,10 +114,10 @@ TEST(Serialization, UnderrunThrows) {
 TEST(Serialization, EmptyStringAndSet) {
   Encoder enc;
   enc.put_string("");
-  enc.put_process_set({});
+  codec::Field<std::set<ProcessId>>::put(enc, {});
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.get_string(), "");
-  EXPECT_TRUE(dec.get_process_set().empty());
+  EXPECT_TRUE(codec::Field<std::set<ProcessId>>::get(dec).empty());
 }
 
 TEST(Assert, RequireThrowsWithMessage) {

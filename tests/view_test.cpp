@@ -6,6 +6,7 @@
 #include "membership/oracle.hpp"
 #include "membership/view.hpp"
 #include "util/assert.hpp"
+#include "util/wire_codec.hpp"
 
 namespace vsgc {
 namespace {
@@ -35,12 +36,12 @@ TEST(View, EncodeDecodeRoundTrip) {
                 {ProcessId{2}, StartChangeId{20}},
                 {ProcessId{9}, StartChangeId{90}}};
   Encoder enc;
-  v.encode(enc);
+  codec::encode(v, enc);
   Decoder dec(enc.bytes());
-  const View round = View::decode(dec);
+  const View round = codec::decode<View>(dec);
   EXPECT_EQ(v, round);
   EXPECT_TRUE(dec.done());
-  EXPECT_EQ(v.wire_size(), enc.size());
+  EXPECT_EQ(codec::wire_size(v), enc.size());
 }
 
 TEST(View, ToStringMentionsMembersAndCids) {
@@ -83,12 +84,12 @@ TEST(FifoBuffer, DuplicatePutIsIdempotent) {
 TEST(WireMessages, SizesTrackPayloads) {
   gcs::AppMsg small{ProcessId{1}, 1, "x"};
   gcs::AppMsg big{ProcessId{1}, 2, std::string(1000, 'y')};
-  EXPECT_GT(gcs::wire::AppMsgWire{big}.wire_size(),
-            gcs::wire::AppMsgWire{small}.wire_size() + 900);
+  EXPECT_GT(codec::wire_size(gcs::wire::AppMsgWire{big}),
+            codec::wire_size(gcs::wire::AppMsgWire{small}) + 900);
   gcs::wire::SyncMsg sync{StartChangeId{1}, View::initial(ProcessId{1}), {}};
   sync.cut[ProcessId{1}] = 5;
   sync.cut[ProcessId{2}] = 7;
-  EXPECT_GT(sync.wire_size(), 20u) << "cut entries must be accounted";
+  EXPECT_GT(codec::wire_size(sync), 20u) << "cut entries must be accounted";
 }
 
 TEST(Oracle, EnforcesStartChangeBeforeView) {

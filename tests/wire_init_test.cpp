@@ -17,10 +17,9 @@ template <typename T>
 void round_trip_default() {
   const T value{};
   Encoder enc;
-  value.encode(enc);
+  codec::encode(value, enc);
   Decoder dec(enc.bytes());
-  (void)dec.get_u8();  // tag byte, validated by codec_test
-  const T back = T::decode(dec);
+  const T back = codec::decode<T>(dec);
   EXPECT_EQ(value, back);
   EXPECT_TRUE(dec.done());
 }
@@ -41,7 +40,7 @@ TEST(WireInit, MembershipMessagesDefaultRoundTrip) {
   round_trip_default<membership::wire::Leave>();
 }
 
-// ViewDelta's decode invariant (base < id) excludes the default value by
+// ViewDelta's validate() check (base < id) excludes the default value by
 // design: a default-constructed delta still encodes deterministically (its
 // fields are value-initialized), but decoding it must fail cleanly rather
 // than admit a self-referential chain link.
@@ -49,12 +48,11 @@ TEST(WireInit, DefaultViewDeltaIsDeterminateButUndecodable) {
   const membership::wire::ViewDelta a{}, b{};
   EXPECT_EQ(a, b);
   Encoder ea, eb;
-  a.encode(ea);
-  b.encode(eb);
+  codec::encode(a, ea);
+  codec::encode(b, eb);
   EXPECT_EQ(ea.bytes(), eb.bytes());
   Decoder dec(ea.bytes());
-  (void)dec.get_u8();
-  EXPECT_THROW(membership::wire::ViewDelta::decode(dec), DecodeError);
+  EXPECT_THROW(codec::decode<membership::wire::ViewDelta>(dec), DecodeError);
 }
 
 // The initializers must produce *value*-initialized fields: two separately
@@ -63,8 +61,8 @@ TEST(WireInit, DefaultConstructionIsDeterminate) {
   const gcs::wire::SyncMsg a{}, b{};
   EXPECT_EQ(a, b);
   Encoder ea, eb;
-  a.encode(ea);
-  b.encode(eb);
+  codec::encode(a, ea);
+  codec::encode(b, eb);
   EXPECT_EQ(ea.bytes(), eb.bytes());
 
   const membership::wire::Proposal pa{}, pb{};
