@@ -115,6 +115,31 @@ mkdir -p "$ARTIFACT_DIR"
 VSGC_BENCH_OUT="$ARTIFACT_DIR" "$BUILD_DIR/bench/bench_view_change"
 "$BUILD_DIR/tools/validate_bench_json" "$ARTIFACT_DIR"/BENCH_*.json
 
+echo "== artifact validator self-check (planted artifact) =="
+# A copy of BENCH_view_change.json without its "sim" object must fail the
+# schema check, for that reason — mirrors the planted lint violations above.
+VALIDATE_PLANT="$BUILD_DIR/validate-selfcheck"
+rm -rf "$VALIDATE_PLANT"
+mkdir -p "$VALIDATE_PLANT"
+python3 - "$ARTIFACT_DIR/BENCH_view_change.json" \
+  "$VALIDATE_PLANT/BENCH_view_change.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+del doc["sim"]
+json.dump(doc, open(sys.argv[2], "w"), indent=2)
+PY
+if "$BUILD_DIR/tools/validate_bench_json" \
+    "$VALIDATE_PLANT/BENCH_view_change.json" 2> "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json accepted an artifact without 'sim'" >&2
+  exit 1
+fi
+if ! grep -q "missing object field 'sim'" "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json rejected the plant for the wrong reason:" >&2
+  cat "$VALIDATE_PLANT/out.txt" >&2
+  exit 1
+fi
+echo "planted artifact without 'sim' rejected by validate_bench_json"
+
 echo "== trace determinism =="
 # Same binary, same seed: the JSONL trace must be byte-identical.
 ARTIFACT_DIR2="$BUILD_DIR/artifacts2"
@@ -266,39 +291,17 @@ VSGC_BENCH_OUT="$MC_JN" "$BUILD_DIR/tools/vsgc_mc" --clients 3 --servers 1 \
 cmp "$BUILD_DIR/mc-jobs1.txt" "$BUILD_DIR/mc-jobsN.txt"
 echo "vsgc_mc stdout byte-identical at --jobs 1 and --jobs 4"
 
-echo "== perf bench (Release, wall-clock gates) =="
-# Optimized builds only: the kernel fast-path and parallel sweep are gated on
-# measured wall-clock speedups, and the emitted BENCH_simperf.json must pass
-# the extended simperf schema. The kernel gate (>= 3x vs the embedded legacy
-# priority-queue kernel) holds on any machine; the sweep gate needs real
-# parallel hardware, so it scales with core count and is skipped below 4
-# cores (a 1-core runner can only ever see ~1x).
+echo "== bench: E2 throughput artifact (Release) =="
+# The Release tree hosts the benches too slow for the sanitized build. The E2
+# table's artifact must pass the throughput schema. Wall-clock cost is
+# measured by perfbench (python3 perfbench/run.py), not gated here.
 BUILD_DIR_REL="${BUILD_DIR_REL:-build-ci-rel}"
 cmake -B "$BUILD_DIR_REL" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD_DIR_REL" -j "$JOBS" \
-  --target bench_simperf validate_bench_json
+  --target bench_throughput validate_bench_json
 PERF_OUT="$BUILD_DIR_REL/artifacts"
 mkdir -p "$PERF_OUT"
-SIMPERF_ARGS=(--check-kernel-speedup 3.0)
-if [ "$JOBS" -ge 4 ]; then
-  SWEEP_GATE=$((JOBS / 2))
-  if [ "$SWEEP_GATE" -gt 4 ]; then SWEEP_GATE=4; fi
-  SIMPERF_ARGS+=(--check-sweep-speedup "$SWEEP_GATE")
-else
-  echo "(sweep speedup gate skipped: only $JOBS hardware thread(s))"
-fi
-VSGC_BENCH_OUT="$PERF_OUT" "$BUILD_DIR_REL/bench/bench_simperf" \
-  "${SIMPERF_ARGS[@]}"
-"$BUILD_DIR_REL/tools/validate_bench_json" "$PERF_OUT/BENCH_simperf.json"
-
-echo "== perf bench: batched data plane (Release, wall-clock gate) =="
-# The fan-in case must show the batching + piggybacked/delayed-ack data plane
-# (DESIGN.md §11) delivering >= 3x wall-clock msgs/sec over the unbatched
-# one-frame-per-message plane, and the artifact must carry the byte-overhead
-# columns the extended throughput schema requires.
-cmake --build "$BUILD_DIR_REL" -j "$JOBS" --target bench_throughput
-VSGC_BENCH_OUT="$PERF_OUT" "$BUILD_DIR_REL/bench/bench_throughput" \
-  --check-batching-speedup 3.0
+VSGC_BENCH_OUT="$PERF_OUT" "$BUILD_DIR_REL/bench/bench_throughput"
 "$BUILD_DIR_REL/tools/validate_bench_json" "$PERF_OUT/BENCH_throughput.json"
 
 echo "== perf bench: scale sweep (Release, sublinear gate) =="

@@ -21,6 +21,9 @@ void track_peak(std::uint64_t& peak, std::size_t size) {
   if (size > peak) peak = size;
 }
 
+/// Max entries re-sent per retransmit-timer fire.
+constexpr std::size_t kRetransmitBatch = 64;
+
 }  // namespace
 
 CoRfifoTransport::CoRfifoTransport(sim::Simulator& sim, net::Network& network,
@@ -78,11 +81,7 @@ void CoRfifoTransport::send(const std::set<net::NodeId>& dests,
     auto& out = outgoing_[q];
     out.pending.push_back(FrameEntry{0, payload, payload_size, group});
     track_peak(stats_.peak_pending, out.pending.size());
-    if (config_.batching) {
-      schedule_flush(q);
-    } else {
-      flush(q);
-    }
+    schedule_flush(q);
   }
 }
 
@@ -101,7 +100,6 @@ void CoRfifoTransport::flush(net::NodeId to) {
   auto& out = it->second;
   out.flush_timer.cancel();
   if (audit_outgoing(to)) return;  // corrupted cursors: stream was re-homed
-  const std::size_t cap = config_.batching ? config_.max_batch : 1;
   while (!out.pending.empty()) {
     if (out.unacked.size() >= config_.send_window) {
       // Zero credits: the entries stay queued until an ack frees window
@@ -117,7 +115,7 @@ void CoRfifoTransport::flush(net::NodeId to) {
     f.header.group = out.pending.front().group;
     const std::size_t room = config_.send_window - out.unacked.size();
     std::size_t take = out.pending.size();
-    if (take > cap) take = cap;
+    if (take > config_.max_batch) take = config_.max_batch;
     if (take > room) take = room;
     // A frame carries one group tag, so a multiplexed burst breaks at group
     // boundaries (group-0-only traffic never does — PR 7 framing unchanged).
@@ -143,7 +141,6 @@ void CoRfifoTransport::flush(net::NodeId to) {
 }
 
 void CoRfifoTransport::attach_piggyback(net::NodeId to, Frame& frame) {
-  if (!config_.batching) return;
   auto it = incoming_.find(to);
   if (it == incoming_.end() || it->second.incarnation == 0) return;
   auto& in = it->second;
@@ -197,15 +194,13 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
         if (out.unacked.empty()) return;
         if (!reliable_set_.contains(to)) return;  // abandoned connection
         if (audit_outgoing(to)) return;  // corrupted cursors: re-homed
-        const std::size_t cap = config_.batching ? config_.max_batch : 1;
-        const std::size_t budget = config_.retransmit_batch;
         // Walk the unacked window, skipping entries the peer's SACK says it
         // already holds: one loss gap costs one re-send, not a window burst.
         // Frames break at SACK gaps and group boundaries (entries in a frame
         // are consecutive and share one group tag).
         std::size_t i = 0;
         std::size_t resent = 0;
-        while (i < out.unacked.size() && resent < budget) {
+        while (i < out.unacked.size() && resent < kRetransmitBatch) {
           if (out.peer_sacked.contains(out.unacked[i].seq)) {
             ++stats_.sack_suppressed;
             ++i;
@@ -217,8 +212,8 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
           f.header.base_seq = out.unacked[i].seq;
           f.header.group = out.unacked[i].group;
           std::size_t take = 1;
-          while (i + take < out.unacked.size() && take < cap &&
-                 resent + take < budget &&
+          while (i + take < out.unacked.size() && take < config_.max_batch &&
+                 resent + take < kRetransmitBatch &&
                  out.unacked[i + take].group == f.header.group &&
                  !out.peer_sacked.contains(out.unacked[i + take].seq)) {
             ++take;
@@ -376,7 +371,6 @@ void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
   std::uint64_t seq = 1;
   for (FrameEntry& e : out.unacked) e.seq = seq++;
   out.next_seq = seq;
-  const std::size_t cap = config_.batching ? config_.max_batch : 1;
   const std::size_t total = out.unacked.size();
   std::size_t i = 0;
   while (i < total) {
@@ -386,7 +380,7 @@ void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
     f.header.base_seq = out.unacked[i].seq;
     f.header.group = out.unacked[i].group;
     std::size_t take = 1;
-    while (i + take < total && take < cap &&
+    while (i + take < total && take < config_.max_batch &&
            out.unacked[i + take].group == f.header.group) {
       ++take;
     }
@@ -515,14 +509,7 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
   if (crashed_) return;
   auto it = incoming_.find(from);
   if (it == incoming_.end()) return;
-  auto& in2 = it->second;
-
-  in2.ack_due = true;
-  if (!config_.batching) {
-    // Legacy behavior: one standalone cumulative ack per data frame.
-    send_standalone_ack(from);
-    return;
-  }
+  it->second.ack_due = true;
   schedule_ack(from);
 }
 

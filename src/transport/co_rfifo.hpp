@@ -78,14 +78,9 @@ class CoRfifoTransport {
  public:
   struct Config {
     sim::Time retransmit_timeout = 20 * sim::kMillisecond;
-    std::size_t retransmit_batch = 64;  ///< entries re-sent per timer fire
     /// Max retransmit-interval multiplier for exponential backoff (interval =
     /// retransmit_timeout * min(2^k, backoff_limit); 1 = fixed interval).
     std::uint32_t backoff_limit = 8;
-    /// Sender-side packing: batch same-destination sends inside flush_window
-    /// into one frame, and piggyback/delay acks. When false the transport
-    /// degenerates to one frame per message with immediate standalone acks.
-    bool batching = true;
     /// How long a message may wait for companions before its frame flushes.
     /// 0 still batches: all sends to one peer at the same sim instant share a
     /// frame (the flush fires as a zero-delay event after the current event).

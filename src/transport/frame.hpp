@@ -31,7 +31,7 @@ constexpr std::size_t kFrameHeaderBytes = 16;
 
 /// Modeled per-entry framing cost (length prefix + sequencing share). A
 /// single-entry frame therefore costs kFrameHeaderBytes + kFrameEntryBytes =
-/// 24 bytes of overhead, exactly the pre-batching per-packet header.
+/// 24 bytes of overhead (kPacketHeaderBytes in co_rfifo.hpp).
 constexpr std::size_t kFrameEntryBytes = 8;
 
 /// Hard cap on entries per decoded frame: a forged count above this fails

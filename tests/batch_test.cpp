@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -72,6 +74,30 @@ TEST(BatchRunner, SkewedTaskDurationsAllComplete) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(BatchRunner, RunsTasksConcurrently) {
+  // Every task arrives, then waits for all four to have arrived. Only a
+  // runner that has all four tasks in flight at once gets each task to see
+  // four arrivals; a serialising runner leaves the first task waiting alone.
+  // The shared deadline turns that into a failure instead of a hang.
+  constexpr std::size_t kTasks = 4;
+  BatchRunner runner(kTasks);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::size_t> seen(kTasks, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  runner.for_each(kTasks, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < kTasks &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    seen[i] = arrived.load();
+  });
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(seen[i], kTasks) << "task " << i << " ran without the others";
   }
 }
 

@@ -56,9 +56,9 @@ TEST(Determinism, DifferentSeedDifferentSchedule) {
 
 std::string run_batched_jsonl(std::uint64_t seed) {
   // Non-default data-plane settings: a real flush window, delayed acks, and
-  // small windows, so batching, piggybacking, credit stalls, and backoff all
-  // engage — the recorded JSONL (with lifecycle spans) must still be a pure
-  // function of the seed.
+  // small windows, so frame packing, piggybacking, credit stalls, and backoff
+  // all engage — the recorded JSONL (with lifecycle spans) must still be a
+  // pure function of the seed.
   app::WorldConfig cfg;
   cfg.num_clients = 3;
   cfg.seed = seed;
@@ -89,7 +89,8 @@ TEST(Determinism, BatchedDataPlaneTraceIsByteIdentical) {
   const std::string a = run_batched_jsonl(7);
   const std::string b = run_batched_jsonl(7);
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b) << "batching must not leak nondeterminism into the trace";
+  EXPECT_EQ(a, b)
+      << "frame packing must not leak nondeterminism into the trace";
 }
 
 // A corruption churn run (state mutators + the traffic that exposes them +

@@ -249,34 +249,27 @@ TEST(CoRfifo, BatchingCoalescesSameInstantSends) {
 }
 
 TEST(CoRfifo, MaxBatchSplitsLargeBursts) {
-  Harness h(2);
-  h.set_reliable(0, {1});
-  for (std::uint64_t i = 1; i <= 100; ++i) h.send(0, {1}, i);
-  h.sim.run_to_quiescence();
-  ASSERT_EQ(h.received[1].size(), 100u);
-  // Default max_batch = 64: the burst needs exactly two data frames.
-  EXPECT_EQ(h.transports[0]->stats().frames_sent, 2u);
-  EXPECT_EQ(h.transports[0]->stats().entries_sent, 100u);
-}
-
-TEST(CoRfifo, BatchingOffSendsOneFramePerMessage) {
-  sim::Simulator sim;
-  net::Network network(sim, Rng(1), {});
-  CoRfifoTransport::Config tcfg;
-  tcfg.batching = false;
-  CoRfifoTransport a(sim, network, net::NodeId{1}, tcfg);
-  CoRfifoTransport b(sim, network, net::NodeId{2}, tcfg);
-  a.set_reliable({net::NodeId{2}});
-  std::vector<std::uint64_t> rx;
-  b.set_deliver_handler([&rx](net::NodeId, const std::any& payload) {
-    rx.push_back(std::any_cast<std::uint64_t>(payload));
-  });
-  for (std::uint64_t i = 1; i <= 10; ++i) a.send({net::NodeId{2}}, i, 8);
-  sim.run_to_quiescence();
-  ASSERT_EQ(rx.size(), 10u);
-  EXPECT_EQ(a.stats().frames_sent, 10u);
-  EXPECT_EQ(b.stats().acks_sent, 10u) << "legacy mode: one ack per frame";
-  EXPECT_EQ(b.stats().acks_piggybacked, 0u);
+  // A 100-message burst needs ceil(100 / max_batch) data frames; max_batch = 1
+  // puts every message in a frame of its own.
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
+    sim::Simulator sim;
+    net::Network network(sim, Rng(1), {});
+    CoRfifoTransport::Config tcfg;
+    tcfg.max_batch = max_batch;
+    CoRfifoTransport a(sim, network, net::NodeId{1}, tcfg);
+    CoRfifoTransport b(sim, network, net::NodeId{2}, tcfg);
+    a.set_reliable({net::NodeId{2}});
+    std::vector<std::uint64_t> rx;
+    b.set_deliver_handler([&rx](net::NodeId, const std::any& payload) {
+      rx.push_back(std::any_cast<std::uint64_t>(payload));
+    });
+    for (std::uint64_t i = 1; i <= 100; ++i) a.send({net::NodeId{2}}, i, 8);
+    sim.run_to_quiescence();
+    ASSERT_EQ(rx.size(), 100u) << "max_batch " << max_batch;
+    EXPECT_EQ(a.stats().frames_sent, (100 + max_batch - 1) / max_batch)
+        << "max_batch " << max_batch;
+    EXPECT_EQ(a.stats().entries_sent, 100u) << "max_batch " << max_batch;
+  }
 }
 
 TEST(CoRfifo, PiggybackedAckSuppressesStandaloneAck) {

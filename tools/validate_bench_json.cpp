@@ -166,122 +166,36 @@ Check validate_deps(const JsonValue& root) {
   return c;
 }
 
-/// Extra schema for the wall-clock perf bench (BENCH_simperf.json): the CI
-/// perf gates read these fields, so their absence must fail loudly rather
-/// than silently passing a gate against a missing number.
-void validate_simperf(const JsonValue& results, Check& c) {
-  std::size_t kernel_legacy = 0, kernel_new = 0, sweep_jobs1 = 0,
-              sweep_hw = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const JsonValue& row = results.at(i);
-    if (!row.is_object()) continue;
-    const std::string at = "results[" + std::to_string(i) + "]";
-    const JsonValue* kase = row.find("case");
-    c.require(kase != nullptr && kase->is_string(),
-              at + " missing string 'case'");
-    if (kase == nullptr || !kase->is_string()) continue;
-    const std::string name = kase->as_string();
-    const JsonValue* wall = row.find("wall_seconds");
-    c.require(wall != nullptr && wall->is_number() && wall->as_double() > 0,
-              at + " missing positive 'wall_seconds'");
-    const JsonValue* eps = row.find("events_per_sec");
-    c.require(eps != nullptr && eps->is_number() && eps->as_double() > 0,
-              at + " missing positive 'events_per_sec'");
-    if (name == "kernel_legacy" || name == "kernel_new") {
-      name == "kernel_legacy" ? ++kernel_legacy : ++kernel_new;
-      const JsonValue* allocs = row.find("allocations");
-      c.require(allocs != nullptr && allocs->is_int() &&
-                    allocs->as_int() >= 0,
-                at + " missing non-negative 'allocations'");
-      if (name == "kernel_new") {
-        const JsonValue* sp = row.find("speedup_vs_legacy");
-        c.require(sp != nullptr && sp->is_number() && sp->as_double() > 0,
-                  at + " missing positive 'speedup_vs_legacy'");
-      }
-    } else if (name == "sweep_jobs1" || name == "sweep_hw") {
-      name == "sweep_jobs1" ? ++sweep_jobs1 : ++sweep_hw;
-      const JsonValue* jobs = row.find("jobs");
-      c.require(jobs != nullptr && jobs->is_int() && jobs->as_int() >= 1,
-                at + " missing integer 'jobs' >= 1");
-      const JsonValue* sps = row.find("seeds_per_sec");
-      c.require(sps != nullptr && sps->is_number() && sps->as_double() > 0,
-                at + " missing positive 'seeds_per_sec'");
-      if (name == "sweep_hw") {
-        const JsonValue* sp = row.find("speedup_vs_jobs1");
-        c.require(sp != nullptr && sp->is_number() && sp->as_double() > 0,
-                  at + " missing positive 'speedup_vs_jobs1'");
-      }
-    } else {
-      c.require(false, at + " unknown simperf case '" + name + "'");
-    }
-  }
-  c.require(kernel_legacy == 1 && kernel_new == 1,
-            "simperf needs exactly one kernel_legacy and one kernel_new row");
-  c.require(sweep_jobs1 == 1 && sweep_hw == 1,
-            "simperf needs exactly one sweep_jobs1 and one sweep_hw row");
-}
-
-/// Schema for BENCH_throughput.json: E2 group-size rows (no "case" field)
-/// plus exactly one fanin_batching_off / fanin_batching_on pair. The CI
-/// batching gate reads msgs_per_sec, the byte-overhead columns, and the
-/// on-row's batching_speedup from here, so absence must fail loudly.
+/// Schema for BENCH_throughput.json: E2 rows keyed by group size. The
+/// byte-overhead columns are part of the E2 table, so absence must fail
+/// loudly; a row carrying a "case" field belongs to no known table.
 void validate_throughput(const JsonValue& results, Check& c) {
-  std::size_t fanin_off = 0, fanin_on = 0, group_rows = 0;
+  std::size_t group_rows = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JsonValue& row = results.at(i);
     if (!row.is_object()) continue;
     const std::string at = "results[" + std::to_string(i) + "]";
-    const JsonValue* kase = row.find("case");
-    if (kase == nullptr) {
-      // E2 full-stack row, keyed by group size.
-      ++group_rows;
-      const JsonValue* gs = row.find("group_size");
-      c.require(gs != nullptr && gs->is_int() && gs->as_int() >= 2,
-                at + " missing integer 'group_size' >= 2");
-      const JsonValue* pb = row.find("payload_bytes");
-      c.require(pb != nullptr && pb->is_int() && pb->as_int() > 0,
-                at + " missing positive integer 'payload_bytes'");
-      for (const char* field : {"msgs_per_sec", "avg_latency_ms",
-                                "sender_bytes_per_msg",
-                                "overhead_bytes_per_msg"}) {
-        const JsonValue* v = row.find(field);
-        c.require(v != nullptr && v->is_number() && v->as_double() > 0,
-                  at + " missing positive '" + field + "'");
-      }
+    if (row.find("case") != nullptr) {
+      c.require(false, at + " has a 'case' field; throughput rows are E2 "
+                            "group-size rows only");
       continue;
     }
-    c.require(kase->is_string(), at + " 'case' is not a string");
-    if (!kase->is_string()) continue;
-    const std::string name = kase->as_string();
-    if (name == "fanin_batching_off" || name == "fanin_batching_on") {
-      name == "fanin_batching_off" ? ++fanin_off : ++fanin_on;
-      for (const char* field :
-           {"wall_seconds", "msgs_per_sec", "entries_per_frame",
-            "bytes_per_msg", "overhead_bytes_per_msg"}) {
-        const JsonValue* v = row.find(field);
-        c.require(v != nullptr && v->is_number() && v->as_double() > 0,
-                  at + " missing positive '" + field + "'");
-      }
-      for (const char* field : {"frames_sent", "acks_standalone",
-                                "acks_piggybacked", "ooo_dropped",
-                                "sim_events"}) {
-        const JsonValue* v = row.find(field);
-        c.require(v != nullptr && v->is_int() && v->as_int() >= 0,
-                  at + " missing non-negative integer '" + field + "'");
-      }
-      if (name == "fanin_batching_on") {
-        const JsonValue* sp = row.find("batching_speedup");
-        c.require(sp != nullptr && sp->is_number() && sp->as_double() > 0,
-                  at + " missing positive 'batching_speedup'");
-      }
-    } else {
-      c.require(false, at + " unknown throughput case '" + name + "'");
+    ++group_rows;
+    const JsonValue* gs = row.find("group_size");
+    c.require(gs != nullptr && gs->is_int() && gs->as_int() >= 2,
+              at + " missing integer 'group_size' >= 2");
+    const JsonValue* pb = row.find("payload_bytes");
+    c.require(pb != nullptr && pb->is_int() && pb->as_int() > 0,
+              at + " missing positive integer 'payload_bytes'");
+    for (const char* field : {"msgs_per_sec", "avg_latency_ms",
+                              "sender_bytes_per_msg",
+                              "overhead_bytes_per_msg"}) {
+      const JsonValue* v = row.find(field);
+      c.require(v != nullptr && v->is_number() && v->as_double() > 0,
+                at + " missing positive '" + field + "'");
     }
   }
   c.require(group_rows > 0, "throughput needs at least one group-size row");
-  c.require(fanin_off == 1 && fanin_on == 1,
-            "throughput needs exactly one fanin_batching_off and one "
-            "fanin_batching_on row");
 }
 
 /// Schema for tools/vsgc_trace --json output (BENCH_tracelat.json,
@@ -472,10 +386,6 @@ Check validate(const JsonValue& root) {
     for (std::size_t i = 0; i < results->size(); ++i) {
       c.require(results->at(i).is_object(),
                 "'results[" + std::to_string(i) + "]' is not an object");
-    }
-    if (bench != nullptr && bench->is_string() &&
-        bench->as_string() == "simperf") {
-      validate_simperf(*results, c);
     }
     if (bench != nullptr && bench->is_string() &&
         bench->as_string() == "tracelat") {
