@@ -6,8 +6,8 @@
 // one-round design keeps this window ~ one client round overlapped with the
 // membership round; in-flight traffic lengthens it only by the time needed
 // to drain the agreed cut.
+#include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -38,7 +38,7 @@ double measure_block_window(int n, int inflight_msgs, double drop,
   cfg.base_latency = 5 * sim::kMillisecond;
   cfg.jitter = 0;
   cfg.drop_probability = drop;
-  GcsBenchWorld w(n, cfg);
+  app::OracleWorld<> w(n, /*seed=*/1, cfg);
   BlockWindowRecorder rec;
   w.trace.subscribe(rec);
   obs::MetricsCollector collector(reg);  // gcs.blocking_window_us histogram

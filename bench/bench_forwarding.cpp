@@ -7,8 +7,8 @@
 // MinCopies deterministically picks one forwarder per message — near-minimal
 // copies — at the price of waiting for the membership view and all sync
 // messages.
+#include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -24,7 +24,7 @@ struct Result {
 Result run_case(int n, int missing_msgs, gcs::ForwardingKind kind,
                 obs::BenchArtifact& art, obs::Registry& reg) {
   net::Network::Config cfg;
-  GcsBenchWorld w(n, cfg, /*seed=*/7, kind);
+  app::OracleWorld<> w(n, /*seed=*/7, cfg, kind);
   ViewTimeRecorder rec;
   w.trace.subscribe(rec);
 

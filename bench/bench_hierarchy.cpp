@@ -5,8 +5,8 @@
 // reconfiguration; the two-tier hierarchy cuts this toward O(n·L) (one
 // up-send per member plus leader relays) at the price of an extra hop in
 // view-change latency. Compact syncs shave bytes on merges.
+#include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -35,7 +35,7 @@ struct Result {
 Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
                obs::Registry& reg) {
   net::Network::Config cfg;
-  GcsBenchWorld w(n, cfg);
+  app::OracleWorld<> w(n, /*seed=*/1, cfg);
   if (groups > 0) {
     for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(n, groups));
   }

@@ -14,8 +14,9 @@
 // start_change follows the previous view after `gap`. With gap shorter than
 // the client round, intermediate views are already stale when they become
 // installable.
+#include "app/oracle_world.hpp"
+#include "baseline/two_round_endpoint.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -25,14 +26,14 @@ namespace {
 constexpr sim::Time kClientLatency = 25 * sim::kMillisecond;
 constexpr sim::Time kMembershipRound = 10 * sim::kMillisecond;
 
-template <typename WorldT>
+template <typename EndpointT>
 double views_per_member_under_cascade(int n, int cascade, sim::Time gap,
                                       obs::BenchArtifact& art,
                                       obs::Registry* reg) {
   net::Network::Config cfg;
   cfg.base_latency = kClientLatency;
   cfg.jitter = 0;
-  WorldT w(n, cfg);
+  app::OracleWorld<EndpointT> w(n, /*seed=*/1, cfg);
   ViewTimeRecorder rec;
   w.trace.subscribe(rec);
   std::unique_ptr<obs::MetricsCollector> collector;
@@ -82,10 +83,11 @@ int main() {
   for (int cascade : {2, 4, 8}) {
     for (sim::Time gap : {2 * sim::kMillisecond, 10 * sim::kMillisecond,
                           100 * sim::kMillisecond}) {
-      const double ours = views_per_member_under_cascade<GcsBenchWorld>(
+      const double ours = views_per_member_under_cascade<gcs::GcsEndpoint>(
           kN, cascade, gap, art, &reg);
-      const double base = views_per_member_under_cascade<BaselineBenchWorld>(
-          kN, cascade, gap, art, nullptr);
+      const double base =
+          views_per_member_under_cascade<baseline::TwoRoundEndpoint>(
+              kN, cascade, gap, art, nullptr);
       t.row(cascade, ms(gap), ours, base);
       obs::JsonValue& row = art.add_result();
       row["cascade_len"] = cascade;

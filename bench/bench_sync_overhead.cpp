@@ -5,8 +5,9 @@
 // the classic design sends an agree message AND a sync message per member —
 // twice the control messages, plus the identifier pre-agreement the paper
 // eliminates. Sync message size grows with the cut (one entry per member).
+#include "app/oracle_world.hpp"
+#include "baseline/two_round_endpoint.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -22,7 +23,7 @@ struct Overhead {
 
 Overhead measure_ours(int n, obs::BenchArtifact& art, obs::Registry& reg) {
   net::Network::Config cfg;
-  GcsBenchWorld w(n, cfg);
+  app::OracleWorld<> w(n, /*seed=*/1, cfg);
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(2 * sim::kSecond);
   for (auto& ep : w.endpoints) ep->send("x");
@@ -50,7 +51,7 @@ Overhead measure_ours(int n, obs::BenchArtifact& art, obs::Registry& reg) {
 
 Overhead measure_baseline(int n, obs::BenchArtifact& art) {
   net::Network::Config cfg;
-  BaselineBenchWorld w(n, cfg);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(n, /*seed=*/1, cfg);
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(2 * sim::kSecond);
   for (auto& ep : w.endpoints) ep->send("x");

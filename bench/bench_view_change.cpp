@@ -12,8 +12,9 @@
 // Dm + agree round + sync round — roughly 2x at Dm ≈ 2L, growing with the
 // latency share of the client rounds. Group size should barely matter (all
 // rounds are parallel multicasts).
+#include "app/oracle_world.hpp"
+#include "baseline/two_round_endpoint.hpp"
 #include "bench/helpers.hpp"
-#include "bench/worlds.hpp"
 #include "obs/span.hpp"
 
 using namespace vsgc;
@@ -26,7 +27,7 @@ constexpr sim::Time kMembershipRound = 2 * kLatency;
 
 /// When `timeline` is non-null, the run additionally records every trace
 /// event (for the Chrome-trace/JSONL export) and derives metrics into `reg`.
-template <typename WorldT>
+template <typename EndpointT>
 double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
                            obs::TraceRecorder* timeline) {
   net::Network::Config net_cfg;
@@ -34,7 +35,7 @@ double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
   net_cfg.jitter = 0;
   std::unique_ptr<obs::MetricsCollector> collector;
   std::unique_ptr<obs::SpanCollector> spans;
-  WorldT w(n, net_cfg);
+  app::OracleWorld<EndpointT> w(n, /*seed=*/1, net_cfg);
   ViewTimeRecorder rec;
   w.trace.subscribe(rec);
   if (timeline != nullptr) {
@@ -95,10 +96,10 @@ int main() {
     // The n=4 run of the paper's algorithm doubles as the exported timeline:
     // its Chrome trace shows the VS round overlapping the membership round.
     const bool exported = n == 4;
-    const double ours = measure_view_change<GcsBenchWorld>(
+    const double ours = measure_view_change<gcs::GcsEndpoint>(
         n, art, exported ? &reg : nullptr, exported ? &timeline : nullptr);
-    const double base =
-        measure_view_change<BaselineBenchWorld>(n, art, nullptr, nullptr);
+    const double base = measure_view_change<baseline::TwoRoundEndpoint>(
+        n, art, nullptr, nullptr);
     t.row(n, ours, base, base / ours);
     obs::JsonValue& row = art.add_result();
     row["group_size"] = n;

@@ -83,16 +83,12 @@ inline double ms(sim::Time t) {
   return static_cast<double>(t) / sim::kMillisecond;
 }
 
-/// Records the simulated time of GCS view deliveries and block events.
+/// Records the simulated time of GCS view and message deliveries.
 class ViewTimeRecorder : public spec::TraceSink {
  public:
   void on_event(const spec::Event& ev) override {
     if (const auto* v = std::get_if<spec::GcsView>(&ev.body)) {
       views[v->p].push_back({v->view.id, ev.at});
-    } else if (const auto* b = std::get_if<spec::GcsBlock>(&ev.body)) {
-      block_at[b->p] = ev.at;
-    } else if (const auto* bo = std::get_if<spec::GcsBlockOk>(&ev.body)) {
-      (void)bo;
     } else if (std::get_if<spec::GcsDeliver>(&ev.body) != nullptr) {
       deliveries.push_back(ev.at);
     }
@@ -109,13 +105,7 @@ class ViewTimeRecorder : public spec::TraceSink {
     return latest;
   }
 
-  std::size_t views_delivered_to(ProcessId p) const {
-    auto it = views.find(p);
-    return it == views.end() ? 0 : it->second.size();
-  }
-
   std::map<ProcessId, std::vector<std::pair<ViewId, sim::Time>>> views;
-  std::map<ProcessId, sim::Time> block_at;
   std::vector<sim::Time> deliveries;
 };
 

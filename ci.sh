@@ -110,9 +110,15 @@ echo "== test: mc =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L mc
 
 echo "== bench smoke + artifact validation =="
+# The oracle-world benches (E1, E3-E6, E10) run under the exact online spec
+# checkers, so a violation fails this stage; the app::World benches (E7-E9)
+# ride along. Every artifact they write is schema-checked.
 ARTIFACT_DIR="$BUILD_DIR/artifacts"
 mkdir -p "$ARTIFACT_DIR"
-VSGC_BENCH_OUT="$ARTIFACT_DIR" "$BUILD_DIR/bench/bench_view_change"
+for b in view_change sync_overhead forwarding obsolete_views blocking \
+         hierarchy crash_recovery membership total_order; do
+  VSGC_BENCH_OUT="$ARTIFACT_DIR" "$BUILD_DIR/bench/bench_$b"
+done
 "$BUILD_DIR/tools/validate_bench_json" "$ARTIFACT_DIR"/BENCH_*.json
 
 echo "== artifact validator self-check (planted artifact) =="

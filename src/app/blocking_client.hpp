@@ -5,6 +5,11 @@
 // sends issued while blocked, flushing them when the next view arrives — so
 // applications built on it can never violate the blocking contract the
 // service's Self Delivery liveness depends on.
+//
+// The adapter is generic over the end-point it drives: app::BlockingClient is
+// the GCS end-point's (the paper's algorithm); app::OracleWorld instantiates
+// it for the two-round baseline and the bare WV automaton too, which never
+// blocks and so never reaches block().
 #pragma once
 
 #include <deque>
@@ -17,13 +22,14 @@
 
 namespace vsgc::app {
 
-class BlockingClient : public gcs::Client {
+template <typename EndpointT>
+class BasicBlockingClient : public gcs::Client {
  public:
   using DeliverFn = std::function<void(ProcessId from, const gcs::AppMsg&)>;
   using ViewFn =
       std::function<void(const View&, const std::set<ProcessId>&)>;
 
-  explicit BlockingClient(gcs::GcsEndpoint& endpoint) : endpoint_(endpoint) {
+  explicit BasicBlockingClient(EndpointT& endpoint) : endpoint_(endpoint) {
     endpoint_.set_client(*this);
   }
 
@@ -68,16 +74,18 @@ class BlockingClient : public gcs::Client {
 
   void block() override {
     blocked_ = true;
-    endpoint_.block_ok();
+    if constexpr (requires(EndpointT& e) { e.block_ok(); }) endpoint_.block_ok();
   }
 
  private:
-  gcs::GcsEndpoint& endpoint_;
+  EndpointT& endpoint_;
   DeliverFn deliver_;
   ViewFn view_;
   InterceptFn intercept_;
   bool blocked_ = false;
   std::deque<std::string> pending_;
 };
+
+using BlockingClient = BasicBlockingClient<gcs::GcsEndpoint>;
 
 }  // namespace vsgc::app

@@ -2,7 +2,9 @@
 // membership servers, client processes with GCS end-points and blocking
 // clients, spec checkers on the trace bus (paper Figure 1's architecture).
 //
-// Tests, benchmarks, and examples all build on this harness.
+// Tests, benchmarks and examples build on one of two worlds: this one, with
+// real membership servers, or app::OracleWorld (oracle_world.hpp), where a
+// script plays the membership service.
 #pragma once
 
 #include <memory>

@@ -7,7 +7,7 @@
 namespace vsgc::baseline {
 
 TwoRoundEndpoint::TwoRoundEndpoint(sim::Simulator& sim,
-                                   transport::CoRfifoTransport& transport,
+                                   transport::Channel transport,
                                    ProcessId self, spec::TraceBus* trace)
     : gcs::WvRfifoEndpoint(sim, transport, self, trace) {}
 

@@ -82,9 +82,8 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
     std::uint64_t views_abandoned = 0;
   };
 
-  TwoRoundEndpoint(sim::Simulator& sim,
-                   transport::CoRfifoTransport& transport, ProcessId self,
-                   spec::TraceBus* trace = nullptr);
+  TwoRoundEndpoint(sim::Simulator& sim, transport::Channel transport,
+                   ProcessId self, spec::TraceBus* trace = nullptr);
 
   /// Input block_ok_p() from the client.
   void block_ok();

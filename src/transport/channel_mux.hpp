@@ -86,16 +86,12 @@ class ChannelMux {
   ChannelMux& operator=(const ChannelMux&) = delete;
 
   /// Open (or re-open) channel `group`, routing its deliveries to `fn`.
-  /// Group 0 is reserved for untagged traffic (see set_default_handler).
+  /// Group 0 is the untagged direct channel and cannot be opened here.
   Channel open(std::uint32_t group, DeliverFn fn) {
     VSGC_REQUIRE(group != 0, "group 0 is the untagged default channel");
     channels_[group].deliver = std::move(fn);
     return Channel(transport_, this, group);
   }
-
-  /// Handler for untagged (group-0) traffic — e.g. the membership client
-  /// stream sharing the session with group channels.
-  void set_default_handler(DeliverFn fn) { default_ = std::move(fn); }
 
   /// Replace channel `group`'s reliable slice and push the union of every
   /// group's slice to the shared transport. O(Σ slice sizes) per call —
@@ -116,15 +112,7 @@ class ChannelMux {
     return it == channels_.end() ? kEmpty : it->second.reliable;
   }
 
-  /// Whole-node crash: per-group reliable slices die with the transport
-  /// state; handlers stay attached for recovery.
-  void on_crash() {
-    for (auto& [g, ch] : channels_) ch.reliable.clear();
-  }
-
   CoRfifoTransport& transport() { return transport_; }
-
-  std::size_t num_channels() const { return channels_.size(); }
 
  private:
   struct ChannelState {
@@ -134,19 +122,15 @@ class ChannelMux {
 
   void dispatch(net::NodeId from, std::uint32_t group,
                 const std::any& payload) {
-    if (group == 0) {
-      if (default_) default_(from, payload);
-      return;
-    }
     auto it = channels_.find(group);
     // Traffic for a group we never joined (or already left): drop. The
-    // sender's view of our membership is simply stale.
+    // sender's view of our membership is simply stale. Untagged traffic has
+    // no channel under a mux and is dropped too.
     if (it == channels_.end() || !it->second.deliver) return;
     it->second.deliver(from, payload);
   }
 
   CoRfifoTransport& transport_;
-  DeliverFn default_;
   std::map<std::uint32_t, ChannelState> channels_;
 };
 

@@ -4,138 +4,51 @@
 // round and delivery of obsolete views under cascading reconfigurations.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "app/blocking_client.hpp"
+#include "app/oracle_world.hpp"
 #include "baseline/two_round_endpoint.hpp"
-#include "membership/oracle.hpp"
-#include "net/network.hpp"
-#include "spec/all_checkers.hpp"
-#include "util/rng.hpp"
 
 namespace vsgc {
 namespace {
 
-/// BlockingClient equivalent for the baseline end-point.
-class BaselineClient : public gcs::Client {
- public:
-  explicit BaselineClient(baseline::TwoRoundEndpoint& ep) : ep_(ep) {
-    ep.set_client(*this);
-  }
-
-  void deliver(ProcessId from, const gcs::AppMsg& m) override {
-    if (deliver_) deliver_(from, m);
-  }
-  void view(const View& v, const std::set<ProcessId>& t) override {
-    views.push_back(v);
-    if (view_) view_(v, t);
-  }
-  void block() override { ep_.block_ok(); }
-
-  void on_deliver(std::function<void(ProcessId, const gcs::AppMsg&)> fn) {
-    deliver_ = std::move(fn);
-  }
-  void on_view(
-      std::function<void(const View&, const std::set<ProcessId>&)> fn) {
-    view_ = std::move(fn);
-  }
-
-  std::vector<View> views;
-
- private:
-  baseline::TwoRoundEndpoint& ep_;
-  std::function<void(ProcessId, const gcs::AppMsg&)> deliver_;
-  std::function<void(const View&, const std::set<ProcessId>&)> view_;
-};
-
-struct BaselineWorld {
-  explicit BaselineWorld(int n, std::uint64_t seed = 1) {
-    network = std::make_unique<net::Network>(sim, Rng(seed));
-    trace.set_recording(true);
-    checkers.attach(trace);
-    for (int i = 0; i < n; ++i) {
-      const ProcessId p{static_cast<std::uint32_t>(i + 1)};
-      transports.push_back(std::make_unique<transport::CoRfifoTransport>(
-          sim, *network, net::node_of(p)));
-      endpoints.push_back(std::make_unique<baseline::TwoRoundEndpoint>(
-          sim, *transports.back(), p, &trace));
-      clients.push_back(std::make_unique<BaselineClient>(*endpoints.back()));
-      auto* ep = endpoints.back().get();
-      transports.back()->set_deliver_handler(
-          [ep](net::NodeId from, const std::any& payload) {
-            ep->on_co_rfifo_deliver(net::process_of(from), payload);
-          });
-      oracle.attach(p, *ep);
-    }
-  }
-
-  ProcessId pid(int i) const {
-    return ProcessId{static_cast<std::uint32_t>(i + 1)};
-  }
-
-  std::set<ProcessId> all() const {
-    std::set<ProcessId> out;
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      out.insert(ProcessId{static_cast<std::uint32_t>(i + 1)});
-    }
-    return out;
-  }
-
-  void run(sim::Time d = 500 * sim::kMillisecond) {
-    sim.run_until(sim.now() + d);
-  }
-
-  sim::Simulator sim;
-  spec::TraceBus trace;
-  spec::AllCheckers checkers;
-  std::unique_ptr<net::Network> network;
-  membership::OracleMembership oracle;
-  std::vector<std::unique_ptr<transport::CoRfifoTransport>> transports;
-  std::vector<std::unique_ptr<baseline::TwoRoundEndpoint>> endpoints;
-  std::vector<std::unique_ptr<BaselineClient>> clients;
-};
-
 TEST(Baseline, InstallsViewsAndDeliversMessages) {
-  BaselineWorld w(3);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(3);
   std::vector<int> rx(3, 0);
   for (int i = 0; i < 3; ++i) {
-    w.clients[static_cast<std::size_t>(i)]->on_deliver(
-        [&rx, i](ProcessId, const gcs::AppMsg&) { ++rx[static_cast<std::size_t>(i)]; });
+    w.client(i).on_deliver([&rx, i](ProcessId, const gcs::AppMsg&) {
+      ++rx[static_cast<std::size_t>(i)];
+    });
   }
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
   w.run(2 * sim::kSecond);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(w.endpoints[static_cast<std::size_t>(i)]->current_view().members,
-              w.all());
+    EXPECT_EQ(w.ep(i).current_view().members, w.all());
   }
-  w.endpoints[0]->send("hello");
+  w.ep(0).send("hello");
   w.run(2 * sim::kSecond);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(rx[static_cast<std::size_t>(i)], 1);
   w.checkers.finalize();
 }
 
 TEST(Baseline, SatisfiesVirtualSynchronyUnderChurn) {
-  BaselineWorld w(3);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(3);
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
   w.run(2 * sim::kSecond);
   // Messages in flight across a reconfiguration; VS/SELF checkers validate.
   for (int k = 0; k < 10; ++k) {
-    w.endpoints[0]->send("a");
-    w.endpoints[1]->send("b");
+    w.ep(0).send("a");
+    w.ep(1).send("b");
   }
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
   w.run(2 * sim::kSecond);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(w.endpoints[static_cast<std::size_t>(i)]->stats().views_delivered,
-              2u);
-  }
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(w.ep(i).stats().views_delivered, 2u);
   w.checkers.finalize();
 }
 
@@ -143,7 +56,13 @@ TEST(Baseline, DeliversObsoleteViewsUnderCascadingChanges) {
   // Two membership views in quick succession: the baseline completes the
   // first round and delivers BOTH views; the paper's algorithm would skip
   // straight to the second (see ObsoleteViews.SupersededViewNeverDelivered).
-  BaselineWorld w(3);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(3);
+  std::vector<int> views(3, 0);
+  for (int i = 0; i < 3; ++i) {
+    w.client(i).on_view([&views, i](const View&, const std::set<ProcessId>&) {
+      ++views[static_cast<std::size_t>(i)];
+    });
+  }
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
@@ -159,18 +78,15 @@ TEST(Baseline, DeliversObsoleteViewsUnderCascadingChanges) {
     // initial + A + B = 3 views delivered to the application; the paper's
     // algorithm under the identical schedule delivers only 2 (see
     // ObsoleteViews.SupersededViewNeverDelivered).
-    EXPECT_EQ(w.clients[static_cast<std::size_t>(i)]->views.size(), 3u)
+    EXPECT_EQ(views[static_cast<std::size_t>(i)], 3)
         << "baseline should deliver the obsolete view A as well";
-    EXPECT_GE(w.endpoints[static_cast<std::size_t>(i)]
-                  ->baseline_stats()
-                  .obsolete_views_delivered,
-              1u);
+    EXPECT_GE(w.ep(i).baseline_stats().obsolete_views_delivered, 1u);
   }
   w.checkers.finalize();
 }
 
 TEST(Baseline, AbandonsViewWhoseParticipantVanished) {
-  BaselineWorld w(3);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(3);
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
@@ -178,8 +94,8 @@ TEST(Baseline, AbandonsViewWhoseParticipantVanished) {
 
   // p3 crashes; a view including it can never complete, and the next view
   // excludes it — the baseline must abandon the first and install the next.
-  w.endpoints[2]->crash();
-  w.transports[2]->crash();
+  w.ep(2).crash();
+  w.transport(2).crash();
   w.oracle.start_change_to(w.pid(0), w.all());
   w.oracle.start_change_to(w.pid(1), w.all());
   const View dead = w.oracle.make_view(w.all());
@@ -193,16 +109,16 @@ TEST(Baseline, AbandonsViewWhoseParticipantVanished) {
   w.oracle.deliver_view_to(w.pid(1), survivors);
   w.run(3 * sim::kSecond);
 
-  EXPECT_EQ(w.endpoints[0]->current_view().members,
+  EXPECT_EQ(w.ep(0).current_view().members,
             (std::set<ProcessId>{w.pid(0), w.pid(1)}));
-  EXPECT_EQ(w.endpoints[1]->current_view().members,
+  EXPECT_EQ(w.ep(1).current_view().members,
             (std::set<ProcessId>{w.pid(0), w.pid(1)}));
-  EXPECT_GE(w.endpoints[0]->baseline_stats().views_abandoned, 1u);
+  EXPECT_GE(w.ep(0).baseline_stats().views_abandoned, 1u);
   w.checkers.finalize();
 }
 
 TEST(Baseline, TwoRoundsMeansMoreControlMessages) {
-  BaselineWorld w(4);
+  app::OracleWorld<baseline::TwoRoundEndpoint> w(4);
   w.oracle.start_change(w.all());
   w.run();
   w.oracle.deliver_view(w.all());
@@ -210,7 +126,7 @@ TEST(Baseline, TwoRoundsMeansMoreControlMessages) {
   // Every member sent one agree AND one sync per view change; the paper's
   // algorithm sends only the sync.
   for (int i = 0; i < 4; ++i) {
-    const auto& st = w.endpoints[static_cast<std::size_t>(i)]->baseline_stats();
+    const auto& st = w.ep(i).baseline_stats();
     EXPECT_GE(st.agrees_sent, 1u);
     EXPECT_GE(st.sync_msgs_sent, 1u);
   }

@@ -1,14 +1,14 @@
 // Section 8 tests: crash and recovery of end-points without stable storage.
 #include <gtest/gtest.h>
 
+#include "app/oracle_world.hpp"
 #include "app/world.hpp"
-#include "helpers/oracle_world.hpp"
 #include "spec/liveness_checker.hpp"
 
 namespace vsgc {
 namespace {
 
-using testing::OracleWorld;
+using OracleWorld = app::OracleWorld<>;
 
 TEST(CrashRecovery, CrashedEndpointIgnoresAllInputs) {
   OracleWorld w(2);

@@ -7,12 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "helpers/oracle_world.hpp"
+#include "app/oracle_world.hpp"
 
 namespace vsgc {
 namespace {
 
-using testing::OracleWorld;
+using OracleWorld = app::OracleWorld<>;
 
 /// Scenario: p1, p2, p3 share a view. p1 multicasts a message; p3's link to
 /// p1 is down, so only p2 receives it. The membership then excludes p1.
@@ -31,7 +31,7 @@ void run_forwarding_scenario(gcs::ForwardingKind kind,
   w.change_view(w.all());
 
   // p3 stops hearing p1 directly.
-  w.network->set_link_up(net::node_of(w.pid(0)), net::node_of(w.pid(2)),
+  w.network.set_link_up(net::node_of(w.pid(0)), net::node_of(w.pid(2)),
                          false);
   w.client(0).send("lost-msg");
   w.run();
@@ -93,7 +93,7 @@ TEST(Forwarding, MultipleMissingMessagesAllRecovered) {
   w.client(2).on_deliver(
       [&rx3](ProcessId, const gcs::AppMsg& m) { rx3.push_back(m.payload); });
   w.change_view(w.all());
-  w.network->set_link_up(net::node_of(w.pid(0)), net::node_of(w.pid(2)),
+  w.network.set_link_up(net::node_of(w.pid(0)), net::node_of(w.pid(2)),
                          false);
   for (int i = 0; i < 7; ++i) w.client(0).send("x" + std::to_string(i));
   w.run();

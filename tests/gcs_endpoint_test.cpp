@@ -6,13 +6,13 @@
 #include <string>
 #include <vector>
 
-#include "helpers/oracle_world.hpp"
+#include "app/oracle_world.hpp"
 #include "spec/liveness_checker.hpp"
 
 namespace vsgc {
 namespace {
 
-using testing::OracleWorld;
+using OracleWorld = app::OracleWorld<>;
 
 TEST(WvRfifo, MessagesDeliveredInSendingView) {
   OracleWorld w(3);
@@ -129,7 +129,7 @@ TEST(VirtualSynchrony, PartitionYieldsDisjointViewsAndCuts) {
   for (int i = 0; i < 4; ++i) w.client(i).send("pre" + std::to_string(i));
   w.run();
   // The oracle partitions the group: {p1,p2} and {p3,p4}.
-  w.network->partition(
+  w.network.partition(
       {{net::node_of(w.pid(0)), net::node_of(w.pid(1))},
        {net::node_of(w.pid(2)), net::node_of(w.pid(3))}});
   w.oracle.start_change_to(w.pid(0), w.pids({0, 1}));

@@ -4,12 +4,12 @@
 // while cutting the sync message complexity from O(n^2) toward O(n).
 #include <gtest/gtest.h>
 
-#include "helpers/oracle_world.hpp"
+#include "app/oracle_world.hpp"
 
 namespace vsgc {
 namespace {
 
-using testing::OracleWorld;
+using OracleWorld = app::OracleWorld<>;
 
 /// Assign a two-tier topology: processes are split into `groups` consecutive
 /// blocks; the first process of each block is its leader.

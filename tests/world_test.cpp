@@ -2,13 +2,13 @@
 // contract), World convergence helpers, and Process lifecycle.
 #include <gtest/gtest.h>
 
+#include "app/oracle_world.hpp"
 #include "app/world.hpp"
-#include "helpers/oracle_world.hpp"
 
 namespace vsgc {
 namespace {
 
-using testing::OracleWorld;
+using OracleWorld = app::OracleWorld<>;
 
 TEST(BlockingClient, AnswersBlockImmediately) {
   OracleWorld w(2);

@@ -4,73 +4,37 @@
 // the WV checker, mirroring the paper's Section 5.1 argument.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "gcs/wv_rfifo_endpoint.hpp"
-#include "membership/oracle.hpp"
-#include "net/network.hpp"
+#include "app/oracle_world.hpp"
 #include "spec/liveness_checker.hpp"
-#include "spec/wv_rfifo_checker.hpp"
 
 namespace vsgc::gcs {
 namespace {
 
-class Recorder : public Client {
- public:
-  void deliver(ProcessId from, const AppMsg& m) override {
-    deliveries.push_back({from, m});
-  }
-  void view(const View& v, const std::set<ProcessId>&) override {
-    views.push_back(v);
-  }
-  void block() override {}
-
-  std::vector<std::pair<ProcessId, AppMsg>> deliveries;
-  std::vector<View> views;
-};
-
-struct WvWorld {
-  explicit WvWorld(int n) : network(sim, Rng(1)) {
-    trace.set_recording(true);
-    trace.subscribe(checker);
-    for (int i = 0; i < n; ++i) {
-      const ProcessId p{static_cast<std::uint32_t>(i + 1)};
-      transports.push_back(std::make_unique<transport::CoRfifoTransport>(
-          sim, network, net::node_of(p)));
-      endpoints.push_back(std::make_unique<WvRfifoEndpoint>(
-          sim, *transports.back(), p, &trace));
-      clients.push_back(std::make_unique<Recorder>());
-      endpoints.back()->set_client(*clients.back());
-      auto* ep = endpoints.back().get();
-      transports.back()->set_deliver_handler(
-          [ep](net::NodeId from, const std::any& payload) {
-            ep->on_co_rfifo_deliver(net::process_of(from), payload);
+/// What each client saw: delivered payloads in order, and views installed.
+struct Seen {
+  explicit Seen(app::OracleWorld<WvRfifoEndpoint>& w)
+      : payloads(w.endpoints.size()), views(w.endpoints.size()) {
+    for (std::size_t i = 0; i < w.endpoints.size(); ++i) {
+      w.client(static_cast<int>(i))
+          .on_deliver([this, i](ProcessId, const AppMsg& m) {
+            payloads[i].push_back(m.payload);
           });
-      oracle.attach(p, *ep);
+      w.client(static_cast<int>(i))
+          .on_view([this, i](const View&, const std::set<ProcessId>&) {
+            ++views[i];
+          });
     }
   }
 
-  std::set<ProcessId> all() const {
-    std::set<ProcessId> out;
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      out.insert(ProcessId{static_cast<std::uint32_t>(i + 1)});
-    }
-    return out;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  spec::TraceBus trace;
-  spec::WvRfifoChecker checker;
-  membership::OracleMembership oracle;
-  std::vector<std::unique_ptr<transport::CoRfifoTransport>> transports;
-  std::vector<std::unique_ptr<WvRfifoEndpoint>> endpoints;
-  std::vector<std::unique_ptr<Recorder>> clients;
+  std::vector<std::vector<std::string>> payloads;
+  std::vector<int> views;
 };
 
 TEST(WvStandalone, ViewsInstallWithoutSynchronizationMessages) {
-  WvWorld w(3);
+  app::OracleWorld<WvRfifoEndpoint> w(3);
   // WV alone does not wait for sync messages: the membership view installs
   // as soon as it arrives (view_gate of the base automaton is vacuous).
   w.oracle.start_change(w.all());
@@ -81,41 +45,37 @@ TEST(WvStandalone, ViewsInstallWithoutSynchronizationMessages) {
 }
 
 TEST(WvStandalone, WithinViewFifoDeliveryHolds) {
-  WvWorld w(3);
+  app::OracleWorld<WvRfifoEndpoint> w(3);
+  Seen seen(w);
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
-  for (int k = 0; k < 10; ++k) {
-    w.endpoints[0]->send("a" + std::to_string(k));
-  }
-  w.sim.run_to_quiescence();
-  for (int i = 0; i < 3; ++i) {
-    const auto& d = w.clients[static_cast<std::size_t>(i)]->deliveries;
-    ASSERT_EQ(d.size(), 10u) << "endpoint " << i;
+  for (int k = 0; k < 10; ++k) w.ep(0).send("a" + std::to_string(k));
+  w.settle();
+  for (const auto& d : seen.payloads) {
+    ASSERT_EQ(d.size(), 10u);
     for (int k = 0; k < 10; ++k) {
-      EXPECT_EQ(d[static_cast<std::size_t>(k)].second.payload,
-                "a" + std::to_string(k));
+      EXPECT_EQ(d[static_cast<std::size_t>(k)], "a" + std::to_string(k));
     }
   }
   EXPECT_TRUE(spec::LivenessChecker::check(w.trace.recorded()));
 }
 
 TEST(WvStandalone, MessagesNeverCrossViewBoundaries) {
-  WvWorld w(2);
+  app::OracleWorld<WvRfifoEndpoint> w(2);
+  Seen seen(w);
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
-  w.endpoints[0]->send("in-view-1");
-  w.sim.run_to_quiescence();
+  w.ep(0).send("in-view-1");
+  w.settle();
   // Move on; messages sent in view 1 but arriving later must not be
   // delivered in view 2 (the WV checker enforces it; counts confirm).
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
-  w.sim.run_to_quiescence();
-  w.endpoints[1]->send("in-view-2");
-  w.sim.run_to_quiescence();
-  const auto& d = w.clients[0]->deliveries;
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_EQ(d[0].second.payload, "in-view-1");
-  EXPECT_EQ(d[1].second.payload, "in-view-2");
+  w.settle();
+  w.ep(1).send("in-view-2");
+  w.settle();
+  EXPECT_EQ(seen.payloads[0],
+            (std::vector<std::string>{"in-view-1", "in-view-2"}));
 }
 
 TEST(WvStandalone, SelfDeliveryOnlyAfterMulticast) {
@@ -123,27 +83,29 @@ TEST(WvStandalone, SelfDeliveryOnlyAfterMulticast) {
   // an end-point cannot self-deliver before co_rfifo.send happened. Since
   // both occur inside one pump, we observe the effect: self-delivery works
   // and the message is on the wire to peers.
-  WvWorld w(2);
+  app::OracleWorld<WvRfifoEndpoint> w(2);
+  Seen seen(w);
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
-  w.endpoints[0]->send("x");
-  w.sim.run_to_quiescence();
-  EXPECT_EQ(w.clients[0]->deliveries.size(), 1u);
-  EXPECT_EQ(w.clients[1]->deliveries.size(), 1u);
-  EXPECT_GE(w.transports[0]->stats().messages_sent, 1u);
+  w.ep(0).send("x");
+  w.settle();
+  EXPECT_EQ(seen.payloads[0].size(), 1u);
+  EXPECT_EQ(seen.payloads[1].size(), 1u);
+  EXPECT_GE(w.transport(0).stats().messages_sent, 1u);
 }
 
 TEST(WvStandalone, NoObsoleteViewSkippingInBase) {
   // Unlike the VS child, the base automaton installs every membership view
   // (its only precondition is monotonicity) — the obsolete-view skipping is
   // genuinely a property of the Figure 10 extension.
-  WvWorld w(2);
+  app::OracleWorld<WvRfifoEndpoint> w(2);
+  Seen seen(w);
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
-  w.sim.run_to_quiescence();
-  EXPECT_EQ(w.clients[0]->views.size(), 2u);
+  w.settle();
+  EXPECT_EQ(seen.views[0], 2);
 }
 
 }  // namespace
