@@ -16,21 +16,26 @@ namespace {
 
 constexpr sim::Time kMembershipRound = 20 * sim::kMillisecond;
 
-struct BlockWindowRecorder : spec::TraceSink {
-  void on_event(const spec::Event& ev) override {
+/// Every GCS.block -> GCS.view window in `trace` that closes at event index
+/// `from` or later (the block itself may come earlier).
+std::vector<sim::Time> block_windows(const std::vector<spec::Event>& trace,
+                                     std::size_t from) {
+  std::map<ProcessId, sim::Time> block_at;
+  std::vector<sim::Time> windows;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const spec::Event& ev = trace[i];
     if (const auto* b = std::get_if<spec::GcsBlock>(&ev.body)) {
       block_at[b->p] = ev.at;
     } else if (const auto* v = std::get_if<spec::GcsView>(&ev.body)) {
       auto it = block_at.find(v->p);
       if (it != block_at.end()) {
-        windows.push_back(ev.at - it->second);
+        if (i >= from) windows.push_back(ev.at - it->second);
         block_at.erase(it);
       }
     }
   }
-  std::map<ProcessId, sim::Time> block_at;
-  std::vector<sim::Time> windows;
-};
+  return windows;
+}
 
 double measure_block_window(int n, int inflight_msgs, double drop,
                             obs::BenchArtifact& art, obs::Registry& reg) {
@@ -39,14 +44,12 @@ double measure_block_window(int n, int inflight_msgs, double drop,
   cfg.jitter = 0;
   cfg.drop_probability = drop;
   app::OracleWorld<> w(n, /*seed=*/1, cfg);
-  BlockWindowRecorder rec;
-  w.trace.subscribe(rec);
   obs::MetricsCollector collector(reg);  // gcs.blocking_window_us histogram
   w.trace.subscribe(collector);
 
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(sim::kSecond);
-  rec.windows.clear();
+  const std::size_t measured_from = w.trace.recorded().size();
 
   // Load the group with in-flight traffic, then reconfigure immediately.
   for (int k = 0; k < inflight_msgs; ++k) {
@@ -54,13 +57,16 @@ double measure_block_window(int n, int inflight_msgs, double drop,
   }
   w.schedule_change(w.sim.now(), kMembershipRound, w.all());
   w.run_until(w.sim.now() + 30 * sim::kSecond);
+  w.checkers.finalize();
 
   record_network_stats(reg, w.network);
   art.tally(w.sim);
-  if (rec.windows.empty()) return -1;
+  const std::vector<sim::Time> windows =
+      block_windows(w.trace.recorded(), measured_from);
+  if (windows.empty()) return -1;
   sim::Time sum = 0;
-  for (sim::Time t : rec.windows) sum += t;
-  return ms(sum / static_cast<sim::Time>(rec.windows.size()));
+  for (sim::Time t : windows) sum += t;
+  return ms(sum / static_cast<sim::Time>(windows.size()));
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ Result run_case(int n, sim::Time fd_timeout, obs::BenchArtifact& art,
                 obs::Registry& reg) {
   app::WorldConfig cfg;
   cfg.num_clients = n;
-  cfg.attach_checkers = false;
   cfg.record_trace = false;
   cfg.server.fd.timeout = fd_timeout;
   cfg.server.fd.check_interval = fd_timeout / 5;
@@ -54,6 +53,7 @@ Result run_case(int n, sim::Time fd_timeout, obs::BenchArtifact& art,
   if (!w.run_until_converged(w.all_members(), 60 * sim::kSecond)) {
     return {exclude, -1};
   }
+  w.finalize_checkers();
   return {exclude, ms(w.sim().now() - recover_at)};
 }
 

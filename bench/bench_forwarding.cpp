@@ -9,6 +9,7 @@
 // messages.
 #include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
+#include "obs/span.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -25,8 +26,6 @@ Result run_case(int n, int missing_msgs, gcs::ForwardingKind kind,
                 obs::BenchArtifact& art, obs::Registry& reg) {
   net::Network::Config cfg;
   app::OracleWorld<> w(n, /*seed=*/7, cfg, kind);
-  ViewTimeRecorder rec;
-  w.trace.subscribe(rec);
 
   w.schedule_change(0, 10 * sim::kMillisecond, w.all());
   w.run_until(sim::kSecond);
@@ -53,6 +52,7 @@ Result run_case(int n, int missing_msgs, gcs::ForwardingKind kind,
     for (ProcessId p : rest) w.oracle.deliver_view_to(p, v);
   });
   w.run_until(t0 + 30 * sim::kSecond);
+  w.checkers.finalize();
 
   Result r{};
   for (std::size_t i = 1; i < w.endpoints.size(); ++i) {
@@ -62,15 +62,21 @@ Result run_case(int n, int missing_msgs, gcs::ForwardingKind kind,
   }
   record_network_stats(reg, w.network);
   art.tally(w.sim);
+  // Recovery ends at the latest installation by any survivor; the run is
+  // complete only if every survivor installed some view.
+  std::map<ProcessId, sim::Time> installed;
+  for (const obs::ViewSpan& v : obs::analyze(w.trace.recorded()).views) {
+    installed[v.p] = v.installed_at;
+  }
   sim::Time latest = -1;
   r.complete = true;
   for (ProcessId p : rest) {
-    const auto it = rec.views.find(p);
-    if (it == rec.views.end() || it->second.empty()) {
+    const auto it = installed.find(p);
+    if (it == installed.end()) {
       r.complete = false;
       continue;
     }
-    latest = std::max(latest, it->second.back().second);
+    latest = std::max(latest, it->second);
   }
   r.recovery_ms = ms(latest - t0);
   return r;

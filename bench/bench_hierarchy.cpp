@@ -7,6 +7,7 @@
 // view-change latency. Compact syncs shave bytes on merges.
 #include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
+#include "obs/span.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -39,8 +40,6 @@ Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
   if (groups > 0) {
     for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(n, groups));
   }
-  ViewTimeRecorder rec;
-  w.trace.subscribe(rec);
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(2 * sim::kSecond);
   for (auto& ep : w.endpoints) ep->send("x");
@@ -56,6 +55,7 @@ Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
   const sim::Time t0 = w.sim.now();
   w.schedule_change(t0, kMembershipRound, w.all());
   w.run_until(t0 + 10 * sim::kSecond);
+  w.checkers.finalize();
 
   Result r{};
   std::uint64_t msgs_after = 0;
@@ -73,10 +73,10 @@ Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
   }
   record_network_stats(reg, w.network);
   art.tally(w.sim);
-  sim::Time latest = -1;
-  for (const auto& [p, list] : rec.views) {
-    if (!list.empty()) latest = std::max(latest, list.back().second);
-  }
+  // The change ends at the last installation by any member.
+  const std::vector<obs::ViewSpan> views =
+      obs::analyze(w.trace.recorded()).views;
+  const sim::Time latest = views.empty() ? -1 : views.back().installed_at;
   r.change_ms = ms(latest - t0);
   return r;
 }

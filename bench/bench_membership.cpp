@@ -25,7 +25,6 @@ Result run_case(int clients, int servers, obs::BenchArtifact& art,
   app::WorldConfig cfg;
   cfg.num_clients = clients;
   cfg.num_servers = servers;
-  cfg.attach_checkers = false;
   cfg.record_trace = false;
   app::World w(cfg);
   struct Tally {
@@ -59,6 +58,7 @@ Result run_case(int clients, int servers, obs::BenchArtifact& art,
     after += w.server(s).transport().stats().messages_sent;
     rounds += w.server(s).stats().rounds_started;
   }
+  w.finalize_checkers();
   return {converge, static_cast<double>(after - before) / clients, rounds};
 }
 

@@ -17,6 +17,7 @@
 #include "app/oracle_world.hpp"
 #include "baseline/two_round_endpoint.hpp"
 #include "bench/helpers.hpp"
+#include "obs/span.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -34,8 +35,6 @@ double views_per_member_under_cascade(int n, int cascade, sim::Time gap,
   cfg.base_latency = kClientLatency;
   cfg.jitter = 0;
   app::OracleWorld<EndpointT> w(n, /*seed=*/1, cfg);
-  ViewTimeRecorder rec;
-  w.trace.subscribe(rec);
   std::unique_ptr<obs::MetricsCollector> collector;
   if (reg != nullptr) {
     // The derived gcs.obsolete_views counter is exactly this bench's claim.
@@ -54,12 +53,11 @@ double views_per_member_under_cascade(int n, int cascade, sim::Time gap,
     at += kMembershipRound + gap;
   }
   w.run_until(at + 60 * sim::kSecond);
+  w.checkers.finalize();
 
   std::uint64_t total = 0;
-  for (const auto& [p, list] : rec.views) {
-    for (const auto& [vid, when] : list) {
-      if (when > t0) ++total;  // views from the cascade only
-    }
+  for (const obs::ViewSpan& v : obs::analyze(w.trace.recorded()).views) {
+    if (v.installed_at > t0) ++total;  // views from the cascade only
   }
   art.tally(w.sim);
   return static_cast<double>(total) / n;

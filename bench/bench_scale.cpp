@@ -17,6 +17,7 @@
 // view-change latency or per-member resident bytes grows with exponent
 // >= 1.15. A same-seed determinism run (N=64 twice, byte-compared JSONL)
 // guards the whole optimized data plane.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "net/network.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/failure_injector.hpp"
 #include "spec/eventually.hpp"
@@ -54,20 +56,19 @@ constexpr int kFlashJoiners = 8;
 struct ScaleParams {
   int n = 64;
   std::uint64_t seed = 1;
-  bool record_traces = false;  ///< per-group TraceRecorders (determinism run)
+  bool record_traces = false;  ///< keep per-group JSONL (determinism run)
 
   int groups() const { return std::max(2, n / 8); }
 };
 
-/// One group's protocol slice: its own oracle epoch space, trace bus, and
-/// checkers; endpoints live in the world (indexed by (group, member)).
+/// One group's protocol slice: its own oracle epoch space, recording trace
+/// bus, and checkers; endpoints live in the world (indexed by (group,
+/// member)).
 struct GroupState {
   std::set<ProcessId> base;     ///< initial members
   std::set<ProcessId> joiners;  ///< flash-crowd join set (hot groups only)
   spec::TraceBus bus;
   spec::AllEventualCheckers checkers{2 * sim::kSecond};
-  ViewTimeRecorder times;
-  obs::TraceRecorder recorder;
   membership::OracleMembership oracle;
   ViewId initial_view = ViewId::zero();
   sim::Time initial_sc_at = 0;
@@ -87,15 +88,13 @@ struct ScaleWorld {
           std::make_unique<transport::ChannelMux>(*transports.back()));
     }
     // GroupStates live behind unique_ptr: each embeds a TraceBus whose sinks
-    // (checkers, recorders) are registered by pointer, so it must never move.
+    // (the checkers) are registered by pointer, so it must never move.
     const int spread = p.n / p.groups();
     for (int g = 0; g < p.groups(); ++g) {
       groups.push_back(std::make_unique<GroupState>());
       GroupState& gs = *groups.back();
-      gs.bus.set_recording(false);
+      gs.bus.set_recording(true);
       gs.checkers.attach(gs.bus);
-      gs.bus.subscribe(gs.times);
-      if (p.record_traces) gs.bus.subscribe(gs.recorder);
       const int start = g * spread;
       for (int k = 0; k < kGroupSize; ++k) {
         gs.base.insert(pid((start + k) % p.n));
@@ -315,22 +314,33 @@ Row measure(const ScaleParams& params, obs::BenchArtifact& art,
     GroupState& gs = *gp;
     gs.checkers.finalize();
     r.tolerated += gs.checkers.tolerated();
-    r.deliveries += gs.times.deliveries.size();
-    const sim::Time installed = gs.times.install_time(gs.initial_view);
+    const std::vector<spec::Event>& trace = gs.bus.recorded();
+    r.deliveries += static_cast<std::uint64_t>(
+        std::count_if(trace.begin(), trace.end(), [](const spec::Event& ev) {
+          return std::holds_alternative<spec::GcsDeliver>(ev.body);
+        }));
+    // Latest installation of view `id` by any member, or -1.
+    const std::vector<obs::ViewSpan> views = obs::analyze(trace).views;
+    const auto install_time = [&views](ViewId id) {
+      sim::Time latest = -1;
+      for (const obs::ViewSpan& v : views) {
+        if (v.view == id) latest = std::max(latest, v.installed_at);
+      }
+      return latest;
+    };
+    const sim::Time installed = install_time(gs.initial_view);
     if (installed >= 0) {
       latency_sum += ms(installed - gs.initial_sc_at);
       ++latency_rows;
     }
     if (gs.flash_sc_at >= 0) {
-      const sim::Time flashed = gs.times.install_time(gs.flash_view);
+      const sim::Time flashed = install_time(gs.flash_view);
       if (flashed >= 0) {
         flash_sum += ms(flashed - gs.flash_sc_at);
         ++flash_rows;
       }
     }
-    if (params.record_traces) {
-      obs::write_jsonl(gs.recorder.events(), trace_cat);
-    }
+    if (params.record_traces) obs::write_jsonl(trace, trace_cat);
   }
   r.view_change_ms = latency_rows > 0 ? latency_sum / latency_rows : -1;
   r.flash_join_ms = flash_rows > 0 ? flash_sum / flash_rows : -1;

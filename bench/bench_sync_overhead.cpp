@@ -36,6 +36,7 @@ Overhead measure_ours(int n, obs::BenchArtifact& art, obs::Registry& reg) {
 
   w.schedule_change(w.sim.now(), kMembershipRound, w.all());
   w.run_until(w.sim.now() + 5 * sim::kSecond);
+  w.checkers.finalize();
 
   std::uint64_t bytes_after = 0;
   for (auto& tr : w.transports) bytes_after += tr->stats().bytes_sent;
@@ -67,6 +68,7 @@ Overhead measure_baseline(int n, obs::BenchArtifact& art) {
 
   w.schedule_change(w.sim.now(), kMembershipRound, w.all());
   w.run_until(w.sim.now() + 5 * sim::kSecond);
+  w.checkers.finalize();
 
   std::uint64_t bytes_after = 0;
   for (auto& tr : w.transports) bytes_after += tr->stats().bytes_sent;

@@ -32,16 +32,9 @@ Result run_case(int n, int payload_bytes, int messages,
   app::WorldConfig cfg;
   cfg.num_clients = n;
   cfg.attach_checkers = false;   // measuring, not verifying
-  cfg.record_trace = false;      // nothing buffers the event stream
-  cfg.lifecycle_spans = true;    // span histograms ride the trace bus
+  cfg.record_trace = true;       // span metrics come from the recorded trace
+  cfg.lifecycle_spans = true;    // ... with per-message lifecycle events
   app::World w(cfg);
-  // Two span collectors: a per-case registry feeds this row's p95 columns,
-  // the shared one accumulates the artifact's span.* histograms.
-  obs::Registry case_reg;
-  obs::SpanCollector case_spans(case_reg);
-  obs::SpanCollector all_spans(reg);
-  w.trace().subscribe(case_spans);
-  w.trace().subscribe(all_spans);
 
   std::uint64_t delivered = 0;
   std::map<std::uint64_t, sim::Time> sent_at;
@@ -58,8 +51,7 @@ Result run_case(int n, int payload_bytes, int messages,
           }
         });
   }
-  // Post-mortem accounting only (counters read after the run; nothing
-  // subscribes to the trace bus while the measured traffic flows).
+  // Post-mortem accounting only: counters are read after the run.
   struct Tally {
     obs::BenchArtifact& art;
     obs::Registry& reg;
@@ -108,6 +100,12 @@ Result run_case(int n, int payload_bytes, int messages,
                          frames * transport::wire::kFrameHeaderBytes +
                          entries * transport::wire::kFrameEntryBytes) /
                          static_cast<double>(entries);
+  // One analysis of the recorded trace feeds this row's p95 columns (a
+  // per-case registry) and the artifact's span.* histograms (the shared one).
+  const obs::TraceAnalysis analysis = obs::analyze(w.trace().recorded());
+  obs::Registry case_reg;
+  obs::record_span_metrics(analysis, case_reg);
+  obs::record_span_metrics(analysis, reg);
   return {static_cast<double>(messages) / span_s,
           latency_sum / static_cast<double>(latency_n),
           static_cast<double>(after.bytes_sent - before.bytes_sent) / messages,

@@ -24,7 +24,6 @@ Result run_case(int n, int messages, obs::BenchArtifact& art,
                 obs::Registry& reg) {
   app::WorldConfig cfg;
   cfg.num_clients = n;
-  cfg.attach_checkers = false;
   cfg.record_trace = false;
   app::World w(cfg);
   struct Tally {
@@ -72,6 +71,7 @@ Result run_case(int n, int messages, obs::BenchArtifact& art,
     });
   }
   w.run_for(30 * sim::kSecond);
+  w.finalize_checkers();
 
   bool agreed = true;
   for (int i = 1; i < n; ++i) {

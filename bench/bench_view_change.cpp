@@ -12,10 +12,13 @@
 // Dm + agree round + sync round — roughly 2x at Dm ≈ 2L, growing with the
 // latency share of the client rounds. Group size should barely matter (all
 // rounds are parallel multicasts).
+#include <fstream>
+
 #include "app/oracle_world.hpp"
 #include "baseline/two_round_endpoint.hpp"
 #include "bench/helpers.hpp"
 #include "obs/span.hpp"
+#include "obs/trace_recorder.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -25,30 +28,25 @@ namespace {
 constexpr sim::Time kLatency = 25 * sim::kMillisecond;
 constexpr sim::Time kMembershipRound = 2 * kLatency;
 
-/// When `timeline` is non-null, the run additionally records every trace
-/// event (for the Chrome-trace/JSONL export) and derives metrics into `reg`.
+/// When `timeline` is non-null, the run additionally emits the lifecycle
+/// span events, derives metrics into `reg` and copies its recorded trace
+/// into `timeline` (for the Chrome-trace/JSONL export).
 template <typename EndpointT>
 double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
-                           obs::TraceRecorder* timeline) {
+                           std::vector<spec::Event>* timeline) {
   net::Network::Config net_cfg;
   net_cfg.base_latency = kLatency;
   net_cfg.jitter = 0;
   std::unique_ptr<obs::MetricsCollector> collector;
-  std::unique_ptr<obs::SpanCollector> spans;
   app::OracleWorld<EndpointT> w(n, /*seed=*/1, net_cfg);
-  ViewTimeRecorder rec;
-  w.trace.subscribe(rec);
   if (timeline != nullptr) {
     // Fine-grained span milestones (sync-message send, wire legs) so the
     // recorded timeline decomposes into view-change phases (DESIGN.md §10).
     w.trace.set_lifecycle(true);
-    w.trace.subscribe(*timeline);
   }
   if (reg != nullptr) {
     collector = std::make_unique<obs::MetricsCollector>(*reg);
-    spans = std::make_unique<obs::SpanCollector>(*reg);
     w.trace.subscribe(*collector);
-    w.trace.subscribe(*spans);
   }
 
   // Initial convergence.
@@ -64,15 +62,18 @@ double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
   w.schedule_change(t0, kMembershipRound, w.all());
   w.run_until(t0 + 30 * sim::kSecond);
 
-  if (reg != nullptr) record_network_stats(*reg, w.network);
+  w.checkers.finalize();
+  const obs::TraceAnalysis analysis = obs::analyze(w.trace.recorded());
+  if (reg != nullptr) {
+    record_network_stats(*reg, w.network);
+    obs::record_span_metrics(analysis, *reg);
+  }
+  if (timeline != nullptr) *timeline = w.trace.recorded();
 
   art.tally(w.sim);
   // Latency = last member's installation of the new view, relative to t0.
-  sim::Time latest = -1;
-  for (const auto& [p, list] : rec.views) {
-    if (list.empty()) return -1.0;
-    latest = std::max(latest, list.back().second);
-  }
+  const sim::Time latest =
+      analysis.views.empty() ? -1 : analysis.views.back().installed_at;
   return ms(latest - t0);
 }
 
@@ -89,7 +90,7 @@ int main() {
   art.config("client_latency_ms") = ms(kLatency);
   art.config("membership_round_ms") = ms(kMembershipRound);
   obs::Registry reg;
-  obs::TraceRecorder timeline;
+  std::vector<spec::Event> timeline;
 
   Table t({"group size", "ours (ms)", "baseline (ms)", "speedup"});
   for (int n : {2, 3, 4, 6, 8, 12, 16, 24}) {
@@ -113,7 +114,7 @@ int main() {
   // reconfiguration (its final view): for every member, the four phases
   // telescope to installed - start_change EXACTLY (obs::view_phases), so
   // each row's phase sum IS that member's end-to-end view-change latency.
-  const obs::TraceAnalysis analysis = obs::analyze(timeline.events());
+  const obs::TraceAnalysis analysis = obs::analyze(timeline);
   if (!analysis.views.empty()) {
     const ViewId last = analysis.views.back().view;
     Table bt({"member", "blocking (us)", "sync send (us)",
@@ -137,8 +138,11 @@ int main() {
 
   art.set_metrics(reg);
   const std::string dir = obs::BenchArtifact::output_dir();
-  if (timeline.write_chrome_trace_file(dir + "/TRACE_view_change.json") &&
-      timeline.write_jsonl_file(dir + "/TRACE_view_change.jsonl")) {
+  std::ofstream chrome(dir + "/TRACE_view_change.json", std::ios::binary);
+  obs::write_chrome_trace(timeline, chrome);
+  std::ofstream jsonl(dir + "/TRACE_view_change.jsonl", std::ios::binary);
+  obs::write_jsonl(timeline, jsonl);
+  if (chrome && jsonl) {
     std::cout << "[artifact] wrote " << dir
               << "/TRACE_view_change.json (open in https://ui.perfetto.dev)\n";
   } else {

@@ -16,7 +16,6 @@
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_collector.hpp"
-#include "obs/trace_recorder.hpp"
 #include "sim/time.hpp"
 #include "spec/events.hpp"
 
@@ -82,32 +81,6 @@ class Table {
 inline double ms(sim::Time t) {
   return static_cast<double>(t) / sim::kMillisecond;
 }
-
-/// Records the simulated time of GCS view and message deliveries.
-class ViewTimeRecorder : public spec::TraceSink {
- public:
-  void on_event(const spec::Event& ev) override {
-    if (const auto* v = std::get_if<spec::GcsView>(&ev.body)) {
-      views[v->p].push_back({v->view.id, ev.at});
-    } else if (std::get_if<spec::GcsDeliver>(&ev.body) != nullptr) {
-      deliveries.push_back(ev.at);
-    }
-  }
-
-  /// Latest install time of view `id` across the given members, or -1.
-  sim::Time install_time(ViewId id) const {
-    sim::Time latest = -1;
-    for (const auto& [p, list] : views) {
-      for (const auto& [vid, at] : list) {
-        if (vid == id) latest = std::max(latest, at);
-      }
-    }
-    return latest;
-  }
-
-  std::map<ProcessId, std::vector<std::pair<ViewId, sim::Time>>> views;
-  std::vector<sim::Time> deliveries;
-};
 
 /// Fold a network's packet/byte stats into a registry (counters aggregate
 /// across every world one bench runs).

@@ -110,9 +110,9 @@ echo "== test: mc =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L mc
 
 echo "== bench smoke + artifact validation =="
-# The oracle-world benches (E1, E3-E6, E10) run under the exact online spec
-# checkers, so a violation fails this stage; the app::World benches (E7-E9)
-# ride along. Every artifact they write is schema-checked.
+# Every bench here runs under the exact online spec checkers and ends each
+# measured run with their finalize() (Property 4.1's cross-process half), so
+# a violation fails this stage. Every artifact they write is schema-checked.
 ARTIFACT_DIR="$BUILD_DIR/artifacts"
 mkdir -p "$ARTIFACT_DIR"
 for b in view_change sync_overhead forwarding obsolete_views blocking \
@@ -175,6 +175,15 @@ echo "vsgc_trace: zero orphans fault-free, report byte-identical across runs"
 "$BUILD_DIR/tools/vsgc_trace" --record --seed 11 --churn --check-clean \
   --report "$TRACE_OUT/churn.txt"
 echo "vsgc_trace: churn losses fully attributed (no unexplained orphans)"
+# Churn artifact: the span.* histograms and the phase rows come from one
+# analysis, so the validator requires every row's count to equal its
+# histogram's even when some wire legs never deliver.
+mkdir -p "$TRACE_OUT/churn-json"
+"$BUILD_DIR/tools/vsgc_trace" --record --seed 3 --churn --clients 5 \
+  --servers 2 --check-clean --report "$TRACE_OUT/churn3.txt" \
+  --json "$TRACE_OUT/churn-json"
+"$BUILD_DIR/tools/validate_bench_json" "$TRACE_OUT/churn-json/BENCH_tracelat.json"
+echo "vsgc_trace: churn span histograms match their phase rows"
 
 echo "== stress fuzz smoke (sanitized) =="
 # Fixed seed block, small world, full checker suite: any violation fails CI

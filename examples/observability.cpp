@@ -23,13 +23,12 @@ int main() {
   config.num_servers = 2;
   app::World world(config);
 
-  // The entire observability layer is two trace-bus subscribers: nothing in
-  // the protocol stack knows it is being measured.
+  // The entire observability layer is one trace-bus subscriber plus the
+  // bus's own recording (on by default in app::World): nothing in the
+  // protocol stack knows it is being measured.
   obs::Registry registry;
   obs::MetricsCollector collector(registry);
-  obs::TraceRecorder recorder;
   world.trace().subscribe(collector);
-  world.trace().subscribe(recorder);
 
   world.start();
   if (!world.run_until_converged(world.all_members(), 10 * sim::kSecond)) {
@@ -53,11 +52,12 @@ int main() {
             << " simulated ms:\n"
             << registry.to_json().dump_pretty() << "\n";
 
+  const std::vector<spec::Event>& trace = world.trace().recorded();
   std::ofstream jsonl("observability_trace.jsonl", std::ios::binary);
-  recorder.write_jsonl(jsonl);
+  obs::write_jsonl(trace, jsonl);
   std::ofstream timeline("observability_timeline.json", std::ios::binary);
-  recorder.write_chrome_trace(timeline);
-  std::cout << "\nWrote observability_trace.jsonl (" << recorder.events().size()
+  obs::write_chrome_trace(trace, timeline);
+  std::cout << "\nWrote observability_trace.jsonl (" << trace.size()
             << " events) and observability_timeline.json — open the latter in "
                "https://ui.perfetto.dev to see membership and VS rounds "
                "overlap per process.\n";

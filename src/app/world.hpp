@@ -19,6 +19,7 @@
 #include "spec/all_checkers.hpp"
 #include "spec/co_rfifo_checker.hpp"
 #include "spec/eventually.hpp"
+#include "util/assert.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +52,10 @@ struct WorldConfig {
 class World {
  public:
   explicit World(WorldConfig config) : config_(config) {
+    VSGC_REQUIRE(config.num_servers >= 1 && config.num_clients >= 0,
+                 "World needs at least one server and no negative client "
+                 "count (got " << config.num_servers << " servers, "
+                               << config.num_clients << " clients)");
     network_ = std::make_unique<net::Network>(sim_, Rng(config.seed),
                                               config.net);
     if (config.record_trace) trace_.set_recording(true);

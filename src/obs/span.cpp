@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <map>
 #include <ostream>
 
 #include "obs/artifact.hpp"
@@ -493,130 +494,29 @@ void append_tracelat_results(const TraceAnalysis& a, BenchArtifact& artifact) {
   phase("view_phase", "end_to_end", s.v_e2e);
 }
 
-// --------------------------------------------------------------------------
-// Streaming collector
-// --------------------------------------------------------------------------
-
-SpanCollector::SpanCollector(Registry& registry)
-    : reg_(registry),
-      sender_queue_(registry.histogram("span.msg.sender_queue_us")),
-      wire_(registry.histogram("span.msg.wire_us")),
-      gate_(registry.histogram("span.msg.gate_us")),
-      e2e_(registry.histogram("span.msg.e2e_us")),
-      view_blocking_(registry.histogram("span.view.blocking_us")),
-      view_sync_send_(registry.histogram("span.view.sync_send_us")),
-      view_membership_wait_(
-          registry.histogram("span.view.membership_wait_us")),
-      view_install_wait_(registry.histogram("span.view.install_wait_us")),
-      view_e2e_(registry.histogram("span.view.e2e_us")),
-      retransmits_(registry.counter("span.retransmit_packets")),
-      forwards_(registry.counter("span.forward_copies")) {}
-
-void SpanCollector::on_event(const spec::Event& ev) {
-  const spec::EventBody& b = ev.body;
-
-  if (const auto* e = std::get_if<spec::GcsDeliver>(&b)) {
-    auto it = msgs_.find(MsgTraceId{e->msg.sender, e->msg.uid});
-    if (it == msgs_.end()) return;
-    MsgState& m = it->second;
-    if (m.submit >= 0) e2e_.observe(ev.at - m.submit);
-    if (auto r = m.recv.find(e->p); r != m.recv.end()) {
-      gate_.observe(ev.at - r->second);
-    }
-    if (++m.delivered >= m.expected) msgs_.erase(it);
-    return;
-  }
-  if (const auto* e = std::get_if<spec::GcsSend>(&b)) {
-    MsgState& m = msgs_[MsgTraceId{e->msg.sender, e->msg.uid}];
-    m.submit = ev.at;
-    auto it = procs_.find(e->p);
-    m.expected = it == procs_.end() ? 1 : it->second.view_size;
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MsgWireSend>(&b)) {
-    auto it = msgs_.find(MsgTraceId{e->sender, e->uid});
-    if (it == msgs_.end()) return;
-    MsgState& m = it->second;
-    if (m.wire_send < 0) {
-      m.wire_send = ev.at;
-      if (m.submit >= 0) sender_queue_.observe(ev.at - m.submit);
-    }
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MsgRecv>(&b)) {
-    auto it = msgs_.find(MsgTraceId{e->sender, e->uid});
-    if (it == msgs_.end()) return;
-    MsgState& m = it->second;
-    if (m.recv.try_emplace(e->p, ev.at).second && m.wire_send >= 0) {
-      wire_.observe(ev.at - m.wire_send);
-    }
-    return;
-  }
-  if (const auto* e = std::get_if<spec::GcsView>(&b)) {
-    ProcState& proc = procs_[e->p];
-    proc.view_size = e->view.members.size();
-    if (proc.change_open && proc.change.start_change_at >= 0) {
-      ViewSpan span = proc.change;
-      span.p = e->p;
-      span.view = e->view.id;
-      span.installed_at = ev.at;
-      auto mv = proc.mbr_view_at.find(e->view.id);
-      span.mbr_view_at = mv == proc.mbr_view_at.end() ? -1 : mv->second;
-      const ViewPhases ph = view_phases(span);
-      view_blocking_.observe(ph.blocking);
-      view_sync_send_.observe(ph.sync_send);
-      view_membership_wait_.observe(ph.membership_wait);
-      view_install_wait_.observe(ph.install_wait);
-      view_e2e_.observe(ph.total);
-    }
-    proc.change_open = false;
-    proc.change = ViewSpan{};
-    std::erase_if(proc.mbr_view_at, [&](const auto& entry) {
-      return !(e->view.id < entry.first);
-    });
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MbrStartChange>(&b)) {
-    ProcState& proc = procs_[e->p];
-    if (!proc.change_open) {
-      proc.change_open = true;
-      proc.change.start_change_at = ev.at;
-    }
-    return;
-  }
-  if (const auto* e = std::get_if<spec::GcsBlockOk>(&b)) {
-    ProcState& proc = procs_[e->p];
-    if (proc.change_open && proc.change.block_ok_at < 0) {
-      proc.change.block_ok_at = ev.at;
-    }
-    return;
-  }
-  if (const auto* e = std::get_if<spec::SyncSent>(&b)) {
-    ProcState& proc = procs_[e->p];
-    if (proc.change_open && proc.change.sync_sent_at < 0) {
-      proc.change.sync_sent_at = ev.at;
-    }
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MbrView>(&b)) {
-    procs_[e->p].mbr_view_at.try_emplace(e->view.id, ev.at);
-    return;
-  }
-  if (const auto* e = std::get_if<spec::Crash>(&b)) {
-    procs_.erase(e->p);
-    return;
-  }
-  if (const auto* e = std::get_if<spec::XportRetransmit>(&b)) {
-    retransmits_.inc(e->packets);
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MsgForward>(&b)) {
-    forwards_.inc(e->copies);
-    return;
-  }
-  if (const auto* e = std::get_if<spec::MbrPhase>(&b)) {
-    reg_.counter("span.mbr." + e->phase).inc();
-    return;
+void record_span_metrics(const TraceAnalysis& a, Registry& reg) {
+  const PhaseSamples s = collect_samples(a);
+  const auto fold = [&](const char* name, const std::vector<sim::Time>& xs) {
+    Histogram& h = reg.histogram(name);
+    for (sim::Time x : xs) h.observe(x);
+  };
+  fold("span.msg.sender_queue_us", s.sender_queue);
+  fold("span.msg.wire_us", s.wire);
+  fold("span.msg.gate_us", s.gate);
+  fold("span.msg.e2e_us", s.e2e);
+  fold("span.view.blocking_us", s.v_blocking);
+  fold("span.view.sync_send_us", s.v_sync);
+  fold("span.view.membership_wait_us", s.v_mbr);
+  fold("span.view.install_wait_us", s.v_install);
+  fold("span.view.e2e_us", s.v_e2e);
+  reg.counter("span.retransmit_packets").inc(a.retransmit_packets);
+  reg.counter("span.forward_copies").inc(a.forward_copies);
+  for (const auto& [phase, n] :
+       {std::pair{"round_start", a.mbr_rounds},
+        std::pair{"view_formed", a.mbr_views_formed},
+        std::pair{"suspicion", a.mbr_suspicions},
+        std::pair{"notify_drop", a.notify_drops}}) {
+    if (n != 0) reg.counter(std::string("span.mbr.") + phase).inc(n);
   }
 }
 

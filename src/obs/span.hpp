@@ -1,15 +1,13 @@
 // Causal span layer (DESIGN.md §10): reconstructs per-message lifecycles and
 // per-process view-change phase decompositions from the trace-event stream.
 //
-// Two consumers share the model:
-//  * SpanCollector — a streaming TraceSink that derives per-phase latency
-//    histograms into an obs::Registry while a run executes (benches attach
-//    it next to MetricsCollector). Requires TraceBus::lifecycle() to be on
-//    at the emitting components for the fine-grained phases.
-//  * analyze() — a post-mortem pass over a recorded event vector (or a
-//    re-parsed JSONL file) that builds full MsgSpan/ViewSpan structures,
-//    classifies every expected-but-undelivered leg (orphan detection), and
-//    feeds the byte-deterministic report of tools/vsgc_trace.
+// analyze() is the one derivation: a post-mortem pass over a recorded event
+// vector (TraceBus::recorded() or a re-parsed JSONL file) that builds full
+// MsgSpan/ViewSpan structures and classifies every expected-but-undelivered
+// leg (orphan detection). Its consumers are the byte-deterministic report of
+// tools/vsgc_trace, the BENCH_tracelat.json rows, and record_span_metrics(),
+// which folds the same phase samples into a Registry's span.* histograms.
+// The fine-grained phases need TraceBus::lifecycle() on at the emitters.
 //
 // Identity scheme: a message's trace id is (sender, uid) — the sender's
 // ProcessId plus the sender-local sequence number assigned at submit. Both
@@ -23,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -156,51 +153,14 @@ void write_trace_report(const TraceAnalysis& analysis, std::ostream& os,
 void append_tracelat_results(const TraceAnalysis& analysis,
                              BenchArtifact& artifact);
 
-/// Streaming TraceSink deriving per-phase latency histograms into `registry`
-/// as a run executes:
+/// Fold an analysis's phase samples into `registry`:
 ///   span.msg.{sender_queue_us,wire_us,gate_us,e2e_us}
 ///   span.view.{blocking_us,sync_send_us,membership_wait_us,install_wait_us,
 ///              e2e_us}
 ///   span.retransmit_packets / span.forward_copies (counters)
-/// Histogram percentiles carry log2-bucket resolution; use analyze() when
-/// exact values are required.
-class SpanCollector : public spec::TraceSink {
- public:
-  explicit SpanCollector(Registry& registry);
-
-  void on_event(const spec::Event& event) override;
-
- private:
-  struct MsgState {
-    sim::Time submit = -1;
-    sim::Time wire_send = -1;
-    std::uint64_t expected = 0;  ///< members of the send view
-    std::uint64_t delivered = 0;
-    std::map<ProcessId, sim::Time> recv;
-  };
-
-  struct ProcState {
-    std::uint64_t view_size = 1;  ///< members of the current view
-    bool change_open = false;
-    ViewSpan change;  ///< accumulating milestones (view set at install)
-    std::map<ViewId, sim::Time> mbr_view_at;
-  };
-
-  Registry& reg_;
-  Histogram& sender_queue_;
-  Histogram& wire_;
-  Histogram& gate_;
-  Histogram& e2e_;
-  Histogram& view_blocking_;
-  Histogram& view_sync_send_;
-  Histogram& view_membership_wait_;
-  Histogram& view_install_wait_;
-  Histogram& view_e2e_;
-  Counter& retransmits_;
-  Counter& forwards_;
-
-  std::map<MsgTraceId, MsgState> msgs_;
-  std::map<ProcessId, ProcState> procs_;
-};
+///   span.mbr.<phase> (counters, only for phases that occurred)
+/// Each histogram holds exactly the samples of its phase row in
+/// append_tracelat_results; its percentiles carry log2-bucket resolution.
+void record_span_metrics(const TraceAnalysis& analysis, Registry& registry);
 
 }  // namespace vsgc::obs

@@ -1,7 +1,6 @@
 #include "obs/trace_recorder.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -616,28 +615,6 @@ void write_chrome_trace(const std::vector<spec::Event>& events,
   }
 
   em.write(os);
-}
-
-void TraceRecorder::write_jsonl(std::ostream& os) const {
-  obs::write_jsonl(events_, os);
-}
-
-void TraceRecorder::write_chrome_trace(std::ostream& os) const {
-  obs::write_chrome_trace(events_, os);
-}
-
-bool TraceRecorder::write_jsonl_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_jsonl(os);
-  return static_cast<bool>(os);
-}
-
-bool TraceRecorder::write_chrome_trace_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_chrome_trace(os);
-  return static_cast<bool>(os);
 }
 
 }  // namespace vsgc::obs

@@ -1,4 +1,5 @@
-// TraceRecorder: serializes every trace event of a simulated execution.
+// Trace export: serializes the events of a simulated execution, as recorded
+// by spec::TraceBus::set_recording (TraceBus::recorded()).
 //
 // Two export formats:
 //  * JSONL — one JSON object per event, one per line, in emission order with
@@ -48,32 +49,13 @@ JsonValue event_to_json(const spec::Event& event);
 /// Inverse of event_to_json. Returns false on schema mismatch.
 bool event_from_json(const JsonValue& record, spec::Event* out);
 
-class TraceRecorder : public spec::TraceSink {
- public:
-  void on_event(const spec::Event& event) override {
-    events_.push_back(event);
-  }
-
-  const std::vector<spec::Event>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
-  void write_jsonl(std::ostream& os) const;
-  /// Write a Chrome-trace/Perfetto JSON document of the recorded execution.
-  void write_chrome_trace(std::ostream& os) const;
-
-  /// Convenience: write both artifacts to files. Returns false on I/O error.
-  bool write_jsonl_file(const std::string& path) const;
-  bool write_chrome_trace_file(const std::string& path) const;
-
- private:
-  std::vector<spec::Event> events_;
-};
-
 /// Parse a JSONL stream produced by write_jsonl back into events.
 /// Returns false (and stops) on the first malformed line.
 bool read_jsonl(std::istream& is, std::vector<spec::Event>* out);
 
+/// Write one JSONL record per event, in order (the schema above).
 void write_jsonl(const std::vector<spec::Event>& events, std::ostream& os);
+/// Write a Chrome-trace/Perfetto JSON document of the events.
 void write_chrome_trace(const std::vector<spec::Event>& events,
                         std::ostream& os);
 

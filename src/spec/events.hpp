@@ -77,7 +77,8 @@ struct Recover {
 /// Crash/Recover events; this covers every other fault so post-mortem
 /// timelines show exactly which adversarial schedule an execution ran under.
 // Faults are adversarial *inputs*, not protocol actions a safety checker
-// could constrain; the consumers are MetricsCollector/TraceRecorder (src/obs).
+// could constrain; the consumers are MetricsCollector and the trace exporters
+// (src/obs).
 // vsgc-lint: allow(event-coverage) adversarial input metadata, consumed by src/obs timelines rather than by a spec checker
 struct FaultInjected {
   std::string kind;    ///< stable op name, e.g. "partition", "link_down"
@@ -88,14 +89,14 @@ struct FaultInjected {
 // Message-lifecycle and view-change phase markers. A message's deterministic
 // trace id is (sender, uid): the sender's ProcessId plus its sender-local
 // sequence number, assigned at submit time. These events are high-volume and
-// carry no protocol meaning — they exist so obs::SpanCollector and
-// tools/vsgc_trace can reconstruct causal chains post-mortem. Components
+// carry no protocol meaning — they exist so obs::analyze (and through it
+// tools/vsgc_trace) can reconstruct causal chains post-mortem. Components
 // emit them only when TraceBus::lifecycle() is on (the Registry's zero-cost
 // contract: one branch when tracing is off).
 
 /// The sender handed (sender, uid) to CO_RFIFO for multicast — the message
 /// left the end-point's send buffer for the wire.
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgWireSend {
   ProcessId p;  ///< == sender
   ProcessId sender;
@@ -103,7 +104,7 @@ struct MsgWireSend {
 };
 
 /// An application message reached p's end-point buffer off the wire.
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgRecv {
   ProcessId p;
   ProcessId from;    ///< wire-level sender (the forwarder for forwarded copies)
@@ -113,7 +114,7 @@ struct MsgRecv {
 };
 
 /// p forwarded (sender, uid) to `copies` destinations during a view change.
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgForward {
   ProcessId p;
   ProcessId sender;
@@ -122,14 +123,14 @@ struct MsgForward {
 };
 
 /// p committed its cut and multicast its synchronization message for cid.
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct SyncSent {
   ProcessId p;
   StartChangeId cid;
 };
 
 /// p stored q's synchronization message for cid (direct or relayed).
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct SyncRecv {
   ProcessId p;
   ProcessId from;
@@ -139,7 +140,7 @@ struct SyncRecv {
 /// A CO_RFIFO retransmission burst: `packets` re-sent from node `from_node`
 /// towards `to_node` (timer fire or reset re-homing). Node values use the
 /// net::NodeId encoding (servers live at net::kServerBase + s).
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct XportRetransmit {
   std::uint32_t from_node = 0;
   std::uint32_t to_node = 0;
@@ -152,7 +153,7 @@ struct XportRetransmit {
 /// "round_start" (proposal round opened), "view_formed" (round completed).
 /// Client phases: "notify_drop" (a stale start_change/view was suppressed by
 /// the Local Monotonicity guards).
-// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
+// vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MbrPhase {
   std::uint32_t node = 0;
   std::string phase;

@@ -1,6 +1,7 @@
 // Tests for ChannelMux (DESIGN.md §13): two logical groups multiplexed over
 // one CO_RFIFO session between two real transports — per-group routing,
-// dropping of unopened groups, and the union reliable set.
+// dropping of unopened groups, the union reliable set, and crash/recover of
+// the shared transport.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -124,6 +125,64 @@ TEST(ChannelMux, ReliableMatchesOnlyWhenSessionCoversSlice) {
   EXPECT_FALSE(a.reliable_matches(both));
   a.set_reliable(both);
   EXPECT_TRUE(a.reliable_matches(both));
+}
+
+TEST(ChannelMux, GroupsRouteOnceAndInOrderAfterCrashRecover) {
+  Harness h;
+  const std::set<net::NodeId> both{kN1, kN2};
+  Channel a = h.open(0, kGroupA);
+  Channel b = h.open(0, kGroupB);
+  Channel a2 = h.open(1, kGroupA);
+  Channel b2 = h.open(1, kGroupB);
+  for (Channel* ch : {&a, &b, &a2, &b2}) ch->set_reliable(both);
+  a.send({kN2}, std::uint64_t{1}, 8);
+  b.send({kN2}, std::uint64_t{2}, 8);
+  h.sim.run_to_quiescence();
+  ASSERT_EQ(h.got.size(), 2u);
+  h.got.clear();
+
+  // Crash node 1's transport with traffic in flight, then recover it. The
+  // crash wipes the session (its reliable set falls back to {self}); the
+  // mux keeps both groups' slices and handlers.
+  a.send({kN2}, std::uint64_t{3}, 8);
+  h.transport(0).crash();
+  b.send({kN2}, std::uint64_t{4}, 8);  // dropped: the transport is down
+  h.sim.run_to_quiescence();
+  h.transport(0).recover();
+  EXPECT_FALSE(a.reliable_matches(both)) << "session lost kN2 in the crash";
+  EXPECT_FALSE(b.reliable_matches(both));
+  a.set_reliable(both);
+  b.set_reliable(both);
+
+  h.got.clear();  // whatever of the pre-crash stream got through
+  a.send({kN2}, std::uint64_t{10}, 8);
+  b.send({kN2}, std::uint64_t{20}, 8);
+  a.send({kN2}, std::uint64_t{11}, 8);
+  b.send({kN2}, std::uint64_t{21}, 8);
+  h.sim.run_to_quiescence();
+  EXPECT_EQ(h.got, (std::vector<Delivery>{{1, kGroupA, 10},
+                                          {1, kGroupB, 20},
+                                          {1, kGroupA, 11},
+                                          {1, kGroupB, 21}}));
+}
+
+TEST(ChannelMux, SliceSetWhileCrashedNeedsReassertAfterRecovery) {
+  Harness h;
+  const std::set<net::NodeId> both{kN1, kN2};
+  Channel a = h.open(0, kGroupA);
+  Channel b = h.open(0, kGroupB);
+  h.transport(0).crash();
+  // The mux records the slice, but the crashed session ignores it.
+  a.set_reliable(both);
+  EXPECT_EQ(h.muxes[0]->group_reliable(kGroupA), both);
+  EXPECT_FALSE(a.reliable_matches(both));
+  h.transport(0).recover();
+  EXPECT_FALSE(a.reliable_matches(both))
+      << "recovery must not resurrect a slice the session never applied";
+  EXPECT_FALSE(b.reliable_matches(both)) << "B never set a slice";
+  a.set_reliable(both);
+  EXPECT_TRUE(a.reliable_matches(both));
+  EXPECT_EQ(h.transport(0).reliable_set(), both);
 }
 
 }  // namespace

@@ -367,7 +367,7 @@ TEST(LintEventCoverage, PragmaSuppresses) {
 }
 
 // Span-marker variants (MsgWireSend and friends) are consumed by
-// obs::SpanCollector, not by a spec checker — the rule must still flag them
+// obs::analyze, not by a spec checker — the rule must still flag them
 // (obs is outside the all_checkers reachability set), and the repo's
 // span-marker pragma idiom must suppress them with its justification intact.
 TEST(LintEventCoverage, SpanMarkerConsumedOnlyByObsStillNeedsPragma) {
@@ -396,7 +396,7 @@ TEST(LintEventCoverage, SpanMarkerPragmaIdiomSuppresses) {
       "#pragma once\n"
       "struct EvA { int p; };\n"
       "// vsgc-lint: allow(event-coverage) causal span marker, consumed by "
-      "obs::SpanCollector / tools/vsgc_trace rather than by a spec checker\n"
+      "obs::analyze / tools/vsgc_trace rather than by a spec checker\n"
       "struct MsgWireSend { int p; };\n"
       "using EventBody = std::variant<EvA, MsgWireSend>;\n",
       "#pragma once\nvoid on_a(const EvA& e);\n");
@@ -406,7 +406,7 @@ TEST(LintEventCoverage, SpanMarkerPragmaIdiomSuppresses) {
     return f.rule == "event-coverage";
   });
   ASSERT_NE(it, fs.end());
-  EXPECT_NE(it->justification.find("SpanCollector"), std::string::npos);
+  EXPECT_NE(it->justification.find("obs::analyze"), std::string::npos);
 }
 
 // --- include-guard ----------------------------------------------------------

@@ -221,21 +221,20 @@ TEST(MetricsCollector, CrashResetsOpenIntervals) {
 // ------------------------------------------------------------ trace recorder
 
 TEST(TraceRecorder, JsonlRoundTripOfScriptedTrace) {
-  obs::TraceRecorder rec;
   spec::TraceBus bus;
-  bus.subscribe(rec);
+  bus.set_recording(true);
   for (const spec::Event& ev : scripted_view_change()) {
     bus.emit(ev.at, ev.body);
   }
 
   std::ostringstream first;
-  rec.write_jsonl(first);
+  obs::write_jsonl(bus.recorded(), first);
   ASSERT_FALSE(first.str().empty());
 
   std::istringstream is(first.str());
   std::vector<spec::Event> parsed;
   ASSERT_TRUE(obs::read_jsonl(is, &parsed));
-  ASSERT_EQ(parsed.size(), rec.events().size());
+  ASSERT_EQ(parsed.size(), bus.recorded().size());
 
   // Round-trip fidelity: re-serializing the parsed events is byte-identical.
   std::ostringstream second;
@@ -252,15 +251,14 @@ TEST(TraceRecorder, JsonlRoundTripOfScriptedTrace) {
 
 TEST(TraceRecorder, FaultEventsRoundTripThroughJsonl) {
   // FaultInjected records carry no "p" tag — a dedicated parse path.
-  obs::TraceRecorder rec;
   spec::TraceBus bus;
-  bus.subscribe(rec);
+  bus.set_recording(true);
   bus.emit(10, spec::FaultInjected{"partition", "groups=[p1 p2 | p3 s0]"});
   bus.emit(20, spec::Crash{ProcessId{1}});
   bus.emit(30, spec::FaultInjected{"stabilize", ""});
 
   std::ostringstream first;
-  rec.write_jsonl(first);
+  obs::write_jsonl(bus.recorded(), first);
   std::istringstream is(first.str());
   std::vector<spec::Event> parsed;
   ASSERT_TRUE(obs::read_jsonl(is, &parsed));
@@ -287,14 +285,13 @@ TEST(TraceRecorder, RejectsMalformedJsonl) {
 }
 
 TEST(TraceRecorder, ChromeTraceShowsOverlappingRounds) {
-  obs::TraceRecorder rec;
   spec::TraceBus bus;
-  bus.subscribe(rec);
+  bus.set_recording(true);
   for (const spec::Event& ev : scripted_view_change()) {
     bus.emit(ev.at, ev.body);
   }
   std::ostringstream os;
-  rec.write_chrome_trace(os);
+  obs::write_chrome_trace(bus.recorded(), os);
 
   std::string error;
   const obs::JsonValue doc = obs::JsonValue::parse(os.str(), &error);
@@ -345,17 +342,14 @@ std::string jsonl_of_seeded_run(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.net.jitter = 300;
   cfg.attach_checkers = false;
-  cfg.record_trace = false;
   app::World w(cfg);
-  obs::TraceRecorder rec;
-  w.trace().subscribe(rec);
   w.start();
   w.run_until_converged(w.all_members(), 10 * sim::kSecond);
   w.client(0).send("hello");
   w.process(2).crash();
   w.run_for(5 * sim::kSecond);
   std::ostringstream os;
-  rec.write_jsonl(os);
+  obs::write_jsonl(w.trace().recorded(), os);
   return os.str();
 }
 

@@ -1,5 +1,5 @@
-// Tests for the causal span layer (src/obs/span.*, DESIGN.md §10): the
-// streaming SpanCollector, post-mortem analyze() accounting and orphan
+// Tests for the causal span layer (src/obs/span.*, DESIGN.md §10): span
+// metrics folded from analyze(), post-mortem accounting and orphan
 // classification under crashes/churn, the planted-loss negative case (a
 // deleted delivery must surface as "unexplained"), byte-determinism of the
 // vsgc_trace report, JSONL round-trip of the span event variants, and the
@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "app/world.hpp"
+#include "obs/artifact.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/failure_injector.hpp"
@@ -38,17 +40,13 @@ std::vector<spec::Event> record_fault_free(std::uint64_t seed, int clients,
   return w.trace().recorded();
 }
 
-// ------------------------------------------------------------ SpanCollector
+// ------------------------------------------------- record_span_metrics()
 
-TEST(SpanCollector, DerivesPhaseHistogramsDuringARun) {
+TEST(SpanMetrics, DerivesPhaseHistogramsFromARun) {
   app::WorldConfig wc;
   wc.num_clients = 4;
   wc.lifecycle_spans = true;
-  wc.record_trace = false;
   app::World w(wc);
-  obs::Registry reg;
-  obs::SpanCollector spans(reg);
-  w.trace().subscribe(spans);
 
   w.start();
   ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
@@ -57,6 +55,8 @@ TEST(SpanCollector, DerivesPhaseHistogramsDuringARun) {
     w.run_for(2 * sim::kMillisecond);
   }
   w.run_for(1 * sim::kSecond);
+  obs::Registry reg;
+  obs::record_span_metrics(obs::analyze(w.trace().recorded()), reg);
 
   // 10 messages, 4 members each: 40 end-to-end legs, 30 remote wire legs.
   EXPECT_EQ(reg.histogram("span.msg.e2e_us").count(), 40u);
@@ -69,23 +69,75 @@ TEST(SpanCollector, DerivesPhaseHistogramsDuringARun) {
             reg.histogram("span.view.membership_wait_us").count());
 }
 
-TEST(SpanCollector, LifecycleOffEmitsNoSpanEvents) {
+TEST(SpanMetrics, LifecycleOffEmitsNoSpanEvents) {
   app::WorldConfig wc;
   wc.num_clients = 3;
   wc.lifecycle_spans = false;  // default: spans cost one branch, no events
-  wc.record_trace = false;
   app::World w(wc);
-  obs::Registry reg;
-  obs::SpanCollector spans(reg);
-  w.trace().subscribe(spans);
   w.start();
   ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
   w.client(0).send("x");
   w.run_for(100 * sim::kMillisecond);
+  obs::Registry reg;
+  obs::record_span_metrics(obs::analyze(w.trace().recorded()), reg);
   EXPECT_EQ(reg.histogram("span.msg.wire_us").count(), 0u);
   // GcsSend/GcsDeliver still flow (they are protocol events), so e2e legs
   // are observable even without the fine-grained lifecycle.
   EXPECT_EQ(reg.histogram("span.msg.e2e_us").count(), 3u);
+}
+
+TEST(SpanMetrics, EveryHistogramCountsExactlyItsPhaseRow) {
+  // Under churn some receivers see a message's wire leg but never deliver
+  // it; the histograms and the phase rows must still be the same samples.
+  app::WorldConfig wc;
+  wc.num_clients = 5;
+  wc.num_servers = 2;
+  wc.seed = 3;
+  wc.lifecycle_spans = true;
+  app::World w(wc);
+  w.start();
+  ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+  sim::FailureInjector::Policy policy;
+  policy.steps = 20;
+  sim::FailureInjector injector(w.fault_target(), policy, wc.seed);
+  injector.run_churn();
+  injector.stabilize();
+  w.run_for(30 * sim::kSecond);
+
+  const obs::TraceAnalysis a = obs::analyze(w.trace().recorded());
+  obs::Registry reg;
+  obs::record_span_metrics(a, reg);
+  obs::BenchArtifact art("span_test");
+  obs::append_tracelat_results(a, art);
+  const std::map<std::string, std::string> histogram_of = {
+      {"msg_phase/sender_queue", "span.msg.sender_queue_us"},
+      {"msg_phase/wire", "span.msg.wire_us"},
+      {"msg_phase/gate", "span.msg.gate_us"},
+      {"msg_phase/end_to_end", "span.msg.e2e_us"},
+      {"view_phase/blocking", "span.view.blocking_us"},
+      {"view_phase/sync_send", "span.view.sync_send_us"},
+      {"view_phase/membership_wait", "span.view.membership_wait_us"},
+      {"view_phase/install_wait", "span.view.install_wait_us"},
+      {"view_phase/end_to_end", "span.view.e2e_us"},
+  };
+  std::size_t checked = 0;
+  for (const obs::JsonValue& row : art.root().find("results")->items()) {
+    if (row.find("phase") == nullptr) continue;
+    const std::string key =
+        row.find("row")->as_string() + "/" + row.find("phase")->as_string();
+    const obs::Histogram& h = reg.histogram(histogram_of.at(key));
+    EXPECT_EQ(static_cast<std::int64_t>(h.count()),
+              row.find("count")->as_int())
+        << key;
+    EXPECT_EQ(static_cast<std::int64_t>(h.max()), row.find("max_us")->as_int())
+        << key;
+    ++checked;
+  }
+  EXPECT_EQ(checked, histogram_of.size());
+  EXPECT_GT(reg.histogram("span.msg.wire_us").count(), 0u);
+  EXPECT_EQ(reg.counter_total("span.retransmit_packets"),
+            a.retransmit_packets);
+  EXPECT_EQ(reg.counter_total("span.mbr.round_start"), a.mbr_rounds);
 }
 
 // ---------------------------------------------------------------- analyze()

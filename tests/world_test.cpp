@@ -84,6 +84,17 @@ TEST(World, TraceRecordingCanBeDisabled) {
   EXPECT_TRUE(w.trace().recorded().empty());
 }
 
+TEST(World, RejectsServerlessOrNegativeSizes) {
+  app::WorldConfig cfg;
+  cfg.num_servers = 0;  // clients would be assigned to server i % 0
+  EXPECT_THROW(app::World{cfg}, InvariantViolation);
+  cfg.num_servers = 1;
+  cfg.num_clients = -1;
+  EXPECT_THROW(app::World{cfg}, InvariantViolation);
+  cfg.num_clients = 0;
+  EXPECT_NO_THROW(app::World{cfg});
+}
+
 TEST(Process, SendReturnsAssignedUid) {
   app::WorldConfig cfg;
   cfg.num_clients = 2;

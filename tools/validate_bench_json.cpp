@@ -8,6 +8,7 @@
 // "tool": "vsgc_deps". Prints one line per file.
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,11 +199,45 @@ void validate_throughput(const JsonValue& results, Check& c) {
   c.require(group_rows > 0, "throughput needs at least one group-size row");
 }
 
+/// The "metrics.histograms" row named `name`, or null.
+const JsonValue* find_histogram(const JsonValue& root,
+                                const std::string& name) {
+  const JsonValue* metrics = root.find("metrics");
+  if (metrics == nullptr || !metrics->is_object()) return nullptr;
+  const JsonValue* hists = metrics->find("histograms");
+  if (hists == nullptr || !hists->is_array()) return nullptr;
+  for (const JsonValue& row : hists->items()) {
+    const JsonValue* n = row.find("name");
+    if (n != nullptr && n->is_string() && n->as_string() == name) return &row;
+  }
+  return nullptr;
+}
+
 /// Schema for tools/vsgc_trace --json output (BENCH_tracelat.json,
-/// obs::append_tracelat_results): exactly one "summary" row plus per-phase
-/// "msg_phase"/"view_phase" rows with known phase names. The CI trace gate
-/// reads orphan counts from here, so absence must fail loudly.
-void validate_tracelat(const JsonValue& results, Check& c) {
+/// obs::append_tracelat_results + obs::record_span_metrics): exactly one
+/// "summary" row plus per-phase "msg_phase"/"view_phase" rows with known
+/// phase names, and the nine span.* histograms, each holding exactly as many
+/// samples as its phase row counts. The CI trace gate reads orphan counts
+/// from here, so absence must fail loudly.
+void validate_tracelat(const JsonValue& root, const JsonValue& results,
+                       Check& c) {
+  // (row, phase) -> the histogram derived from the same samples.
+  const std::map<std::pair<std::string, std::string>, std::string>
+      histogram_of = {
+          {{"msg_phase", "sender_queue"}, "span.msg.sender_queue_us"},
+          {{"msg_phase", "wire"}, "span.msg.wire_us"},
+          {{"msg_phase", "gate"}, "span.msg.gate_us"},
+          {{"msg_phase", "end_to_end"}, "span.msg.e2e_us"},
+          {{"view_phase", "blocking"}, "span.view.blocking_us"},
+          {{"view_phase", "sync_send"}, "span.view.sync_send_us"},
+          {{"view_phase", "membership_wait"}, "span.view.membership_wait_us"},
+          {{"view_phase", "install_wait"}, "span.view.install_wait_us"},
+          {{"view_phase", "end_to_end"}, "span.view.e2e_us"},
+      };
+  for (const auto& [row, name] : histogram_of) {
+    c.require(find_histogram(root, name) != nullptr,
+              "tracelat artifact missing histogram '" + name + "'");
+  }
   std::size_t summaries = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JsonValue& row = results.at(i);
@@ -224,26 +259,30 @@ void validate_tracelat(const JsonValue& results, Check& c) {
                   at + " missing non-negative integer '" + field + "'");
       }
     } else if (name == "msg_phase" || name == "view_phase") {
-      const JsonValue* phase = row.find("phase");
-      c.require(phase != nullptr && phase->is_string(),
-                at + " missing string 'phase'");
-      if (phase != nullptr && phase->is_string()) {
-        const std::string p = phase->as_string();
-        const bool known =
-            name == "msg_phase"
-                ? (p == "sender_queue" || p == "wire" || p == "gate" ||
-                   p == "end_to_end")
-                : (p == "blocking" || p == "sync_send" ||
-                   p == "membership_wait" || p == "install_wait" ||
-                   p == "end_to_end");
-        c.require(known, at + " unknown " + name + " phase '" + p + "'");
-      }
       for (const char* field :
            {"count", "p50_us", "p95_us", "p99_us", "max_us"}) {
         const JsonValue* v = row.find(field);
         c.require(v != nullptr && v->is_int() && v->as_int() >= 0,
                   at + " missing non-negative integer '" + field + "'");
       }
+      const JsonValue* phase = row.find("phase");
+      c.require(phase != nullptr && phase->is_string(),
+                at + " missing string 'phase'");
+      if (phase == nullptr || !phase->is_string()) continue;
+      const std::string p = phase->as_string();
+      const auto h = histogram_of.find({name, p});
+      c.require(h != histogram_of.end(),
+                at + " unknown " + name + " phase '" + p + "'");
+      if (h == histogram_of.end()) continue;
+      const JsonValue* hist = find_histogram(root, h->second);
+      const JsonValue* hist_count =
+          hist == nullptr ? nullptr : hist->find("count");
+      const JsonValue* count = row.find("count");
+      if (hist_count == nullptr || count == nullptr) continue;
+      c.require(hist_count->dump() == count->dump(),
+                at + " " + name + " '" + p + "' count " + count->dump() +
+                    " != histogram '" + h->second + "' count " +
+                    hist_count->dump());
     } else {
       c.require(false, at + " unknown tracelat row '" + name + "'");
     }
@@ -337,19 +376,6 @@ void validate_scale(const JsonValue& results, Check& c) {
   c.require(determinism == 1, "scale needs exactly one determinism row");
 }
 
-/// True iff metrics.histograms carries a histogram with this exact name.
-bool has_histogram(const JsonValue& root, const std::string& name) {
-  const JsonValue* metrics = root.find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) return false;
-  const JsonValue* hists = metrics->find("histograms");
-  if (hists == nullptr || !hists->is_array()) return false;
-  for (const JsonValue& row : hists->items()) {
-    const JsonValue* n = row.find("name");
-    if (n != nullptr && n->is_string() && n->as_string() == name) return true;
-  }
-  return false;
-}
-
 Check validate(const JsonValue& root) {
   Check c;
   c.require(root.is_object(), "document is not a JSON object");
@@ -389,7 +415,7 @@ Check validate(const JsonValue& root) {
     }
     if (bench != nullptr && bench->is_string() &&
         bench->as_string() == "tracelat") {
-      validate_tracelat(*results, c);
+      validate_tracelat(root, *results, c);
     }
     if (bench != nullptr && bench->is_string() &&
         bench->as_string() == "throughput") {
@@ -405,10 +431,10 @@ Check validate(const JsonValue& root) {
   // per-phase breakdowns are derived from (ISSUE 6 acceptance).
   if (bench != nullptr && bench->is_string()) {
     if (bench->as_string() == "throughput") {
-      c.require(has_histogram(root, "span.msg.e2e_us"),
+      c.require(find_histogram(root, "span.msg.e2e_us") != nullptr,
                 "throughput artifact missing histogram 'span.msg.e2e_us'");
     } else if (bench->as_string() == "view_change") {
-      c.require(has_histogram(root, "span.view.e2e_us"),
+      c.require(find_histogram(root, "span.view.e2e_us") != nullptr,
                 "view_change artifact missing histogram 'span.view.e2e_us'");
     }
   }

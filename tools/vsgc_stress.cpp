@@ -28,6 +28,7 @@
 // exit code is 0 only if the bug was caught, minimized, and the minimized
 // bundle replays to a violation — the CI pipeline check.
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -318,6 +319,17 @@ int replay_bundle(StressConfig cfg) {
   return cfg.expect_violation ? 1 : 0;
 }
 
+/// Parse a positive decimal int; false on anything else.
+bool parse_positive(const std::string& text, int* out) {
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || v < 1 || v > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
 int usage() {
   std::cerr <<
       "usage: vsgc_stress [--seeds LO:HI] [--clients N] [--servers M]\n"
@@ -357,9 +369,9 @@ int main(int argc, char** argv) {
         cfg.seed_hi = std::strtoull(v.substr(colon + 1).c_str(), nullptr, 10);
       }
     } else if (arg == "--clients") {
-      cfg.clients = std::atoi(value().c_str());
+      if (!parse_positive(value(), &cfg.clients)) return usage();
     } else if (arg == "--servers") {
-      cfg.servers = std::atoi(value().c_str());
+      if (!parse_positive(value(), &cfg.servers)) return usage();
     } else if (arg == "--steps") {
       cfg.steps = std::atoi(value().c_str());
     } else if (arg == "--drop") {

@@ -3,7 +3,7 @@
 // Two modes share the analysis pipeline:
 //
 //   vsgc_trace <trace.jsonl> [options]
-//     Parse a JSONL trace (obs::TraceRecorder format), reconstruct every
+//     Parse a JSONL trace (obs::write_jsonl format), reconstruct every
 //     message lifecycle and view-change span, and report per-phase latency
 //     percentiles, queue-wait vs wire-time decomposition, the slowest
 //     deliveries with their critical path, and orphan detection — expected
@@ -13,17 +13,21 @@
 //
 //   vsgc_trace --record [options]
 //     Build a seeded app::World with lifecycle spans on, drive a paced
-//     message workload (optionally under FailureInjector churn), record the
-//     trace, and analyze it — the self-contained form the CI gate uses.
+//     message workload (optionally under FailureInjector churn), check the
+//     run against the exact spec checkers (including their end-of-run
+//     finalize), and analyze the bus's recorded trace — the self-contained
+//     form the CI gate uses.
 //
 // The report is byte-deterministic: integers only, exact nearest-rank
 // percentiles, fixed ordering — same seed => identical bytes. --json DIR
 // additionally writes BENCH_tracelat.json under the bench-artifact schema
-// (validated by tools/validate_bench_json).
+// (validated by tools/validate_bench_json): the phase rows plus the span.*
+// metrics obs::record_span_metrics folds from the same analysis.
 //
 // Gates: --check-no-orphans fails unless every expected delivery completed
 // (the fault-free contract); --check-clean fails only on "unexplained"
 // orphans (the churn contract: losses must be attributable to faults).
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -80,6 +84,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parse a positive decimal int; complains and returns false otherwise.
+bool parse_positive(const char* text, int* out) {
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
+    std::cerr << "expected a positive integer, got '" << text << "'\n";
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -119,11 +135,11 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (a == "--clients") {
       const char* v = next("--clients");
       if (v == nullptr) return false;
-      opt->clients = std::atoi(v);
+      if (!parse_positive(v, &opt->clients)) return false;
     } else if (a == "--servers") {
       const char* v = next("--servers");
       if (v == nullptr) return false;
-      opt->servers = std::atoi(v);
+      if (!parse_positive(v, &opt->servers)) return false;
     } else if (a == "--messages") {
       const char* v = next("--messages");
       if (v == nullptr) return false;
@@ -195,6 +211,7 @@ bool record_trace(const Options& opt, std::vector<spec::Event>* events,
   // Quiesce: everything still in flight drains (retransmission timeout is
   // 20ms by default; leave a wide margin so fault-free runs fully settle).
   world.run_for(1 * sim::kSecond);
+  world.finalize_checkers();
 
   *events = world.trace().recorded();
   if (art != nullptr) art->tally(world.sim());
@@ -259,13 +276,12 @@ int main(int argc, char** argv) {
     obs::write_trace_report(analysis, ofs, opt.top);
   }
 
-  // BENCH_tracelat.json: summary + per-phase rows, plus a SpanCollector
-  // replay so the artifact carries the span histograms as metrics.
+  // BENCH_tracelat.json: summary + per-phase rows, and the same phase
+  // samples as span.* histograms.
   if (!opt.json_dir.empty()) {
     obs::append_tracelat_results(analysis, art);
     obs::Registry reg;
-    obs::SpanCollector collector(reg);
-    for (const spec::Event& ev : events) collector.on_event(ev);
+    obs::record_span_metrics(analysis, reg);
     art.set_metrics(reg);
     if (!opt.record) {
       art.tally(sim::Simulator::Stats{}, analysis.end_at);
