@@ -184,6 +184,18 @@ mkdir -p "$TRACE_OUT/churn-json"
   --json "$TRACE_OUT/churn-json"
 "$BUILD_DIR/tools/validate_bench_json" "$TRACE_OUT/churn-json/BENCH_tracelat.json"
 echo "vsgc_trace: churn span histograms match their phase rows"
+# Malformed JSONL (a start_id key that is not a decimal pid) must be a
+# parse error, exit 2, not a crash.
+printf '%s\n' '{"at":1,"type":"gcs_view","p":1,"view":{"epoch":1,"origin":1,"members":[1],"start_id":{"x":1}},"transitional":[1]}' \
+  > "$TRACE_OUT/malformed.jsonl"
+rc=0
+"$BUILD_DIR/tools/vsgc_trace" "$TRACE_OUT/malformed.jsonl" > /dev/null 2>&1 \
+  || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "vsgc_trace on malformed JSONL: expected exit 2, got $rc" >&2
+  exit 1
+fi
+echo "vsgc_trace: malformed JSONL refused with exit 2"
 
 echo "== stress fuzz smoke (sanitized) =="
 # Fixed seed block, small world, full checker suite: any violation fails CI
@@ -206,6 +218,27 @@ rm -rf "$PLANT_OUT"
 "$BUILD_DIR/tools/vsgc_stress" --replay "$PLANT_OUT/seed3" --expect-violation \
   > /dev/null
 echo "planted bug caught, minimized, and replayed"
+# Malformed copies of that bundle must be refused with exit 2 (a parse or
+# usage error), never crash or replay: one op names process 99 of a
+# 4-client world, and one config.json has a non-integer client count.
+BAD_OP="$BUILD_DIR/stress-bad-op"
+BAD_CFG="$BUILD_DIR/stress-bad-config"
+rm -rf "$BAD_OP" "$BAD_CFG"
+cp -r "$PLANT_OUT/seed3" "$BAD_OP"
+cp -r "$PLANT_OUT/seed3" "$BAD_CFG"
+sed -i 's/"a": [0-9]*/"a": 99/' "$BAD_OP/fault_script.min.json"
+sed -i 's/"clients": [0-9]*/"clients": "abc"/' "$BAD_CFG/config.json"
+grep -q '"a": 99' "$BAD_OP/fault_script.min.json"
+grep -q '"clients": "abc"' "$BAD_CFG/config.json"
+for bad in "$BAD_OP" "$BAD_CFG"; do
+  rc=0
+  "$BUILD_DIR/tools/vsgc_stress" --replay "$bad" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "vsgc_stress --replay $bad: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+done
+echo "malformed bundles refused with exit 2"
 
 echo "== corruption stress sweep (eventual-safety suite) =="
 # State-corruption fault family (DESIGN.md §12): 200 seeds of corruption-heavy

@@ -23,6 +23,11 @@ struct AppMsg {
     v(s.sender, s.uid, s.payload);
   }
 
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("sender", s.sender)("uid", s.uid)("payload", s.payload);
+  }
+
   friend bool operator==(const AppMsg&, const AppMsg&) = default;
 };
 

@@ -18,6 +18,20 @@ namespace vsgc::gcs {
 
 enum class ForwardingKind { kSimple, kMinCopies };
 
+struct ForwardingKindName {
+  ForwardingKind value;
+  const char* name;
+};
+
+/// The names config files use (obs/json_fields.hpp maps the enum through
+/// this table and rejects any other name).
+inline const auto& enum_names(ForwardingKind) {
+  static constexpr ForwardingKindName kNames[] = {
+      {ForwardingKind::kSimple, "simple"},
+      {ForwardingKind::kMinCopies, "mincopies"}};
+  return kNames;
+}
+
 inline std::unique_ptr<ForwardingStrategy> make_strategy(ForwardingKind kind) {
   switch (kind) {
     case ForwardingKind::kSimple:

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "app/world.hpp"
-#include "obs/json.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 #include "spec/liveness_checker.hpp"
@@ -53,69 +52,6 @@ std::uint64_t trace_hash(const std::vector<spec::Event>& trace) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ScenarioConfig <-> JSON
-// ---------------------------------------------------------------------------
-
-obs::JsonValue ScenarioConfig::to_json() const {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["clients"] = clients;
-  j["servers"] = servers;
-  j["seed"] = seed;
-  j["messages"] = messages;
-  j["trigger_leave"] = trigger_leave;
-  j["fault_slots"] = fault_slots;
-  j["slot_gap"] = slot_gap;
-  j["settle"] = settle;
-  j["drop"] = drop;
-  j["jitter"] = jitter;
-  j["inject_bug"] = inject_bug;
-  j["corruption"] = corruption;
-  return j;
-}
-
-bool ScenarioConfig::from_json(const obs::JsonValue& j, ScenarioConfig* out) {
-  if (!j.is_object()) return false;
-  const obs::JsonValue* seed = j.find("seed");
-  if (seed == nullptr || !seed->is_int()) return false;
-  out->seed = static_cast<std::uint64_t>(seed->as_int());
-  if (const auto* v = j.find("clients")) out->clients = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("servers")) out->servers = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("messages")) out->messages = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("trigger_leave")) out->trigger_leave = v->as_bool();
-  if (const auto* v = j.find("fault_slots")) out->fault_slots = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("slot_gap")) out->slot_gap = v->as_int();
-  if (const auto* v = j.find("settle")) out->settle = v->as_int();
-  if (const auto* v = j.find("drop")) out->drop = v->as_double();
-  if (const auto* v = j.find("jitter")) out->jitter = v->as_int();
-  if (const auto* v = j.find("inject_bug")) out->inject_bug = v->as_bool();
-  if (const auto* v = j.find("corruption")) out->corruption = v->as_bool();
-  return true;
-}
-
-obs::JsonValue ExploreStats::to_json() const {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["runs"] = runs;
-  j["deduped"] = deduped;
-  j["choice_points"] = choice_points;
-  j["unique_traces"] = unique_traces;
-  j["violations"] = violations;
-  j["depth_completed"] = depth_completed;
-  j["frontier_exhausted"] = frontier_exhausted;
-  j["budget_exhausted"] = budget_exhausted;
-  obs::JsonValue lv = obs::JsonValue::array();
-  for (const Level& l : levels) {
-    obs::JsonValue row = obs::JsonValue::object();
-    row["depth"] = l.depth;
-    row["runs"] = l.runs;
-    row["deduped"] = l.deduped;
-    row["enqueued"] = l.enqueued;
-    lv.push_back(std::move(row));
-  }
-  j["levels"] = std::move(lv);
-  return j;
-}
 
 // ---------------------------------------------------------------------------
 // Scenario execution

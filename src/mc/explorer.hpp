@@ -38,10 +38,6 @@
 #include "sim/time.hpp"
 #include "spec/events.hpp"
 
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
-
 namespace vsgc::mc {
 
 /// The fixed workload a controlled execution runs. Every field participates
@@ -66,8 +62,14 @@ struct ScenarioConfig {
   /// *unrecoverable* kBugCorruptWedge instead of the dup-delivery forgery.
   bool corruption = false;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, ScenarioConfig* out);
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("clients", s.clients)("servers", s.servers)("seed", s.seed)
+     ("messages", s.messages)("trigger_leave", s.trigger_leave)
+     ("fault_slots", s.fault_slots)("slot_gap", s.slot_gap)
+     ("settle", s.settle)("drop", s.drop)("jitter", s.jitter)
+     ("inject_bug", s.inject_bug)("corruption", s.corruption);
+  }
 };
 
 /// Exploration bounds. Exhaustive *within* these bounds; the stats say
@@ -105,10 +107,24 @@ struct ExploreStats {
     std::uint64_t runs = 0;
     std::uint64_t deduped = 0;
     std::uint64_t enqueued = 0;  ///< children scheduled for the next level
+
+    template <class S, class V>
+    static void json_fields(S& s, V& v) {
+      v("depth", s.depth)("runs", s.runs)("deduped", s.deduped)
+       ("enqueued", s.enqueued);
+    }
   };
   std::vector<Level> levels;
 
-  obs::JsonValue to_json() const;
+  /// The JSON form (BENCH_mc.json rows) leaves out the simulator stats.
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("runs", s.runs)("deduped", s.deduped)("choice_points", s.choice_points)
+     ("unique_traces", s.unique_traces)("violations", s.violations)
+     ("depth_completed", s.depth_completed)
+     ("frontier_exhausted", s.frontier_exhausted)
+     ("budget_exhausted", s.budget_exhausted)("levels", s.levels);
+  }
 };
 
 /// One controlled execution, end to end.

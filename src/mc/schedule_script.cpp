@@ -1,7 +1,5 @@
 #include "mc/schedule_script.hpp"
 
-#include "obs/json.hpp"
-
 namespace vsgc::mc {
 
 std::vector<std::uint32_t> ScheduleScript::picks() const {
@@ -15,49 +13,6 @@ std::size_t ScheduleScript::deviations() const {
   std::size_t n = 0;
   for (const Choice& c : choices) n += c.pick != 0 ? 1 : 0;
   return n;
-}
-
-obs::JsonValue ScheduleScript::to_json() const {
-  obs::JsonValue root = obs::JsonValue::object();
-  root["seed"] = seed;
-  obs::JsonValue arr = obs::JsonValue::array();
-  for (const Choice& c : choices) {
-    obs::JsonValue j = obs::JsonValue::object();
-    j["kind"] = c.kind;
-    j["n"] = c.n;
-    j["pick"] = c.pick;
-    arr.push_back(std::move(j));
-  }
-  root["choices"] = std::move(arr);
-  return root;
-}
-
-bool ScheduleScript::from_json(const obs::JsonValue& j, ScheduleScript* out) {
-  if (!j.is_object()) return false;
-  const obs::JsonValue* seed = j.find("seed");
-  const obs::JsonValue* choices = j.find("choices");
-  if (seed == nullptr || !seed->is_int() || choices == nullptr ||
-      !choices->is_array()) {
-    return false;
-  }
-  out->seed = static_cast<std::uint64_t>(seed->as_int());
-  out->choices.clear();
-  for (const obs::JsonValue& rec : choices->items()) {
-    if (!rec.is_object()) return false;
-    const obs::JsonValue* kind = rec.find("kind");
-    const obs::JsonValue* n = rec.find("n");
-    const obs::JsonValue* pick = rec.find("pick");
-    if (kind == nullptr || !kind->is_string() || n == nullptr ||
-        !n->is_int() || pick == nullptr || !pick->is_int()) {
-      return false;
-    }
-    Choice c;
-    c.kind = kind->as_string();
-    c.n = static_cast<std::uint32_t>(n->as_int());
-    c.pick = static_cast<std::uint32_t>(pick->as_int());
-    out->choices.push_back(std::move(c));
-  }
-  return true;
 }
 
 }  // namespace vsgc::mc

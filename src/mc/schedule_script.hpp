@@ -9,7 +9,8 @@
 //   * replayable — forcing the recorded picks reproduces the execution
 //     byte-identically (JSONL traces compare equal);
 //   * serializable — {"seed": S, "choices": [{"kind","n","pick"}...]} JSON,
-//     written into violation bundles next to the trace;
+//     derived from the field lists below by obs/json_fields.hpp and written
+//     into violation bundles next to the trace;
 //   * minimizable — any pick vector is a valid schedule (picks are clamped
 //     to the live alternative count, missing picks default to 0), so a
 //     greedy minimizer can reset deviations to the default one at a time
@@ -19,10 +20,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
 
 namespace vsgc::mc {
 
@@ -34,6 +31,11 @@ struct Choice {
   std::uint32_t pick = 0;
 
   bool operator==(const Choice&) const = default;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("kind", s.kind)("n", s.n)("pick", s.pick);
+  }
 };
 
 struct ScheduleScript {
@@ -46,8 +48,10 @@ struct ScheduleScript {
   /// uncontrolled execution (what the delay bound counts).
   std::size_t deviations() const;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, ScheduleScript* out);
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("seed", s.seed)("choices", s.choices);
+  }
 };
 
 }  // namespace vsgc::mc

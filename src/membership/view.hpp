@@ -46,6 +46,14 @@ struct View {
   static void fields(S& s, V& v) {
     v(s.id, s.members, s.start_id);
   }
+
+  /// JSON form: the view id flattened into epoch/origin, start_id as an
+  /// object keyed by decimal pid.
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("epoch", s.id.epoch)("origin", s.id.origin)("members", s.members)
+     ("start_id", s.start_id);
+  }
 };
 
 std::string to_string(const View& v);

@@ -7,330 +7,13 @@
 #include <sstream>
 
 #include "net/node.hpp"
+#include "obs/json_fields.hpp"
 
 namespace vsgc::obs {
 
-namespace {
-
-JsonValue pid_set_json(const std::set<ProcessId>& set) {
-  JsonValue arr = JsonValue::array();
-  for (ProcessId p : set) arr.push_back(p.value);
-  return arr;
-}
-
-bool pid_set_from_json(const JsonValue& arr, std::set<ProcessId>* out) {
-  if (!arr.is_array()) return false;
-  for (const JsonValue& item : arr.items()) {
-    if (!item.is_int()) return false;
-    out->insert(ProcessId{static_cast<std::uint32_t>(item.as_int())});
-  }
-  return true;
-}
-
-JsonValue view_json(const View& v) {
-  JsonValue out = JsonValue::object();
-  out["epoch"] = v.id.epoch;
-  out["origin"] = v.id.origin;
-  out["members"] = pid_set_json(v.members);
-  JsonValue& sid = out["start_id"];
-  sid = JsonValue::object();
-  for (const auto& [p, cid] : v.start_id) {
-    sid[std::to_string(p.value)] = cid.value;
-  }
-  return out;
-}
-
-bool view_from_json(const JsonValue& j, View* out) {
-  const JsonValue* epoch = j.find("epoch");
-  const JsonValue* origin = j.find("origin");
-  const JsonValue* members = j.find("members");
-  const JsonValue* sid = j.find("start_id");
-  if (epoch == nullptr || origin == nullptr || members == nullptr ||
-      sid == nullptr || !epoch->is_int() || !origin->is_int() ||
-      !sid->is_object()) {
-    return false;
-  }
-  out->id.epoch = static_cast<std::uint64_t>(epoch->as_int());
-  out->id.origin = static_cast<std::uint32_t>(origin->as_int());
-  if (!pid_set_from_json(*members, &out->members)) return false;
-  for (const auto& [key, cid] : sid->members()) {
-    if (!cid.is_int()) return false;
-    out->start_id[ProcessId{
-        static_cast<std::uint32_t>(std::stoul(key))}] =
-        StartChangeId{static_cast<std::uint64_t>(cid.as_int())};
-  }
-  return true;
-}
-
-JsonValue msg_json(const gcs::AppMsg& m) {
-  JsonValue out = JsonValue::object();
-  out["sender"] = m.sender.value;
-  out["uid"] = m.uid;
-  out["payload"] = m.payload;
-  return out;
-}
-
-bool msg_from_json(const JsonValue& j, gcs::AppMsg* out) {
-  const JsonValue* sender = j.find("sender");
-  const JsonValue* uid = j.find("uid");
-  const JsonValue* payload = j.find("payload");
-  if (sender == nullptr || uid == nullptr || payload == nullptr ||
-      !sender->is_int() || !uid->is_int() || !payload->is_string()) {
-    return false;
-  }
-  out->sender = ProcessId{static_cast<std::uint32_t>(sender->as_int())};
-  out->uid = static_cast<std::uint64_t>(uid->as_int());
-  out->payload = payload->as_string();
-  return true;
-}
-
-}  // namespace
-
-JsonValue event_to_json(const spec::Event& event) {
-  JsonValue out = JsonValue::object();
-  out["at"] = event.at;
-
-  if (const auto* s = std::get_if<spec::GcsSend>(&event.body)) {
-    out["type"] = "gcs_send";
-    out["p"] = s->p.value;
-    out["msg"] = msg_json(s->msg);
-  } else if (const auto* d = std::get_if<spec::GcsDeliver>(&event.body)) {
-    out["type"] = "gcs_deliver";
-    out["p"] = d->p.value;
-    out["q"] = d->q.value;
-    out["msg"] = msg_json(d->msg);
-  } else if (const auto* v = std::get_if<spec::GcsView>(&event.body)) {
-    out["type"] = "gcs_view";
-    out["p"] = v->p.value;
-    out["view"] = view_json(v->view);
-    out["transitional"] = pid_set_json(v->transitional);
-  } else if (const auto* b = std::get_if<spec::GcsBlock>(&event.body)) {
-    out["type"] = "gcs_block";
-    out["p"] = b->p.value;
-  } else if (const auto* bo = std::get_if<spec::GcsBlockOk>(&event.body)) {
-    out["type"] = "gcs_block_ok";
-    out["p"] = bo->p.value;
-  } else if (const auto* sc = std::get_if<spec::MbrStartChange>(&event.body)) {
-    out["type"] = "mbr_start_change";
-    out["p"] = sc->p.value;
-    out["cid"] = sc->cid.value;
-    out["set"] = pid_set_json(sc->set);
-  } else if (const auto* mv = std::get_if<spec::MbrView>(&event.body)) {
-    out["type"] = "mbr_view";
-    out["p"] = mv->p.value;
-    out["view"] = view_json(mv->view);
-  } else if (const auto* c = std::get_if<spec::Crash>(&event.body)) {
-    out["type"] = "crash";
-    out["p"] = c->p.value;
-  } else if (const auto* r = std::get_if<spec::Recover>(&event.body)) {
-    out["type"] = "recover";
-    out["p"] = r->p.value;
-  } else if (const auto* f = std::get_if<spec::FaultInjected>(&event.body)) {
-    out["type"] = "fault";
-    out["kind"] = f->kind;
-    out["detail"] = f->detail;
-  } else if (const auto* ws = std::get_if<spec::MsgWireSend>(&event.body)) {
-    out["type"] = "msg_wire_send";
-    out["p"] = ws->p.value;
-    out["sender"] = ws->sender.value;
-    out["uid"] = ws->uid;
-  } else if (const auto* mr = std::get_if<spec::MsgRecv>(&event.body)) {
-    out["type"] = "msg_recv";
-    out["p"] = mr->p.value;
-    out["from"] = mr->from.value;
-    out["sender"] = mr->sender.value;
-    out["uid"] = mr->uid;
-    out["fwd"] = mr->forwarded;
-  } else if (const auto* mf = std::get_if<spec::MsgForward>(&event.body)) {
-    out["type"] = "msg_forward";
-    out["p"] = mf->p.value;
-    out["sender"] = mf->sender.value;
-    out["uid"] = mf->uid;
-    out["copies"] = mf->copies;
-  } else if (const auto* ss = std::get_if<spec::SyncSent>(&event.body)) {
-    out["type"] = "sync_sent";
-    out["p"] = ss->p.value;
-    out["cid"] = ss->cid.value;
-  } else if (const auto* sr = std::get_if<spec::SyncRecv>(&event.body)) {
-    out["type"] = "sync_recv";
-    out["p"] = sr->p.value;
-    out["from"] = sr->from.value;
-    out["cid"] = sr->cid.value;
-  } else if (const auto* xr = std::get_if<spec::XportRetransmit>(&event.body)) {
-    out["type"] = "xport_retransmit";
-    out["from_node"] = xr->from_node;
-    out["to_node"] = xr->to_node;
-    out["packets"] = xr->packets;
-  } else if (const auto* mp = std::get_if<spec::MbrPhase>(&event.body)) {
-    out["type"] = "mbr_phase";
-    out["node"] = mp->node;
-    out["phase"] = mp->phase;
-    out["round"] = mp->round;
-  }
-  return out;
-}
-
-bool event_from_json(const JsonValue& record, spec::Event* out) {
-  const JsonValue* at = record.find("at");
-  const JsonValue* type = record.find("type");
-  if (at == nullptr || type == nullptr || !at->is_int() ||
-      !type->is_string()) {
-    return false;
-  }
-  out->at = at->as_int();
-  const std::string& t = type->as_string();
-
-  if (t == "fault") {  // faults carry no process tag
-    const JsonValue* kind = record.find("kind");
-    const JsonValue* detail = record.find("detail");
-    if (kind == nullptr || !kind->is_string() || detail == nullptr ||
-        !detail->is_string()) {
-      return false;
-    }
-    out->body = spec::FaultInjected{kind->as_string(), detail->as_string()};
-    return true;
-  }
-
-  if (t == "xport_retransmit") {  // node-addressed, no process tag
-    const JsonValue* from_node = record.find("from_node");
-    const JsonValue* to_node = record.find("to_node");
-    const JsonValue* packets = record.find("packets");
-    if (from_node == nullptr || !from_node->is_int() || to_node == nullptr ||
-        !to_node->is_int() || packets == nullptr || !packets->is_int()) {
-      return false;
-    }
-    out->body = spec::XportRetransmit{
-        static_cast<std::uint32_t>(from_node->as_int()),
-        static_cast<std::uint32_t>(to_node->as_int()),
-        static_cast<std::uint64_t>(packets->as_int())};
-    return true;
-  }
-
-  if (t == "mbr_phase") {  // node-addressed, no process tag
-    const JsonValue* node = record.find("node");
-    const JsonValue* phase = record.find("phase");
-    const JsonValue* round = record.find("round");
-    if (node == nullptr || !node->is_int() || phase == nullptr ||
-        !phase->is_string() || round == nullptr || !round->is_int()) {
-      return false;
-    }
-    out->body = spec::MbrPhase{static_cast<std::uint32_t>(node->as_int()),
-                               phase->as_string(),
-                               static_cast<std::uint64_t>(round->as_int())};
-    return true;
-  }
-
-  const JsonValue* p = record.find("p");
-  if (p == nullptr || !p->is_int()) return false;
-  const ProcessId pid{static_cast<std::uint32_t>(p->as_int())};
-
-  if (t == "gcs_send") {
-    spec::GcsSend body{pid, {}};
-    const JsonValue* msg = record.find("msg");
-    if (msg == nullptr || !msg_from_json(*msg, &body.msg)) return false;
-    out->body = std::move(body);
-  } else if (t == "gcs_deliver") {
-    spec::GcsDeliver body{pid, {}, {}};
-    const JsonValue* q = record.find("q");
-    const JsonValue* msg = record.find("msg");
-    if (q == nullptr || !q->is_int() || msg == nullptr ||
-        !msg_from_json(*msg, &body.msg)) {
-      return false;
-    }
-    body.q = ProcessId{static_cast<std::uint32_t>(q->as_int())};
-    out->body = std::move(body);
-  } else if (t == "gcs_view") {
-    spec::GcsView body{pid, {}, {}};
-    const JsonValue* view = record.find("view");
-    const JsonValue* trans = record.find("transitional");
-    if (view == nullptr || !view_from_json(*view, &body.view) ||
-        trans == nullptr || !pid_set_from_json(*trans, &body.transitional)) {
-      return false;
-    }
-    out->body = std::move(body);
-  } else if (t == "gcs_block") {
-    out->body = spec::GcsBlock{pid};
-  } else if (t == "gcs_block_ok") {
-    out->body = spec::GcsBlockOk{pid};
-  } else if (t == "mbr_start_change") {
-    spec::MbrStartChange body{pid, {}, {}};
-    const JsonValue* cid = record.find("cid");
-    const JsonValue* set = record.find("set");
-    if (cid == nullptr || !cid->is_int() || set == nullptr ||
-        !pid_set_from_json(*set, &body.set)) {
-      return false;
-    }
-    body.cid = StartChangeId{static_cast<std::uint64_t>(cid->as_int())};
-    out->body = std::move(body);
-  } else if (t == "mbr_view") {
-    spec::MbrView body{pid, {}};
-    const JsonValue* view = record.find("view");
-    if (view == nullptr || !view_from_json(*view, &body.view)) return false;
-    out->body = std::move(body);
-  } else if (t == "crash") {
-    out->body = spec::Crash{pid};
-  } else if (t == "recover") {
-    out->body = spec::Recover{pid};
-  } else if (t == "msg_wire_send") {
-    const JsonValue* sender = record.find("sender");
-    const JsonValue* uid = record.find("uid");
-    if (sender == nullptr || !sender->is_int() || uid == nullptr ||
-        !uid->is_int()) {
-      return false;
-    }
-    out->body = spec::MsgWireSend{
-        pid, ProcessId{static_cast<std::uint32_t>(sender->as_int())},
-        static_cast<std::uint64_t>(uid->as_int())};
-  } else if (t == "msg_recv") {
-    const JsonValue* from = record.find("from");
-    const JsonValue* sender = record.find("sender");
-    const JsonValue* uid = record.find("uid");
-    const JsonValue* fwd = record.find("fwd");
-    if (from == nullptr || !from->is_int() || sender == nullptr ||
-        !sender->is_int() || uid == nullptr || !uid->is_int() ||
-        fwd == nullptr || !fwd->is_bool()) {
-      return false;
-    }
-    out->body = spec::MsgRecv{
-        pid, ProcessId{static_cast<std::uint32_t>(from->as_int())},
-        ProcessId{static_cast<std::uint32_t>(sender->as_int())},
-        static_cast<std::uint64_t>(uid->as_int()), fwd->as_bool()};
-  } else if (t == "msg_forward") {
-    const JsonValue* sender = record.find("sender");
-    const JsonValue* uid = record.find("uid");
-    const JsonValue* copies = record.find("copies");
-    if (sender == nullptr || !sender->is_int() || uid == nullptr ||
-        !uid->is_int() || copies == nullptr || !copies->is_int()) {
-      return false;
-    }
-    out->body = spec::MsgForward{
-        pid, ProcessId{static_cast<std::uint32_t>(sender->as_int())},
-        static_cast<std::uint64_t>(uid->as_int()),
-        static_cast<std::uint64_t>(copies->as_int())};
-  } else if (t == "sync_sent") {
-    const JsonValue* cid = record.find("cid");
-    if (cid == nullptr || !cid->is_int()) return false;
-    out->body = spec::SyncSent{
-        pid, StartChangeId{static_cast<std::uint64_t>(cid->as_int())}};
-  } else if (t == "sync_recv") {
-    const JsonValue* from = record.find("from");
-    const JsonValue* cid = record.find("cid");
-    if (from == nullptr || !from->is_int() || cid == nullptr ||
-        !cid->is_int()) {
-      return false;
-    }
-    out->body = spec::SyncRecv{
-        pid, ProcessId{static_cast<std::uint32_t>(from->as_int())},
-        StartChangeId{static_cast<std::uint64_t>(cid->as_int())}};
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void write_jsonl(const std::vector<spec::Event>& events, std::ostream& os) {
   for (const spec::Event& ev : events) {
-    event_to_json(ev).write(os);
+    to_json(ev).write(os);
     os << '\n';
   }
 }
@@ -339,10 +22,8 @@ bool read_jsonl(std::istream& is, std::vector<spec::Event>* out) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::string error;
-    const JsonValue record = JsonValue::parse(line, &error);
     spec::Event ev;
-    if (!record.is_object() || !event_from_json(record, &ev)) return false;
+    if (!from_json(JsonValue::parse(line), &ev)) return false;
     out->push_back(std::move(ev));
   }
   return true;

@@ -14,40 +14,28 @@
 //    Opening a view-change timeline shows the paper's E1 claim directly: the
 //    VS round OVERLAPS the membership round instead of following it.
 //
-// JSONL schema (field order fixed; `at` in simulated microseconds):
+// JSONL schema: each record is obs::to_json(spec::Event), derived by
+// obs/json_fields.hpp from the field lists in spec/events.hpp; those lists
+// are the schema. A record is `at` (simulated microseconds), then `type`
+// (the event's kType), then the event's fields in list order, e.g.
 //   {"at":N,"type":"gcs_send","p":P,"msg":{"sender":Q,"uid":U,"payload":S}}
-//   {"at":N,"type":"gcs_deliver","p":P,"q":Q,"msg":{...}}
 //   {"at":N,"type":"gcs_view","p":P,"view":V,"transitional":[P...]}
-//   {"at":N,"type":"gcs_block","p":P} / {"at":N,"type":"gcs_block_ok","p":P}
-//   {"at":N,"type":"mbr_start_change","p":P,"cid":C,"set":[P...]}
-//   {"at":N,"type":"mbr_view","p":P,"view":V}
-//   {"at":N,"type":"crash","p":P} / {"at":N,"type":"recover","p":P}
 //   {"at":N,"type":"fault","kind":K,"detail":D}   (sim::FailureInjector)
-// Causal span events (emitted only when TraceBus::lifecycle() is on):
-//   {"at":N,"type":"msg_wire_send","p":P,"sender":Q,"uid":U}
 //   {"at":N,"type":"msg_recv","p":P,"from":F,"sender":Q,"uid":U,"fwd":B}
-//   {"at":N,"type":"msg_forward","p":P,"sender":Q,"uid":U,"copies":K}
-//   {"at":N,"type":"sync_sent","p":P,"cid":C}
-//   {"at":N,"type":"sync_recv","p":P,"from":F,"cid":C}
-//   {"at":N,"type":"xport_retransmit","from_node":A,"to_node":B,"packets":K}
-//   {"at":N,"type":"mbr_phase","node":X,"phase":S,"round":R}
 // where V = {"epoch":E,"origin":O,"members":[P...],"start_id":{"P":C,...}}.
+// The causal span events (msg_*, sync_*, xport_retransmit, mbr_phase) are
+// emitted only when TraceBus::lifecycle() is on. read_jsonl applies the
+// reader rule of obs/json_fields.hpp: every listed field present with the
+// right kind and in range, unknown keys ignored.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "spec/events.hpp"
 
 namespace vsgc::obs {
-
-/// One trace event as a JSON object (the JSONL record, unserialized).
-JsonValue event_to_json(const spec::Event& event);
-
-/// Inverse of event_to_json. Returns false on schema mismatch.
-bool event_from_json(const JsonValue& record, spec::Event* out);
 
 /// Parse a JSONL stream produced by write_jsonl back into events.
 /// Returns false (and stops) on the first malformed line.

@@ -12,36 +12,41 @@ namespace vsgc::sim {
 
 namespace {
 
-struct KindName {
-  FaultOp::Kind kind;
-  const char* name;
+using enum FaultOp::Arg;
+
+constexpr FaultKindName kKindNames[] = {
+    {FaultOp::Kind::kCrash, "crash", kArgA},
+    {FaultOp::Kind::kRecover, "recover", kArgA},
+    {FaultOp::Kind::kLeave, "leave", kArgA},
+    {FaultOp::Kind::kRejoin, "rejoin", kArgA},
+    {FaultOp::Kind::kServerDown, "server_down", kArgA},
+    {FaultOp::Kind::kServerUp, "server_up", kArgA},
+    {FaultOp::Kind::kPartition, "partition", kArgGroups},
+    {FaultOp::Kind::kWave, "wave", kArgGroups},
+    {FaultOp::Kind::kWaveLift, "wave_lift", kArgGroups},
+    {FaultOp::Kind::kHeal, "heal", 0},
+    {FaultOp::Kind::kLinkDown, "link_down", kArgA | kArgB | kArgOneway},
+    {FaultOp::Kind::kLinkUp, "link_up", kArgA | kArgB | kArgOneway},
+    {FaultOp::Kind::kDrop, "drop", kArgP},
+    {FaultOp::Kind::kLatency, "latency", kArgT0 | kArgT1},
+    {FaultOp::Kind::kCrashInDelivery, "crash_in_delivery", kArgA},
+    {FaultOp::Kind::kTraffic, "traffic", kArgA | kArgPayload},
+    {FaultOp::Kind::kBugDupDeliver, "bug_dup_deliver", 0},
+    {FaultOp::Kind::kCorruptSeq, "corrupt_seq", kArgA | kArgB | kArgV},
+    {FaultOp::Kind::kCorruptAck, "corrupt_ack", kArgA | kArgB | kArgV},
+    {FaultOp::Kind::kCorruptReliable, "corrupt_reliable_set",
+     kArgA | kArgB | kArgV},
+    {FaultOp::Kind::kCorruptView, "corrupt_view_id", kArgA | kArgV},
+    {FaultOp::Kind::kCorruptBackoff, "corrupt_backoff", kArgA | kArgB | kArgV},
+    {FaultOp::Kind::kBugCorruptWedge, "bug_corrupt_wedge", kArgA | kArgV},
 };
 
-constexpr KindName kKindNames[] = {
-    {FaultOp::Kind::kCrash, "crash"},
-    {FaultOp::Kind::kRecover, "recover"},
-    {FaultOp::Kind::kLeave, "leave"},
-    {FaultOp::Kind::kRejoin, "rejoin"},
-    {FaultOp::Kind::kServerDown, "server_down"},
-    {FaultOp::Kind::kServerUp, "server_up"},
-    {FaultOp::Kind::kPartition, "partition"},
-    {FaultOp::Kind::kWave, "wave"},
-    {FaultOp::Kind::kWaveLift, "wave_lift"},
-    {FaultOp::Kind::kHeal, "heal"},
-    {FaultOp::Kind::kLinkDown, "link_down"},
-    {FaultOp::Kind::kLinkUp, "link_up"},
-    {FaultOp::Kind::kDrop, "drop"},
-    {FaultOp::Kind::kLatency, "latency"},
-    {FaultOp::Kind::kCrashInDelivery, "crash_in_delivery"},
-    {FaultOp::Kind::kTraffic, "traffic"},
-    {FaultOp::Kind::kBugDupDeliver, "bug_dup_deliver"},
-    {FaultOp::Kind::kCorruptSeq, "corrupt_seq"},
-    {FaultOp::Kind::kCorruptAck, "corrupt_ack"},
-    {FaultOp::Kind::kCorruptReliable, "corrupt_reliable_set"},
-    {FaultOp::Kind::kCorruptView, "corrupt_view_id"},
-    {FaultOp::Kind::kCorruptBackoff, "corrupt_backoff"},
-    {FaultOp::Kind::kBugCorruptWedge, "bug_corrupt_wedge"},
-};
+const FaultKindName* kind_row(FaultOp::Kind kind) {
+  for (const FaultKindName& row : kKindNames) {
+    if (row.value == kind) return &row;
+  }
+  return nullptr;
+}
 
 std::string node_ref(int v) {
   return encodes_server(v) ? "s" + std::to_string(decode_server(v))
@@ -116,149 +121,39 @@ std::string op_detail(const FaultOp& op) {
 }  // namespace
 
 const char* FaultOp::name() const {
-  for (const KindName& kn : kKindNames) {
-    if (kn.kind == kind) return kn.name;
-  }
-  return "unknown";
+  const FaultKindName* row = kind_row(kind);
+  return row != nullptr ? row->name : "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// FaultScript <-> JSON
-// ---------------------------------------------------------------------------
-
-obs::JsonValue FaultScript::to_json() const {
-  obs::JsonValue root = obs::JsonValue::object();
-  root["seed"] = seed;
-  obs::JsonValue arr = obs::JsonValue::array();
-  for (const FaultOp& op : ops) {
-    obs::JsonValue j = obs::JsonValue::object();
-    j["at"] = op.at;
-    j["kind"] = op.name();
-    switch (op.kind) {
-      case FaultOp::Kind::kCrash:
-      case FaultOp::Kind::kRecover:
-      case FaultOp::Kind::kLeave:
-      case FaultOp::Kind::kRejoin:
-      case FaultOp::Kind::kServerDown:
-      case FaultOp::Kind::kServerUp:
-      case FaultOp::Kind::kCrashInDelivery:
-        j["a"] = op.a;
-        break;
-      case FaultOp::Kind::kTraffic:
-        j["a"] = op.a;
-        j["payload"] = op.payload;
-        break;
-      case FaultOp::Kind::kWave:
-      case FaultOp::Kind::kWaveLift:
-      case FaultOp::Kind::kPartition: {
-        obs::JsonValue groups = obs::JsonValue::array();
-        for (const auto& group : op.groups) {
-          obs::JsonValue g = obs::JsonValue::array();
-          for (int v : group) g.push_back(v);
-          groups.push_back(std::move(g));
-        }
-        j["groups"] = std::move(groups);
-        break;
-      }
-      case FaultOp::Kind::kLinkDown:
-      case FaultOp::Kind::kLinkUp:
-        j["a"] = op.a;
-        j["b"] = op.b;
-        j["oneway"] = op.oneway;
-        break;
-      case FaultOp::Kind::kDrop:
-        j["p"] = op.p;
-        break;
-      case FaultOp::Kind::kLatency:
-        j["t0"] = op.t0;
-        j["t1"] = op.t1;
-        break;
-      case FaultOp::Kind::kCorruptSeq:
-      case FaultOp::Kind::kCorruptAck:
-      case FaultOp::Kind::kCorruptReliable:
-      case FaultOp::Kind::kCorruptBackoff:
-        j["a"] = op.a;
-        j["b"] = op.b;
-        j["v"] = op.v;
-        break;
-      case FaultOp::Kind::kCorruptView:
-      case FaultOp::Kind::kBugCorruptWedge:
-        j["a"] = op.a;
-        j["v"] = op.v;
-        break;
-      case FaultOp::Kind::kHeal:
-      case FaultOp::Kind::kBugDupDeliver:
-        break;
-    }
-    arr.push_back(std::move(j));
-  }
-  root["ops"] = std::move(arr);
-  return root;
+bool FaultOp::carries(Arg arg) const {
+  const FaultKindName* row = kind_row(kind);
+  return row != nullptr && (row->args & arg) != 0;
 }
 
-bool FaultScript::from_json(const obs::JsonValue& j, FaultScript* out) {
-  if (!j.is_object()) return false;
-  const obs::JsonValue* seed = j.find("seed");
-  const obs::JsonValue* ops = j.find("ops");
-  if (seed == nullptr || !seed->is_int() || ops == nullptr ||
-      !ops->is_array()) {
-    return false;
-  }
-  out->seed = static_cast<std::uint64_t>(seed->as_int());
-  out->ops.clear();
-  for (const obs::JsonValue& rec : ops->items()) {
-    if (!rec.is_object()) return false;
-    const obs::JsonValue* at = rec.find("at");
-    const obs::JsonValue* kind = rec.find("kind");
-    if (at == nullptr || !at->is_int() || kind == nullptr ||
-        !kind->is_string()) {
-      return false;
+std::span<const FaultKindName> enum_names(FaultOp::Kind) { return kKindNames; }
+
+bool FaultScript::fits(int num_processes, int num_servers) const {
+  const auto process = [&](int i) { return i >= 0 && i < num_processes; };
+  // Encoded refs: servers 0..num_servers-1 encode as -1..-num_servers.
+  const auto node = [&](int v) {
+    return v >= encode_server(num_servers - 1) && v < num_processes;
+  };
+  return std::ranges::all_of(ops, [&](const FaultOp& op) {
+    if (op.kind == FaultOp::Kind::kServerDown ||
+        op.kind == FaultOp::Kind::kServerUp) {
+      return op.a >= 0 && op.a < num_servers;
     }
-    FaultOp op;
-    op.at = at->as_int();
-    bool known = false;
-    for (const KindName& kn : kKindNames) {
-      if (kind->as_string() == kn.name) {
-        op.kind = kn.kind;
-        known = true;
-        break;
-      }
-    }
-    if (!known) return false;
-    if (const obs::JsonValue* a = rec.find("a")) {
-      op.a = static_cast<int>(a->as_int());
-    }
-    if (const obs::JsonValue* b = rec.find("b")) {
-      op.b = static_cast<int>(b->as_int());
-    }
-    if (const obs::JsonValue* oneway = rec.find("oneway")) {
-      op.oneway = oneway->is_bool() && oneway->as_bool();
-    }
-    if (const obs::JsonValue* p = rec.find("p")) op.p = p->as_double();
-    if (const obs::JsonValue* t0 = rec.find("t0")) op.t0 = t0->as_int();
-    if (const obs::JsonValue* t1 = rec.find("t1")) op.t1 = t1->as_int();
-    if (const obs::JsonValue* v = rec.find("v")) {
-      op.v = static_cast<std::uint64_t>(v->as_int());
-    }
-    if (const obs::JsonValue* payload = rec.find("payload")) {
-      if (!payload->is_string()) return false;
-      op.payload = payload->as_string();
-    }
-    if (const obs::JsonValue* groups = rec.find("groups")) {
-      if (!groups->is_array()) return false;
-      for (const obs::JsonValue& g : groups->items()) {
-        if (!g.is_array()) return false;
-        std::vector<int> group;
-        for (const obs::JsonValue& v : g.items()) {
-          if (!v.is_int()) return false;
-          group.push_back(static_cast<int>(v.as_int()));
-        }
-        op.groups.push_back(std::move(group));
-      }
-    }
-    out->ops.push_back(std::move(op));
-  }
-  return true;
+    // Link ops (the kinds with a direction) join encoded node refs; every
+    // other a/b is a process index.
+    const bool link = op.carries(kArgOneway);
+    const auto ref = [&](int v) { return link ? node(v) : process(v); };
+    if (op.carries(kArgA) && !ref(op.a)) return false;
+    if (op.carries(kArgB) && !ref(op.b)) return false;
+    if (!op.carries(kArgGroups)) return true;
+    return std::ranges::all_of(op.groups, [&](const std::vector<int>& g) {
+      return std::ranges::all_of(g, node);
+    });
+  });
 }
 
 // ---------------------------------------------------------------------------

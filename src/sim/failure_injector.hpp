@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,10 +34,6 @@
 #include "sim/time.hpp"
 #include "spec/events.hpp"
 #include "util/rng.hpp"
-
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
 
 namespace vsgc::sim {
 
@@ -85,9 +82,50 @@ struct FaultOp {
   std::vector<std::vector<int>> groups;  ///< partition components (encoded)
   std::string payload;
 
+  /// The optional fields of a script record, one bit each. The kind table
+  /// (enum_names below) says which of them each kind carries.
+  enum Arg : unsigned {
+    kArgA = 1 << 0,
+    kArgB = 1 << 1,
+    kArgOneway = 1 << 2,
+    kArgP = 1 << 3,
+    kArgT0 = 1 << 4,
+    kArgT1 = 1 << 5,
+    kArgV = 1 << 6,
+    kArgPayload = 1 << 7,
+    kArgGroups = 1 << 8,
+  };
+
   /// Stable op name as published on the TraceBus and in scripts.
   const char* name() const;
+  /// Whether this op's kind carries the optional field `arg`.
+  bool carries(Arg arg) const;
+
+  /// Script record: `at`, `kind`, then only the optional fields the kind
+  /// carries. `kind` is read before the presence tests are evaluated (see
+  /// obs/json_fields.hpp), so the reader requires exactly those fields.
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("at", s.at)("kind", s.kind)("a", s.a, s.carries(kArgA))
+     ("b", s.b, s.carries(kArgB))("oneway", s.oneway, s.carries(kArgOneway))
+     ("p", s.p, s.carries(kArgP))("t0", s.t0, s.carries(kArgT0))
+     ("t1", s.t1, s.carries(kArgT1))("v", s.v, s.carries(kArgV))
+     ("payload", s.payload, s.carries(kArgPayload))
+     ("groups", s.groups, s.carries(kArgGroups));
+  }
 };
+
+/// One row of the FaultOp kind table: the kind's stable name and the
+/// FaultOp::Arg bits of the optional fields it carries.
+struct FaultKindName {
+  FaultOp::Kind value;
+  const char* name;
+  unsigned args;
+};
+
+/// The kind table, one row per kind; obs/json_fields.hpp maps FaultOp::kind
+/// through it.
+std::span<const FaultKindName> enum_names(FaultOp::Kind);
 
 /// Encoding of mixed process/server node references inside FaultOp fields
 /// (partition groups and link endpoints): process i => i, server s => -(s+1).
@@ -101,8 +139,16 @@ struct FaultScript {
   std::uint64_t seed = 0;  ///< injector seed that generated it (provenance)
   std::vector<FaultOp> ops;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, FaultScript* out);
+  /// Whether every process or server reference in the script names one of
+  /// `num_processes` processes or `num_servers` servers: op targets, decoded
+  /// link endpoints, and partition and wave group entries. A replayed script
+  /// must fit its world.
+  bool fits(int num_processes, int num_servers) const;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("seed", s.seed)("ops", s.ops);
+  }
 };
 
 /// The surface a deployment exposes to the injector. All callbacks must be

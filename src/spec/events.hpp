@@ -5,6 +5,9 @@
 // them and assert, online, that every event was legal — the runtime analogue
 // of the paper's refinement proofs. Each event corresponds to an external
 // action of the composed system, tagged with the process p at which it occurs.
+// Each event names its JSONL record type (kType) and declares its named
+// fields once (json_fields, see obs/json_fields.hpp); that list is the
+// record's schema.
 #pragma once
 
 #include <cstdint>
@@ -23,53 +26,93 @@ namespace vsgc::spec {
 
 /// GCS.send_p(m)
 struct GcsSend {
+  static constexpr const char* kType = "gcs_send";
   ProcessId p;
   gcs::AppMsg msg;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p)("msg", s.msg); }
 };
 
 /// GCS.deliver_p(q, m)
 struct GcsDeliver {
+  static constexpr const char* kType = "gcs_deliver";
   ProcessId p;  ///< receiving process
   ProcessId q;  ///< original sender
   gcs::AppMsg msg;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p)("q", s.q)("msg", s.msg); }
 };
 
 /// GCS.view_p(v, T)
 struct GcsView {
+  static constexpr const char* kType = "gcs_view";
   ProcessId p;
   View view;
   std::set<ProcessId> transitional;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("view", s.view)("transitional", s.transitional);
+  }
 };
 
 /// GCS.block_p()
 struct GcsBlock {
+  static constexpr const char* kType = "gcs_block";
   ProcessId p;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p); }
 };
 
 /// client.block_ok_p()
 struct GcsBlockOk {
+  static constexpr const char* kType = "gcs_block_ok";
   ProcessId p;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p); }
 };
 
 /// MBRSHP.start_change_p(cid, set)
 struct MbrStartChange {
+  static constexpr const char* kType = "mbr_start_change";
   ProcessId p;
   StartChangeId cid;
   std::set<ProcessId> set;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("cid", s.cid)("set", s.set);
+  }
 };
 
 /// MBRSHP.view_p(v)
 struct MbrView {
+  static constexpr const char* kType = "mbr_view";
   ProcessId p;
   View view;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p)("view", s.view); }
 };
 
 /// crash_p() / recover_p() (Section 8)
 struct Crash {
+  static constexpr const char* kType = "crash";
   ProcessId p;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p); }
 };
 struct Recover {
+  static constexpr const char* kType = "recover";
   ProcessId p;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p); }
 };
 
 /// Environment fault applied by sim::FailureInjector (partition, link
@@ -81,8 +124,12 @@ struct Recover {
 // (src/obs).
 // vsgc-lint: allow(event-coverage) adversarial input metadata, consumed by src/obs timelines rather than by a spec checker
 struct FaultInjected {
+  static constexpr const char* kType = "fault";
   std::string kind;    ///< stable op name, e.g. "partition", "link_down"
   std::string detail;  ///< human-readable arguments
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("kind", s.kind)("detail", s.detail); }
 };
 
 // ---- Causal span layer (DESIGN.md §10) ----------------------------------
@@ -98,43 +145,72 @@ struct FaultInjected {
 /// left the end-point's send buffer for the wire.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgWireSend {
+  static constexpr const char* kType = "msg_wire_send";
   ProcessId p;  ///< == sender
   ProcessId sender;
   std::uint64_t uid = 0;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("sender", s.sender)("uid", s.uid);
+  }
 };
 
 /// An application message reached p's end-point buffer off the wire.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgRecv {
+  static constexpr const char* kType = "msg_recv";
   ProcessId p;
   ProcessId from;    ///< wire-level sender (the forwarder for forwarded copies)
   ProcessId sender;  ///< trace id: original sender
   std::uint64_t uid = 0;
   bool forwarded = false;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("from", s.from)("sender", s.sender)("uid", s.uid)
+     ("fwd", s.forwarded);
+  }
 };
 
 /// p forwarded (sender, uid) to `copies` destinations during a view change.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MsgForward {
+  static constexpr const char* kType = "msg_forward";
   ProcessId p;
   ProcessId sender;
   std::uint64_t uid = 0;
   std::uint64_t copies = 0;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("sender", s.sender)("uid", s.uid)("copies", s.copies);
+  }
 };
 
 /// p committed its cut and multicast its synchronization message for cid.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct SyncSent {
+  static constexpr const char* kType = "sync_sent";
   ProcessId p;
   StartChangeId cid;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("p", s.p)("cid", s.cid); }
 };
 
 /// p stored q's synchronization message for cid (direct or relayed).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct SyncRecv {
+  static constexpr const char* kType = "sync_recv";
   ProcessId p;
   ProcessId from;
   StartChangeId cid;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("p", s.p)("from", s.from)("cid", s.cid);
+  }
 };
 
 /// A CO_RFIFO retransmission burst: `packets` re-sent from node `from_node`
@@ -142,9 +218,15 @@ struct SyncRecv {
 /// net::NodeId encoding (servers live at net::kServerBase + s).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct XportRetransmit {
+  static constexpr const char* kType = "xport_retransmit";
   std::uint32_t from_node = 0;
   std::uint32_t to_node = 0;
   std::uint64_t packets = 0;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("from_node", s.from_node)("to_node", s.to_node)("packets", s.packets);
+  }
 };
 
 /// Membership-side view-change phase marker, keyed by node (server nodes use
@@ -155,9 +237,15 @@ struct XportRetransmit {
 /// the Local Monotonicity guards).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::analyze / tools/vsgc_trace rather than by a spec checker
 struct MbrPhase {
+  static constexpr const char* kType = "mbr_phase";
   std::uint32_t node = 0;
   std::string phase;
   std::uint64_t round = 0;  ///< agreement round / epoch (0 when not known)
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("node", s.node)("phase", s.phase)("round", s.round);
+  }
 };
 
 using EventBody = std::variant<GcsSend, GcsDeliver, GcsView, GcsBlock,
@@ -166,9 +254,14 @@ using EventBody = std::variant<GcsSend, GcsDeliver, GcsView, GcsBlock,
                                MsgForward, SyncSent, SyncRecv, XportRetransmit,
                                MbrPhase>;
 
+/// One JSONL trace record (obs/trace_recorder.hpp): `at`, then `type` naming
+/// the body's alternative (its kType), then that alternative's fields.
 struct Event {
   sim::Time at = 0;
   EventBody body;
+
+  template <class S, class V>
+  static void json_fields(S& s, V& v) { v("at", s.at)("type", s.body); }
 };
 
 class TraceSink {

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 #include <sstream>
 #include <string_view>
 
 #include "app/world.hpp"
 #include "obs/json.hpp"
+#include "obs/json_fields.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc {
@@ -90,13 +92,13 @@ FaultScript SampleScript() {
 
 TEST(FaultScript, JsonRoundTripPreservesEveryField) {
   const FaultScript script = SampleScript();
-  const std::string text = script.to_json().dump();
+  const std::string text = obs::to_json(script).dump();
 
   std::string error;
   const obs::JsonValue parsed = obs::JsonValue::parse(text, &error);
   ASSERT_TRUE(error.empty()) << error;
   FaultScript back;
-  ASSERT_TRUE(FaultScript::from_json(parsed, &back));
+  ASSERT_TRUE(obs::from_json(parsed, &back));
 
   ASSERT_EQ(back.seed, script.seed);
   ASSERT_EQ(back.ops.size(), script.ops.size());
@@ -116,7 +118,66 @@ TEST(FaultScript, JsonRoundTripPreservesEveryField) {
     EXPECT_EQ(a.v, b.v) << "op " << i;
   }
   // Serialization itself is byte-deterministic.
-  EXPECT_EQ(text, back.to_json().dump());
+  EXPECT_EQ(text, obs::to_json(back).dump());
+}
+
+TEST(FaultScript, FitsChecksEveryProcessAndServerReference) {
+  const FaultScript script = SampleScript();  // p0..p3, s0 and s1
+  EXPECT_TRUE(script.fits(4, 2));
+  EXPECT_FALSE(script.fits(3, 2));  // partition entry p3
+  EXPECT_FALSE(script.fits(4, 1));  // link endpoint s1, wave entry s1
+
+  const auto fits_alone = [](const FaultOp& op) {
+    FaultScript one;
+    one.ops.push_back(op);
+    return one.fits(4, 1);
+  };
+  FaultOp op;
+  op.kind = FaultOp::Kind::kLeave;
+  EXPECT_FALSE(fits_alone(op));  // a defaults to -1
+  op.a = 3;
+  EXPECT_TRUE(fits_alone(op));
+  op.a = 99;
+  EXPECT_FALSE(fits_alone(op));
+
+  op = FaultOp{};
+  op.kind = FaultOp::Kind::kServerDown;
+  op.a = 0;
+  EXPECT_TRUE(fits_alone(op));
+  op.a = 7;
+  EXPECT_FALSE(fits_alone(op));
+
+  op = FaultOp{};
+  op.kind = FaultOp::Kind::kLinkDown;
+  op.a = 3;
+  op.b = sim::encode_server(0);
+  EXPECT_TRUE(fits_alone(op));
+  op.b = sim::encode_server(1);
+  EXPECT_FALSE(fits_alone(op));
+  op.b = 4;
+  EXPECT_FALSE(fits_alone(op));
+
+  op = FaultOp{};
+  op.kind = FaultOp::Kind::kPartition;
+  op.groups = {{0, 1}, {2, 3, sim::encode_server(0)}};
+  EXPECT_TRUE(fits_alone(op));
+  op.groups[1].push_back(77);
+  EXPECT_FALSE(fits_alone(op));
+  op.kind = FaultOp::Kind::kWave;
+  op.groups = {{0, INT_MIN}};
+  EXPECT_FALSE(fits_alone(op));
+
+  op = FaultOp{};
+  op.kind = FaultOp::Kind::kCorruptAck;
+  op.a = 0;
+  op.b = 3;
+  EXPECT_TRUE(fits_alone(op));
+  op.b = 4;
+  EXPECT_FALSE(fits_alone(op));
+
+  op = FaultOp{};
+  op.kind = FaultOp::Kind::kDrop;  // no process or server reference
+  EXPECT_TRUE(fits_alone(op));
 }
 
 // -- Replay and elision -------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "mc/schedule_script.hpp"
 #include "net/network.hpp"
 #include "obs/json.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/simulator.hpp"
 
@@ -196,12 +197,12 @@ TEST(ScheduleScriptJson, RoundTripsThroughJson) {
   EXPECT_EQ(script.picks(), (std::vector<std::uint32_t>{1, 0, 7}));
 
   std::ostringstream os;
-  script.to_json().write_pretty(os);
+  obs::to_json(script).write_pretty(os);
   std::string error;
   const obs::JsonValue parsed = obs::JsonValue::parse(os.str(), &error);
   ASSERT_TRUE(error.empty()) << error;
   ScheduleScript back;
-  ASSERT_TRUE(ScheduleScript::from_json(parsed, &back));
+  ASSERT_TRUE(obs::from_json(parsed, &back));
   EXPECT_EQ(back.seed, 99u);
   EXPECT_EQ(back.choices, script.choices);
 }
@@ -209,11 +210,11 @@ TEST(ScheduleScriptJson, RoundTripsThroughJson) {
 TEST(ScheduleScriptJson, RejectsMalformedDocuments) {
   ScheduleScript out;
   std::string error;
-  EXPECT_FALSE(ScheduleScript::from_json(
+  EXPECT_FALSE(obs::from_json(
       obs::JsonValue::parse("[1,2]", &error), &out));
-  EXPECT_FALSE(ScheduleScript::from_json(
+  EXPECT_FALSE(obs::from_json(
       obs::JsonValue::parse(R"({"choices": []})", &error), &out));
-  EXPECT_FALSE(ScheduleScript::from_json(
+  EXPECT_FALSE(obs::from_json(
       obs::JsonValue::parse(R"({"seed": 1, "choices": [{"kind": "x"}]})",
                             &error),
       &out));
@@ -312,12 +313,12 @@ TEST(Scenario, CorruptionMenuExtendsTheFaultVocabulary) {
   // The flag participates in the scenario JSON round-trip: a violation
   // bundle's scenario.json must rebuild the eventual-checker world.
   std::ostringstream os;
-  sc.to_json().write_pretty(os);
+  obs::to_json(sc).write_pretty(os);
   std::string error;
   const obs::JsonValue parsed = obs::JsonValue::parse(os.str(), &error);
   ASSERT_TRUE(error.empty()) << error;
   ScenarioConfig back;
-  ASSERT_TRUE(ScenarioConfig::from_json(parsed, &back));
+  ASSERT_TRUE(obs::from_json(parsed, &back));
   EXPECT_TRUE(back.corruption);
 }
 

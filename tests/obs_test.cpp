@@ -282,6 +282,16 @@ TEST(TraceRecorder, RejectsMalformedJsonl) {
   std::istringstream garbage("not json at all\n");
   parsed.clear();
   EXPECT_FALSE(obs::read_jsonl(garbage, &parsed));
+  // A non-decimal start_id key, and pids outside 32 bits, fail the line
+  // instead of throwing or wrapping.
+  for (const char* line :
+       {R"({"at":1,"type":"gcs_view","p":1,"view":{"epoch":1,"origin":1,"members":[1],"start_id":{"x":1}},"transitional":[1]})",
+        R"({"at":1,"type":"crash","p":-1})",
+        R"({"at":1,"type":"crash","p":4294967297})"}) {
+    std::istringstream bad(std::string(line) + "\n");
+    parsed.clear();
+    EXPECT_FALSE(obs::read_jsonl(bad, &parsed)) << line;
+  }
 }
 
 TEST(TraceRecorder, ChromeTraceShowsOverlappingRounds) {

@@ -45,6 +45,7 @@
 #include "mc/explorer.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 
@@ -82,14 +83,16 @@ void write_json(const fs::path& path, const obs::JsonValue& j) {
   os << '\n';
 }
 
-bool read_json(const fs::path& path, obs::JsonValue* out) {
+/// Read a JSON file into `out` through its field list; false on any error.
+template <class T>
+bool read_record(const fs::path& path, T* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::stringstream text;
   text << in.rdbuf();
   std::string error;
-  *out = obs::JsonValue::parse(text.str(), &error);
-  return error.empty();
+  const obs::JsonValue j = obs::JsonValue::parse(text.str(), &error);
+  return error.empty() && obs::from_json(j, out);
 }
 
 /// Writes the bundle; returns true if the (minimized) schedule still replays
@@ -98,8 +101,8 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
   const fs::path dir =
       fs::path(cfg.out_dir) / ("seed" + std::to_string(cfg.scenario.seed));
   fs::create_directories(dir);
-  write_json(dir / "scenario.json", cfg.scenario.to_json());
-  write_json(dir / "schedule.json", failed.script.to_json());
+  write_json(dir / "scenario.json", obs::to_json(cfg.scenario));
+  write_json(dir / "schedule.json", obs::to_json(failed.script));
   write_text(dir / "trace.jsonl", render_trace(failed.trace));
 
   std::ostringstream violation;
@@ -110,7 +113,7 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
         mc::minimize_schedule(cfg.scenario, failed.script.picks());
     const mc::RunResult min_run = mc::run_scenario(cfg.scenario, min_picks);
     reproduces = min_run.violation;
-    write_json(dir / "schedule.min.json", min_run.script.to_json());
+    write_json(dir / "schedule.min.json", obs::to_json(min_run.script));
     write_text(dir / "trace.min.jsonl", render_trace(min_run.trace));
     violation << "minimized: " << failed.script.deviations() << " -> "
               << min_run.script.deviations() << " deviation(s)\n";
@@ -128,11 +131,16 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
 
 int replay_bundle(const CliConfig& cfg) {
   const fs::path dir = cfg.replay_dir;
-  obs::JsonValue scenario_json;
+  const fs::path scenario_path = dir / "scenario.json";
   mc::ScenarioConfig sc;
-  if (!read_json(dir / "scenario.json", &scenario_json) ||
-      !mc::ScenarioConfig::from_json(scenario_json, &sc)) {
-    std::cerr << "cannot parse " << (dir / "scenario.json").string() << "\n";
+  if (!read_record(scenario_path, &sc)) {
+    std::cerr << "cannot parse " << scenario_path.string() << "\n";
+    return 2;
+  }
+  // The vsgc_stress --clients/--servers rule: at least one of each.
+  if (sc.clients < 1 || sc.servers < 1) {
+    std::cerr << scenario_path.string()
+              << ": clients and servers must be positive integers\n";
     return 2;
   }
   fs::path script_path = dir / "schedule.min.json";
@@ -141,10 +149,8 @@ int replay_bundle(const CliConfig& cfg) {
     script_path = dir / "schedule.json";
     trace_path = dir / "trace.jsonl";
   }
-  obs::JsonValue script_json;
   mc::ScheduleScript script;
-  if (!read_json(script_path, &script_json) ||
-      !mc::ScheduleScript::from_json(script_json, &script)) {
+  if (!read_record(script_path, &script)) {
     std::cerr << "cannot parse " << script_path.string() << "\n";
     return 2;
   }
@@ -189,13 +195,13 @@ void print_stats(const mc::ExploreStats& stats, const char* mode) {
 void write_artifact(const CliConfig& cfg, const mc::ExploreStats& stats,
                     bool violation_found) {
   obs::BenchArtifact artifact("mc");
-  artifact.config("scenario") = cfg.scenario.to_json();
+  artifact.config("scenario") = obs::to_json(cfg.scenario);
   artifact.config("max_deviations") = cfg.explore.max_deviations;
   artifact.config("max_runs") = cfg.explore.max_runs;
   artifact.config("horizon") = cfg.explore.horizon;
   artifact.config("mode") = cfg.random_walk ? "random_walk" : "explore";
   obs::JsonValue& row = artifact.add_result();
-  row = stats.to_json();
+  row = obs::to_json(stats);
   row["violation_found"] = violation_found;
   artifact.tally(stats.sim_stats, stats.sim_time);
   const std::string path = artifact.write_file();

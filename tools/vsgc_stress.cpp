@@ -44,6 +44,7 @@
 #include "app/world.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 #include "sim/failure_injector.hpp"
@@ -80,45 +81,21 @@ struct StressConfig {
   std::size_t jobs = 1;    // parallel sweep workers; 0 = hardware threads
 };
 
-obs::JsonValue config_json(const StressConfig& cfg, std::uint64_t seed) {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["seed"] = seed;
-  j["clients"] = cfg.clients;
-  j["servers"] = cfg.servers;
-  j["steps"] = cfg.steps;
-  j["drop"] = cfg.drop;
-  j["two_tier"] = cfg.two_tier;
-  j["forwarding"] =
-      cfg.forwarding == gcs::ForwardingKind::kSimple ? "simple" : "mincopies";
-  j["bug_at_step"] = cfg.bug_at_step;
-  j["corrupt"] = cfg.corrupt;
-  j["eventual_window"] = cfg.eventual_window;
-  return j;
-}
+/// config.json of a repro bundle: the world and policy fields of the
+/// StressConfig that failed, and the seed it failed under (not a
+/// StressConfig member, so it sits next to the struct).
+struct BundleConfig {
+  std::uint64_t seed = 0;
+  StressConfig cfg;
 
-bool config_from_json(const obs::JsonValue& j, StressConfig* cfg,
-                      std::uint64_t* seed) {
-  const obs::JsonValue* s = j.find("seed");
-  if (s == nullptr || !s->is_int()) return false;
-  *seed = static_cast<std::uint64_t>(s->as_int());
-  if (const auto* v = j.find("clients")) cfg->clients = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("servers")) cfg->servers = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("steps")) cfg->steps = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("drop")) cfg->drop = v->as_double();
-  if (const auto* v = j.find("two_tier")) cfg->two_tier = v->as_bool();
-  if (const auto* v = j.find("bug_at_step")) {
-    cfg->bug_at_step = static_cast<int>(v->as_int());
+  template <class S, class V>
+  static void json_fields(S& s, V& v) {
+    v("seed", s.seed)("clients", s.cfg.clients)("servers", s.cfg.servers)
+     ("steps", s.cfg.steps)("drop", s.cfg.drop)("two_tier", s.cfg.two_tier)
+     ("forwarding", s.cfg.forwarding)("bug_at_step", s.cfg.bug_at_step)
+     ("corrupt", s.cfg.corrupt)("eventual_window", s.cfg.eventual_window);
   }
-  if (const auto* v = j.find("corrupt")) cfg->corrupt = v->as_bool();
-  if (const auto* v = j.find("eventual_window")) {
-    cfg->eventual_window = v->as_int();
-  }
-  if (const auto* v = j.find("forwarding")) {
-    cfg->forwarding = v->as_string() == "simple" ? gcs::ForwardingKind::kSimple
-                                                 : gcs::ForwardingKind::kMinCopies;
-  }
-  return true;
-}
+};
 
 app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
   app::WorldConfig wc;
@@ -258,8 +235,8 @@ bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
                  const RunResult& failed) {
   const fs::path dir = fs::path(cfg.out_dir) / ("seed" + std::to_string(seed));
   fs::create_directories(dir);
-  write_json(dir / "config.json", config_json(cfg, seed));
-  write_json(dir / "fault_script.json", failed.script.to_json());
+  write_json(dir / "config.json", obs::to_json(BundleConfig{seed, cfg}));
+  write_json(dir / "fault_script.json", obs::to_json(failed.script));
   write_trace(dir / "trace.jsonl", failed.trace);
 
   std::ostringstream violation;
@@ -270,7 +247,7 @@ bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
     const sim::FaultScript min_script = subset(failed.script, elided);
     const RunResult min_run = run_one(cfg, seed, &min_script);
     min_reproduces = min_run.violation;
-    write_json(dir / "fault_script.min.json", min_script.to_json());
+    write_json(dir / "fault_script.min.json", obs::to_json(min_script));
     write_trace(dir / "trace.min.jsonl", min_run.trace);
     violation << "minimized: " << failed.script.ops.size() << " -> "
               << min_script.ops.size() << " ops\n";
@@ -286,30 +263,48 @@ bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
   return min_reproduces;
 }
 
-int replay_bundle(StressConfig cfg) {
-  const fs::path dir = cfg.replay_dir;
-  std::ifstream cfg_in(dir / "config.json");
-  std::stringstream cfg_text;
-  cfg_text << cfg_in.rdbuf();
+/// Read a JSON file into `out` through its field list; false on any error.
+template <class T>
+bool read_record(const fs::path& path, T* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::stringstream text;
+  text << in.rdbuf();
   std::string error;
-  const obs::JsonValue cfg_json_v = obs::JsonValue::parse(cfg_text.str(), &error);
-  std::uint64_t seed = 0;
-  if (!config_from_json(cfg_json_v, &cfg, &seed)) {
-    std::cerr << "cannot parse " << (dir / "config.json").string() << "\n";
+  const obs::JsonValue j = obs::JsonValue::parse(text.str(), &error);
+  return error.empty() && obs::from_json(j, out);
+}
+
+int replay_bundle(const StressConfig& flags) {
+  const fs::path dir = flags.replay_dir;
+  const fs::path cfg_path = dir / "config.json";
+  BundleConfig bundle{0, flags};
+  if (!read_record(cfg_path, &bundle)) {
+    std::cerr << "cannot parse " << cfg_path.string() << "\n";
+    return 2;
+  }
+  // The --clients/--servers rule: a world needs at least one of each.
+  const StressConfig& cfg = bundle.cfg;
+  if (cfg.clients < 1 || cfg.servers < 1) {
+    std::cerr << cfg_path.string()
+              << ": clients and servers must be positive integers\n";
     return 2;
   }
   fs::path script_path = dir / "fault_script.min.json";
   if (!fs::exists(script_path)) script_path = dir / "fault_script.json";
-  std::ifstream script_in(script_path);
-  std::stringstream script_text;
-  script_text << script_in.rdbuf();
   sim::FaultScript script;
-  if (!sim::FaultScript::from_json(
-          obs::JsonValue::parse(script_text.str(), &error), &script)) {
+  if (!read_record(script_path, &script)) {
     std::cerr << "cannot parse " << script_path.string() << "\n";
     return 2;
   }
-  const RunResult result = run_one(cfg, seed, &script);
+  if (!script.fits(cfg.clients, cfg.servers)) {
+    std::cerr << script_path.string()
+              << ": an op names a process or server outside the "
+              << cfg.clients << "-client, " << cfg.servers
+              << "-server world\n";
+    return 2;
+  }
+  const RunResult result = run_one(cfg, bundle.seed, &script);
   if (result.violation) {
     std::cout << "replay of " << script_path.string()
               << " reproduces the violation:\n  " << result.what << "\n";
