@@ -8,6 +8,7 @@
 // to drain the agreed cut.
 #include "app/oracle_world.hpp"
 #include "bench/helpers.hpp"
+#include "obs/span.hpp"
 
 using namespace vsgc;
 using namespace vsgc::bench;
@@ -16,27 +17,6 @@ namespace {
 
 constexpr sim::Time kMembershipRound = 20 * sim::kMillisecond;
 
-/// Every GCS.block -> GCS.view window in `trace` that closes at event index
-/// `from` or later (the block itself may come earlier).
-std::vector<sim::Time> block_windows(const std::vector<spec::Event>& trace,
-                                     std::size_t from) {
-  std::map<ProcessId, sim::Time> block_at;
-  std::vector<sim::Time> windows;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const spec::Event& ev = trace[i];
-    if (const auto* b = std::get_if<spec::GcsBlock>(&ev.body)) {
-      block_at[b->p] = ev.at;
-    } else if (const auto* v = std::get_if<spec::GcsView>(&ev.body)) {
-      auto it = block_at.find(v->p);
-      if (it != block_at.end()) {
-        if (i >= from) windows.push_back(ev.at - it->second);
-        block_at.erase(it);
-      }
-    }
-  }
-  return windows;
-}
-
 double measure_block_window(int n, int inflight_msgs, double drop,
                             obs::BenchArtifact& art, obs::Registry& reg) {
   net::Network::Config cfg;
@@ -44,12 +24,10 @@ double measure_block_window(int n, int inflight_msgs, double drop,
   cfg.jitter = 0;
   cfg.drop_probability = drop;
   app::OracleWorld<> w(n, /*seed=*/1, cfg);
-  obs::MetricsCollector collector(reg);  // gcs.blocking_window_us histogram
-  w.trace.subscribe(collector);
 
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(sim::kSecond);
-  const std::size_t measured_from = w.trace.recorded().size();
+  const sim::Time t0 = w.sim.now();
 
   // Load the group with in-flight traffic, then reconfigure immediately.
   for (int k = 0; k < inflight_msgs; ++k) {
@@ -59,14 +37,21 @@ double measure_block_window(int n, int inflight_msgs, double drop,
   w.run_until(w.sim.now() + 30 * sim::kSecond);
   w.checkers.finalize();
 
-  record_network_stats(reg, w.network);
+  w.snapshot(reg);
   art.tally(w.sim);
-  const std::vector<sim::Time> windows =
-      block_windows(w.trace.recorded(), measured_from);
-  if (windows.empty()) return -1;
+  // One analysis feeds the artifact's gcs.blocking_window_us histogram and
+  // this row: the block -> view window of every view installed after t0.
+  const obs::TraceAnalysis analysis = obs::analyze(w.trace.recorded());
+  obs::record_trace_metrics(analysis, reg);
   sim::Time sum = 0;
-  for (sim::Time t : windows) sum += t;
-  return ms(sum / static_cast<sim::Time>(windows.size()));
+  sim::Time windows = 0;
+  for (const obs::ViewSpan& v : analysis.views) {
+    if (v.installed_at <= t0 || v.block_at < 0) continue;
+    sum += v.installed_at - v.block_at;
+    ++windows;
+  }
+  if (windows == 0) return -1;
+  return ms(sum / windows);
 }
 
 }  // namespace

@@ -26,15 +26,7 @@ Result run_case(int n, sim::Time fd_timeout, obs::BenchArtifact& art,
   cfg.server.fd.timeout = fd_timeout;
   cfg.server.fd.check_interval = fd_timeout / 5;
   app::World w(cfg);
-  struct Tally {
-    obs::BenchArtifact& art;
-    obs::Registry& reg;
-    app::World& w;
-    ~Tally() {
-      art.tally(w.sim());
-      record_network_stats(reg, w.network());
-    }
-  } tally{art, reg, w};
+  const Tally<app::World> tally{art, reg, w};
   w.start();
   if (!w.run_until_converged(w.all_members(), 20 * sim::kSecond)) {
     return {-1, -1};

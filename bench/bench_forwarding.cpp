@@ -57,10 +57,8 @@ Result run_case(int n, int missing_msgs, gcs::ForwardingKind kind,
   Result r{};
   for (std::size_t i = 1; i < w.endpoints.size(); ++i) {
     r.forwarded_copies += w.endpoints[i]->vs_stats().forwards_sent;
-    record_vs_stats(reg, w.pid(static_cast<int>(i)),
-                    w.endpoints[i]->vs_stats());
   }
-  record_network_stats(reg, w.network);
+  w.snapshot(reg);
   art.tally(w.sim);
   // Recovery ends at the latest installation by any survivor; the run is
   // complete only if every survivor installed some view.

@@ -67,11 +67,7 @@ Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
   }
   r.sync_msgs = msgs_after - msgs_before;
   r.sync_bytes = bytes_after - bytes_before;
-  for (std::size_t i = 0; i < w.endpoints.size(); ++i) {
-    record_vs_stats(reg, w.pid(static_cast<int>(i)),
-                    w.endpoints[i]->vs_stats());
-  }
-  record_network_stats(reg, w.network);
+  w.snapshot(reg);
   art.tally(w.sim);
   // The change ends at the last installation by any member.
   const std::vector<obs::ViewSpan> views =

@@ -27,15 +27,7 @@ Result run_case(int clients, int servers, obs::BenchArtifact& art,
   cfg.num_servers = servers;
   cfg.record_trace = false;
   app::World w(cfg);
-  struct Tally {
-    obs::BenchArtifact& art;
-    obs::Registry& reg;
-    app::World& w;
-    ~Tally() {
-      art.tally(w.sim());
-      record_network_stats(reg, w.network());
-    }
-  } tally{art, reg, w};
+  const Tally<app::World> tally{art, reg, w};
   w.start();
   if (!w.run_until_converged(w.all_members(), 60 * sim::kSecond)) {
     return {-1, -1, 0};

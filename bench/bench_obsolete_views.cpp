@@ -35,12 +35,6 @@ double views_per_member_under_cascade(int n, int cascade, sim::Time gap,
   cfg.base_latency = kClientLatency;
   cfg.jitter = 0;
   app::OracleWorld<EndpointT> w(n, /*seed=*/1, cfg);
-  std::unique_ptr<obs::MetricsCollector> collector;
-  if (reg != nullptr) {
-    // The derived gcs.obsolete_views counter is exactly this bench's claim.
-    collector = std::make_unique<obs::MetricsCollector>(*reg);
-    w.trace.subscribe(*collector);
-  }
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(2 * sim::kSecond);
 
@@ -55,8 +49,11 @@ double views_per_member_under_cascade(int n, int cascade, sim::Time gap,
   w.run_until(at + 60 * sim::kSecond);
   w.checkers.finalize();
 
+  const obs::TraceAnalysis analysis = obs::analyze(w.trace.recorded());
+  // The derived gcs.obsolete_views counter is exactly this bench's claim.
+  if (reg != nullptr) obs::record_trace_metrics(analysis, *reg);
   std::uint64_t total = 0;
-  for (const obs::ViewSpan& v : obs::analyze(w.trace.recorded()).views) {
+  for (const obs::ViewSpan& v : analysis.views) {
     if (v.installed_at > t0) ++total;  // views from the cascade only
   }
   art.tally(w.sim);

@@ -23,6 +23,7 @@
 #include <sstream>
 
 #include "app/blocking_client.hpp"
+#include "app/snapshot.hpp"
 #include "bench/helpers.hpp"
 #include "gcs/gcs_endpoint.hpp"
 #include "gcs/process.hpp"
@@ -358,7 +359,7 @@ Row measure(const ScaleParams& params, obs::BenchArtifact& art,
   }
   r.trace = trace_cat.str();
 
-  record_network_stats(reg, w.network);
+  app::snapshot_network(w.network, reg);
   reg.counter("scale.sack_runs_sent").inc(r.sack_runs);
   reg.counter("scale.sack_suppressed").inc(r.sack_suppressed);
   reg.counter("scale.checker_tolerated").inc(r.tolerated);

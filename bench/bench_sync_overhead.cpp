@@ -42,10 +42,7 @@ Overhead measure_ours(int n, obs::BenchArtifact& art, obs::Registry& reg) {
   for (auto& tr : w.transports) bytes_after += tr->stats().bytes_sent;
   std::uint64_t sync_after = 0;
   for (auto& ep : w.endpoints) sync_after += ep->vs_stats().sync_msgs_sent;
-  for (std::size_t i = 0; i < w.endpoints.size(); ++i) {
-    record_vs_stats(reg, w.pid(static_cast<int>(i)), w.endpoints[i]->vs_stats());
-  }
-  record_network_stats(reg, w.network);
+  w.snapshot(reg);
   art.tally(w.sim);
   return {sync_after - sync_before, bytes_after - bytes_before};
 }

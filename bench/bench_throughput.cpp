@@ -52,15 +52,7 @@ Result run_case(int n, int payload_bytes, int messages,
         });
   }
   // Post-mortem accounting only: counters are read after the run.
-  struct Tally {
-    obs::BenchArtifact& art;
-    obs::Registry& reg;
-    app::World& w;
-    ~Tally() {
-      art.tally(w.sim());
-      record_network_stats(reg, w.network());
-    }
-  } tally{art, reg, w};
+  const Tally<app::World> tally{art, reg, w};
 
   w.start();
   if (!w.run_until_converged(w.all_members(), 10 * sim::kSecond)) {
@@ -101,11 +93,11 @@ Result run_case(int n, int payload_bytes, int messages,
                          entries * transport::wire::kFrameEntryBytes) /
                          static_cast<double>(entries);
   // One analysis of the recorded trace feeds this row's p95 columns (a
-  // per-case registry) and the artifact's span.* histograms (the shared one).
+  // per-case registry) and the artifact's trace metrics (the shared one).
   const obs::TraceAnalysis analysis = obs::analyze(w.trace().recorded());
   obs::Registry case_reg;
-  obs::record_span_metrics(analysis, case_reg);
-  obs::record_span_metrics(analysis, reg);
+  obs::record_trace_metrics(analysis, case_reg);
+  obs::record_trace_metrics(analysis, reg);
   return {static_cast<double>(messages) / span_s,
           latency_sum / static_cast<double>(latency_n),
           static_cast<double>(after.bytes_sent - before.bytes_sent) / messages,

@@ -26,15 +26,7 @@ Result run_case(int n, int messages, obs::BenchArtifact& art,
   cfg.num_clients = n;
   cfg.record_trace = false;
   app::World w(cfg);
-  struct Tally {
-    obs::BenchArtifact& art;
-    obs::Registry& reg;
-    app::World& w;
-    ~Tally() {
-      art.tally(w.sim());
-      record_network_stats(reg, w.network());
-    }
-  } tally{art, reg, w};
+  const Tally<app::World> tally{art, reg, w};
 
   std::vector<std::unique_ptr<app::TotalOrder>> to;
   std::vector<std::vector<std::string>> orders(static_cast<std::size_t>(n));

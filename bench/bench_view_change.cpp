@@ -29,24 +29,20 @@ constexpr sim::Time kLatency = 25 * sim::kMillisecond;
 constexpr sim::Time kMembershipRound = 2 * kLatency;
 
 /// When `timeline` is non-null, the run additionally emits the lifecycle
-/// span events, derives metrics into `reg` and copies its recorded trace
-/// into `timeline` (for the Chrome-trace/JSONL export).
+/// span events and copies its recorded trace into `timeline` (for the
+/// Chrome-trace/JSONL export); when `reg` is non-null, the run's trace
+/// metrics and layer snapshot are folded into it.
 template <typename EndpointT>
 double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
                            std::vector<spec::Event>* timeline) {
   net::Network::Config net_cfg;
   net_cfg.base_latency = kLatency;
   net_cfg.jitter = 0;
-  std::unique_ptr<obs::MetricsCollector> collector;
   app::OracleWorld<EndpointT> w(n, /*seed=*/1, net_cfg);
   if (timeline != nullptr) {
     // Fine-grained span milestones (sync-message send, wire legs) so the
     // recorded timeline decomposes into view-change phases (DESIGN.md §10).
     w.trace.set_lifecycle(true);
-  }
-  if (reg != nullptr) {
-    collector = std::make_unique<obs::MetricsCollector>(*reg);
-    w.trace.subscribe(*collector);
   }
 
   // Initial convergence.
@@ -65,8 +61,8 @@ double measure_view_change(int n, obs::BenchArtifact& art, obs::Registry* reg,
   w.checkers.finalize();
   const obs::TraceAnalysis analysis = obs::analyze(w.trace.recorded());
   if (reg != nullptr) {
-    record_network_stats(*reg, w.network);
-    obs::record_span_metrics(analysis, *reg);
+    w.snapshot(*reg);
+    obs::record_trace_metrics(analysis, *reg);
   }
   if (timeline != nullptr) *timeline = w.trace.recorded();
 

@@ -1,4 +1,4 @@
-// Shared benchmark utilities: table printing and trace-based instrumentation.
+// Shared benchmark utilities: table printing and post-mortem run accounting.
 //
 // The benches measure SIMULATED time and message/byte counts — the metrics
 // the paper's claims are about (message rounds, notifications, overhead) —
@@ -7,17 +7,12 @@
 
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "gcs/vs_rfifo_ts_endpoint.hpp"
-#include "net/network.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
-#include "obs/metrics_collector.hpp"
 #include "sim/time.hpp"
-#include "spec/events.hpp"
 
 namespace vsgc::bench {
 
@@ -82,29 +77,18 @@ inline double ms(sim::Time t) {
   return static_cast<double>(t) / sim::kMillisecond;
 }
 
-/// Fold a network's packet/byte stats into a registry (counters aggregate
-/// across every world one bench runs).
-inline void record_network_stats(obs::Registry& reg, const net::Network& net) {
-  const net::Network::Stats& s = net.stats();
-  reg.counter("net.packets_sent").inc(s.packets_sent);
-  reg.counter("net.packets_delivered").inc(s.packets_delivered);
-  reg.counter("net.packets_dropped").inc(s.packets_dropped);
-  reg.counter("net.bytes_sent").inc(s.bytes_sent);
-  reg.gauge("net.max_packet_bytes")
-      .max_of(static_cast<std::int64_t>(s.max_packet_bytes));
-}
-
-/// Fold one end-point's VS-layer stats into a registry, labeled by process —
-/// this is where forwarding fan-out and sync cost reach the artifact (they
-/// are internal actions, invisible on the trace bus).
-inline void record_vs_stats(obs::Registry& reg, ProcessId p,
-                            const gcs::VsRfifoTsEndpoint::VsStats& s) {
-  const obs::Labels labels = obs::process_labels(p.value);
-  reg.counter("gcs.sync_msgs_sent", labels).inc(s.sync_msgs_sent);
-  reg.counter("gcs.sync_msgs_received", labels).inc(s.sync_msgs_received);
-  reg.counter("gcs.sync_bytes_sent", labels).inc(s.sync_bytes_sent);
-  reg.counter("gcs.aggregates_relayed", labels).inc(s.aggregates_relayed);
-  reg.counter("gcs.forwards_sent", labels).inc(s.forwards_sent);
-}
+/// Post-mortem accounting on every exit path of one run: when it goes out of
+/// scope, the simulator's stats go to the artifact's "sim" section and the
+/// world's layer snapshot into `reg`.
+template <typename World>
+struct Tally {
+  obs::BenchArtifact& art;
+  obs::Registry& reg;
+  World& w;
+  ~Tally() {
+    art.tally(w.sim());
+    w.snapshot(reg);
+  }
+};
 
 }  // namespace vsgc::bench

@@ -145,6 +145,42 @@ if ! grep -q "missing object field 'sim'" "$VALIDATE_PLANT/out.txt"; then
   exit 1
 fi
 echo "planted artifact without 'sim' rejected by validate_bench_json"
+# A copy of BENCH_obsolete_views.json without its gcs.obsolete_views rows
+# (the E5 claim metric) must fail too, and the error must name the metric.
+python3 - "$ARTIFACT_DIR/BENCH_obsolete_views.json" \
+  "$VALIDATE_PLANT/BENCH_obsolete_views.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+counters = doc["metrics"]["counters"]
+kept = [r for r in counters if r["name"] != "gcs.obsolete_views"]
+assert len(kept) < len(counters), "no gcs.obsolete_views rows to remove"
+doc["metrics"]["counters"] = kept
+json.dump(doc, open(sys.argv[2], "w"), indent=2)
+PY
+if "$BUILD_DIR/tools/validate_bench_json" \
+    "$VALIDATE_PLANT/BENCH_obsolete_views.json" 2> "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json accepted an artifact without gcs.obsolete_views" >&2
+  exit 1
+fi
+if ! grep -q "missing metric 'gcs.obsolete_views'" "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json rejected the plant for the wrong reason:" >&2
+  cat "$VALIDATE_PLANT/out.txt" >&2
+  exit 1
+fi
+echo "planted artifact without gcs.obsolete_views rejected by validate_bench_json"
+
+echo "== observability tour =="
+# The example converges through a crash and a rejoin under the exact
+# checkers (exit 1 otherwise) and writes its JSONL/Chrome-trace files into
+# the working directory, so it runs from a scratch directory.
+TOUR_DIR="$BUILD_DIR/observability-tour"
+rm -rf "$TOUR_DIR"
+mkdir -p "$TOUR_DIR"
+TOUR_BIN="$(cd "$BUILD_DIR/examples" && pwd)/observability"
+(cd "$TOUR_DIR" && "$TOUR_BIN" > tour.txt)
+test -s "$TOUR_DIR/observability_trace.jsonl"
+test -s "$TOUR_DIR/observability_timeline.json"
+echo "observability tour converged, finalized and exported its trace"
 
 echo "== trace determinism =="
 # Same binary, same seed: the JSONL trace must be byte-identical.
@@ -178,12 +214,29 @@ echo "vsgc_trace: churn losses fully attributed (no unexplained orphans)"
 # Churn artifact: the span.* histograms and the phase rows come from one
 # analysis, so the validator requires every row's count to equal its
 # histogram's even when some wire legs never deliver.
-mkdir -p "$TRACE_OUT/churn-json"
+mkdir -p "$TRACE_OUT/churn-json" "$TRACE_OUT/churn-offline"
 "$BUILD_DIR/tools/vsgc_trace" --record --seed 3 --churn --clients 5 \
   --servers 2 --check-clean --report "$TRACE_OUT/churn3.txt" \
-  --json "$TRACE_OUT/churn-json"
+  --json "$TRACE_OUT/churn-json" --jsonl "$TRACE_OUT/churn3.jsonl"
 "$BUILD_DIR/tools/validate_bench_json" "$TRACE_OUT/churn-json/BENCH_tracelat.json"
 echo "vsgc_trace: churn span histograms match their phase rows"
+# Every metric is a fold of the trace: re-analyzing the recorded JSONL must
+# reproduce the record run's metrics object exactly, headline metrics
+# included.
+"$BUILD_DIR/tools/vsgc_trace" "$TRACE_OUT/churn3.jsonl" \
+  --report "$TRACE_OUT/churn3-offline.txt" --json "$TRACE_OUT/churn-offline"
+python3 - "$TRACE_OUT/churn-json/BENCH_tracelat.json" \
+  "$TRACE_OUT/churn-offline/BENCH_tracelat.json" <<'PY'
+import json, sys
+online = json.load(open(sys.argv[1]))["metrics"]
+offline = json.load(open(sys.argv[2]))["metrics"]
+if online != offline:
+    sys.exit("vsgc_trace: offline metrics differ from the record run's")
+if not any(h["name"] == "gcs.view_change_latency_us"
+           for h in online["histograms"]):
+    sys.exit("vsgc_trace: metrics lack gcs.view_change_latency_us")
+PY
+echo "vsgc_trace: offline metrics equal the record run's"
 # Malformed JSONL (a start_id key that is not a decimal pid) must be a
 # parse error, exit 2, not a crash.
 printf '%s\n' '{"at":1,"type":"gcs_view","p":1,"view":{"epoch":1,"origin":1,"members":[1],"start_id":{"x":1}},"transitional":[1]}' \

@@ -1,6 +1,8 @@
 // Observability tour: run a full simulated deployment through a crash and a
-// rejoin while the obs layer watches, then print the derived metrics and
-// export the execution as JSONL plus a Chrome-trace timeline.
+// rejoin, then derive its metrics after the fact — the trace metrics from
+// the bus's recorded trace, the layer counters from one world snapshot — and
+// export the execution as JSONL plus a Chrome-trace timeline. Exits 1 if any
+// reconfiguration fails to converge; a spec violation aborts the run.
 //
 //   $ ./examples/observability
 //   $ # then open observability_timeline.json at https://ui.perfetto.dev
@@ -12,7 +14,7 @@
 
 #include "app/world.hpp"
 #include "obs/metrics.hpp"
-#include "obs/metrics_collector.hpp"
+#include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
 
 using namespace vsgc;
@@ -23,13 +25,8 @@ int main() {
   config.num_servers = 2;
   app::World world(config);
 
-  // The entire observability layer is one trace-bus subscriber plus the
-  // bus's own recording (on by default in app::World): nothing in the
-  // protocol stack knows it is being measured.
-  obs::Registry registry;
-  obs::MetricsCollector collector(registry);
-  world.trace().subscribe(collector);
-
+  // The trace bus records the run (on by default in app::World); nothing in
+  // the protocol stack knows it is being measured.
   world.start();
   if (!world.run_until_converged(world.all_members(), 10 * sim::kSecond)) {
     std::cerr << "group never converged\n";
@@ -44,15 +41,27 @@ int main() {
   world.process(3).crash();
   std::set<ProcessId> survivors = world.all_members();
   survivors.erase(ProcessId{4});
-  world.run_until_converged(survivors, 30 * sim::kSecond);
+  if (!world.run_until_converged(survivors, 30 * sim::kSecond)) {
+    std::cerr << "survivors never converged after the crash\n";
+    return 1;
+  }
   world.process(3).recover();
-  world.run_until_converged(world.all_members(), 30 * sim::kSecond);
+  if (!world.run_until_converged(world.all_members(), 30 * sim::kSecond)) {
+    std::cerr << "group never converged after the rejoin\n";
+    return 1;
+  }
+  world.finalize_checkers();
 
+  // Post-mortem: every metric derives from the recorded trace or from the
+  // layers' own counters.
+  const std::vector<spec::Event>& trace = world.trace().recorded();
+  obs::Registry registry;
+  obs::record_trace_metrics(obs::analyze(trace), registry);
+  world.snapshot(registry);
   std::cout << "Derived metrics after " << world.sim().now() / sim::kMillisecond
             << " simulated ms:\n"
             << registry.to_json().dump_pretty() << "\n";
 
-  const std::vector<spec::Event>& trace = world.trace().recorded();
   std::ofstream jsonl("observability_trace.jsonl", std::ios::binary);
   obs::write_jsonl(trace, jsonl);
   std::ofstream timeline("observability_timeline.json", std::ios::binary);

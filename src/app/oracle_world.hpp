@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "app/blocking_client.hpp"
+#include "app/snapshot.hpp"
 #include "gcs/gcs_endpoint.hpp"
 #include "gcs/process.hpp"
 #include "membership/oracle.hpp"
@@ -119,6 +120,17 @@ class OracleWorld {
     sim.schedule_at(at, [this, members]() { oracle.start_change(members); });
     sim.schedule_at(at + membership_round,
                     [this, members]() { oracle.deliver_view(members); });
+  }
+
+  /// Fold every layer's counters into `reg` (app/snapshot.hpp): the
+  /// network, each transport, and each end-point's VS stats when the
+  /// end-point has them.
+  void snapshot(obs::Registry& reg) const {
+    snapshot_network(network, reg);
+    for (const auto& t : transports) snapshot_transport(*t, reg);
+    if constexpr (std::is_base_of_v<gcs::VsRfifoTsEndpoint, EndpointT>) {
+      for (const auto& ep : endpoints) snapshot_endpoint(*ep, reg);
+    }
   }
 
   sim::Simulator sim;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "app/blocking_client.hpp"
+#include "app/snapshot.hpp"
 #include "gcs/process.hpp"
 #include "membership/membership_server.hpp"
 #include "net/network.hpp"
@@ -166,6 +167,21 @@ class World {
     };
     for (const auto& p : processes_) check(p->transport());
     for (const auto& s : servers_) check(s->transport());
+  }
+
+  /// Fold every layer's counters into `reg` (app/snapshot.hpp): the
+  /// network, each process's and server's transport, each end-point's VS
+  /// stats and each membership server.
+  void snapshot(obs::Registry& reg) const {
+    snapshot_network(*network_, reg);
+    for (const auto& p : processes_) {
+      snapshot_transport(p->transport(), reg);
+      snapshot_endpoint(p->endpoint(), reg);
+    }
+    for (const auto& s : servers_) {
+      snapshot_transport(s->transport(), reg);
+      snapshot_server(*s, reg);
+    }
   }
 
   /// Arm (or disarm) "crash inside the next delivery callback" for client i.

@@ -180,8 +180,8 @@ const char* edge_violation(std::string_view mf, std::string_view mg) {
     return nullptr;  // the spec observer is includable by every src module
   }
   if (mg == "obs") {
-    if (among(mf, {"sim", "mc"})) return nullptr;
-    return "obs is includable only by sim, mc, lint, and harness code";
+    if (among(mf, {"sim", "app", "mc"})) return nullptr;
+    return "obs is includable only by sim, app, mc, lint, and harness code";
   }
   if (mg == "lint") return "only harness code may include lint";
   const int rf = module_rank(mf);

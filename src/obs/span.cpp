@@ -92,8 +92,12 @@ struct ProcTimeline {
   bool cur_init = false;
 
   bool change_open = false;
+  /// The installation being built; reset by each GcsView and each Crash.
+  /// prev_view_deliveries counts up while the process is in a view.
   ViewSpan change;
   std::map<ViewId, sim::Time> mbr_view_at;
+  std::vector<ViewId> announced;  ///< MbrView ids since the last install
+  sim::Time mbr_round_from = -1;  ///< last MbrStartChange awaiting a view
 
   View& current(ProcessId p) {
     if (!cur_init) {
@@ -187,6 +191,9 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
       MsgAcc& m = msgs[MsgTraceId{e->msg.sender, e->msg.uid}];
       m.submit = ev.at;
       m.view = proc.current(e->p);
+      ProcessCounts& n = out.counts[e->p];
+      ++n.msgs_sent;
+      n.payload_bytes_sent += e->msg.payload.size();
     } else if (const auto* e = std::get_if<spec::MsgWireSend>(&b)) {
       MsgAcc& m = msgs[MsgTraceId{e->sender, e->uid}];
       if (m.wire_send < 0) m.wire_send = ev.at;
@@ -196,8 +203,14 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
     } else if (const auto* e = std::get_if<spec::GcsDeliver>(&b)) {
       MsgAcc& m = msgs[MsgTraceId{e->msg.sender, e->msg.uid}];
       m.deliver.try_emplace(e->p, ev.at);
+      ProcessCounts& n = out.counts[e->p];
+      ++n.msgs_delivered;
+      n.payload_bytes_delivered += e->msg.payload.size();
+      ViewSpan& change = procs[e->p].change;
+      if (change.prev_view_deliveries >= 0) ++change.prev_view_deliveries;
     } else if (const auto* e = std::get_if<spec::GcsView>(&b)) {
       auto& proc = procs[e->p];
+      ++out.counts[e->p].views_installed;
       proc.current(e->p) = e->view;
       proc.installs.push_back({ev.at, e->view, e->transitional});
       ViewSpan span = proc.change;
@@ -206,20 +219,34 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
       span.installed_at = ev.at;
       auto mv = proc.mbr_view_at.find(e->view.id);
       span.mbr_view_at = mv == proc.mbr_view_at.end() ? -1 : mv->second;
+      // Every view announced since the last install that is not the one
+      // being installed was superseded before the application saw it.
+      span.obsolete_views = static_cast<std::uint64_t>(std::count_if(
+          proc.announced.begin(), proc.announced.end(),
+          [&](ViewId id) { return !(id == e->view.id); }));
       out.views.push_back(span);
       proc.change_open = false;
       proc.change = ViewSpan{};
+      proc.change.prev_view_deliveries = 0;
+      proc.announced.clear();
       std::erase_if(proc.mbr_view_at, [&](const auto& entry) {
         return !(e->view.id < entry.first);
       });
     } else if (const auto* e = std::get_if<spec::MbrStartChange>(&b)) {
       auto& proc = procs[e->p];
+      ++out.counts[e->p].start_changes;
       if (!proc.change_open) {
         proc.change_open = true;
         proc.change.start_change_at = ev.at;
       }
+      ++proc.change.start_changes;
+      proc.mbr_round_from = ev.at;
+    } else if (const auto* e = std::get_if<spec::GcsBlock>(&b)) {
+      ++out.counts[e->p].blocks;
+      procs[e->p].change.block_at = ev.at;
     } else if (const auto* e = std::get_if<spec::GcsBlockOk>(&b)) {
       auto& proc = procs[e->p];
+      ++out.counts[e->p].block_oks;
       if (proc.change_open && proc.change.block_ok_at < 0) {
         proc.change.block_ok_at = ev.at;
       }
@@ -229,14 +256,28 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
         proc.change.sync_sent_at = ev.at;
       }
     } else if (const auto* e = std::get_if<spec::MbrView>(&b)) {
-      procs[e->p].mbr_view_at.try_emplace(e->view.id, ev.at);
-    } else if (const auto* e = std::get_if<spec::Crash>(&b)) {
       auto& proc = procs[e->p];
+      ++out.counts[e->p].mbr_views;
+      proc.mbr_view_at.try_emplace(e->view.id, ev.at);
+      proc.announced.push_back(e->view.id);
+      if (proc.mbr_round_from >= 0) {
+        out.mbr_rounds_us.push_back(ev.at - proc.mbr_round_from);
+        proc.mbr_round_from = -1;
+      }
+    } else if (const auto* e = std::get_if<spec::Crash>(&b)) {
+      // A crash wipes the process: open intervals close without a sample,
+      // so nothing pairs with a post-recovery event.
+      auto& proc = procs[e->p];
+      ++out.counts[e->p].crashes;
       proc.crashes.push_back(ev.at);
       proc.change_open = false;
       proc.change = ViewSpan{};
       proc.mbr_view_at.clear();
+      proc.announced.clear();
+      proc.mbr_round_from = -1;
       proc.current(e->p) = View::initial(e->p);
+    } else if (const auto* e = std::get_if<spec::Recover>(&b)) {
+      ++out.counts[e->p].recoveries;
     } else if (const auto* e = std::get_if<spec::XportRetransmit>(&b)) {
       out.retransmit_packets += e->packets;
     } else if (const auto* e = std::get_if<spec::MsgForward>(&b)) {
@@ -247,7 +288,7 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
       else if (e->phase == "suspicion") ++out.mbr_suspicions;
       else if (e->phase == "notify_drop") ++out.notify_drops;
     }
-    // Recover, GcsBlock, FaultInjected, SyncRecv: no span state to update.
+    // FaultInjected, SyncRecv: no span state to update.
   }
 
   // Build the message spans: one leg per member of the send view, orphan
@@ -494,7 +535,7 @@ void append_tracelat_results(const TraceAnalysis& a, BenchArtifact& artifact) {
   phase("view_phase", "end_to_end", s.v_e2e);
 }
 
-void record_span_metrics(const TraceAnalysis& a, Registry& reg) {
+void record_trace_metrics(const TraceAnalysis& a, Registry& reg) {
   const PhaseSamples s = collect_samples(a);
   const auto fold = [&](const char* name, const std::vector<sim::Time>& xs) {
     Histogram& h = reg.histogram(name);
@@ -517,6 +558,53 @@ void record_span_metrics(const TraceAnalysis& a, Registry& reg) {
         std::pair{"suspicion", a.mbr_suspicions},
         std::pair{"notify_drop", a.notify_drops}}) {
     if (n != 0) reg.counter(std::string("span.mbr.") + phase).inc(n);
+  }
+
+  // Headline metrics: a row exists only once something was observed.
+  for (const auto& [p, n] : a.counts) {
+    const Labels labels = process_labels(p.value);
+    const auto count = [&](const char* name, std::uint64_t v) {
+      if (v != 0) reg.counter(name, labels).inc(v);
+    };
+    count("gcs.msgs_sent", n.msgs_sent);
+    count("gcs.msgs_delivered", n.msgs_delivered);
+    count("mbr.start_changes", n.start_changes);
+    count("mbr.views", n.mbr_views);
+    count("gcs.views_installed", n.views_installed);
+    count("gcs.blocks", n.blocks);
+    count("gcs.block_oks", n.block_oks);
+    count("crashes", n.crashes);
+    count("recoveries", n.recoveries);
+    // A byte row exists with its message row, even at zero bytes.
+    if (n.msgs_sent != 0) {
+      reg.counter("gcs.payload_bytes_sent", labels).inc(n.payload_bytes_sent);
+    }
+    if (n.msgs_delivered != 0) {
+      reg.counter("gcs.payload_bytes_delivered", labels)
+          .inc(n.payload_bytes_delivered);
+    }
+  }
+  for (sim::Time t : a.mbr_rounds_us) reg.histogram("mbr.round_us").observe(t);
+  for (const ViewSpan& v : a.views) {
+    if (v.start_change_at >= 0) {
+      reg.histogram("gcs.view_change_latency_us")
+          .observe(v.installed_at - v.start_change_at);
+    }
+    if (v.block_at >= 0) {
+      reg.histogram("gcs.blocking_window_us")
+          .observe(v.installed_at - v.block_at);
+    }
+    if (v.start_changes > 0) {
+      reg.histogram("gcs.sync_rounds_per_view")
+          .observe(static_cast<std::int64_t>(v.start_changes));
+    }
+    if (v.prev_view_deliveries >= 0) {
+      reg.histogram("gcs.msgs_per_view").observe(v.prev_view_deliveries);
+    }
+    if (v.obsolete_views > 0) {
+      reg.counter("gcs.obsolete_views", process_labels(v.p.value))
+          .inc(v.obsolete_views);
+    }
   }
 }
 

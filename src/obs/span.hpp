@@ -5,9 +5,11 @@
 // vector (TraceBus::recorded() or a re-parsed JSONL file) that builds full
 // MsgSpan/ViewSpan structures and classifies every expected-but-undelivered
 // leg (orphan detection). Its consumers are the byte-deterministic report of
-// tools/vsgc_trace, the BENCH_tracelat.json rows, and record_span_metrics(),
-// which folds the same phase samples into a Registry's span.* histograms.
-// The fine-grained phases need TraceBus::lifecycle() on at the emitters.
+// tools/vsgc_trace, the BENCH_tracelat.json rows, and record_trace_metrics(),
+// the only producer of trace-derived metrics: it folds the same phase samples
+// into span.* histograms and the per-process counts and per-view intervals
+// into the paper's headline gcs.*/mbr.* metrics. The fine-grained phases need
+// TraceBus::lifecycle() on at the emitters; the headline metrics do not.
 //
 // Identity scheme: a message's trace id is (sender, uid) — the sender's
 // ProcessId plus the sender-local sequence number assigned at submit. Both
@@ -21,6 +23,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,7 +81,9 @@ struct MsgSpan {
 
 /// Client-side milestones of one process installing one view. Milestones are
 /// first-occurrence within the change window (opened by the first
-/// MbrStartChange after the previous installation); -1 = not observed.
+/// MbrStartChange after the previous installation); -1 = not observed. The
+/// remaining fields cover the whole interval since the previous installation
+/// (or the process's last crash): a Crash closes it without a sample.
 struct ViewSpan {
   ProcessId p;
   ViewId view;
@@ -87,6 +92,27 @@ struct ViewSpan {
   sim::Time sync_sent_at = -1;  ///< cut committed + sync message multicast
   sim::Time mbr_view_at = -1;   ///< MBRSHP notification of `view`
   sim::Time installed_at = -1;  ///< GCS view delivery
+  sim::Time block_at = -1;      ///< last GCS.block before the installation
+  std::uint64_t start_changes = 0;   ///< MBRSHP start_changes consumed
+  std::uint64_t obsolete_views = 0;  ///< MBRSHP views superseded unseen
+  /// Deliveries in the view this installation ends; -1 for the first view
+  /// since the process (re)started.
+  std::int64_t prev_view_deliveries = -1;
+};
+
+/// Per-process tallies of the trace's external actions.
+struct ProcessCounts {
+  std::uint64_t msgs_sent = 0;
+  std::uint64_t payload_bytes_sent = 0;
+  std::uint64_t msgs_delivered = 0;
+  std::uint64_t payload_bytes_delivered = 0;
+  std::uint64_t start_changes = 0;
+  std::uint64_t mbr_views = 0;
+  std::uint64_t views_installed = 0;
+  std::uint64_t blocks = 0;
+  std::uint64_t block_oks = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t recoveries = 0;
 };
 
 /// Monotone phase decomposition of a ViewSpan. Milestones are clamped into
@@ -132,6 +158,9 @@ struct TraceAnalysis {
   std::uint64_t mbr_views_formed = 0;  ///< server "view_formed" markers
   std::uint64_t mbr_suspicions = 0;    ///< server "suspicion" markers
   std::uint64_t notify_drops = 0;      ///< client-suppressed notifications
+  std::map<ProcessId, ProcessCounts> counts;
+  /// MBRSHP round per process: last start_change until the next MBRSHP view.
+  std::vector<sim::Time> mbr_rounds_us;
 
   std::uint64_t unexplained() const {
     return orphans_by_kind[static_cast<int>(OrphanKind::kUnexplained)];
@@ -153,14 +182,30 @@ void write_trace_report(const TraceAnalysis& analysis, std::ostream& os,
 void append_tracelat_results(const TraceAnalysis& analysis,
                              BenchArtifact& artifact);
 
-/// Fold an analysis's phase samples into `registry`:
+/// Fold an analysis into `registry`: every trace-derived metric.
+///
+/// Span metrics (always written; each histogram holds exactly the samples of
+/// its phase row in append_tracelat_results):
 ///   span.msg.{sender_queue_us,wire_us,gate_us,e2e_us}
 ///   span.view.{blocking_us,sync_send_us,membership_wait_us,install_wait_us,
 ///              e2e_us}
 ///   span.retransmit_packets / span.forward_copies (counters)
 ///   span.mbr.<phase> (counters, only for phases that occurred)
-/// Each histogram holds exactly the samples of its phase row in
-/// append_tracelat_results; its percentiles carry log2-bucket resolution.
-void record_span_metrics(const TraceAnalysis& analysis, Registry& registry);
+///
+/// Headline metrics (written only once observed, labelled process=pN):
+///   gcs.msgs_sent / gcs.msgs_delivered / gcs.payload_bytes_{sent,delivered}
+///   mbr.start_changes / mbr.views / gcs.views_installed / gcs.blocks /
+///   gcs.block_oks / crashes / recoveries — per-process action counts
+///   gcs.obsolete_views — MBRSHP views superseded before p installed them
+///     (the E5 "never delivers obsolete views" claim)
+/// and five unlabelled histograms:
+///   gcs.view_change_latency_us — first start_change -> GCS view (E1)
+///   mbr.round_us — MBRSHP start_change -> MBRSHP view
+///   gcs.blocking_window_us — GCS.block -> GCS view (E6)
+///   gcs.sync_rounds_per_view — start_changes consumed per installed view
+///   gcs.msgs_per_view — deliveries within one view
+/// Percentiles carry log2-bucket resolution. Counters add, so one registry
+/// can absorb the analyses of many runs.
+void record_trace_metrics(const TraceAnalysis& analysis, Registry& registry);
 
 }  // namespace vsgc::obs

@@ -120,8 +120,7 @@ struct Recover {
 /// Crash/Recover events; this covers every other fault so post-mortem
 /// timelines show exactly which adversarial schedule an execution ran under.
 // Faults are adversarial *inputs*, not protocol actions a safety checker
-// could constrain; the consumers are MetricsCollector and the trace exporters
-// (src/obs).
+// could constrain; the consumers are the trace exporters (src/obs).
 // vsgc-lint: allow(event-coverage) adversarial input metadata, consumed by src/obs timelines rather than by a spec checker
 struct FaultInjected {
   static constexpr const char* kType = "fault";

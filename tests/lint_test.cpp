@@ -512,6 +512,17 @@ TEST(LintLayerViolation, SrcMustNotIncludeHarness) {
   ASSERT_EQ(count_rule(fs, "layer-violation"), 1);
 }
 
+TEST(LintLayerViolation, ObsIsIncludableByAppButNotByProtocolLayers) {
+  const auto app = run_two("src/app/fixture.hpp",
+                           "#pragma once\n#include \"obs/metrics.hpp\"\n",
+                           "src/obs/metrics.hpp", "#pragma once\n");
+  EXPECT_EQ(count_rule(app, "layer-violation"), 0);
+  const auto gcs = run_two("src/gcs/fixture.hpp",
+                           "#pragma once\n#include \"obs/metrics.hpp\"\n",
+                           "src/obs/metrics.hpp", "#pragma once\n");
+  EXPECT_EQ(count_rule(gcs, "layer-violation"), 1);
+}
+
 TEST(LintLayerViolation, PragmaSuppresses) {
   const auto fs = run_two(
       "src/transport/fixture.hpp",

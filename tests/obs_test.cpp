@@ -1,18 +1,20 @@
 // Tests for the vsgc::obs observability subsystem: metric primitive
-// semantics, JSONL round-trip of recorded traces, metrics derived from a
-// scripted view change, Chrome-trace export, and the determinism guarantee
-// that same-seed executions produce byte-identical trace files.
+// semantics, JSONL round-trip of recorded traces, the trace fold
+// (record_trace_metrics) on a scripted view change and against a golden
+// registry, the layer snapshot, Chrome-trace export, and the determinism
+// guarantee that same-seed executions produce byte-identical trace files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "app/world.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/metrics_collector.hpp"
+#include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
-#include "obs/xport_metrics.hpp"
 
 namespace vsgc {
 namespace {
@@ -162,14 +164,9 @@ std::vector<spec::Event> scripted_view_change() {
   return events;
 }
 
-TEST(MetricsCollector, DerivesHeadlineMetricsFromScriptedChange) {
+TEST(TraceMetrics, DerivesHeadlineMetricsFromScriptedChange) {
   obs::Registry reg;
-  obs::MetricsCollector collector(reg);
-  spec::TraceBus bus;
-  bus.subscribe(collector);
-  for (const spec::Event& ev : scripted_view_change()) {
-    bus.emit(ev.at, ev.body);
-  }
+  obs::record_trace_metrics(obs::analyze(scripted_view_change()), reg);
 
   EXPECT_EQ(reg.counter_total("mbr.start_changes"), 2u);
   EXPECT_EQ(reg.counter_total("mbr.views"), 2u);
@@ -196,26 +193,240 @@ TEST(MetricsCollector, DerivesHeadlineMetricsFromScriptedChange) {
   EXPECT_EQ(reg.histogram("gcs.sync_rounds_per_view").sum(), 2u);
 }
 
-TEST(MetricsCollector, CrashResetsOpenIntervals) {
-  obs::Registry reg;
-  obs::MetricsCollector collector(reg);
+TEST(TraceMetrics, CrashResetsOpenIntervals) {
   spec::TraceBus bus;
-  bus.subscribe(collector);
+  bus.set_recording(true);
   const ProcessId p1{1};
+  View stale = View::initial(p1);
+  stale.id = ViewId{1, 0};
+  View v = View::initial(p1);
+  v.id = ViewId{2, 0};
+  v.start_id = {{p1, StartChangeId{1}}};
   bus.emit(0, spec::MbrStartChange{p1, StartChangeId{1}, {p1}});
   bus.emit(100, spec::GcsBlock{p1});
+  bus.emit(150, spec::MbrView{p1, stale});  // membership round: 150us
+  bus.emit(160, spec::MbrStartChange{p1, StartChangeId{2}, {p1}});
   bus.emit(200, spec::Crash{p1});
   bus.emit(300, spec::Recover{p1});
-  View v = View::initial(p1);
-  v.id = ViewId{1, 0};
-  v.start_id = {{p1, StartChangeId{1}}};
+  bus.emit(4000, spec::MbrView{p1, v});
   bus.emit(5000, spec::GcsView{p1, v, {p1}});
+  obs::Registry reg;
+  obs::record_trace_metrics(obs::analyze(bus.recorded()), reg);
   // The pre-crash block/start_change must not pair with the post-recovery
   // view: no bogus 4900us windows.
   EXPECT_EQ(reg.histogram("gcs.blocking_window_us").count(), 0u);
   EXPECT_EQ(reg.histogram("gcs.view_change_latency_us").count(), 0u);
   EXPECT_EQ(reg.counter_total("crashes"), 1u);
   EXPECT_EQ(reg.counter_total("recoveries"), 1u);
+  // Nor may the round opened at 160us close at the post-recovery MBRSHP
+  // view, the pre-crash start_changes count towards the installed view, or
+  // the pre-crash announcement count as superseded.
+  EXPECT_EQ(reg.histogram("mbr.round_us").count(), 1u);
+  EXPECT_EQ(reg.histogram("mbr.round_us").sum(), 150u);
+  EXPECT_EQ(reg.histogram("gcs.sync_rounds_per_view").count(), 0u);
+  EXPECT_EQ(reg.counter_total("gcs.obsolete_views"), 0u);
+  // The first view after recovery ends no view, so no msgs_per_view sample.
+  EXPECT_EQ(reg.histogram("gcs.msgs_per_view").count(), 0u);
+}
+
+/// The examples/observability scenario: 4 clients on 2 servers converge,
+/// multicast, lose p4 to a crash and take it back after recovery.
+void run_crash_recover_tour(app::World& world) {
+  world.start();
+  EXPECT_TRUE(world.run_until_converged(world.all_members(), 10 * sim::kSecond));
+  for (int i = 0; i < world.num_clients(); ++i) {
+    world.client(i).send("hello from p" + std::to_string(i + 1));
+  }
+  world.run_for(sim::kSecond);
+  world.process(3).crash();
+  std::set<ProcessId> survivors = world.all_members();
+  survivors.erase(ProcessId{4});
+  EXPECT_TRUE(world.run_until_converged(survivors, 30 * sim::kSecond));
+  world.process(3).recover();
+  EXPECT_TRUE(
+      world.run_until_converged(world.all_members(), 30 * sim::kSecond));
+  world.finalize_checkers();
+}
+
+app::WorldConfig tour_config() {
+  app::WorldConfig config;
+  config.num_clients = 4;
+  config.num_servers = 2;
+  return config;
+}
+
+/// Every row the streaming MetricsCollector (a TraceBus subscriber, since
+/// replaced by the post-mortem fold) wrote for run_crash_recover_tour(), as
+/// Registry::to_json().dump() bytes. One row per line; the newlines are not
+/// part of the dump.
+constexpr const char* kCollectorGolden = R"(
+{"counters":[
+{"name":"crashes","labels":{"process":"p4"},"value":1},
+{"name":"gcs.block_oks","labels":{"process":"p1"},"value":3},
+{"name":"gcs.block_oks","labels":{"process":"p2"},"value":3},
+{"name":"gcs.block_oks","labels":{"process":"p3"},"value":3},
+{"name":"gcs.block_oks","labels":{"process":"p4"},"value":2},
+{"name":"gcs.blocks","labels":{"process":"p1"},"value":3},
+{"name":"gcs.blocks","labels":{"process":"p2"},"value":3},
+{"name":"gcs.blocks","labels":{"process":"p3"},"value":3},
+{"name":"gcs.blocks","labels":{"process":"p4"},"value":2},
+{"name":"gcs.msgs_delivered","labels":{"process":"p1"},"value":4},
+{"name":"gcs.msgs_delivered","labels":{"process":"p2"},"value":4},
+{"name":"gcs.msgs_delivered","labels":{"process":"p3"},"value":4},
+{"name":"gcs.msgs_delivered","labels":{"process":"p4"},"value":4},
+{"name":"gcs.msgs_sent","labels":{"process":"p1"},"value":1},
+{"name":"gcs.msgs_sent","labels":{"process":"p2"},"value":1},
+{"name":"gcs.msgs_sent","labels":{"process":"p3"},"value":1},
+{"name":"gcs.msgs_sent","labels":{"process":"p4"},"value":1},
+{"name":"gcs.obsolete_views","labels":{"process":"p1"},"value":1},
+{"name":"gcs.obsolete_views","labels":{"process":"p3"},"value":1},
+{"name":"gcs.payload_bytes_delivered","labels":{"process":"p1"},"value":52},
+{"name":"gcs.payload_bytes_delivered","labels":{"process":"p2"},"value":52},
+{"name":"gcs.payload_bytes_delivered","labels":{"process":"p3"},"value":52},
+{"name":"gcs.payload_bytes_delivered","labels":{"process":"p4"},"value":52},
+{"name":"gcs.payload_bytes_sent","labels":{"process":"p1"},"value":13},
+{"name":"gcs.payload_bytes_sent","labels":{"process":"p2"},"value":13},
+{"name":"gcs.payload_bytes_sent","labels":{"process":"p3"},"value":13},
+{"name":"gcs.payload_bytes_sent","labels":{"process":"p4"},"value":13},
+{"name":"gcs.views_installed","labels":{"process":"p1"},"value":3},
+{"name":"gcs.views_installed","labels":{"process":"p2"},"value":3},
+{"name":"gcs.views_installed","labels":{"process":"p3"},"value":3},
+{"name":"gcs.views_installed","labels":{"process":"p4"},"value":2},
+{"name":"mbr.start_changes","labels":{"process":"p1"},"value":7},
+{"name":"mbr.start_changes","labels":{"process":"p2"},"value":6},
+{"name":"mbr.start_changes","labels":{"process":"p3"},"value":8},
+{"name":"mbr.start_changes","labels":{"process":"p4"},"value":6},
+{"name":"mbr.views","labels":{"process":"p1"},"value":4},
+{"name":"mbr.views","labels":{"process":"p2"},"value":3},
+{"name":"mbr.views","labels":{"process":"p3"},"value":4},
+{"name":"mbr.views","labels":{"process":"p4"},"value":2},
+{"name":"recoveries","labels":{"process":"p4"},"value":1}],
+"gauges":[],
+"histograms":[
+{"name":"gcs.blocking_window_us","labels":{},"count":11,"sum":20272,"min":997,"max":2342,"mean":1842.909090909091,"p50":2342,"p90":2342,"p99":2342},
+{"name":"gcs.msgs_per_view","labels":{},"count":6,"sum":12,"min":0,"max":4,"mean":2.0,"p50":0,"p90":4,"p99":4},
+{"name":"gcs.sync_rounds_per_view","labels":{},"count":11,"sum":27,"min":1,"max":5,"mean":2.4545454545454546,"p50":3,"p90":5,"p99":5},
+{"name":"gcs.view_change_latency_us","labels":{},"count":11,"sum":20272,"min":997,"max":2342,"mean":1842.909090909091,"p50":2342,"p90":2342,"p99":2342},
+{"name":"mbr.round_us","labels":{},"count":13,"sum":10579,"min":0,"max":2099,"mean":813.7692307692307,"p50":1023,"p90":2099,"p99":2099}]}
+)";
+
+/// `reg`'s export without its span.* rows.
+std::string without_span_rows(const obs::Registry& reg) {
+  const obs::JsonValue all = reg.to_json();
+  obs::JsonValue out = obs::JsonValue::object();
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    obs::JsonValue& rows = out[section] = obs::JsonValue::array();
+    for (const obs::JsonValue& row : all.find(section)->items()) {
+      if (!row.find("name")->as_string().starts_with("span.")) {
+        rows.push_back(row);
+      }
+    }
+  }
+  return out.dump();
+}
+
+TEST(TraceMetrics, ReproducesTheCollectorGoldenByteForByte) {
+  app::World world(tour_config());
+  run_crash_recover_tour(world);
+  obs::Registry reg;
+  obs::record_trace_metrics(obs::analyze(world.trace().recorded()), reg);
+  std::string golden = kCollectorGolden;
+  std::erase(golden, '\n');
+  EXPECT_EQ(without_span_rows(reg), golden);
+}
+
+/// Every metric name in `reg`'s export.
+std::set<std::string> metric_names(const obs::Registry& reg) {
+  std::set<std::string> names;
+  const obs::JsonValue all = reg.to_json();
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    for (const obs::JsonValue& row : all.find(section)->items()) {
+      names.insert(row.find("name")->as_string());
+    }
+  }
+  return names;
+}
+
+TEST(WorldSnapshot, CountersSumTheLayersAndStayDisjointFromTheTraceFold) {
+  app::World world(tour_config());
+  run_crash_recover_tour(world);
+  obs::Registry reg;
+  world.snapshot(reg);
+
+  std::uint64_t frames = 0, entries = 0, acks = 0, bytes = 0;
+  std::uint64_t peak_unacked = 0;
+  const auto add = [&](const transport::CoRfifoTransport& t) {
+    frames += t.stats().frames_sent;
+    entries += t.stats().entries_sent;
+    acks += t.stats().acks_sent;
+    bytes += t.stats().bytes_sent;
+    peak_unacked = std::max(peak_unacked, t.stats().peak_unacked);
+  };
+  std::uint64_t sync_sent = 0, forwards = 0;
+  for (int i = 0; i < world.num_clients(); ++i) {
+    add(world.process(i).transport());
+    sync_sent += world.process(i).endpoint().vs_stats().sync_msgs_sent;
+    forwards += world.process(i).endpoint().vs_stats().forwards_sent;
+  }
+  std::uint64_t rounds = 0, start_changes = 0;
+  for (int s = 0; s < world.num_servers(); ++s) {
+    add(world.server(s).transport());
+    rounds += world.server(s).stats().rounds_started;
+    start_changes += world.server(s).stats().start_changes_sent;
+  }
+  const net::Network::Stats& net = world.network().stats();
+  EXPECT_GT(frames, 0u);
+  EXPECT_GT(sync_sent, 0u);
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(reg.counter_total("net.packets_sent"), net.packets_sent);
+  EXPECT_EQ(reg.counter_total("net.bytes_sent"), net.bytes_sent);
+  EXPECT_EQ(reg.counter_total("xport.frame.frames_sent"), frames);
+  EXPECT_EQ(reg.counter_total("xport.frame.entries_sent"), entries);
+  EXPECT_EQ(reg.counter_total("xport.frame.acks_sent"), acks);
+  EXPECT_EQ(reg.counter_total("xport.frame.bytes_sent"), bytes);
+  EXPECT_EQ(reg.counter_total("gcs.sync_msgs_sent"), sync_sent);
+  EXPECT_EQ(reg.counter_total("gcs.forwards_sent"), forwards);
+  EXPECT_EQ(reg.counter_total("mbr.server.rounds_started"), rounds);
+  EXPECT_EQ(reg.counter_total("mbr.server.start_changes_sent"),
+            start_changes);
+  // Each transport is labelled by its node.
+  EXPECT_EQ(
+      reg.counter("xport.frame.frames_sent", obs::process_labels(1)).value(),
+      world.process(0).transport().stats().frames_sent);
+  EXPECT_EQ(reg.counter("xport.frame.frames_sent", {{"server", "s1"}}).value(),
+            world.server(1).transport().stats().frames_sent);
+
+  // A second snapshot into the same registry doubles every counter and
+  // leaves every gauge (a max) unchanged.
+  const obs::JsonValue once = reg.to_json();
+  world.snapshot(reg);
+  const obs::JsonValue twice = reg.to_json();
+  ASSERT_EQ(once.find("counters")->size(), twice.find("counters")->size());
+  for (std::size_t i = 0; i < once.find("counters")->size(); ++i) {
+    EXPECT_EQ(twice.find("counters")->at(i).find("value")->as_int(),
+              2 * once.find("counters")->at(i).find("value")->as_int());
+  }
+  EXPECT_EQ(twice.find("gauges")->dump(), once.find("gauges")->dump());
+  EXPECT_GT(once.find("gauges")->size(), 0u);
+  std::int64_t peak = 0;
+  for (const obs::JsonValue& g : once.find("gauges")->items()) {
+    if (g.find("name")->as_string() == "xport.window.peak_unacked") {
+      peak = std::max(peak, g.find("value")->as_int());
+    }
+  }
+  EXPECT_EQ(peak, static_cast<std::int64_t>(peak_unacked));
+
+  // No snapshot name is one the trace fold writes for the same run.
+  obs::Registry trace_reg;
+  obs::record_trace_metrics(obs::analyze(world.trace().recorded()),
+                            trace_reg);
+  const std::set<std::string> layer = metric_names(reg);
+  const std::set<std::string> trace = metric_names(trace_reg);
+  EXPECT_FALSE(layer.empty());
+  EXPECT_FALSE(trace.empty());
+  for (const std::string& name : layer) {
+    EXPECT_FALSE(trace.contains(name)) << name;
+  }
 }
 
 // ------------------------------------------------------------ trace recorder
@@ -395,41 +606,6 @@ TEST(BenchArtifact, SchemaAndSimSection) {
                 .find("value")
                 ->as_int(),
             3);
-}
-
-TEST(XportMetrics, RecordsFrameAndWindowStats) {
-  transport::CoRfifoTransport::Stats s;
-  s.frames_sent = 10;
-  s.entries_sent = 64;
-  s.acks_sent = 3;
-  s.acks_piggybacked = 7;
-  s.retransmissions = 2;
-  s.bytes_sent = 4096;
-  s.window_stalls = 1;
-  s.ooo_dropped = 5;
-  s.peak_unacked = 12;
-  s.peak_out_of_order = 4;
-  s.peak_pending = 30;
-
-  obs::Registry reg;
-  const obs::Labels labels = obs::process_labels(1);
-  obs::record_xport_stats(reg, labels, s);
-  EXPECT_EQ(reg.counter("xport.frame.frames_sent", labels).value(), 10u);
-  EXPECT_EQ(reg.counter("xport.frame.entries_sent", labels).value(), 64u);
-  EXPECT_EQ(reg.counter("xport.frame.acks_sent", labels).value(), 3u);
-  EXPECT_EQ(reg.counter("xport.frame.acks_piggybacked", labels).value(), 7u);
-  EXPECT_EQ(reg.counter("xport.window.stalls", labels).value(), 1u);
-  EXPECT_EQ(reg.counter("xport.window.ooo_dropped", labels).value(), 5u);
-  EXPECT_EQ(reg.gauge("xport.window.peak_unacked", labels).value(), 12);
-  EXPECT_EQ(reg.gauge("xport.window.peak_out_of_order", labels).value(), 4);
-  EXPECT_EQ(reg.gauge("xport.window.peak_pending", labels).value(), 30);
-
-  // Gauges fold with max_of: a second, quieter transport cannot shrink them.
-  transport::CoRfifoTransport::Stats quiet;
-  quiet.peak_unacked = 2;
-  obs::record_xport_stats(reg, labels, quiet);
-  EXPECT_EQ(reg.gauge("xport.window.peak_unacked", labels).value(), 12);
-  EXPECT_EQ(reg.counter("xport.frame.frames_sent", labels).value(), 10u);
 }
 
 }  // namespace

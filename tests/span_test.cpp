@@ -40,7 +40,7 @@ std::vector<spec::Event> record_fault_free(std::uint64_t seed, int clients,
   return w.trace().recorded();
 }
 
-// ------------------------------------------------- record_span_metrics()
+// ------------------------------------------------ record_trace_metrics()
 
 TEST(SpanMetrics, DerivesPhaseHistogramsFromARun) {
   app::WorldConfig wc;
@@ -56,7 +56,7 @@ TEST(SpanMetrics, DerivesPhaseHistogramsFromARun) {
   }
   w.run_for(1 * sim::kSecond);
   obs::Registry reg;
-  obs::record_span_metrics(obs::analyze(w.trace().recorded()), reg);
+  obs::record_trace_metrics(obs::analyze(w.trace().recorded()), reg);
 
   // 10 messages, 4 members each: 40 end-to-end legs, 30 remote wire legs.
   EXPECT_EQ(reg.histogram("span.msg.e2e_us").count(), 40u);
@@ -79,7 +79,7 @@ TEST(SpanMetrics, LifecycleOffEmitsNoSpanEvents) {
   w.client(0).send("x");
   w.run_for(100 * sim::kMillisecond);
   obs::Registry reg;
-  obs::record_span_metrics(obs::analyze(w.trace().recorded()), reg);
+  obs::record_trace_metrics(obs::analyze(w.trace().recorded()), reg);
   EXPECT_EQ(reg.histogram("span.msg.wire_us").count(), 0u);
   // GcsSend/GcsDeliver still flow (they are protocol events), so e2e legs
   // are observable even without the fine-grained lifecycle.
@@ -106,7 +106,7 @@ TEST(SpanMetrics, EveryHistogramCountsExactlyItsPhaseRow) {
 
   const obs::TraceAnalysis a = obs::analyze(w.trace().recorded());
   obs::Registry reg;
-  obs::record_span_metrics(a, reg);
+  obs::record_trace_metrics(a, reg);
   obs::BenchArtifact art("span_test");
   obs::append_tracelat_results(a, art);
   const std::map<std::string, std::string> histogram_of = {

@@ -199,22 +199,37 @@ void validate_throughput(const JsonValue& results, Check& c) {
   c.require(group_rows > 0, "throughput needs at least one group-size row");
 }
 
-/// The "metrics.histograms" row named `name`, or null.
-const JsonValue* find_histogram(const JsonValue& root,
-                                const std::string& name) {
+/// The first metrics row named `name` in one of `sections`, or null.
+const JsonValue* find_metric(
+    const JsonValue& root, const std::string& name,
+    std::initializer_list<const char*> sections = {"counters", "gauges",
+                                                   "histograms"}) {
   const JsonValue* metrics = root.find("metrics");
   if (metrics == nullptr || !metrics->is_object()) return nullptr;
-  const JsonValue* hists = metrics->find("histograms");
-  if (hists == nullptr || !hists->is_array()) return nullptr;
-  for (const JsonValue& row : hists->items()) {
-    const JsonValue* n = row.find("name");
-    if (n != nullptr && n->is_string() && n->as_string() == name) return &row;
+  for (const char* section : sections) {
+    const JsonValue* rows = metrics->find(section);
+    if (rows == nullptr || !rows->is_array()) continue;
+    for (const JsonValue& row : rows->items()) {
+      const JsonValue* n = row.find("name");
+      if (n != nullptr && n->is_string() && n->as_string() == name) {
+        return &row;
+      }
+    }
   }
   return nullptr;
 }
 
+/// The metrics each bench's claim is read from: its artifact must carry
+/// every one of them, in any metrics section.
+const std::map<std::string, std::vector<std::string>> kClaimMetrics = {
+    {"throughput", {"span.msg.e2e_us"}},
+    {"view_change", {"span.view.e2e_us", "gcs.view_change_latency_us"}},
+    {"blocking", {"gcs.blocking_window_us"}},
+    {"obsolete_views", {"gcs.obsolete_views"}},
+};
+
 /// Schema for tools/vsgc_trace --json output (BENCH_tracelat.json,
-/// obs::append_tracelat_results + obs::record_span_metrics): exactly one
+/// obs::append_tracelat_results + obs::record_trace_metrics): exactly one
 /// "summary" row plus per-phase "msg_phase"/"view_phase" rows with known
 /// phase names, and the nine span.* histograms, each holding exactly as many
 /// samples as its phase row counts. The CI trace gate reads orphan counts
@@ -235,7 +250,7 @@ void validate_tracelat(const JsonValue& root, const JsonValue& results,
           {{"view_phase", "end_to_end"}, "span.view.e2e_us"},
       };
   for (const auto& [row, name] : histogram_of) {
-    c.require(find_histogram(root, name) != nullptr,
+    c.require(find_metric(root, name, {"histograms"}) != nullptr,
               "tracelat artifact missing histogram '" + name + "'");
   }
   std::size_t summaries = 0;
@@ -274,7 +289,7 @@ void validate_tracelat(const JsonValue& root, const JsonValue& results,
       c.require(h != histogram_of.end(),
                 at + " unknown " + name + " phase '" + p + "'");
       if (h == histogram_of.end()) continue;
-      const JsonValue* hist = find_histogram(root, h->second);
+      const JsonValue* hist = find_metric(root, h->second, {"histograms"});
       const JsonValue* hist_count =
           hist == nullptr ? nullptr : hist->find("count");
       const JsonValue* count = row.find("count");
@@ -427,15 +442,13 @@ Check validate(const JsonValue& root) {
     }
   }
 
-  // Benches that enable lifecycle spans must export the span histograms the
-  // per-phase breakdowns are derived from (ISSUE 6 acceptance).
   if (bench != nullptr && bench->is_string()) {
-    if (bench->as_string() == "throughput") {
-      c.require(find_histogram(root, "span.msg.e2e_us") != nullptr,
-                "throughput artifact missing histogram 'span.msg.e2e_us'");
-    } else if (bench->as_string() == "view_change") {
-      c.require(find_histogram(root, "span.view.e2e_us") != nullptr,
-                "view_change artifact missing histogram 'span.view.e2e_us'");
+    const auto claim = kClaimMetrics.find(bench->as_string());
+    if (claim != kClaimMetrics.end()) {
+      for (const std::string& name : claim->second) {
+        c.require(find_metric(root, name) != nullptr,
+                  claim->first + " artifact missing metric '" + name + "'");
+      }
     }
   }
 

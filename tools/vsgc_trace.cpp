@@ -21,8 +21,11 @@
 // The report is byte-deterministic: integers only, exact nearest-rank
 // percentiles, fixed ordering — same seed => identical bytes. --json DIR
 // additionally writes BENCH_tracelat.json under the bench-artifact schema
-// (validated by tools/validate_bench_json): the phase rows plus the span.*
-// metrics obs::record_span_metrics folds from the same analysis.
+// (validated by tools/validate_bench_json): the phase rows plus every
+// trace-derived metric obs::record_trace_metrics folds from the same
+// analysis (span.* and the headline gcs.*/mbr.* metrics). The metrics are a
+// pure function of the trace, so re-analyzing a --jsonl dump of a --record
+// run reproduces the record run's metrics exactly.
 //
 // Gates: --check-no-orphans fails unless every expected delivery completed
 // (the fault-free contract); --check-clean fails only on "unexplained"
@@ -276,12 +279,12 @@ int main(int argc, char** argv) {
     obs::write_trace_report(analysis, ofs, opt.top);
   }
 
-  // BENCH_tracelat.json: summary + per-phase rows, and the same phase
-  // samples as span.* histograms.
+  // BENCH_tracelat.json: summary + per-phase rows, the same phase samples
+  // as span.* histograms, and the headline metrics.
   if (!opt.json_dir.empty()) {
     obs::append_tracelat_results(analysis, art);
     obs::Registry reg;
-    obs::record_span_metrics(analysis, reg);
+    obs::record_trace_metrics(analysis, reg);
     art.set_metrics(reg);
     if (!opt.record) {
       art.tally(sim::Simulator::Stats{}, analysis.end_at);
