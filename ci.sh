@@ -169,6 +169,31 @@ if ! grep -q "missing metric 'gcs.obsolete_views'" "$VALIDATE_PLANT/out.txt"; th
 fi
 echo "planted artifact without gcs.obsolete_views rejected by validate_bench_json"
 
+echo "== committed perf trajectory (schema only) =="
+# BENCH_perf.json holds perfbench's end-to-end results per commit
+# (tools/perf_trajectory.py appends a row). Its shape is checked here against
+# the workloads and metrics of the BENCHMARK.json beside it; no wall-clock
+# number is compared. A copy without a workload must fail.
+"$BUILD_DIR/tools/validate_bench_json" BENCH_perf.json
+cp BENCHMARK.json "$VALIDATE_PLANT/"
+python3 - BENCH_perf.json "$VALIDATE_PLANT/BENCH_perf.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+del doc["rows"][-1]["workloads"]["churn"]
+json.dump(doc, open(sys.argv[2], "w"), indent=1)
+PY
+if "$BUILD_DIR/tools/validate_bench_json" \
+    "$VALIDATE_PLANT/BENCH_perf.json" 2> "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json accepted a trajectory row without churn" >&2
+  exit 1
+fi
+if ! grep -q "workloads.churn missing" "$VALIDATE_PLANT/out.txt"; then
+  echo "validate_bench_json rejected the plant for the wrong reason:" >&2
+  cat "$VALIDATE_PLANT/out.txt" >&2
+  exit 1
+fi
+echo "BENCH_perf.json valid; planted row without churn rejected"
+
 echo "== observability tour =="
 # The example converges through a crash and a rejoin under the exact
 # checkers (exit 1 otherwise) and writes its JSONL/Chrome-trace files into

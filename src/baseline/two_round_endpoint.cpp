@@ -31,6 +31,8 @@ void TwoRoundEndpoint::on_view(const View& v) {
   if (crashed_) return;
   pending_.push_back(v);
   prune_pending();
+  // pending_ feeds desired_reliable_set(); the parent's on_view marks the
+  // cached reliable set stale.
   gcs::WvRfifoEndpoint::on_view(v);
 }
 

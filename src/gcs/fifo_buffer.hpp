@@ -16,9 +16,10 @@ namespace vsgc::gcs {
 class FifoBuffer {
  public:
   /// Insert message at 1-based index i (idempotent: re-inserting the same
-  /// index is a no-op, which is what makes duplicate forwards harmless).
+  /// index is a no-op that copies nothing, which is what makes duplicate
+  /// forwards harmless).
   void put(std::int64_t i, const AppMsg& msg) {
-    if (!entries_.emplace(i, msg).second) return;
+    if (!entries_.try_emplace(i, msg).second) return;
     while (entries_.contains(prefix_ + 1)) ++prefix_;
   }
 

@@ -97,6 +97,8 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
 std::set<ProcessId> VsRfifoTsEndpoint::desired_reliable_set() const {
   // start_change = ⊥  ⇒ set = current_view.set
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
+  // (start_change_ moves only under on_start_change, view install and
+  // recover: three of the parent's points that mark this set stale.)
   std::set<ProcessId> set = current_view_.members;
   if (start_change_) {
     set.insert(start_change_->second.begin(), start_change_->second.end());

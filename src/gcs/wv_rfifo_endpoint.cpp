@@ -16,7 +16,10 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
       trace_(trace),
       current_view_(View::initial(self)),
       mbrshp_view_(View::initial(self)) {
+  view_msg_[self] = View::initial(self);
   reliable_set_ = {self};
+  reliable_nodes_ = {net::node_of(self)};
+  index_current_view();
 }
 
 void WvRfifoEndpoint::emit(spec::EventBody body) {
@@ -35,13 +38,20 @@ FifoBuffer& WvRfifoEndpoint::buffer_mut(ProcessId q, ViewId v) {
   return msgs_[q][v];
 }
 
-const View& WvRfifoEndpoint::view_msg_of(ProcessId q) const {
-  auto it = view_msg_.find(q);
-  if (it != view_msg_.end()) return it->second;
-  // Initial value: every end-point starts in its own singleton view v_q.
-  static thread_local std::map<ProcessId, View> initials;
-  auto [init, inserted] = initials.try_emplace(q, View::initial(q));
-  return init->second;
+std::int64_t WvRfifoEndpoint::last_dlvrd(ProcessId q) const {
+  auto it = std::lower_bound(
+      lanes_.begin(), lanes_.end(), q,
+      [](const Lane& lane, ProcessId p) { return lane.sender < p; });
+  return it == lanes_.end() || it->sender != q ? 0 : it->last_dlvrd;
+}
+
+void WvRfifoEndpoint::index_current_view() {
+  view_dests_ = nodes_of(current_view_.members, /*exclude_self=*/true);
+  lanes_.clear();
+  for (ProcessId q : current_view_.members) {
+    lanes_.push_back(Lane{q, &buffer_mut(q, current_view_.id)});
+  }
+  reliable_stale_ = true;
 }
 
 std::set<net::NodeId> WvRfifoEndpoint::nodes_of(
@@ -63,7 +73,7 @@ AppMsg WvRfifoEndpoint::send(std::string payload) {
   if (crashed_) return m;
   buffer_mut(self_, current_view_.id).append(m);
   ++stats_.sent;
-  emit(spec::GcsSend{self_, m});
+  if (trace_on()) emit(spec::GcsSend{self_, m});
   pump();
   return m;
 }
@@ -75,6 +85,7 @@ void WvRfifoEndpoint::on_start_change(StartChangeId cid,
   // The WV_RFIFO parent ignores start_change notifications; VsRfifoTsEndpoint
   // overrides run_child_tasks()/state through handle_start_change().
   handle_start_change(cid, set);
+  reliable_stale_ = true;
   pump();
 }
 
@@ -82,6 +93,7 @@ void WvRfifoEndpoint::on_view(const View& v) {
   if (crashed_) return;
   emit(spec::MbrView{self_, v});
   mbrshp_view_ = v;
+  reliable_stale_ = true;
   pump();
 }
 
@@ -97,8 +109,11 @@ bool WvRfifoEndpoint::on_co_rfifo_deliver(ProcessId from,
   }
 
   if (const auto* am = std::any_cast<wire::AppMsgWire>(&payload)) {
+    // A peer with no view_msg yet is still in its initial view v_from.
+    auto vm = view_msg_.find(from);
+    const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second.id;
     const std::int64_t index = last_rcvd_[from] + 1;
-    buffer_mut(from, view_msg_of(from).id).put(index, am->msg);
+    buffer_mut(from, v).put(index, am->msg);
     last_rcvd_[from] = index;
     if (lifecycle_on()) {
       emit(spec::MsgRecv{self_, from, am->msg.sender, am->msg.uid, false});
@@ -159,38 +174,43 @@ void WvRfifoEndpoint::pump() {
 bool WvRfifoEndpoint::try_set_reliable() {
   // co_rfifo.reliable_p(set). Parent precondition: current_view.set ⊆ set;
   // the concrete set is chosen by the child hook (VS: ∪ start_change.set).
-  std::set<ProcessId> desired = desired_reliable_set();
-  desired.insert(self_);
+  // The hook's inputs change only where reliable_stale_ is set.
+  if (reliable_stale_) {
+    reliable_stale_ = false;
+    std::set<ProcessId> desired = desired_reliable_set();
+    desired.insert(self_);
+    if (desired != reliable_set_) {
+      VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
+                                 current_view_.members.begin(),
+                                 current_view_.members.end()),
+                   "reliable set must cover the current view at "
+                       << to_string(self_));
+      reliable_set_ = std::move(desired);
+      reliable_nodes_ = nodes_of(reliable_set_, /*exclude_self=*/false);
+      transport_.set_reliable(reliable_nodes_);
+      return true;
+    }
+  }
   // Compare against the transport's set as well as our mirror: a corrupted
   // transport reliable_set (sim::FaultOp::kCorruptReliable) silently stops
   // retransmission toward the dropped peer, and only this re-assertion path
-  // heals it (DESIGN.md §12). Honest runs never diverge — the extra check
-  // costs one set comparison per pump and never fires.
-  if (desired == reliable_set_ &&
-      transport_.reliable_matches(nodes_of(desired, /*exclude_self=*/false))) {
-    return false;
-  }
-  VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
-                             current_view_.members.begin(),
-                             current_view_.members.end()),
-               "reliable set must cover the current view at "
-                   << to_string(self_));
-  reliable_set_ = desired;
-  transport_.set_reliable(nodes_of(desired, /*exclude_self=*/false));
+  // heals it (DESIGN.md §12). Honest runs never diverge — the check compares
+  // two sets, allocates nothing and never fires.
+  if (transport_.reliable_matches(reliable_nodes_)) return false;
+  transport_.set_reliable(reliable_nodes_);
   return true;
 }
 
 bool WvRfifoEndpoint::try_send_view_msg() {
   // co_rfifo.send_p(set, tag=view_msg, v)
-  if (view_msg_of(self_) == current_view_) return false;
+  if (view_msg_.at(self_) == current_view_) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
                      current_view_.members.begin(),
                      current_view_.members.end())) {
     return false;
   }
   wire::ViewMsg vm{current_view_};
-  transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                  net::Payload(vm), codec::wire_size(vm));
+  transport_.send(view_dests_, net::Payload(vm), codec::wire_size(vm));
   view_msg_[self_] = current_view_;
   ++stats_.view_msgs_sent;
   return true;
@@ -198,13 +218,12 @@ bool WvRfifoEndpoint::try_send_view_msg() {
 
 bool WvRfifoEndpoint::try_send_app_msgs() {
   // co_rfifo.send_p(set, tag=app_msg, m)
-  if (view_msg_of(self_) != current_view_) return false;
+  if (view_msg_.at(self_) != current_view_) return false;
   bool progress = false;
   const FifoBuffer& own = buffer(self_, current_view_.id);
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
-    transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                    net::Payload(am), codec::wire_size(am));
+    transport_.send(view_dests_, net::Payload(am), codec::wire_size(am));
     ++last_sent_;
     if (lifecycle_on()) emit(spec::MsgWireSend{self_, m->sender, m->uid});
     progress = true;
@@ -213,20 +232,21 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
 }
 
 bool WvRfifoEndpoint::try_deliver_app_msgs() {
-  // deliver_p(q, m)
+  // deliver_p(q, m), over the current view's senders in ascending order.
   bool progress = false;
   bool any = true;
   while (any && !crashed_) {
     any = false;
-    for (ProcessId q : current_view_.members) {
-      const std::int64_t next = last_dlvrd_[q] + 1;
-      const AppMsg* m = buffer(q, current_view_.id).get(next);
+    for (Lane& lane : lanes_) {
+      const ProcessId q = lane.sender;
+      const std::int64_t next = lane.last_dlvrd + 1;
+      const AppMsg* m = lane.msgs->get(next);
       if (m == nullptr) continue;
-      if (q == self_ && !(last_dlvrd_[q] < last_sent_)) continue;
+      if (q == self_ && !(lane.last_dlvrd < last_sent_)) continue;
       if (!deliver_allowed(q, next)) continue;
-      last_dlvrd_[q] = next;
+      lane.last_dlvrd = next;
       ++stats_.delivered;
-      emit(spec::GcsDeliver{self_, q, *m});
+      if (trace_on()) emit(spec::GcsDeliver{self_, q, *m});
       if (client_ != nullptr) client_->deliver(q, *m);
       any = true;
       progress = true;
@@ -238,28 +258,31 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
 
 bool WvRfifoEndpoint::try_deliver_view() {
   // view_p(v, T)
-  const View v = next_view_candidate();
-  if (!(current_view_.id < v.id)) return false;
-  VSGC_REQUIRE(v.contains(self_),
+  const View& candidate = next_view_candidate();
+  if (!(current_view_.id < candidate.id)) return false;
+  VSGC_REQUIRE(candidate.contains(self_),
                "MBRSHP violated Self Inclusion at " << to_string(self_));
   std::set<ProcessId> transitional;
-  if (!view_gate(v, transitional)) return false;
+  if (!view_gate(candidate, transitional)) return false;
 
+  // Copy before the effects: TwoRoundEndpoint::pre_view_effects pops the
+  // pending view `candidate` refers to.
+  const View v = candidate;
   // Child effects first, then parent effects (one atomic step).
   pre_view_effects(v);
 
   current_view_ = v;
   last_sent_ = 0;
-  last_dlvrd_.clear();
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
   // delivery only ever reads the current view's buffers from here on.
   for (auto& [q, per_view] : msgs_) {
     std::erase_if(per_view,
                   [&](const auto& entry) { return entry.first != v.id; });
   }
+  index_current_view();
 
   ++stats_.views_delivered;
-  emit(spec::GcsView{self_, v, transitional});
+  if (trace_on()) emit(spec::GcsView{self_, v, transitional});
   if (client_ != nullptr) client_->view(v, transitional);
   return true;
 }
@@ -281,11 +304,13 @@ void WvRfifoEndpoint::recover() {
   current_view_ = View::initial(self_);
   mbrshp_view_ = View::initial(self_);
   view_msg_.clear();
+  view_msg_[self_] = View::initial(self_);
   msgs_.clear();
   last_sent_ = 0;
   last_rcvd_.clear();
-  last_dlvrd_.clear();
   reliable_set_ = {self_};
+  reliable_nodes_ = {net::node_of(self_)};
+  index_current_view();
   reset_child_state();
   crashed_ = false;
   emit(spec::Recover{self_});

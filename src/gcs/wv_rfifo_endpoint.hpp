@@ -22,6 +22,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gcs/client.hpp"
 #include "gcs/fifo_buffer.hpp"
@@ -93,6 +94,9 @@ class WvRfifoEndpoint : public membership::Listener {
   void corrupt_view_epoch(std::uint64_t epoch) {
     if (crashed_) return;
     current_view_.id.epoch = epoch;
+    for (Lane& lane : lanes_) {
+      lane.msgs = &buffer_mut(lane.sender, current_view_.id);
+    }
   }
 
   // Introspection (tests, benches, forwarding strategies).
@@ -100,15 +104,16 @@ class WvRfifoEndpoint : public membership::Listener {
   const View& mbrshp_view() const { return mbrshp_view_; }
   ProcessId self() const { return self_; }
   const Stats& stats() const { return stats_; }
-  std::int64_t last_dlvrd(ProcessId q) const {
-    auto it = last_dlvrd_.find(q);
-    return it == last_dlvrd_.end() ? 0 : it->second;
-  }
+  /// last_dlvrd[q]: 0 for a sender outside the current view.
+  std::int64_t last_dlvrd(ProcessId q) const;
 
  protected:
   // ---- Inheritance hooks (the paper's transition restrictions) ----
 
   /// Precondition the child adds to co_rfifo.reliable: which set to maintain.
+  /// The pump re-evaluates it only after on_start_change, on_view, a view
+  /// install or recover, so an override may read no state that changes
+  /// anywhere else.
   virtual std::set<ProcessId> desired_reliable_set() const {
     return current_view_.members;
   }
@@ -167,10 +172,14 @@ class WvRfifoEndpoint : public membership::Listener {
 
   const FifoBuffer& buffer(ProcessId q, ViewId v) const;
   FifoBuffer& buffer_mut(ProcessId q, ViewId v);
-  const View& view_msg_of(ProcessId q) const;
   std::set<net::NodeId> nodes_of(const std::set<ProcessId>& procs,
                                  bool exclude_self) const;
   void emit(spec::EventBody body);
+
+  /// Gate for the events that copy a payload or a view (GcsSend,
+  /// GcsDeliver, GcsView): construct nothing when no recorder or sink would
+  /// read them.
+  bool trace_on() const { return trace_ != nullptr && trace_->active(); }
 
   /// Gate for the high-volume causal span events (DESIGN.md §10): emission
   /// sites construct nothing unless a collector opted in via
@@ -189,21 +198,40 @@ class WvRfifoEndpoint : public membership::Listener {
   // ---- Figure 9 state (owned by the parent; children only read) ----
   View current_view_;
   View mbrshp_view_;
-  std::map<ProcessId, View> view_msg_;  ///< latest view_msg from q
+  /// Latest view_msg from q; view_msg[self] is seeded with v_self.
+  std::map<ProcessId, View> view_msg_;
   std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
   std::map<ProcessId, std::int64_t> last_rcvd_;
-  std::map<ProcessId, std::int64_t> last_dlvrd_;
   std::set<ProcessId> reliable_set_;
   std::uint64_t uid_counter_ = 0;  ///< history variable: survives recovery
   bool crashed_ = false;
 
  private:
+  /// One sender of the current view in the delivery index: its buffer
+  /// msgs[sender][current_view.id] and its cursor last_dlvrd[sender].
+  struct Lane {
+    ProcessId sender;
+    FifoBuffer* msgs;
+    std::int64_t last_dlvrd = 0;
+  };
+
   bool try_set_reliable();
   bool try_send_view_msg();
   bool try_send_app_msgs();
   bool try_deliver_app_msgs();
   bool try_deliver_view();
+
+  /// Rebuild the per-view caches (destinations, delivery index) for a newly
+  /// current view, with every cursor at 0, and mark the reliable set stale.
+  void index_current_view();
+
+  // ---- Pump caches, derived from the Figure 9 state above (DESIGN.md
+  // §11.5). Rebuilt only where their inputs change. ----
+  std::set<net::NodeId> reliable_nodes_;  ///< node image of reliable_set_
+  bool reliable_stale_ = true;  ///< desired_reliable_set() may have moved
+  std::set<net::NodeId> view_dests_;  ///< current_view.set − {self}
+  std::vector<Lane> lanes_;  ///< one per current-view member, ascending
 
   bool pumping_ = false;
   bool pump_again_ = false;

@@ -285,6 +285,11 @@ class TraceBus {
   void set_lifecycle(bool on) { lifecycle_ = on; }
   bool lifecycle() const { return lifecycle_; }
 
+  /// Does an emitted event reach anyone (recording is on, or a sink is
+  /// attached)? Sites whose event copies a payload or a view check this
+  /// before constructing it, so an idle bus costs one branch per site.
+  bool active() const { return recording_ || !sinks_.empty(); }
+
   void emit(sim::Time at, EventBody body) {
     Event ev{at, std::move(body)};
     if (recording_) record_.push_back(ev);

@@ -4,8 +4,10 @@
 // Exits 0 iff every file parses as JSON and matches its schema: BENCH_*.json
 // run artifacts (schema documented in src/obs/artifact.hpp) by default, the
 // vsgc_lint findings artifact when the document carries "tool": "vsgc_lint",
-// or the include-graph artifact (LINT_deps.json) when it carries
-// "tool": "vsgc_deps". Prints one line per file.
+// the include-graph artifact (LINT_deps.json) when it carries
+// "tool": "vsgc_deps", or the committed perf trajectory (BENCH_perf.json)
+// when it carries "tool": "perfbench". Prints one line per file.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -391,7 +393,164 @@ void validate_scale(const JsonValue& results, Check& c) {
   c.require(determinism == 1, "scale needs exactly one determinism row");
 }
 
-Check validate(const JsonValue& root) {
+/// Schema of the committed perf trajectory (BENCH_perf.json, appended to by
+/// tools/perf_trajectory.py), checked against `benchmark`, the BENCHMARK.json
+/// beside it: each row holds, for every workload BENCHMARK.json names, the
+/// final JSON line of at least three perfbench runs and the quartiles of each
+/// end-to-end metric over them, with the environment it was measured in. Only
+/// the shape is checked; no row is compared with another.
+Check validate_perf(const JsonValue& root, const JsonValue& benchmark) {
+  Check c;
+  const JsonValue* names = benchmark.find("workloads");
+  const JsonValue* end_to_end = benchmark.find("end_to_end");
+  c.require(names != nullptr && names->is_array() && end_to_end != nullptr &&
+                end_to_end->is_array(),
+            "BENCHMARK.json lacks arrays 'workloads' and 'end_to_end'");
+  if (!c.ok) return c;
+  for (const JsonValue* list : {names, end_to_end}) {
+    for (const JsonValue& decl : list->items()) {
+      const JsonValue* name = decl.find("name");
+      const JsonValue* unit = decl.find("unit");
+      c.require(name != nullptr && name->is_string() &&
+                    (list == names || (unit != nullptr && unit->is_string())),
+                "BENCHMARK.json entry without string 'name' (and 'unit')");
+    }
+  }
+  if (!c.ok) return c;
+  const JsonValue* version = root.find("schema_version");
+  c.require(version != nullptr && version->is_int() && version->as_int() == 1,
+            "missing field 'schema_version' == 1");
+  const JsonValue* rows = root.find("rows");
+  c.require(rows != nullptr && rows->is_array() && rows->size() > 0,
+            "missing non-empty array field 'rows'");
+  if (rows == nullptr || !rows->is_array()) return c;
+  // `m` is `metrics.<name>` of a run, or `summary.<name>`; both carry the
+  // unit BENCHMARK.json declares.
+  const auto has_unit = [](const JsonValue* m, const JsonValue& decl) {
+    const JsonValue* unit = m != nullptr ? m->find("unit") : nullptr;
+    return unit != nullptr && unit->is_string() &&
+           unit->as_string() == decl.find("unit")->as_string();
+  };
+  for (std::size_t i = 0; i < rows->size(); ++i) {
+    const JsonValue& row = rows->at(i);
+    const std::string at = "rows[" + std::to_string(i) + "]";
+    c.require(row.is_object(), at + " is not an object");
+    if (!row.is_object()) continue;
+    for (const char* field : {"label", "host", "compiler"}) {
+      const JsonValue* v = row.find(field);
+      c.require(v != nullptr && v->is_string() && !v->as_string().empty(),
+                at + " missing non-empty string '" + field + "'");
+    }
+    const JsonValue* digest = row.find("source_sha256");
+    c.require(digest != nullptr && digest->is_string() &&
+                  digest->as_string().size() == 64 &&
+                  digest->as_string().find_first_not_of(
+                      "0123456789abcdef") == std::string::npos,
+              at + " missing hex string 'source_sha256'");
+    const JsonValue* nproc = row.find("nproc");
+    c.require(nproc != nullptr && nproc->is_int() && nproc->as_int() >= 1,
+              at + " missing positive integer 'nproc'");
+    const JsonValue* workloads = row.find("workloads");
+    c.require(workloads != nullptr && workloads->is_object(),
+              at + " missing object field 'workloads'");
+    if (workloads == nullptr || !workloads->is_object()) continue;
+    for (const JsonValue& decl : names->items()) {
+      const std::string name = decl.find("name")->as_string();
+      const std::string wat = at + ".workloads." + name;
+      const JsonValue* w = workloads->find(name);
+      c.require(w != nullptr && w->is_object(), wat + " missing");
+      if (w == nullptr || !w->is_object()) continue;
+      const JsonValue* runs = w->find("runs");
+      c.require(runs != nullptr && runs->is_array() && runs->size() >= 3,
+                wat + " missing array 'runs' of at least 3 runs");
+      if (runs == nullptr || !runs->is_array()) continue;
+      // metric name -> [min, max] over the runs.
+      std::map<std::string, std::pair<double, double>> range;
+      for (std::size_t r = 0; r < runs->size(); ++r) {
+        const std::string rat = wat + ".runs[" + std::to_string(r) + "]";
+        const JsonValue* reps = runs->at(r).find("reps");
+        c.require(reps != nullptr && reps->is_int() && reps->as_int() >= 1,
+                  rat + " missing positive integer 'reps'");
+        const JsonValue* result = runs->at(r).find("result");
+        c.require(result != nullptr && result->is_object(),
+                  rat + " missing object field 'result'");
+        if (result == nullptr || !result->is_object()) continue;
+        const JsonValue* correct = result->find("correct");
+        c.require(correct != nullptr && correct->is_bool() &&
+                      correct->as_bool(),
+                  rat + ".result.correct is not true");
+        for (const char* field : {"attempted", "failed"}) {
+          const JsonValue* v = result->find(field);
+          c.require(v != nullptr && v->is_int() && v->as_int() >= 0,
+                    rat + ".result missing non-negative integer '" + field +
+                        "'");
+        }
+        const JsonValue* metrics = result->find("metrics");
+        c.require(metrics != nullptr && metrics->is_object(),
+                  rat + ".result missing object field 'metrics'");
+        if (metrics == nullptr || !metrics->is_object()) continue;
+        for (const JsonValue& metric : end_to_end->items()) {
+          const std::string& mname = metric.find("name")->as_string();
+          const JsonValue* m = metrics->find(mname);
+          const JsonValue* value = m != nullptr ? m->find("value") : nullptr;
+          c.require(value != nullptr && value->is_number() &&
+                        has_unit(m, metric),
+                    rat + " missing metric '" + mname +
+                        "' {value, unit as in BENCHMARK.json}");
+          if (value == nullptr || !value->is_number()) continue;
+          const double v = value->as_double();
+          const auto it = range.try_emplace(mname, v, v).first;
+          it->second.first = std::min(it->second.first, v);
+          it->second.second = std::max(it->second.second, v);
+        }
+      }
+      const JsonValue* summary = w->find("summary");
+      c.require(summary != nullptr && summary->is_object(),
+                wat + " missing object field 'summary'");
+      if (summary == nullptr || !summary->is_object()) continue;
+      for (const JsonValue& metric : end_to_end->items()) {
+        const std::string& mname = metric.find("name")->as_string();
+        const JsonValue* s = summary->find(mname);
+        const JsonValue* q1 = s != nullptr ? s->find("q1") : nullptr;
+        const JsonValue* median = s != nullptr ? s->find("median") : nullptr;
+        const JsonValue* q3 = s != nullptr ? s->find("q3") : nullptr;
+        const bool shaped = q1 != nullptr && q1->is_number() &&
+                            median != nullptr && median->is_number() &&
+                            q3 != nullptr && q3->is_number() &&
+                            has_unit(s, metric);
+        c.require(shaped, wat + ".summary missing metric '" + mname +
+                              "' {unit, q1, median, q3}");
+        const auto span = range.find(mname);
+        if (!shaped || span == range.end()) continue;
+        c.require(span->second.first <= q1->as_double() &&
+                      q1->as_double() <= median->as_double() &&
+                      median->as_double() <= q3->as_double() &&
+                      q3->as_double() <= span->second.second,
+                  wat + ".summary." + mname +
+                      " is not min <= q1 <= median <= q3 <= max of its runs");
+      }
+    }
+  }
+  return c;
+}
+
+/// Parses the JSON file at `path`; on failure returns null and sets `error`.
+JsonValue read_json(const std::string& path, std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = "cannot open";
+    return JsonValue();
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const JsonValue root = JsonValue::parse(buf.str(), error);
+  if (root.is_null() && !error->empty()) *error = "JSON parse error: " + *error;
+  return root;
+}
+
+/// `path` names the file `root` was read from; the perf trajectory is
+/// checked against the BENCHMARK.json in the same directory.
+Check validate(const JsonValue& root, const std::string& path) {
   Check c;
   c.require(root.is_object(), "document is not a JSON object");
   if (!root.is_object()) return c;
@@ -404,6 +563,16 @@ Check validate(const JsonValue& root) {
   if (tool != nullptr && tool->is_string() &&
       tool->as_string() == "vsgc_deps") {
     return validate_deps(root);
+  }
+  if (tool != nullptr && tool->is_string() &&
+      tool->as_string() == "perfbench") {
+    const std::size_t slash = path.find_last_of('/');
+    const std::string dir =
+        slash == std::string::npos ? "" : path.substr(0, slash + 1);
+    std::string error;
+    const JsonValue benchmark = read_json(dir + "BENCHMARK.json", &error);
+    c.require(error.empty(), dir + "BENCHMARK.json: " + error);
+    return c.ok ? validate_perf(root, benchmark) : c;
   }
 
   const JsonValue* bench = root.find("bench");
@@ -501,29 +670,24 @@ int main(int argc, char** argv) {
   }
   bool all_ok = true;
   for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i], std::ios::binary);
-    if (!in) {
-      std::cerr << argv[i] << ": cannot open\n";
-      all_ok = false;
-      continue;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     std::string error;
-    const JsonValue root = JsonValue::parse(buf.str(), &error);
-    if (root.is_null() && !error.empty()) {
-      std::cerr << argv[i] << ": JSON parse error: " << error << "\n";
+    const JsonValue root = read_json(argv[i], &error);
+    if (!error.empty()) {
+      std::cerr << argv[i] << ": " << error << "\n";
       all_ok = false;
       continue;
     }
-    const Check c = validate(root);
+    const Check c = validate(root, argv[i]);
     if (c.ok) {
       const JsonValue* results = root.find("results");
       const JsonValue* findings = root.find("findings");
       const JsonValue* modules = root.find("modules");
+      const JsonValue* rows = root.find("rows");
       std::cout << argv[i] << ": OK (";
       if (results != nullptr) {
         std::cout << results->size() << " results)\n";
+      } else if (rows != nullptr) {
+        std::cout << rows->size() << " trajectory rows)\n";
       } else if (findings != nullptr) {
         std::cout << findings->size() << " lint findings)\n";
       } else {
