@@ -288,7 +288,8 @@ fi
 
 echo "== stress pipeline self-check (planted bug) =="
 # A deliberately injected endpoint bug must be caught by the checkers,
-# minimized, and the minimized bundle must replay to the same violation.
+# minimized, and the minimized bundle must replay to the same violation with
+# a byte-identical trace.
 PLANT_OUT="$BUILD_DIR/stress-selfcheck"
 rm -rf "$PLANT_OUT"
 "$BUILD_DIR/tools/vsgc_stress" --seeds 3:3 --inject-bug 10 \
@@ -344,6 +345,18 @@ rm -rf "$CORRUPT_PLANT"
 "$BUILD_DIR/tools/vsgc_stress" --replay "$CORRUPT_PLANT/seed3" \
   --expect-violation > /dev/null
 echo "planted corruption wedge caught, minimized, and replayed"
+# Without minimization the bundle holds the generate run itself, whose churn
+# runs on past its last op; the replay must run to the script's end_at and
+# reproduce that run's trace byte for byte (the tool checks the bytes both
+# when it writes the bundle and on --replay).
+CORRUPT_FULL="$BUILD_DIR/corrupt-selfcheck-full"
+rm -rf "$CORRUPT_FULL"
+"$BUILD_DIR/tools/vsgc_stress" --corrupt --seeds 3:3 --inject-bug 10 \
+  --no-minimize --expect-violation --out "$CORRUPT_FULL" > /dev/null
+"$BUILD_DIR/tools/vsgc_stress" --replay "$CORRUPT_FULL/seed3" \
+  --expect-violation > "$CORRUPT_FULL/replay.txt"
+grep -q "trace vs trace.jsonl: byte-identical" "$CORRUPT_FULL/replay.txt"
+echo "unminimized corruption wedge bundle replayed byte-identically"
 
 echo "== parallel sweep: jobs-independence (stress) =="
 # The work-stealing seed sweep must be an invisible optimization: stdout (the
@@ -383,6 +396,20 @@ VSGC_BENCH_OUT="$MC_PLANT" "$BUILD_DIR/tools/vsgc_mc" --inject-bug \
 "$BUILD_DIR/tools/vsgc_mc" --replay "$MC_PLANT/seed1" --expect-violation \
   > /dev/null
 echo "planted schedule bug found, minimized, and replayed byte-identically"
+# Bad --clients/--servers values are usage errors (exit 2), not a false
+# violation with a bundle, and not an abort.
+for bad in "--clients 0" "--clients abc" "--servers 0"; do
+  rc=0
+  # $bad unquoted: "--flag value" is two arguments.
+  "$BUILD_DIR/tools/vsgc_mc" $bad --out "$MC_PLANT/bad-flags" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "vsgc_mc $bad: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+done
+test ! -e "$MC_PLANT/bad-flags"
+echo "vsgc_mc refuses non-positive or non-numeric --clients/--servers"
 
 echo "== model checker corruption self-check (planted wedge) =="
 # With --corrupt the fault menu gains the corruption family and the planted

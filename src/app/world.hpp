@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "app/blocking_client.hpp"
@@ -20,6 +21,7 @@
 #include "spec/all_checkers.hpp"
 #include "spec/co_rfifo_checker.hpp"
 #include "spec/eventually.hpp"
+#include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -282,6 +284,28 @@ class World {
       eventual_->finalize();
     } else {
       checkers_.finalize();
+    }
+  }
+
+  /// The stabilize-and-check epilogue of every checked run (Property 4.2):
+  /// undo the injector's faults, require reconvergence within 60 s, send
+  /// `probe` from client 0, run 3 s, then check the transport bounds, the
+  /// checkers' finalize and liveness over the recorded trace. Throws
+  /// InvariantViolation on the first failure.
+  void stabilize_and_check(sim::FailureInjector& injector,
+                           const std::string& probe) {
+    injector.stabilize();
+    if (!run_until_converged(all_members(), 60 * sim::kSecond)) {
+      throw InvariantViolation(
+          "liveness: no reconvergence within 60s after stabilization");
+    }
+    client(0).send(probe);
+    run_for(3 * sim::kSecond);
+    check_transport_bounded();
+    finalize_checkers();
+    if (!spec::LivenessChecker::check(trace_.recorded())) {
+      throw InvariantViolation(
+          "liveness: membership did not stabilize in the recorded trace");
     }
   }
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "app/world.hpp"
-#include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
-#include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc::mc {
@@ -40,9 +37,7 @@ std::uint64_t signature(const std::vector<Choice>& choices) {
 }
 
 std::uint64_t trace_hash(const std::vector<spec::Event>& trace) {
-  std::ostringstream os;
-  obs::write_jsonl(trace, os);
-  const std::string text = os.str();
+  const std::string text = app::render_trace(trace);
   std::uint64_t h = 1469598103934665603ULL;
   for (const char ch : text) {
     h ^= static_cast<unsigned char>(ch);
@@ -119,7 +114,6 @@ std::vector<sim::FaultOp> fault_menu(const ScenarioConfig& sc) {
 }
 
 RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl) {
-  RunResult out;
   app::WorldConfig wc;
   wc.num_clients = sc.clients;
   wc.num_servers = sc.servers;
@@ -135,7 +129,7 @@ RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl) {
   sim::FailureInjector injector(w.fault_target(), policy, sc.seed);
   const std::vector<sim::FaultOp> menu = fault_menu(sc);
 
-  try {
+  RunResult out = app::checked_run<ScheduleScript>(w, [&] {
     w.start();
     if (!w.run_until_converged(w.all_members(), 10 * sim::kSecond)) {
       throw InvariantViolation("initial convergence failed (before control)");
@@ -167,31 +161,12 @@ RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl) {
     w.sim().set_nondet(nullptr);
     w.network().set_nondet(nullptr);
 
-    // ---- Stabilize-and-check-liveness epilogue (Property 4.2). ----
-    injector.stabilize();
-    if (!w.run_until_converged(w.all_members(), 60 * sim::kSecond)) {
-      throw InvariantViolation(
-          "liveness: no reconvergence within 60s after stabilization");
-    }
-    w.client(0).send("mc-probe");
-    w.run_for(3 * sim::kSecond);
-    w.check_transport_bounded();
-    w.finalize_checkers();
-    if (!spec::LivenessChecker::check(w.trace().recorded())) {
-      throw InvariantViolation(
-          "liveness: membership did not stabilize in the recorded trace");
-    }
-  } catch (const InvariantViolation& e) {
-    out.violation = true;
-    out.what = e.what();
-  }
+    w.stabilize_and_check(injector, "mc-probe");
+  });
   w.sim().set_nondet(nullptr);
   w.network().set_nondet(nullptr);
   out.script.seed = sc.seed;
   out.script.choices = ctl.trace();
-  out.trace = w.trace().recorded();
-  out.sim_stats = w.sim().stats();
-  out.sim_time = w.sim().now();
   return out;
 }
 
@@ -201,24 +176,33 @@ RunResult run_scenario(const ScenarioConfig& sc,
   return run_scenario(sc, ctl);
 }
 
-std::vector<std::uint32_t> minimize_schedule(
-    const ScenarioConfig& sc, const std::vector<std::uint32_t>& violating) {
-  std::vector<std::uint32_t> picks = violating;
-  for (int pass = 0; pass < 3; ++pass) {
-    bool changed = false;
-    for (std::size_t i = 0; i < picks.size(); ++i) {
-      if (picks[i] == 0) continue;
-      std::vector<std::uint32_t> trial = picks;
-      trial[i] = 0;
-      if (run_scenario(sc, trial).violation) {
-        picks = std::move(trial);
-        changed = true;
-      }
-    }
-    if (!changed) break;
+RunResult ScenarioRepro::minimize(const ScenarioConfig& sc,
+                                  const ScheduleScript& violating) {
+  const std::vector<std::uint32_t> picks = violating.picks();
+  const auto reset = [&picks](const std::set<std::size_t>& elided) {
+    std::vector<std::uint32_t> out = picks;
+    for (const std::size_t i : elided) out[i] = 0;
+    return out;
+  };
+  std::vector<std::size_t> deviations;
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    if (picks[i] != 0) deviations.push_back(i);
   }
-  while (!picks.empty() && picks.back() == 0) picks.pop_back();
-  return picks;
+  std::vector<std::uint32_t> min = reset(app::greedy_elide(
+      deviations, [&](const std::set<std::size_t>& trial) {
+        return run_scenario(sc, reset(trial)).violation;
+      }));
+  while (!min.empty() && min.back() == 0) min.pop_back();
+  return run_scenario(sc, min);
+}
+
+std::string ScenarioRepro::check(const ScenarioConfig& sc,
+                                 const ScheduleScript&) {
+  // The --clients/--servers rule: a world needs at least one of each.
+  if (sc.clients < 1 || sc.servers < 1) {
+    return "clients and servers must be positive integers";
+  }
+  return "";
 }
 
 // ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "app/repro.hpp"
 #include "mc/controller.hpp"
 #include "mc/schedule_script.hpp"
 #include "sim/failure_injector.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "spec/events.hpp"
 
 namespace vsgc::mc {
 
@@ -127,15 +127,8 @@ struct ExploreStats {
   }
 };
 
-/// One controlled execution, end to end.
-struct RunResult {
-  bool violation = false;
-  std::string what;
-  ScheduleScript script;  ///< every consumed choice point, in order
-  std::vector<spec::Event> trace;
-  sim::Simulator::Stats sim_stats;  ///< the destroyed world's kernel stats
-  sim::Time sim_time = 0;           ///< simulated time at the end of the run
-};
+/// One controlled execution, end to end (app/repro.hpp).
+using RunResult = app::RunResult<ScheduleScript>;
 
 /// The deterministic fault menu a scenario's "mc.fault" points choose from
 /// (alternative k on the menu is pick k+1; pick 0 injects nothing).
@@ -147,12 +140,26 @@ RunResult run_scenario(const ScenarioConfig& sc,
 /// Same, with a caller-supplied controller (the random walk uses this).
 RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl);
 
-/// Greedy schedule minimizer: reset each deviation to the default pick,
-/// keeping every reset that preserves the violation; loops to a fixpoint
-/// (max 3 passes) and trims trailing defaults. Same discipline as the
-/// FaultScript minimizer in tools/vsgc_stress.
-std::vector<std::uint32_t> minimize_schedule(
-    const ScenarioConfig& sc, const std::vector<std::uint32_t>& violating);
+/// vsgc_mc's side of the repro pipeline (app/repro.hpp): a bundle holds
+/// scenario.json and schedule{,.min}.json, and minimizing resets non-default
+/// picks to the default.
+struct ScenarioRepro {
+  using Config = ScenarioConfig;
+  using Script = ScheduleScript;
+  static constexpr const char* kConfigFile = "scenario.json";
+  static constexpr const char* kScriptStem = "schedule";
+  static constexpr const char* kUnit = "deviation(s)";
+
+  static RunResult run(const ScenarioConfig& sc, const ScheduleScript& s) {
+    return run_scenario(sc, s.picks());
+  }
+  /// Resets every deviation whose reset keeps the violation, trims the
+  /// trailing defaults, and runs the result.
+  static RunResult minimize(const ScenarioConfig& sc,
+                            const ScheduleScript& violating);
+  static std::size_t size(const ScheduleScript& s) { return s.deviations(); }
+  static std::string check(const ScenarioConfig& sc, const ScheduleScript&);
+};
 
 class Explorer {
  public:

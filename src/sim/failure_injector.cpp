@@ -652,6 +652,7 @@ void FailureInjector::run_churn() {
   }
   // Let the tail of the schedule (pending restores) play out.
   drain_pending(std::numeric_limits<Time>::max());
+  script_.end_at = target_.sim->now();
 }
 
 void FailureInjector::replay(const FaultScript& script,
@@ -662,6 +663,8 @@ void FailureInjector::replay(const FaultScript& script,
     if (elide.contains(i)) continue;
     apply(op, /*record=*/true);
   }
+  if (target_.sim->now() < script.end_at) target_.sim->run_until(script.end_at);
+  script_.end_at = target_.sim->now();
 }
 
 void FailureInjector::stabilize() {

@@ -137,6 +137,10 @@ inline int decode_server(int v) { return -v - 1; }
 /// A recorded fault schedule: replayable, serializable, minimizable.
 struct FaultScript {
   std::uint64_t seed = 0;  ///< injector seed that generated it (provenance)
+  /// Simulated time at which the schedule ended: run_churn keeps running
+  /// after its last op (gaps, timed restores), and replay runs to here too,
+  /// so what follows the schedule starts at the same instant.
+  Time end_at = 0;
   std::vector<FaultOp> ops;
 
   /// Whether every process or server reference in the script names one of
@@ -147,7 +151,7 @@ struct FaultScript {
 
   template <class S, class V>
   static void json_fields(S& s, V& v) {
-    v("seed", s.seed)("ops", s.ops);
+    v("seed", s.seed)("end_at", s.end_at)("ops", s.ops);
   }
 };
 
@@ -254,8 +258,9 @@ class FailureInjector {
   void run_churn();
 
   /// Replay `script` against the target: advance the simulator to each op's
-  /// time and apply it. Ops whose index is in `elide` are skipped (the
-  /// minimizer's probe); time still advances identically.
+  /// time and apply it, then to `script.end_at`. Ops whose index is in
+  /// `elide` are skipped (the minimizer's probe); time still advances
+  /// identically.
   void replay(const FaultScript& script, const std::set<std::size_t>& elide = {});
 
   /// Apply one op at the current simulated time, recording it into script().

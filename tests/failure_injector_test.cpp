@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "app/repro.hpp"
 #include "app/world.hpp"
 #include "obs/json.hpp"
 #include "obs/json_fields.hpp"
@@ -87,6 +88,7 @@ FaultScript SampleScript() {
   wave.kind = FaultOp::Kind::kWave;
   wave.groups = {{0, 2, sim::encode_server(1)}};  // slice rides in groups[0]
   script.ops.push_back(wave);
+  script.end_at = 900 * sim::kMillisecond;
   return script;
 }
 
@@ -101,6 +103,7 @@ TEST(FaultScript, JsonRoundTripPreservesEveryField) {
   ASSERT_TRUE(obs::from_json(parsed, &back));
 
   ASSERT_EQ(back.seed, script.seed);
+  ASSERT_EQ(back.end_at, script.end_at);
   ASSERT_EQ(back.ops.size(), script.ops.size());
   for (std::size_t i = 0; i < script.ops.size(); ++i) {
     const FaultOp& a = script.ops[i];
@@ -540,6 +543,40 @@ TEST(FailureInjector, CorruptionChurnRecordsCorruptOpsAndRecovers) {
   EXPECT_TRUE(w.run_until_converged(w.all_members(), 60 * sim::kSecond));
   w.run_for(2 * sim::kSecond);
   w.finalize_checkers();
+}
+
+/// The vsgc_stress --corrupt recipe on a 4-client, 1-server world: churn
+/// (or a replay of `replay`), then World::stabilize_and_check. Returns the
+/// recorded JSONL trace; `*out` receives the script the run applied.
+std::string CorruptionRecipeTrace(std::uint64_t seed,
+                                  const FaultScript* replay,
+                                  FaultScript* out) {
+  app::WorldConfig cfg = EventualWorld(4, 1);
+  cfg.seed = seed;
+  app::World w(cfg);
+  FailureInjector::Policy policy;
+  policy.w_corrupt = 6;
+  FailureInjector injector(w.fault_target(), policy, seed);
+  w.start();
+  EXPECT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+  if (replay != nullptr) injector.replay(*replay);
+  else injector.run_churn();
+  w.stabilize_and_check(injector, "probe");
+  *out = injector.script();
+  return app::render_trace(w.trace().recorded());
+}
+
+TEST(FailureInjector, CorruptionChurnReplaysItsOwnTraceByteForByte) {
+  FaultScript generated;
+  const std::string trace = CorruptionRecipeTrace(3, nullptr, &generated);
+  ASSERT_FALSE(generated.ops.empty());
+  // The churn ran on past its last op: replay must run to end_at too, or
+  // the stabilize point (and everything after it) would move.
+  EXPECT_GT(generated.end_at, generated.ops.back().at);
+
+  FaultScript replayed;
+  EXPECT_EQ(CorruptionRecipeTrace(3, &generated, &replayed), trace);
+  EXPECT_EQ(obs::to_json(replayed).dump(), obs::to_json(generated).dump());
 }
 
 TEST(FailureInjector, CorruptionWedgeBugDefeatsReconvergence) {

@@ -139,12 +139,13 @@ FaultScript sample_script() {
   corrupt(K::kCorruptView, 3, -1, std::uint64_t{1} << 40);
   corrupt(K::kCorruptBackoff, 0, 2, 7);
   corrupt(K::kBugCorruptWedge, 1, -1, ~std::uint64_t{0});
+  s.end_at = 24000;
   return s;
 }
 
 // Pinned bytes, as for kGoldenJsonl.
 constexpr const char* kGoldenFaultScript =
-    R"({"seed":42,"ops":[{"at":1000,"kind":"crash","a":1},{"at":2000,"kind":"recover","a":1},{"at":3000,"kind":"leave","a":2},{"at":4000,"kind":"rejoin","a":2},{"at":5000,"kind":"server_down","a":1},{"at":6000,"kind":"server_up","a":1},{"at":7000,"kind":"partition","groups":[[0,1,-1],[2,3,-2]]},{"at":8000,"kind":"wave","groups":[[0,2]]},{"at":9000,"kind":"wave_lift","groups":[[0,2]]},{"at":10000,"kind":"heal"},{"at":11000,"kind":"link_down","a":0,"b":-1,"oneway":true},{"at":12000,"kind":"link_up","a":1,"b":2,"oneway":false},{"at":13000,"kind":"drop","p":0.25},{"at":14000,"kind":"latency","t0":25000,"t1":5000},{"at":15000,"kind":"crash_in_delivery","a":3},{"at":16000,"kind":"traffic","a":1,"payload":"x\u0001y"},{"at":17000,"kind":"bug_dup_deliver"},{"at":18000,"kind":"corrupt_seq","a":0,"b":1,"v":4},{"at":19000,"kind":"corrupt_ack","a":1,"b":0,"v":3},{"at":20000,"kind":"corrupt_reliable_set","a":2,"b":3,"v":1},{"at":21000,"kind":"corrupt_view_id","a":3,"v":1099511627776},{"at":22000,"kind":"corrupt_backoff","a":0,"b":2,"v":7},{"at":23000,"kind":"bug_corrupt_wedge","a":1,"v":-1}]})";
+    R"({"seed":42,"end_at":24000,"ops":[{"at":1000,"kind":"crash","a":1},{"at":2000,"kind":"recover","a":1},{"at":3000,"kind":"leave","a":2},{"at":4000,"kind":"rejoin","a":2},{"at":5000,"kind":"server_down","a":1},{"at":6000,"kind":"server_up","a":1},{"at":7000,"kind":"partition","groups":[[0,1,-1],[2,3,-2]]},{"at":8000,"kind":"wave","groups":[[0,2]]},{"at":9000,"kind":"wave_lift","groups":[[0,2]]},{"at":10000,"kind":"heal"},{"at":11000,"kind":"link_down","a":0,"b":-1,"oneway":true},{"at":12000,"kind":"link_up","a":1,"b":2,"oneway":false},{"at":13000,"kind":"drop","p":0.25},{"at":14000,"kind":"latency","t0":25000,"t1":5000},{"at":15000,"kind":"crash_in_delivery","a":3},{"at":16000,"kind":"traffic","a":1,"payload":"x\u0001y"},{"at":17000,"kind":"bug_dup_deliver"},{"at":18000,"kind":"corrupt_seq","a":0,"b":1,"v":4},{"at":19000,"kind":"corrupt_ack","a":1,"b":0,"v":3},{"at":20000,"kind":"corrupt_reliable_set","a":2,"b":3,"v":1},{"at":21000,"kind":"corrupt_view_id","a":3,"v":1099511627776},{"at":22000,"kind":"corrupt_backoff","a":0,"b":2,"v":7},{"at":23000,"kind":"bug_corrupt_wedge","a":1,"v":-1}]})";
 
 obs::JsonValue parse(const std::string& text) {
   std::string error;

@@ -398,10 +398,8 @@ TEST(Explorer, FindsMinimizesAndReplaysThePlantedBug) {
   EXPECT_NE(found->what.find("WV_RFIFO"), std::string::npos) << found->what;
   EXPECT_EQ(explorer.stats().violations, 1u);
 
-  const std::vector<std::uint32_t> min =
-      minimize_schedule(sc, found->script.picks());
-  EXPECT_LE(min.size(), found->script.picks().size());
-  const RunResult min_run = run_scenario(sc, min);
+  const RunResult min_run = ScenarioRepro::minimize(sc, found->script);
+  EXPECT_LE(min_run.script.deviations(), found->script.deviations());
   EXPECT_TRUE(min_run.violation);
   EXPECT_EQ(min_run.script.deviations(), 1u)
       << "only the bug-menu pick should survive minimization";
@@ -431,9 +429,7 @@ TEST(Explorer, FindsMinimizesAndReplaysThePlantedCorruptionWedge) {
   EXPECT_TRUE(found->violation);
   EXPECT_NE(found->what.find("liveness"), std::string::npos) << found->what;
 
-  const std::vector<std::uint32_t> min =
-      minimize_schedule(sc, found->script.picks());
-  const RunResult min_run = run_scenario(sc, min);
+  const RunResult min_run = ScenarioRepro::minimize(sc, found->script);
   EXPECT_TRUE(min_run.violation);
   EXPECT_EQ(min_run.script.deviations(), 1u)
       << "only the wedge injection should survive minimization";

@@ -9,14 +9,10 @@
 // choice sequence. A --walks mode does a seeded random walk over the same
 // choice points instead (PR 2's seed-sweep discipline).
 //
-// On any checker violation it writes a self-contained repro bundle:
-//
-//   <out>/<label>/scenario.json       the scenario configuration
-//   <out>/<label>/schedule.json       the violating ScheduleScript
-//   <out>/<label>/schedule.min.json   greedily minimized schedule
-//   <out>/<label>/trace.jsonl         full JSONL trace of the failing run
-//   <out>/<label>/trace.min.jsonl     trace of the minimized run
-//   <out>/<label>/violation.txt       the violation messages
+// On any checker violation it writes a repro bundle through app/repro.hpp
+// into <out>/seed<S>/: scenario.json (the scenario configuration),
+// schedule.json (the violating ScheduleScript), schedule.min.json,
+// trace.jsonl, trace.min.jsonl, snapshot.json and violation.txt.
 //
 // Replay: --replay <bundle-dir> re-executes a bundle (minimized schedule if
 // present) and verifies the violation reproduces with a byte-identical
@@ -33,26 +29,21 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "app/repro.hpp"
+#include "cli.hpp"
 #include "mc/explorer.hpp"
 #include "obs/artifact.hpp"
-#include "obs/json.hpp"
 #include "obs/json_fields.hpp"
-#include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 
 namespace vsgc {
 namespace {
-
-namespace fs = std::filesystem;
 
 struct CliConfig {
   mc::ScenarioConfig scenario;
@@ -65,115 +56,6 @@ struct CliConfig {
   bool expect_violation = false;
   std::string replay_dir;  // non-empty: replay a bundle instead of exploring
 };
-
-std::string render_trace(const std::vector<spec::Event>& trace) {
-  std::ostringstream os;
-  obs::write_jsonl(trace, os);
-  return os.str();
-}
-
-void write_text(const fs::path& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary);
-  os << text;
-}
-
-void write_json(const fs::path& path, const obs::JsonValue& j) {
-  std::ofstream os(path, std::ios::binary);
-  j.write_pretty(os);
-  os << '\n';
-}
-
-/// Read a JSON file into `out` through its field list; false on any error.
-template <class T>
-bool read_record(const fs::path& path, T* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream text;
-  text << in.rdbuf();
-  std::string error;
-  const obs::JsonValue j = obs::JsonValue::parse(text.str(), &error);
-  return error.empty() && obs::from_json(j, out);
-}
-
-/// Writes the bundle; returns true if the (minimized) schedule still replays
-/// to a violation — i.e. the bundle is actionable.
-bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
-  const fs::path dir =
-      fs::path(cfg.out_dir) / ("seed" + std::to_string(cfg.scenario.seed));
-  fs::create_directories(dir);
-  write_json(dir / "scenario.json", obs::to_json(cfg.scenario));
-  write_json(dir / "schedule.json", obs::to_json(failed.script));
-  write_text(dir / "trace.jsonl", render_trace(failed.trace));
-
-  std::ostringstream violation;
-  violation << failed.what << "\n";
-  bool reproduces = false;
-  if (cfg.minimize) {
-    const std::vector<std::uint32_t> min_picks =
-        mc::minimize_schedule(cfg.scenario, failed.script.picks());
-    const mc::RunResult min_run = mc::run_scenario(cfg.scenario, min_picks);
-    reproduces = min_run.violation;
-    write_json(dir / "schedule.min.json", obs::to_json(min_run.script));
-    write_text(dir / "trace.min.jsonl", render_trace(min_run.trace));
-    violation << "minimized: " << failed.script.deviations() << " -> "
-              << min_run.script.deviations() << " deviation(s)\n";
-    violation << "minimized violation: "
-              << (min_run.violation ? min_run.what : "(did not reproduce)")
-              << "\n";
-  } else {
-    reproduces =
-        mc::run_scenario(cfg.scenario, failed.script.picks()).violation;
-  }
-  write_text(dir / "violation.txt", violation.str());
-  std::cerr << "  repro bundle: " << dir.string() << "\n";
-  return reproduces;
-}
-
-int replay_bundle(const CliConfig& cfg) {
-  const fs::path dir = cfg.replay_dir;
-  const fs::path scenario_path = dir / "scenario.json";
-  mc::ScenarioConfig sc;
-  if (!read_record(scenario_path, &sc)) {
-    std::cerr << "cannot parse " << scenario_path.string() << "\n";
-    return 2;
-  }
-  // The vsgc_stress --clients/--servers rule: at least one of each.
-  if (sc.clients < 1 || sc.servers < 1) {
-    std::cerr << scenario_path.string()
-              << ": clients and servers must be positive integers\n";
-    return 2;
-  }
-  fs::path script_path = dir / "schedule.min.json";
-  fs::path trace_path = dir / "trace.min.jsonl";
-  if (!fs::exists(script_path)) {
-    script_path = dir / "schedule.json";
-    trace_path = dir / "trace.jsonl";
-  }
-  mc::ScheduleScript script;
-  if (!read_record(script_path, &script)) {
-    std::cerr << "cannot parse " << script_path.string() << "\n";
-    return 2;
-  }
-
-  const mc::RunResult result = mc::run_scenario(sc, script.picks());
-  bool byte_identical = false;
-  {
-    std::ifstream in(trace_path, std::ios::binary);
-    std::stringstream stored;
-    stored << in.rdbuf();
-    byte_identical = in && stored.str() == render_trace(result.trace);
-  }
-  if (result.violation) {
-    std::cout << "replay of " << script_path.string()
-              << " reproduces the violation:\n  " << result.what << "\n"
-              << "  trace vs " << trace_path.filename().string() << ": "
-              << (byte_identical ? "byte-identical" : "DIFFERS") << "\n";
-    const bool ok = byte_identical;
-    return cfg.expect_violation ? (ok ? 0 : 1) : 1;
-  }
-  std::cout << "replay of " << script_path.string() << " ran clean\n";
-  return cfg.expect_violation ? 1 : 0;
-}
 
 void print_stats(const mc::ExploreStats& stats, const char* mode) {
   std::cout << mode << ": " << stats.runs << " run(s), " << stats.deduped
@@ -243,9 +125,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--clients") {
-      cfg.scenario.clients = std::atoi(value().c_str());
+      if (!parse_positive(value(), &cfg.scenario.clients)) return usage();
     } else if (arg == "--servers") {
-      cfg.scenario.servers = std::atoi(value().c_str());
+      if (!parse_positive(value(), &cfg.scenario.servers)) return usage();
     } else if (arg == "--seed") {
       cfg.scenario.seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--messages") {
@@ -270,14 +152,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--corrupt") {
       cfg.scenario.corruption = true;
     } else if (arg == "--walks") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        cfg.walk_lo = cfg.walk_hi = std::strtoull(v.c_str(), nullptr, 10);
-      } else {
-        cfg.walk_lo = std::strtoull(v.substr(0, colon).c_str(), nullptr, 10);
-        cfg.walk_hi = std::strtoull(v.substr(colon + 1).c_str(), nullptr, 10);
-      }
+      parse_range(value(), &cfg.walk_lo, &cfg.walk_hi);
       cfg.random_walk = true;
     } else if (arg == "--out") {
       cfg.out_dir = value();
@@ -295,7 +170,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cfg.replay_dir.empty()) return replay_bundle(cfg);
+  if (!cfg.replay_dir.empty()) {
+    return app::replay_bundle<mc::ScenarioRepro>(
+        cfg.replay_dir, cfg.expect_violation, std::cout, std::cerr);
+  }
 
   // A planted bug needs at least one fault decision point to land on.
   if (cfg.scenario.inject_bug && cfg.scenario.fault_slots == 0) {
@@ -338,7 +216,11 @@ int main(int argc, char** argv) {
   std::cout << "VIOLATION after " << explorer.stats().runs << " run(s) ("
             << found->script.deviations() << " deviation(s)):\n  "
             << found->what << "\n";
-  const bool actionable = emit_bundle(cfg, *found);
+  const std::filesystem::path dir =
+      std::filesystem::path(cfg.out_dir) /
+      ("seed" + std::to_string(cfg.scenario.seed));
+  const bool actionable = app::write_bundle<mc::ScenarioRepro>(
+      dir, cfg.scenario, *found, cfg.minimize, std::cerr);
   if (cfg.expect_violation) return actionable ? 0 : 1;
   return 1;
 }

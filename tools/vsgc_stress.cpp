@@ -2,59 +2,48 @@
 //
 // Sweeps a range of seeds; for each seed it builds an app::World with every
 // spec checker attached, drives a sim::FailureInjector churn schedule
-// against it, then runs the stabilize-and-check-liveness epilogue (Property
-// 4.2): heal everything, recover everyone, require reconvergence, send a
-// probe, and check the recorded trace with the liveness checker.
+// against it, then runs World::stabilize_and_check (Property 4.2): heal
+// everything, recover everyone, require reconvergence, send a probe, and
+// check the recorded trace with the liveness checker.
 //
 // On any checker violation (safety thrown mid-run, or the liveness epilogue
-// failing) it writes a self-contained repro bundle:
-//
-//   <out>/seed<N>/config.json        world + policy configuration
-//   <out>/seed<N>/fault_script.json  the full fault schedule that failed
-//   <out>/seed<N>/fault_script.min.json  greedily minimized schedule
-//   <out>/seed<N>/trace.jsonl        full JSONL trace of the failing run
-//   <out>/seed<N>/trace.min.jsonl    trace of the minimized run
-//   <out>/seed<N>/violation.txt      the violation messages
-//
-// and a greedy fault-script minimizer re-runs the seed with ops elided one
-// at a time, keeping every elision that preserves the violation — shrinking
-// a ~50-op schedule to the handful of faults that matter.
+// failing) it writes a repro bundle through app/repro.hpp into
+// <out>/seed<N>/: config.json (world + policy configuration and the seed),
+// fault_script.json (the schedule that failed, with its end_at),
+// fault_script.min.json, trace.jsonl, trace.min.jsonl, snapshot.json and
+// violation.txt. The greedy minimizer re-runs the seed with ops elided,
+// keeping every elision that preserves the violation — shrinking a ~50-op
+// schedule to the handful of faults that matter.
 //
 // Replay: --replay <bundle-dir> re-executes a bundle (the minimized script
-// if present) and reports whether the violation reproduces.
+// if present) and checks that the violation reproduces with a
+// byte-identical JSONL trace.
 //
 // Self-test: --inject-bug <step> arms a deliberate endpoint bug (a forged
 // duplicate delivery) at the given churn step; with --expect-violation the
 // exit code is 0 only if the bug was caught, minimized, and the minimized
 // bundle replays to a violation — the CI pipeline check.
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "app/repro.hpp"
 #include "app/world.hpp"
+#include "cli.hpp"
 #include "obs/artifact.hpp"
-#include "obs/json.hpp"
 #include "obs/json_fields.hpp"
-#include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 #include "sim/failure_injector.hpp"
-#include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc {
 namespace {
-
-namespace fs = std::filesystem;
 
 struct StressConfig {
   std::uint64_t seed_lo = 0;
@@ -129,15 +118,7 @@ sim::FailureInjector::Policy make_policy(const StressConfig& cfg) {
   return policy;
 }
 
-struct RunResult {
-  bool violation = false;
-  std::string what;
-  sim::FaultScript script;       ///< ops actually applied
-  std::vector<spec::Event> trace;
-  sim::Simulator::Stats sim_stats;  ///< kernel counters at end of run
-  sim::Time sim_time = 0;           ///< final simulated clock
-  double wall_seconds = 0.0;        ///< host time for this run (summary only)
-};
+using RunResult = app::RunResult<sim::FaultScript>;
 
 /// One full execution: generate mode when `replay` is null, otherwise replay
 /// of `*replay` with `elide` skipped. Any safety/liveness failure lands in
@@ -145,185 +126,58 @@ struct RunResult {
 RunResult run_one(const StressConfig& cfg, std::uint64_t seed,
                   const sim::FaultScript* replay = nullptr,
                   const std::set<std::size_t>& elide = {}) {
-  RunResult result;
   app::World w(world_config(cfg, seed));
   sim::FailureInjector injector(w.fault_target(), make_policy(cfg), seed);
-  try {
+  RunResult result = app::checked_run<sim::FaultScript>(w, [&] {
     w.start();
     if (!w.run_until_converged(w.all_members(), 10 * sim::kSecond)) {
       throw InvariantViolation("initial convergence failed (before faults)");
     }
     if (replay != nullptr) injector.replay(*replay, elide);
     else injector.run_churn();
-
-    // Stabilize-and-check-liveness epilogue (Property 4.2).
-    injector.stabilize();
-    if (!w.run_until_converged(w.all_members(), 60 * sim::kSecond)) {
-      throw InvariantViolation(
-          "liveness: no reconvergence within 60s after stabilization");
-    }
-    w.client(0).send("stress-probe-" + std::to_string(seed));
-    w.run_for(3 * sim::kSecond);
-    w.check_transport_bounded();
-    w.finalize_checkers();
-    if (!spec::LivenessChecker::check(w.trace().recorded())) {
-      throw InvariantViolation(
-          "liveness: membership did not stabilize in the recorded trace");
-    }
-  } catch (const InvariantViolation& e) {
-    result.violation = true;
-    result.what = e.what();
-  }
+    w.stabilize_and_check(injector, "stress-probe-" + std::to_string(seed));
+  });
   result.script = injector.script();
-  result.trace = w.trace().recorded();
-  result.sim_stats = w.sim().stats();
-  result.sim_time = w.sim().now();
   return result;
 }
 
-/// Greedy fault-script minimizer: repeatedly try eliding each op; keep an
-/// elision whenever the violation persists. Loops to a fixpoint (max 3
-/// passes) so an op unlocked by a later removal still gets elided.
-std::set<std::size_t> minimize(const StressConfig& cfg, std::uint64_t seed,
-                               const sim::FaultScript& script) {
-  std::set<std::size_t> elided;
-  for (int pass = 0; pass < 3; ++pass) {
-    bool changed = false;
-    for (std::size_t i = 0; i < script.ops.size(); ++i) {
-      if (elided.contains(i)) continue;
-      std::set<std::size_t> trial = elided;
-      trial.insert(i);
-      if (run_one(cfg, seed, &script, trial).violation) {
-        elided = std::move(trial);
-        changed = true;
-      }
+/// vsgc_stress's side of the repro pipeline (app/repro.hpp): a bundle holds
+/// config.json and fault_script{,.min}.json, and minimizing elides ops.
+struct StressRepro {
+  using Config = BundleConfig;
+  using Script = sim::FaultScript;
+  static constexpr const char* kConfigFile = "config.json";
+  static constexpr const char* kScriptStem = "fault_script";
+  static constexpr const char* kUnit = "ops";
+
+  static RunResult run(const BundleConfig& b, const sim::FaultScript& s) {
+    return run_one(b.cfg, b.seed, &s);
+  }
+  static RunResult minimize(const BundleConfig& b,
+                            const sim::FaultScript& violating) {
+    std::vector<std::size_t> ops(violating.ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) ops[i] = i;
+    const std::set<std::size_t> elided = app::greedy_elide(
+        ops, [&](const std::set<std::size_t>& trial) {
+          return run_one(b.cfg, b.seed, &violating, trial).violation;
+        });
+    return run_one(b.cfg, b.seed, &violating, elided);
+  }
+  static std::size_t size(const sim::FaultScript& s) { return s.ops.size(); }
+  static std::string check(const BundleConfig& b, const sim::FaultScript& s) {
+    const StressConfig& cfg = b.cfg;
+    // The --clients/--servers rule: a world needs at least one of each.
+    if (cfg.clients < 1 || cfg.servers < 1) {
+      return "clients and servers must be positive integers";
     }
-    if (!changed) break;
+    if (!s.fits(cfg.clients, cfg.servers)) {
+      return "an op names a process or server outside the " +
+             std::to_string(cfg.clients) + "-client, " +
+             std::to_string(cfg.servers) + "-server world";
+    }
+    return "";
   }
-  return elided;
-}
-
-void write_text(const fs::path& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary);
-  os << text;
-}
-
-void write_json(const fs::path& path, const obs::JsonValue& j) {
-  std::ofstream os(path, std::ios::binary);
-  j.write_pretty(os);
-  os << '\n';
-}
-
-void write_trace(const fs::path& path, const std::vector<spec::Event>& trace) {
-  std::ofstream os(path, std::ios::binary);
-  obs::write_jsonl(trace, os);
-}
-
-sim::FaultScript subset(const sim::FaultScript& script,
-                        const std::set<std::size_t>& elided) {
-  sim::FaultScript out;
-  out.seed = script.seed;
-  for (std::size_t i = 0; i < script.ops.size(); ++i) {
-    if (!elided.contains(i)) out.ops.push_back(script.ops[i]);
-  }
-  return out;
-}
-
-/// Writes the bundle; returns true if the minimized script still replays to
-/// a violation (the bundle is actionable).
-bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
-                 const RunResult& failed) {
-  const fs::path dir = fs::path(cfg.out_dir) / ("seed" + std::to_string(seed));
-  fs::create_directories(dir);
-  write_json(dir / "config.json", obs::to_json(BundleConfig{seed, cfg}));
-  write_json(dir / "fault_script.json", obs::to_json(failed.script));
-  write_trace(dir / "trace.jsonl", failed.trace);
-
-  std::ostringstream violation;
-  violation << failed.what << "\n";
-  bool min_reproduces = false;
-  if (cfg.minimize) {
-    const std::set<std::size_t> elided = minimize(cfg, seed, failed.script);
-    const sim::FaultScript min_script = subset(failed.script, elided);
-    const RunResult min_run = run_one(cfg, seed, &min_script);
-    min_reproduces = min_run.violation;
-    write_json(dir / "fault_script.min.json", obs::to_json(min_script));
-    write_trace(dir / "trace.min.jsonl", min_run.trace);
-    violation << "minimized: " << failed.script.ops.size() << " -> "
-              << min_script.ops.size() << " ops\n";
-    violation << "minimized violation: "
-              << (min_run.violation ? min_run.what : "(did not reproduce)")
-              << "\n";
-  } else {
-    // Without minimization the full script must still replay to a violation.
-    min_reproduces = run_one(cfg, seed, &failed.script).violation;
-  }
-  write_text(dir / "violation.txt", violation.str());
-  std::cerr << "  repro bundle: " << dir.string() << "\n";
-  return min_reproduces;
-}
-
-/// Read a JSON file into `out` through its field list; false on any error.
-template <class T>
-bool read_record(const fs::path& path, T* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream text;
-  text << in.rdbuf();
-  std::string error;
-  const obs::JsonValue j = obs::JsonValue::parse(text.str(), &error);
-  return error.empty() && obs::from_json(j, out);
-}
-
-int replay_bundle(const StressConfig& flags) {
-  const fs::path dir = flags.replay_dir;
-  const fs::path cfg_path = dir / "config.json";
-  BundleConfig bundle{0, flags};
-  if (!read_record(cfg_path, &bundle)) {
-    std::cerr << "cannot parse " << cfg_path.string() << "\n";
-    return 2;
-  }
-  // The --clients/--servers rule: a world needs at least one of each.
-  const StressConfig& cfg = bundle.cfg;
-  if (cfg.clients < 1 || cfg.servers < 1) {
-    std::cerr << cfg_path.string()
-              << ": clients and servers must be positive integers\n";
-    return 2;
-  }
-  fs::path script_path = dir / "fault_script.min.json";
-  if (!fs::exists(script_path)) script_path = dir / "fault_script.json";
-  sim::FaultScript script;
-  if (!read_record(script_path, &script)) {
-    std::cerr << "cannot parse " << script_path.string() << "\n";
-    return 2;
-  }
-  if (!script.fits(cfg.clients, cfg.servers)) {
-    std::cerr << script_path.string()
-              << ": an op names a process or server outside the "
-              << cfg.clients << "-client, " << cfg.servers
-              << "-server world\n";
-    return 2;
-  }
-  const RunResult result = run_one(cfg, bundle.seed, &script);
-  if (result.violation) {
-    std::cout << "replay of " << script_path.string()
-              << " reproduces the violation:\n  " << result.what << "\n";
-    return cfg.expect_violation ? 0 : 1;
-  }
-  std::cout << "replay of " << script_path.string() << " ran clean\n";
-  return cfg.expect_violation ? 1 : 0;
-}
-
-/// Parse a positive decimal int; false on anything else.
-bool parse_positive(const std::string& text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < 1 || v > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
+};
 
 int usage() {
   std::cerr <<
@@ -355,14 +209,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        cfg.seed_lo = cfg.seed_hi = std::strtoull(v.c_str(), nullptr, 10);
-      } else {
-        cfg.seed_lo = std::strtoull(v.substr(0, colon).c_str(), nullptr, 10);
-        cfg.seed_hi = std::strtoull(v.substr(colon + 1).c_str(), nullptr, 10);
-      }
+      parse_range(value(), &cfg.seed_lo, &cfg.seed_hi);
     } else if (arg == "--clients") {
       if (!parse_positive(value(), &cfg.clients)) return usage();
     } else if (arg == "--servers") {
@@ -397,7 +244,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cfg.replay_dir.empty()) return replay_bundle(cfg);
+  if (!cfg.replay_dir.empty()) {
+    return app::replay_bundle<StressRepro>(cfg.replay_dir, cfg.expect_violation,
+                                           std::cout, std::cerr);
+  }
   if (cfg.seed_hi < cfg.seed_lo) return usage();
 
   const std::uint64_t seeds = cfg.seed_hi - cfg.seed_lo + 1;
@@ -407,11 +257,12 @@ int main(int argc, char** argv) {
   // stdout/stderr and every bundle are byte-identical for any --jobs value.
   const auto wall_start = std::chrono::steady_clock::now();
   sim::BatchRunner runner(cfg.jobs);
+  std::vector<double> run_seconds(static_cast<std::size_t>(seeds), 0.0);
   const std::vector<RunResult> results = runner.map<RunResult>(
       static_cast<std::size_t>(seeds), [&](std::size_t i) {
         const auto t0 = std::chrono::steady_clock::now();
         RunResult r = run_one(cfg, cfg.seed_lo + i);
-        r.wall_seconds =
+        run_seconds[i] =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
         return r;
@@ -434,7 +285,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t seed = cfg.seed_lo; seed <= cfg.seed_hi; ++seed) {
     const RunResult& result = results[seed - cfg.seed_lo];
     total_events += result.sim_stats.events_executed;
-    serial_seconds += result.wall_seconds;
+    serial_seconds += run_seconds[seed - cfg.seed_lo];
     artifact.tally(result.sim_stats, result.sim_time);
     if (!result.violation) {
       std::cout << "seed " << seed << ": ok (" << result.script.ops.size()
@@ -443,7 +294,12 @@ int main(int argc, char** argv) {
     }
     ++violations;
     std::cout << "seed " << seed << ": VIOLATION\n  " << result.what << "\n";
-    if (emit_bundle(cfg, seed, result)) ++actionable;
+    const std::filesystem::path dir =
+        std::filesystem::path(cfg.out_dir) / ("seed" + std::to_string(seed));
+    if (app::write_bundle<StressRepro>(dir, BundleConfig{seed, cfg}, result,
+                                       cfg.minimize, std::cerr)) {
+      ++actionable;
+    }
   }
 
   // Throughput summary (stderr, wall-clock — deliberately not part of the

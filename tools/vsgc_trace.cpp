@@ -30,7 +30,6 @@
 // Gates: --check-no-orphans fails unless every expected delivery completed
 // (the fault-free contract); --check-clean fails only on "unexplained"
 // orphans (the churn contract: losses must be attributable to faults).
-#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "app/world.hpp"
+#include "cli.hpp"
 #include "obs/artifact.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
@@ -85,18 +85,6 @@ int usage(const char* argv0) {
       << "  --churn             (record) drive FailureInjector churn\n"
       << "  --two-tier          (record) two-tier sync-message routing\n";
   return 2;
-}
-
-/// Parse a positive decimal int; complains and returns false otherwise.
-bool parse_positive(const char* text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
-    std::cerr << "expected a positive integer, got '" << text << "'\n";
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
 }
 
 bool parse_args(int argc, char** argv, Options* opt) {
