@@ -363,16 +363,22 @@ echo "== parallel sweep: jobs-independence (stress) =="
 # deterministic per-seed verdict stream + summary) must be byte-identical
 # between --jobs 1 and a parallel run. Throughput lines go to stderr and are
 # deliberately excluded from the contract.
+# The artifact path line is the only stdout that names the output dir. Both
+# sweeps' BENCH_stress.json artifacts (one result row per seed) must pass the
+# schema check.
 SWEEP_J1="$BUILD_DIR/sweep-jobs1"
 SWEEP_JN="$BUILD_DIR/sweep-jobsN"
 rm -rf "$SWEEP_J1" "$SWEEP_JN"
+mkdir -p "$SWEEP_J1" "$SWEEP_JN"
 VSGC_BENCH_OUT="$SWEEP_J1" "$BUILD_DIR/tools/vsgc_stress" --seeds 0:11 \
   --clients 4 --servers 2 --steps 12 --jobs 1 --out "$SWEEP_J1" \
-  2>/dev/null > "$BUILD_DIR/sweep-jobs1.txt"
+  2>/dev/null | grep -v '^\[artifact\]' > "$BUILD_DIR/sweep-jobs1.txt"
 VSGC_BENCH_OUT="$SWEEP_JN" "$BUILD_DIR/tools/vsgc_stress" --seeds 0:11 \
   --clients 4 --servers 2 --steps 12 --jobs 4 --out "$SWEEP_JN" \
-  2>/dev/null > "$BUILD_DIR/sweep-jobsN.txt"
+  2>/dev/null | grep -v '^\[artifact\]' > "$BUILD_DIR/sweep-jobsN.txt"
 cmp "$BUILD_DIR/sweep-jobs1.txt" "$BUILD_DIR/sweep-jobsN.txt"
+"$BUILD_DIR/tools/validate_bench_json" "$SWEEP_J1/BENCH_stress.json" \
+  "$SWEEP_JN/BENCH_stress.json"
 echo "vsgc_stress stdout byte-identical at --jobs 1 and --jobs 4"
 
 echo "== model checker: exhaustive exploration + artifact =="
@@ -410,6 +416,32 @@ for bad in "--clients 0" "--clients abc" "--servers 0"; do
 done
 test ! -e "$MC_PLANT/bad-flags"
 echo "vsgc_mc refuses non-positive or non-numeric --clients/--servers"
+
+echo "== tool flags: malformed values are usage errors =="
+# Every numeric and enum flag of vsgc_stress, vsgc_mc and vsgc_trace parses
+# strictly: a non-numeric, out-of-range or unknown value exits 2 before
+# anything runs, so there is no false verdict and no bundle or artifact.
+BAD_FLAGS="$BUILD_DIR/bad-flags"
+rm -rf "$BAD_FLAGS"
+for bad in "vsgc_stress --out $BAD_FLAGS --seeds abc" \
+           "vsgc_stress --out $BAD_FLAGS --forwarding simpel" \
+           "vsgc_stress --out $BAD_FLAGS --steps abc" \
+           "vsgc_stress --out $BAD_FLAGS --steps -3" \
+           "vsgc_mc --out $BAD_FLAGS --drop 7" \
+           "vsgc_mc --out $BAD_FLAGS --walks xyz" \
+           "vsgc_mc --out $BAD_FLAGS --messages abc" \
+           "vsgc_trace --record --json $BAD_FLAGS --top -5"; do
+  rc=0
+  # $bad unquoted: the tool name and each flag and value are one word each.
+  VSGC_BENCH_OUT="$BAD_FLAGS" "$BUILD_DIR/tools/"$bad > /dev/null 2>&1 \
+    || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$bad: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+done
+test ! -e "$BAD_FLAGS"
+echo "malformed flag values refused with exit 2, nothing written"
 
 echo "== model checker corruption self-check (planted wedge) =="
 # With --corrupt the fault menu gains the corruption family and the planted

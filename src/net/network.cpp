@@ -55,12 +55,12 @@ void Network::send(NodeId from, NodeId to, Payload payload,
                        static_cast<std::uint64_t>(config_.jitter) + 1));
   }
 
+  // Links are FIFO: jitter never lets a packet overtake an earlier one on
+  // the same link.
   sim::Time arrival = sim_.now() + delay;
-  if (config_.fifo_links) {
-    auto& last = last_arrival_[{from, to}];
-    if (arrival <= last) arrival = last + 1;
-    last = arrival;
-  }
+  auto& last = last_arrival_[{from, to}];
+  if (arrival <= last) arrival = last + 1;
+  last = arrival;
 
   // The delivery closure carries the refcounted handle, not the payload
   // bytes: it fits the kernel's inline event storage, so an in-flight packet

@@ -64,7 +64,6 @@ class Network {
     sim::Time base_latency = 1 * sim::kMillisecond;
     sim::Time jitter = 200;            ///< uniform extra delay in [0, jitter]
     double drop_probability = 0.0;     ///< independent per-packet loss
-    bool fifo_links = true;            ///< never reorder within one link
   };
 
   struct Stats {

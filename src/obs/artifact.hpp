@@ -1,24 +1,11 @@
 // BenchArtifact: the shared machine-readable run artifact every bench binary
 // writes next to its human-readable table (the BENCH_<name>.json perf
-// trajectory required by ROADMAP.md).
-//
-// Schema (validated by tools/validate_bench_json.cpp, documented in README):
-//   {
-//     "bench": "<name>",            // artifact identity
-//     "schema_version": 1,
-//     "config": { ... },            // echo of the bench's parameters
-//     "results": [ {...}, ... ],    // one object per measured case
-//     "metrics": {                  // obs::Registry dump (counters/gauges/
-//       "counters": [...], ... },   //   histograms), empty sections if unused
-//     "sim": {                      // simulator instrumentation, aggregated
-//       "events_executed": N,       //   over every world the bench ran
-//       "peak_queue_depth": N,
-//       "sim_time_us": N,
-//       "wall_time_seconds": X,         // host-dependent; excluded from
-//       "events_per_wall_second": X,    //   determinism comparisons
-//       "wall_seconds_per_sim_second": X
-//     }
-//   }
+// trajectory required by ROADMAP.md): bench, schema_version, config (the
+// bench's parameters), results (one object per measured case), metrics (an
+// obs::Registry dump) and sim (simulator stats aggregated over every world
+// the bench ran; its wall-clock fields are host-dependent and excluded from
+// determinism comparisons). The schema is declared field by field in
+// obs/artifact_schema.cpp, which tools/validate_bench_json checks against.
 // Output path: $VSGC_BENCH_OUT/BENCH_<name>.json (or ./BENCH_<name>.json).
 #pragma once
 

@@ -115,6 +115,8 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace vsgc;
   CliConfig cfg;
+  mc::ScenarioConfig& sc = cfg.scenario;
+  mc::ExploreConfig& ex = cfg.explore;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
@@ -125,34 +127,33 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--clients") {
-      if (!parse_positive(value(), &cfg.scenario.clients)) return usage();
+      if (!parse_int(value(), 1, INT_MAX, &sc.clients)) return usage();
     } else if (arg == "--servers") {
-      if (!parse_positive(value(), &cfg.scenario.servers)) return usage();
+      if (!parse_int(value(), 1, INT_MAX, &sc.servers)) return usage();
     } else if (arg == "--seed") {
-      cfg.scenario.seed = std::strtoull(value().c_str(), nullptr, 10);
+      if (!parse_int(value(), 0, UINT64_MAX, &sc.seed)) return usage();
     } else if (arg == "--messages") {
-      cfg.scenario.messages = std::atoi(value().c_str());
+      if (!parse_int(value(), 0, INT_MAX, &sc.messages)) return usage();
     } else if (arg == "--no-leave") {
-      cfg.scenario.trigger_leave = false;
+      sc.trigger_leave = false;
     } else if (arg == "--fault-slots") {
-      cfg.scenario.fault_slots = std::atoi(value().c_str());
+      if (!parse_int(value(), 0, INT_MAX, &sc.fault_slots)) return usage();
     } else if (arg == "--drop") {
-      cfg.scenario.drop = std::atof(value().c_str());
+      if (!parse_probability(value(), &sc.drop)) return usage();
     } else if (arg == "--jitter") {
-      cfg.scenario.jitter = std::atoll(value().c_str());
+      if (!parse_int(value(), 0, INT_MAX, &sc.jitter)) return usage();
     } else if (arg == "--max-deviations") {
-      cfg.explore.max_deviations = std::atoi(value().c_str());
+      if (!parse_int(value(), 0, INT_MAX, &ex.max_deviations)) return usage();
     } else if (arg == "--max-runs") {
-      cfg.explore.max_runs = std::strtoull(value().c_str(), nullptr, 10);
+      if (!parse_int(value(), 0, UINT64_MAX, &ex.max_runs)) return usage();
     } else if (arg == "--horizon") {
-      cfg.explore.horizon =
-          static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      if (!parse_int(value(), 0, SIZE_MAX, &ex.horizon)) return usage();
     } else if (arg == "--inject-bug") {
-      cfg.scenario.inject_bug = true;
+      sc.inject_bug = true;
     } else if (arg == "--corrupt") {
-      cfg.scenario.corruption = true;
+      sc.corruption = true;
     } else if (arg == "--walks") {
-      parse_range(value(), &cfg.walk_lo, &cfg.walk_hi);
+      if (!parse_range(value(), &cfg.walk_lo, &cfg.walk_hi)) return usage();
       cfg.random_walk = true;
     } else if (arg == "--out") {
       cfg.out_dir = value();
@@ -163,8 +164,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       cfg.replay_dir = value();
     } else if (arg == "--jobs") {
-      cfg.explore.jobs = static_cast<std::size_t>(
-          std::strtoull(value().c_str(), nullptr, 10));
+      if (!parse_int(value(), 0, SIZE_MAX, &ex.jobs)) return usage();
     } else {
       return usage();
     }

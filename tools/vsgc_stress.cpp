@@ -19,6 +19,9 @@
 // if present) and checks that the violation reproduces with a
 // byte-identical JSONL trace.
 //
+// Every sweep writes BENCH_stress.json ($VSGC_BENCH_OUT) with one result
+// row per seed, in seed order: seed, violation, fault_ops, events.
+//
 // Self-test: --inject-bug <step> arms a deliberate endpoint bug (a forged
 // duplicate delivery) at the given churn step; with --expect-violation the
 // exit code is 0 only if the bug was caught, minimized, and the minimized
@@ -179,6 +182,18 @@ struct StressRepro {
   }
 };
 
+/// Maps a --forwarding name through enum_names(ForwardingKind).
+bool parse_forwarding(const std::string& text, gcs::ForwardingKind* out) {
+  for (const auto& row : enum_names(*out)) {
+    if (text == row.name) {
+      *out = row.value;
+      return true;
+    }
+  }
+  std::cerr << "unknown --forwarding '" << text << "'\n";
+  return false;
+}
+
 int usage() {
   std::cerr <<
       "usage: vsgc_stress [--seeds LO:HI] [--clients N] [--servers M]\n"
@@ -209,36 +224,37 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      parse_range(value(), &cfg.seed_lo, &cfg.seed_hi);
+      if (!parse_range(value(), &cfg.seed_lo, &cfg.seed_hi)) return usage();
     } else if (arg == "--clients") {
-      if (!parse_positive(value(), &cfg.clients)) return usage();
+      if (!parse_int(value(), 1, INT_MAX, &cfg.clients)) return usage();
     } else if (arg == "--servers") {
-      if (!parse_positive(value(), &cfg.servers)) return usage();
+      if (!parse_int(value(), 1, INT_MAX, &cfg.servers)) return usage();
     } else if (arg == "--steps") {
-      cfg.steps = std::atoi(value().c_str());
+      if (!parse_int(value(), 1, INT_MAX, &cfg.steps)) return usage();
     } else if (arg == "--drop") {
-      cfg.drop = std::atof(value().c_str());
+      if (!parse_probability(value(), &cfg.drop)) return usage();
     } else if (arg == "--two-tier") {
       cfg.two_tier = true;
     } else if (arg == "--corrupt") {
       cfg.corrupt = true;
     } else if (arg == "--eventual-window") {
-      cfg.eventual_window = std::atoi(value().c_str()) * sim::kSecond;
+      int seconds = 0;
+      if (!parse_int(value(), 0, INT_MAX, &seconds)) return usage();
+      cfg.eventual_window = seconds * sim::kSecond;
     } else if (arg == "--forwarding") {
-      cfg.forwarding = value() == "simple" ? gcs::ForwardingKind::kSimple
-                                           : gcs::ForwardingKind::kMinCopies;
+      if (!parse_forwarding(value(), &cfg.forwarding)) return usage();
     } else if (arg == "--out") {
       cfg.out_dir = value();
     } else if (arg == "--no-minimize") {
       cfg.minimize = false;
     } else if (arg == "--inject-bug") {
-      cfg.bug_at_step = std::atoi(value().c_str());
+      if (!parse_int(value(), 0, INT_MAX, &cfg.bug_at_step)) return usage();
     } else if (arg == "--expect-violation") {
       cfg.expect_violation = true;
     } else if (arg == "--replay") {
       cfg.replay_dir = value();
     } else if (arg == "--jobs") {
-      cfg.jobs = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      if (!parse_int(value(), 0, SIZE_MAX, &cfg.jobs)) return usage();
     } else {
       return usage();
     }
@@ -248,8 +264,6 @@ int main(int argc, char** argv) {
     return app::replay_bundle<StressRepro>(cfg.replay_dir, cfg.expect_violation,
                                            std::cout, std::cerr);
   }
-  if (cfg.seed_hi < cfg.seed_lo) return usage();
-
   const std::uint64_t seeds = cfg.seed_hi - cfg.seed_lo + 1;
 
   // Parallel sweep: one fully isolated World per seed on the batch engine.
@@ -287,6 +301,11 @@ int main(int argc, char** argv) {
     total_events += result.sim_stats.events_executed;
     serial_seconds += run_seconds[seed - cfg.seed_lo];
     artifact.tally(result.sim_stats, result.sim_time);
+    obs::JsonValue& row = artifact.add_result();
+    row["seed"] = seed;
+    row["violation"] = result.violation;
+    row["fault_ops"] = result.script.ops.size();
+    row["events"] = result.sim_stats.events_executed;
     if (!result.violation) {
       std::cout << "seed " << seed << ": ok (" << result.script.ops.size()
                 << " fault ops)\n";

@@ -114,7 +114,7 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (a == "--top") {
       const char* v = next("--top");
       if (v == nullptr) return false;
-      opt->top = std::atoi(v);
+      if (!parse_int(v, 0, INT_MAX, &opt->top)) return false;
     } else if (a == "--check-no-orphans") {
       opt->check_no_orphans = true;
     } else if (a == "--check-clean") {
@@ -122,19 +122,19 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (a == "--seed") {
       const char* v = next("--seed");
       if (v == nullptr) return false;
-      opt->seed = std::strtoull(v, nullptr, 10);
+      if (!parse_int(v, 0, UINT64_MAX, &opt->seed)) return false;
     } else if (a == "--clients") {
       const char* v = next("--clients");
       if (v == nullptr) return false;
-      if (!parse_positive(v, &opt->clients)) return false;
+      if (!parse_int(v, 1, INT_MAX, &opt->clients)) return false;
     } else if (a == "--servers") {
       const char* v = next("--servers");
       if (v == nullptr) return false;
-      if (!parse_positive(v, &opt->servers)) return false;
+      if (!parse_int(v, 1, INT_MAX, &opt->servers)) return false;
     } else if (a == "--messages") {
       const char* v = next("--messages");
       if (v == nullptr) return false;
-      opt->messages = std::atoi(v);
+      if (!parse_int(v, 0, INT_MAX, &opt->messages)) return false;
     } else if (a == "--churn") {
       opt->churn = true;
     } else if (a == "--two-tier") {
