@@ -2,8 +2,20 @@
 # CI entry point: sanitized debug build, full test suite, then one bench run
 # whose BENCH_*.json artifact is schema-checked. Mirrors what a reviewer
 # should run before merging.
+#
+# Usage: ./ci.sh [--perf]. With --perf (or VSGC_PERF=1) it also gates a
+# fresh perfbench measurement against the last BENCH_perf.json row, which
+# adds several minutes of wall-clock runs.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+PERF="${VSGC_PERF:-0}"
+for arg in "$@"; do
+  case "$arg" in
+    --perf) PERF=1 ;;
+    *) echo "usage: ./ci.sh [--perf]" >&2; exit 2 ;;
+  esac
+done
 
 BUILD_DIR="${BUILD_DIR:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
@@ -514,5 +526,13 @@ mkdir -p "$TSAN_OUT"
 VSGC_BENCH_OUT="$TSAN_OUT" "$BUILD_DIR_TSAN/tools/vsgc_stress" --seeds 0:3 \
   --clients 3 --servers 1 --steps 8 --jobs 4 --out "$TSAN_OUT" > /dev/null
 echo "TSan clean on batch_test and a parallel stress sweep"
+
+if [ "$PERF" = 1 ]; then
+  echo "== perf trajectory gate (--perf) =="
+  # perfbench on this tree (Release, 5 runs x 10 s per workload) against the
+  # last committed BENCH_perf.json row, within BENCHMARK.json's bounds
+  # widened by both rows' interquartile spreads.
+  python3 tools/perf_trajectory.py --check
+fi
 
 echo "CI OK"

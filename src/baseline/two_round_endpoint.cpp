@@ -29,7 +29,7 @@ void TwoRoundEndpoint::handle_start_change(StartChangeId cid,
 
 void TwoRoundEndpoint::on_view(const View& v) {
   if (crashed_) return;
-  pending_.push_back(v);
+  pending_.push_back(intern(v));
   prune_pending();
   // pending_ feeds desired_reliable_set(); the parent's on_view marks the
   // cached reliable set stale.
@@ -43,10 +43,10 @@ void TwoRoundEndpoint::prune_pending() {
   // when a later view excludes one of its participants (that participant is
   // gone; its agree/cut would never arrive and liveness would be lost).
   while (pending_.size() > 1) {
-    const View& front = pending_.front();
+    const View& front = *pending_.front();
     bool excluded_later = false;
     for (ProcessId q : participants(front)) {
-      if (!pending_.back().contains(q)) {
+      if (!pending_.back()->contains(q)) {
         excluded_later = true;
         break;
       }
@@ -60,19 +60,19 @@ void TwoRoundEndpoint::prune_pending() {
     pending_.pop_front();
   }
   // Drop queued views the installed view already supersedes.
-  while (!pending_.empty() && !(current_view_.id < pending_.front().id)) {
+  while (!pending_.empty() && !(current_view().id < pending_.front()->id)) {
     pending_.pop_front();
   }
 }
 
-const View& TwoRoundEndpoint::next_view_candidate() const {
-  return pending_.empty() ? current_view_ : pending_.front();
+const gcs::ViewRef& TwoRoundEndpoint::next_view_candidate() const {
+  return pending_.empty() ? current_view_ref() : pending_.front();
 }
 
 std::set<ProcessId> TwoRoundEndpoint::participants(const View& target) const {
   std::set<ProcessId> out;
   for (ProcessId q : target.members) {
-    if (current_view_.contains(q)) out.insert(q);
+    if (current_view().contains(q)) out.insert(q);
   }
   out.insert(self_);
   return out;
@@ -99,17 +99,17 @@ std::set<ProcessId> TwoRoundEndpoint::transitional_for(
     const View& target) const {
   std::set<ProcessId> t;
   for (ProcessId q : target.members) {
-    if (!current_view_.contains(q)) continue;
+    if (!current_view().contains(q)) continue;
     const gcs::SyncMsgData* sm = sync_of(target.id, q);
-    if (sm != nullptr && sm->view == current_view_) t.insert(q);
+    if (sm != nullptr && sm->view == current_view_ref()) t.insert(q);
   }
   return t;
 }
 
 std::set<ProcessId> TwoRoundEndpoint::desired_reliable_set() const {
-  std::set<ProcessId> set = current_view_.members;
-  for (const View& v : pending_) {
-    set.insert(v.members.begin(), v.members.end());
+  std::set<ProcessId> set = current_view().members;
+  for (const gcs::ViewRef& v : pending_) {
+    set.insert(v->members.begin(), v->members.end());
   }
   return set;
 }
@@ -139,7 +139,7 @@ bool TwoRoundEndpoint::try_send_agree() {
   // Round 1: confirm the globally unique identifier (the view id) with every
   // participant. This is the round the paper's algorithm eliminates.
   if (pending_.empty()) return false;
-  const View& target = pending_.front();
+  const View& target = *pending_.front();
   if (agree_sent_.contains(target.id)) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
                      target.members.begin(), target.members.end())) {
@@ -158,20 +158,20 @@ bool TwoRoundEndpoint::try_send_sync() {
   // Round 2: cut exchange, only after round 1 completed and the client is
   // blocked (Self Delivery).
   if (pending_.empty()) return false;
-  const View& target = pending_.front();
+  const View& target = *pending_.front();
   if (sync_sent_.contains(target.id)) return false;
   if (!agree_complete(target)) return false;
   if (block_status_ != BlockStatus::kBlocked) return false;
 
-  gcs::SyncMsgData data;
-  data.view = current_view_;
-  for (ProcessId q : current_view_.members) {
-    data.cut[q] = buffer(q, current_view_.id).longest_prefix();
+  gcs::SyncMsgData& data = syncs_[target.id][self_];
+  data = gcs::SyncMsgData{current_view_ref(), {}};
+  for (const Lane& lane : lanes()) {
+    data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
   }
-  wire::SyncMsg sm{target.id, data.view, data.cut};
+  wire::SyncMsg sm{target.id, *data.view, data.cut};
+  const std::size_t size = codec::wire_size(sm);
   transport_.send(nodes_of(target.members, /*exclude_self=*/true),
-                  net::Payload(sm), codec::wire_size(sm));
-  syncs_[target.id][self_] = data;
+                  net::Payload(std::move(sm)), size);
   sync_sent_.insert(target.id);
   baseline_stats_.sync_msgs_sent += target.members.size() - 1;  // per-dest
   return true;
@@ -184,16 +184,16 @@ bool TwoRoundEndpoint::handle_child_message(ProcessId from,
     return true;
   }
   if (const auto* sm = std::any_cast<wire::SyncMsg>(&payload)) {
-    syncs_[sm->target][from] = gcs::SyncMsgData{sm->view, sm->cut};
+    syncs_[sm->target][from] = gcs::SyncMsgData{intern(sm->view), sm->cut};
     return true;
   }
   return false;
 }
 
-bool TwoRoundEndpoint::deliver_allowed(ProcessId q,
+bool TwoRoundEndpoint::deliver_allowed(std::size_t /*lane*/, ProcessId q,
                                        std::int64_t next_index) const {
   if (pending_.empty()) return true;
-  const View& target = pending_.front();
+  const View& target = *pending_.front();
   const gcs::SyncMsgData* own = sync_of(target.id, self_);
   if (own == nullptr) return true;  // cut not committed yet
 
@@ -208,12 +208,12 @@ bool TwoRoundEndpoint::deliver_allowed(ProcessId q,
 
 bool TwoRoundEndpoint::view_gate(const View& v,
                                  std::set<ProcessId>& transitional) {
-  if (pending_.empty() || !(pending_.front() == v)) return false;
+  if (pending_.empty() || pending_.front().get() != &v) return false;
   for (ProcessId q : participants(v)) {
     if (sync_of(v.id, q) == nullptr) return false;
   }
   transitional = transitional_for(v);
-  for (ProcessId q : current_view_.members) {
+  for (ProcessId q : current_view().members) {
     std::int64_t agreed = 0;
     for (ProcessId r : transitional) {
       agreed = std::max(agreed, sync_of(v.id, r)->cut_of(q));
@@ -228,7 +228,7 @@ bool TwoRoundEndpoint::try_forward() {
   // participant's cut is known, the lowest-id holder of a missing message
   // from a non-transitional sender forwards it.
   if (pending_.empty()) return false;
-  const View& target = pending_.front();
+  const View& target = *pending_.front();
   for (ProcessId q : participants(target)) {
     if (sync_of(target.id, q) == nullptr) return false;
   }
@@ -236,7 +236,8 @@ bool TwoRoundEndpoint::try_forward() {
   if (!t.contains(self_)) return false;
 
   bool progress = false;
-  for (ProcessId r : current_view_.members) {
+  const View& current = current_view();
+  for (ProcessId r : current.members) {
     if (t.contains(r)) continue;
     std::int64_t max_committed = 0;
     for (ProcessId u : t) {
@@ -251,18 +252,19 @@ bool TwoRoundEndpoint::try_forward() {
         else if (!forwarder) forwarder = u;
       }
       if (missing.empty() || forwarder != self_) continue;
-      const gcs::AppMsg* m = buffer(r, current_view_.id).get(i);
+      const gcs::AppMsg* m = buffer(r, current.id).get(i);
       if (m == nullptr) continue;
       std::set<ProcessId> fresh;
       for (ProcessId dest : missing) {
-        if (forwarded_set_.emplace(dest, r, current_view_.id, i).second) {
+        if (forwarded_set_.emplace(dest, r, current.id, i).second) {
           fresh.insert(dest);
         }
       }
       if (fresh.empty()) continue;
-      gcs::wire::FwdMsg fm{r, current_view_, i, *m};
-      transport_.send(nodes_of(fresh, /*exclude_self=*/true), net::Payload(fm),
-                      codec::wire_size(fm));
+      gcs::wire::FwdMsg fm{r, current, i, *m};
+      const std::size_t size = codec::wire_size(fm);
+      transport_.send(nodes_of(fresh, /*exclude_self=*/true),
+                      net::Payload(std::move(fm)), size);
       baseline_stats_.forwards_sent += fresh.size();
       progress = true;
     }
@@ -271,10 +273,10 @@ bool TwoRoundEndpoint::try_forward() {
 }
 
 void TwoRoundEndpoint::pre_view_effects(const View& v) {
-  if (pending_.size() > 1 || mbrshp_view_.id > v.id) {
+  if (pending_.size() > 1 || mbrshp_view().id > v.id) {
     ++baseline_stats_.obsolete_views_delivered;
   }
-  VSGC_REQUIRE(!pending_.empty() && pending_.front() == v,
+  VSGC_REQUIRE(!pending_.empty() && pending_.front().get() == &v,
                "baseline installed a view it was not processing");
   pending_.pop_front();
   agrees_.erase(v.id);

@@ -60,12 +60,14 @@ struct SyncMsg {
   static constexpr Tag kTag = Tag::kSync;
   ViewId target{};
   View view{};  ///< sender's current view
-  std::map<ProcessId, std::int64_t> cut{};
+  gcs::wire::Cut cut{};
 
   template <class S, class V>
   static void fields(S& s, V& v) {
     v(s.target, s.view, s.cut);
   }
+
+  void validate() const { gcs::wire::validate_cut(cut); }
 
   friend bool operator==(const SyncMsg&, const SyncMsg&) = default;
 };
@@ -94,9 +96,10 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   std::size_t pending_views() const { return pending_.size(); }
 
  protected:
-  const View& next_view_candidate() const override;
+  const gcs::ViewRef& next_view_candidate() const override;
   std::set<ProcessId> desired_reliable_set() const override;
-  bool deliver_allowed(ProcessId q, std::int64_t next_index) const override;
+  bool deliver_allowed(std::size_t lane, ProcessId q,
+                       std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
@@ -120,7 +123,7 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   std::set<ProcessId> transitional_for(const View& target) const;
 
   BaselineStats baseline_stats_;
-  std::deque<View> pending_;
+  std::deque<gcs::ViewRef> pending_;
   bool start_change_seen_ = false;
   BlockStatus block_status_ = BlockStatus::kUnblocked;
   std::map<ViewId, std::set<ProcessId>> agrees_;

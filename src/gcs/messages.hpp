@@ -10,8 +10,8 @@
 // pins its bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +22,28 @@
 #include "util/wire_codec.hpp"
 
 namespace vsgc::gcs::wire {
+
+/// A sync message's cut: (sender, index) pairs, strictly ascending by
+/// sender. It encodes exactly as a std::map<ProcessId, std::int64_t>.
+using Cut = std::vector<std::pair<ProcessId, std::int64_t>>;
+
+/// cut[q], or 0 for a sender the cut does not name.
+inline std::int64_t cut_of(const Cut& cut, ProcessId q) {
+  auto it = std::lower_bound(
+      cut.begin(), cut.end(), q,
+      [](const auto& entry, ProcessId p) { return entry.first < p; });
+  return it == cut.end() || it->first != q ? 0 : it->second;
+}
+
+/// The decode check of every cut: the map encoding's strictly ascending
+/// keys, so a decoded cut re-encodes to the bytes it came from.
+inline void validate_cut(const Cut& cut) {
+  for (std::size_t i = 1; i < cut.size(); ++i) {
+    if (!(cut[i - 1].first < cut[i].first)) {
+      throw DecodeError("cut senders not strictly ascending");
+    }
+  }
+}
 
 enum class Tag : std::uint8_t {
   kViewMsg = 1,
@@ -84,12 +106,14 @@ struct SyncMsg {
   static constexpr Tag kTag = Tag::kSyncMsg;
   StartChangeId cid{};
   View view{};  ///< sender's current view when the sync message was sent
-  std::map<ProcessId, std::int64_t> cut{};
+  Cut cut{};
 
   template <class S, class V>
   static void fields(S& s, V& v) {
     v(s.cid, s.view, s.cut);
   }
+
+  void validate() const { validate_cut(cut); }
 
   friend bool operator==(const SyncMsg&, const SyncMsg&) = default;
 };

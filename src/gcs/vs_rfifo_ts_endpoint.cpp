@@ -1,6 +1,7 @@
 #include "gcs/vs_rfifo_ts_endpoint.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -30,15 +31,88 @@ const SyncMsgData* VsRfifoTsEndpoint::latest_sync_msg(ProcessId q) const {
   return &itq->second.rbegin()->second;  // cids are monotone per sender
 }
 
-std::set<ProcessId> VsRfifoTsEndpoint::compute_transitional(
-    const View& v) const {
-  std::set<ProcessId> t;
-  for (ProcessId q : v.members) {
-    if (!current_view_.contains(q)) continue;
-    const SyncMsgData* sm = sync_msg(q, v.start_id_of(q));
-    if (sm != nullptr && sm->view == current_view_) t.insert(q);
+namespace {
+
+/// agreed[i] = max(agreed[i], cut[q]) for the i'th of `members`: both ascend.
+void fold_cut(const wire::Cut& cut, const std::set<ProcessId>& members,
+              std::vector<std::int64_t>& agreed) {
+  auto c = cut.begin();
+  std::size_t i = 0;
+  for (ProcessId q : members) {
+    while (c != cut.end() && c->first < q) ++c;
+    if (c != cut.end() && c->first == q) {
+      agreed[i] = std::max(agreed[i], c->second);
+    }
+    ++i;
   }
-  return t;
+}
+
+}  // namespace
+
+void VsRfifoTsEndpoint::resolve(const View& v, const ViewRef& w,
+                                SyncResolution& out) const {
+  out.syncs.clear();
+  out.missing = 0;
+  out.transitional.clear();
+  out.agreed.assign(w->members.size(), 0);
+  for (ProcessId r : v.members) {
+    if (!w->contains(r)) continue;
+    const SyncMsgData* sm = sync_msg(r, v.start_id_of(r));
+    out.syncs.emplace_back(r, sm);
+    if (sm == nullptr) {
+      ++out.missing;
+      continue;
+    }
+    if (sm->view != w) continue;
+    out.transitional.emplace_back(r, sm);
+    fold_cut(sm->cut, w->members, out.agreed);
+  }
+}
+
+void VsRfifoTsEndpoint::refresh_candidate() const {
+  if (!candidate_stale_) return;
+  candidate_stale_ = false;
+  resolve(mbrshp_view(), current_view_ref(), candidate_);
+
+  // deliver_allowed's three cases, per lane (Figure 10): no limit before our
+  // own cut is committed; our own cut until the membership view for this
+  // start_change is known; then the max cut over the known part of T.
+  deliver_limit_.assign(lanes().size(),
+                        std::numeric_limits<std::int64_t>::max());
+  limit_is_agreed_ = false;
+  if (!start_change_) return;
+  const SyncMsgData* own = sync_msg(self_, start_change_->first);
+  if (own == nullptr) return;
+  const View& mv = mbrshp_view();
+  limit_is_agreed_ = current_view().id < mv.id && mv.contains(self_) &&
+                     start_change_->first == mv.start_id_of(self_);
+  for (std::size_t i = 0; i < deliver_limit_.size(); ++i) {
+    deliver_limit_[i] = limit_is_agreed_ ? candidate_.agreed[i]
+                                         : own->cut_of(lanes()[i].sender);
+  }
+}
+
+void VsRfifoTsEndpoint::absorb(ProcessId from, StartChangeId cid,
+                               const SyncMsgData& sm) {
+  if (candidate_stale_) return;
+  auto& syncs = candidate_.syncs;
+  auto slot = std::lower_bound(
+      syncs.begin(), syncs.end(), from,
+      [](const auto& entry, ProcessId p) { return entry.first < p; });
+  if (slot == syncs.end() || slot->first != from ||
+      mbrshp_view().start_id_of(from) != cid) {
+    return;  // not a message the candidate selects
+  }
+  slot->second = &sm;
+  --candidate_.missing;
+  if (sm.view != current_view_ref()) return;
+  auto& t = candidate_.transitional;
+  t.emplace(std::lower_bound(
+                t.begin(), t.end(), from,
+                [](const auto& entry, ProcessId p) { return entry.first < p; }),
+            from, &sm);
+  fold_cut(sm.cut, current_view().members, candidate_.agreed);
+  if (limit_is_agreed_) deliver_limit_ = candidate_.agreed;
 }
 
 // --------------------------------------------------------------------------
@@ -64,7 +138,7 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   for (const auto& [q, per_cid] : sync_msgs_) {
     if (q == self_ || per_cid.empty()) continue;
     const auto& [latest_cid, data] = *per_cid.rbegin();
-    const wire::SyncMsg sync{latest_cid, data.view, data.cut};
+    const wire::SyncMsg sync{latest_cid, *data.view, data.cut};
     for_locals.entries.emplace_back(q, sync);
     if (routing_.leader(q) == self_) for_peers.entries.emplace_back(q, sync);
   }
@@ -99,7 +173,7 @@ std::set<ProcessId> VsRfifoTsEndpoint::desired_reliable_set() const {
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
   // (start_change_ moves only under on_start_change, view install and
   // recover: three of the parent's points that mark this set stale.)
-  std::set<ProcessId> set = current_view_.members;
+  std::set<ProcessId> set = current_view().members;
   if (start_change_) {
     set.insert(start_change_->second.begin(), start_change_->second.end());
   }
@@ -135,12 +209,15 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     return false;
   }
 
-  SyncMsgData data;
-  data.view = current_view_;
-  for (ProcessId q : current_view_.members) {
-    data.cut[q] = buffer(q, current_view_.id).longest_prefix();
+  SyncMsgData& data = sync_msgs_[self_][cid];
+  data.view = current_view_ref();
+  data.cut.reserve(lanes().size());
+  for (const Lane& lane : lanes()) {
+    data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
   }
-  const wire::SyncMsg full{cid, data.view, data.cut};
+  candidate_stale_ = true;
+  wire::SyncMsg full{cid, *data.view, data.cut};
+  const std::size_t full_size = codec::wire_size(full);
   const std::set<ProcessId>& change_set = start_change_->second;
 
   const ProcessId my_leader = routing_.leader(self_);
@@ -148,55 +225,66 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
                         change_set.contains(my_leader);
   if (two_tier && my_leader != self_) {
     // Up-send to our designated leader only; it relays for us.
-    transport_.send({net::node_of(my_leader)}, net::Payload(full),
-                    codec::wire_size(full));
+    transport_.send({net::node_of(my_leader)}, net::Payload(std::move(full)),
+                    full_size);
     ++vs_stats_.sync_msgs_sent;
-    vs_stats_.sync_bytes_sent += codec::wire_size(full);
+    vs_stats_.sync_bytes_sent += full_size;
   } else if (two_tier) {
     // We are a leader: our own sync message starts as an aggregate.
-    wire::AggregateSyncMsg agg{0, {{self_, full}}};
+    wire::AggregateSyncMsg agg{0, {}};
+    agg.entries.emplace_back(self_, std::move(full));
     const std::set<ProcessId> dests = relay_dests(change_set);
     if (!dests.empty()) {
-      transport_.send(nodes_of(dests, /*exclude_self=*/true), net::Payload(agg),
-                      codec::wire_size(agg));
+      const std::size_t size = codec::wire_size(agg);
+      transport_.send(nodes_of(dests, /*exclude_self=*/true),
+                      net::Payload(std::move(agg)), size);
       vs_stats_.sync_msgs_sent += dests.size();
-      vs_stats_.sync_bytes_sent += codec::wire_size(agg);
+      vs_stats_.sync_bytes_sent += size;
     }
-  } else {
-    // Direct all-to-all (Section 5.2), with the optional Section 5.2.4
-    // compaction: strangers (outside our view) never read our cut.
+  } else if (routing_.compact_sync_to_strangers &&
+             !std::includes(current_view().members.begin(),
+                            current_view().members.end(), change_set.begin(),
+                            change_set.end())) {
+    // Direct all-to-all (Section 5.2) with the Section 5.2.4 compaction:
+    // strangers (outside our view) never read our cut.
     std::set<ProcessId> members;
     std::set<ProcessId> strangers;
     for (ProcessId q : change_set) {
       if (q == self_) continue;
-      (current_view_.contains(q) ? members : strangers).insert(q);
+      (current_view().contains(q) ? members : strangers).insert(q);
     }
-    if (routing_.compact_sync_to_strangers && !strangers.empty()) {
-      const wire::SyncMsg compact{cid, data.view, {}};
-      transport_.send(nodes_of(members, /*exclude_self=*/true),
-                      net::Payload(full), codec::wire_size(full));
-      transport_.send(nodes_of(strangers, /*exclude_self=*/true),
-                      net::Payload(compact), codec::wire_size(compact));
-      vs_stats_.sync_bytes_sent +=
-          codec::wire_size(full) * members.size() +
-          codec::wire_size(compact) * strangers.size();
-    } else {
-      std::set<ProcessId> all = members;
-      all.insert(strangers.begin(), strangers.end());
-      transport_.send(nodes_of(all, /*exclude_self=*/true), net::Payload(full),
-                      codec::wire_size(full));
-      vs_stats_.sync_bytes_sent += codec::wire_size(full) * all.size();
-    }
+    wire::SyncMsg compact{cid, *data.view, {}};
+    const std::size_t compact_size = codec::wire_size(compact);
+    transport_.send(nodes_of(members, /*exclude_self=*/true),
+                    net::Payload(std::move(full)), full_size);
+    transport_.send(nodes_of(strangers, /*exclude_self=*/true),
+                    net::Payload(std::move(compact)), compact_size);
+    vs_stats_.sync_bytes_sent +=
+        full_size * members.size() + compact_size * strangers.size();
+    vs_stats_.sync_msgs_sent += change_set.size() - 1;
+  } else {
+    // Direct all-to-all (Section 5.2).
+    const std::set<net::NodeId> dests =
+        nodes_of(change_set, /*exclude_self=*/true);
+    transport_.send(dests, net::Payload(std::move(full)), full_size);
+    vs_stats_.sync_bytes_sent += full_size * dests.size();
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
   }
 
-  sync_msgs_[self_][cid] = data;
   if (lifecycle_on()) emit(spec::SyncSent{self_, cid});
   return true;
 }
 
 void VsRfifoTsEndpoint::store_sync(ProcessId from, const wire::SyncMsg& sync) {
-  sync_msgs_[from][sync.cid] = SyncMsgData{sync.view, sync.cut};
+  SyncMsgData data{intern(sync.view), sync.cut};
+  auto [it, fresh] = sync_msgs_[from].try_emplace(sync.cid, std::move(data));
+  if (fresh && from != self_) {
+    absorb(from, sync.cid, it->second);
+  } else {
+    // A replaced message, or our own (which sets deliver_allowed's cut).
+    if (!fresh) it->second = std::move(data);
+    candidate_stale_ = true;
+  }
   ++vs_stats_.sync_msgs_received;
   if (lifecycle_on()) emit(spec::SyncRecv{self_, from, sync.cid});
 }
@@ -211,7 +299,7 @@ void VsRfifoTsEndpoint::relay_as_leader(ProcessId origin,
   // installed the view while slower members are still synchronizing — their
   // late up-sends must still be disseminated or those members starve.
   const std::set<ProcessId>& scope =
-      start_change_ ? start_change_->second : mbrshp_view_.members;
+      start_change_ ? start_change_->second : mbrshp_view().members;
   std::set<ProcessId> dests = relay_dests(scope);
   dests.erase(origin);
   if (dests.empty()) return;
@@ -239,7 +327,7 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
     if (agg->hops == 0 && routing_.mode == SyncRouting::Mode::kTwoTier &&
         routing_.leader(self_) == self_) {
       const std::set<ProcessId>& scope =
-          start_change_ ? start_change_->second : mbrshp_view_.members;
+          start_change_ ? start_change_->second : mbrshp_view().members;
       std::set<ProcessId> locals;
       for (ProcessId q : scope) {
         if (q != self_ && q != from && routing_.leader(q) == self_) {
@@ -259,33 +347,10 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
   return false;
 }
 
-bool VsRfifoTsEndpoint::deliver_allowed(ProcessId q,
+bool VsRfifoTsEndpoint::deliver_allowed(std::size_t lane, ProcessId /*q*/,
                                         std::int64_t next_index) const {
-  if (!start_change_) return true;
-  const SyncMsgData* own = sync_msg(self_, start_change_->first);
-  if (own == nullptr) return true;  // cut not yet committed
-
-  const bool view_matches =
-      current_view_.id < mbrshp_view_.id &&
-      mbrshp_view_.contains(self_) &&
-      start_change_->first == mbrshp_view_.start_id_of(self_);
-
-  if (!view_matches) {
-    // No membership view for this start_change yet: only deliver messages
-    // covered by our own committed cut.
-    return next_index <= own->cut_of(q);
-  }
-
-  // Membership view known: deliver up to the max cut over the (partially
-  // known) transitional set S.
-  std::int64_t limit = 0;
-  for (ProcessId r : mbrshp_view_.members) {
-    if (!current_view_.contains(r)) continue;
-    const SyncMsgData* sm = sync_msg(r, mbrshp_view_.start_id_of(r));
-    if (sm == nullptr || !(sm->view == current_view_)) continue;
-    limit = std::max(limit, sm->cut_of(q));
-  }
-  return next_index <= limit;
+  refresh_candidate();
+  return next_index <= deliver_limit_[lane];
 }
 
 bool VsRfifoTsEndpoint::view_gate(const View& v,
@@ -294,20 +359,17 @@ bool VsRfifoTsEndpoint::view_gate(const View& v,
   if (!start_change_ || v.start_id_of(self_) != start_change_->first) {
     return false;
   }
+  // v is the candidate, mbrshp_view, whose resolution is cached.
+  const SyncResolution& res = candidate_resolution();
   // pre: sync messages present from all of v.set ∩ current_view.set
-  for (ProcessId q : v.members) {
-    if (!current_view_.contains(q)) continue;
-    if (sync_msg(q, v.start_id_of(q)) == nullptr) return false;
-  }
-  transitional = compute_transitional(v);
+  if (res.missing > 0) return false;
   // pre: every sender's deliveries match the agreed cut (max over T).
-  for (ProcessId q : current_view_.members) {
-    std::int64_t agreed = 0;
-    for (ProcessId r : transitional) {
-      agreed = std::max(agreed,
-                        sync_msg(r, v.start_id_of(r))->cut_of(q));
-    }
-    if (last_dlvrd(q) != agreed) return false;
+  for (std::size_t i = 0; i < lanes().size(); ++i) {
+    if (lanes()[i].last_dlvrd != res.agreed[i]) return false;
+  }
+  transitional.clear();
+  for (const auto& [r, sm] : res.transitional) {
+    transitional.insert(transitional.end(), r);
   }
   return true;
 }
@@ -338,21 +400,22 @@ bool VsRfifoTsEndpoint::try_forward() {
   // same destination twice).
   bool progress = false;
   for (ForwardAction& action : strategy_->select(*this)) {
-    const AppMsg* m = buffer(action.orig, action.view.id).get(action.index);
+    const AppMsg* m = buffer(action.orig, action.view->id).get(action.index);
     if (m == nullptr) continue;  // we do not hold the message
     std::set<ProcessId> fresh;
     for (ProcessId dest : action.dests) {
       if (dest == self_) continue;
-      if (forwarded_set_.emplace(dest, action.orig, action.view.id,
+      if (forwarded_set_.emplace(dest, action.orig, action.view->id,
                                  action.index)
               .second) {
         fresh.insert(dest);
       }
     }
     if (fresh.empty()) continue;
-    wire::FwdMsg fm{action.orig, action.view, action.index, *m};
-    transport_.send(nodes_of(fresh, /*exclude_self=*/true), net::Payload(fm),
-                    codec::wire_size(fm));
+    wire::FwdMsg fm{action.orig, *action.view, action.index, *m};
+    const std::size_t size = codec::wire_size(fm);
+    transport_.send(nodes_of(fresh, /*exclude_self=*/true),
+                    net::Payload(std::move(fm)), size);
     vs_stats_.forwards_sent += fresh.size();
     if (lifecycle_on()) {
       emit(spec::MsgForward{self_, m->sender, m->uid, fresh.size()});
@@ -385,12 +448,12 @@ std::vector<ForwardAction> SimpleForwardingStrategy::select(
     if (q == ep.self() || per_cid.empty()) continue;
     const SyncMsgData& latest = per_cid.rbegin()->second;
     // Forward to q only if we know of no later view of q than v.
-    if (!(latest.view == v)) continue;
+    if (latest.view != ep.current_view_ref()) continue;
     for (ProcessId r : v.members) {
       const std::int64_t have = latest.cut_of(r);
       const std::int64_t committed = own->cut_of(r);
       for (std::int64_t i = have + 1; i <= committed; ++i) {
-        actions.push_back(ForwardAction{{q}, r, v, i});
+        actions.push_back(ForwardAction{{q}, r, latest.view, i});
       }
     }
   }
@@ -401,45 +464,46 @@ std::vector<ForwardAction> MinCopiesForwardingStrategy::select(
     const VsRfifoTsEndpoint& ep) {
   std::vector<ForwardAction> actions;
   const View& mv = ep.mbrshp_view();
-  const View& cv = ep.current_view();
-  if (!(cv.id < mv.id) || !mv.contains(ep.self())) return actions;
+  if (!(ep.current_view().id < mv.id) || !mv.contains(ep.self())) {
+    return actions;
+  }
   const SyncMsgData* own = ep.sync_msg(ep.self(), mv.start_id_of(ep.self()));
   if (own == nullptr) return actions;  // own sync for this view not sent yet
 
-  // I = v.set ∩ own sync view's set; all of I must have the right sync msgs.
-  std::set<ProcessId> interest;
-  for (ProcessId q : mv.members) {
-    if (own->view.contains(q)) interest.insert(q);
+  // I = v.set ∩ own sync view's set; all of I must have the right sync msgs,
+  // and T is the part of I whose sync was sent in that view. Our sync was
+  // sent in the current view, whose resolution the end-point caches, unless
+  // corrupt_view_epoch has since forged the current view.
+  SyncResolution forged;
+  const SyncResolution* res = &forged;
+  if (own->view == ep.current_view_ref()) {
+    res = &ep.candidate_resolution();
+  } else {
+    ep.resolve(mv, own->view, forged);
   }
-  for (ProcessId q : interest) {
-    if (ep.sync_msg(q, mv.start_id_of(q)) == nullptr) return actions;
-  }
-  std::set<ProcessId> t;
-  for (ProcessId q : interest) {
-    if (ep.sync_msg(q, mv.start_id_of(q))->view == own->view) t.insert(q);
-  }
+  if (res->missing > 0) return actions;
+  const auto& t = res->transitional;
 
   // Only messages from senders OUTSIDE T need forwarding (members of T will
   // retransmit their own messages through live CO_RFIFO channels).
-  for (ProcessId r : own->view.members) {
-    if (t.contains(r)) continue;
-    std::int64_t max_committed = 0;
-    for (ProcessId u : t) {
-      max_committed = std::max(
-          max_committed, ep.sync_msg(u, mv.start_id_of(u))->cut_of(r));
-    }
-    for (std::int64_t i = 1; i <= max_committed; ++i) {
+  auto in_t = t.begin();
+  std::size_t i = 0;
+  for (ProcessId r : own->view->members) {
+    const std::int64_t max_committed = res->agreed[i++];
+    while (in_t != t.end() && in_t->first < r) ++in_t;
+    if (in_t != t.end() && in_t->first == r) continue;
+    for (std::int64_t idx = 1; idx <= max_committed; ++idx) {
+      // The forwarder is the min id in T holding message idx: T ascends.
+      const auto holder = std::find_if(t.begin(), t.end(), [&](const auto& u) {
+        return u.second->cut_of(r) >= idx;
+      });
+      if (holder == t.end() || holder->first != ep.self()) continue;
       std::set<ProcessId> missing;
-      std::optional<ProcessId> forwarder;
-      for (ProcessId u : t) {
-        if (ep.sync_msg(u, mv.start_id_of(u))->cut_of(r) < i) {
-          missing.insert(u);
-        } else if (!forwarder) {
-          forwarder = u;  // min id: t iterates in ascending order
-        }
+      for (const auto& [u, sm] : t) {
+        if (sm->cut_of(r) < idx) missing.insert(u);
       }
-      if (missing.empty() || forwarder != ep.self()) continue;
-      actions.push_back(ForwardAction{missing, r, own->view, i});
+      if (missing.empty()) continue;
+      actions.push_back(ForwardAction{std::move(missing), r, own->view, idx});
     }
   }
   return actions;

@@ -26,21 +26,32 @@ namespace vsgc::gcs {
 
 /// A received (or self-recorded) synchronization message.
 struct SyncMsgData {
-  View view;  ///< sender's view when it sent the sync message
-  std::map<ProcessId, std::int64_t> cut;
+  ViewRef view;  ///< sender's view when it sent the sync message
+  wire::Cut cut;
 
-  std::int64_t cut_of(ProcessId q) const {
-    auto it = cut.find(q);
-    return it == cut.end() ? 0 : it->second;
-  }
+  std::int64_t cut_of(ProcessId q) const { return wire::cut_of(cut, q); }
 };
 
 /// One forwarding decision: send msgs[orig][view][index] to `dests`.
 struct ForwardAction {
   std::set<ProcessId> dests;
   ProcessId orig;
-  View view;
+  ViewRef view;
   std::int64_t index = 0;
+};
+
+/// The sync messages a candidate view v selects, resolved against a
+/// reference view w (the guards of Figure 10): sync_msg[r][v.startId(r)]
+/// for every r in v.set ∩ w.set. With w the current view, T below is the
+/// transitional set view_p(v, T) delivers and `agreed` is the agreed cut.
+struct SyncResolution {
+  /// (r, sync_msg[r][v.startId(r)] or nullptr), ascending by r.
+  std::vector<std::pair<ProcessId, const SyncMsgData*>> syncs;
+  std::size_t missing = 0;  ///< entries of `syncs` without a message
+  /// T: the entries whose message was sent in w, ascending by r.
+  std::vector<std::pair<ProcessId, const SyncMsgData*>> transitional;
+  /// agreed[i]: the max over T of cut[q] for the i'th member q of w.set.
+  std::vector<std::int64_t> agreed;
 };
 
 class VsRfifoTsEndpoint;
@@ -127,17 +138,28 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   void set_sync_routing(SyncRouting routing) { routing_ = std::move(routing); }
   const SyncRouting& sync_routing() const { return routing_; }
 
-  /// The transitional set this end-point would deliver with MBRSHP view v
-  /// right now: {q in v.set ∩ current_view.set |
-  ///             sync_msg[q][v.startId(q)].view == current_view}.
-  std::set<ProcessId> compute_transitional(const View& v) const;
+  /// Resolve candidate v against reference w into `out`, reusing its
+  /// capacity.
+  void resolve(const View& v, const ViewRef& w, SyncResolution& out) const;
+
+  /// resolve(mbrshp_view, current_view), cached (DESIGN.md §11.5). A new
+  /// peer sync message is folded in; anything else that moves an input
+  /// (our own sync sent or stored, a sync replaced, on_start_change,
+  /// on_view, a view install, recover, corrupt_view_epoch) makes the next
+  /// use rebuild it.
+  const SyncResolution& candidate_resolution() const {
+    refresh_candidate();
+    return candidate_;
+  }
 
  protected:
   // Inheritance hooks from WvRfifoEndpoint (transition restrictions of
   // Figure 10).
   std::set<ProcessId> desired_reliable_set() const override;
-  bool deliver_allowed(ProcessId q, std::int64_t next_index) const override;
+  bool deliver_allowed(std::size_t lane, ProcessId q,
+                       std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
+  void views_moved() override { candidate_stale_ = true; }
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
   bool handle_child_message(ProcessId from, const std::any& payload) override;
@@ -156,6 +178,12 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// Two-tier relay fan-out for a leader: other present leaders, own local
   /// members, and orphans (processes whose leader is absent).
   std::set<ProcessId> relay_dests(const std::set<ProcessId>& change_set) const;
+  /// Rebuild candidate_ and deliver_limit_ if an input moved since the last
+  /// build.
+  void refresh_candidate() const;
+  /// Fold a newly stored peer sync message into a fresh candidate cache in
+  /// O(N): it can only fill its sender's missing slot.
+  void absorb(ProcessId from, StartChangeId cid, const SyncMsgData& sm);
 
   std::unique_ptr<ForwardingStrategy> strategy_;
   SyncRouting routing_;
@@ -167,6 +195,16 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// forwarded_set: (dest, orig, view, index) tuples already forwarded.
   std::set<std::tuple<ProcessId, ProcessId, ViewId, std::int64_t>>
       forwarded_set_;
+
+  // ---- Candidate cache, derived from the state above and the parent's
+  // views (DESIGN.md §11.5). ----
+  mutable bool candidate_stale_ = true;
+  mutable SyncResolution candidate_;
+  /// deliver_limit_[i]: the highest index deliver_allowed admits on lane i.
+  mutable std::vector<std::int64_t> deliver_limit_;
+  /// deliver_limit_ is candidate_.agreed: the candidate is the membership
+  /// view for our start_change and our own cut is committed.
+  mutable bool limit_is_agreed_ = false;
 };
 
 /// Section 5.2.2, first strategy: forward every committed message a peer's

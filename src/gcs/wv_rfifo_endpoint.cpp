@@ -14,9 +14,9 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
       transport_(transport),
       self_(self),
       trace_(trace),
-      current_view_(View::initial(self)),
-      mbrshp_view_(View::initial(self)) {
-  view_msg_[self] = View::initial(self);
+      current_view_(views_.intern(View::initial(self))),
+      mbrshp_view_(current_view_) {
+  view_msg_[self] = current_view_;
   reliable_set_ = {self};
   reliable_nodes_ = {net::node_of(self)};
   index_current_view();
@@ -39,19 +39,39 @@ FifoBuffer& WvRfifoEndpoint::buffer_mut(ProcessId q, ViewId v) {
 }
 
 std::int64_t WvRfifoEndpoint::last_dlvrd(ProcessId q) const {
+  const std::size_t i = lane_index(q);
+  return i == lanes_.size() ? 0 : lanes_[i].last_dlvrd;
+}
+
+std::size_t WvRfifoEndpoint::lane_index(ProcessId q) const {
   auto it = std::lower_bound(
       lanes_.begin(), lanes_.end(), q,
       [](const Lane& lane, ProcessId p) { return lane.sender < p; });
-  return it == lanes_.end() || it->sender != q ? 0 : it->last_dlvrd;
+  return it == lanes_.end() || it->sender != q
+             ? lanes_.size()
+             : static_cast<std::size_t>(it - lanes_.begin());
 }
 
 void WvRfifoEndpoint::index_current_view() {
-  view_dests_ = nodes_of(current_view_.members, /*exclude_self=*/true);
+  view_dests_ = nodes_of(current_view_->members, /*exclude_self=*/true);
   lanes_.clear();
-  for (ProcessId q : current_view_.members) {
-    lanes_.push_back(Lane{q, &buffer_mut(q, current_view_.id)});
+  for (ProcessId q : current_view_->members) {
+    if (q == self_) self_lane_ = lanes_.size();
+    lanes_.push_back(Lane{q, &buffer_mut(q, current_view_->id)});
   }
   reliable_stale_ = true;
+  views_moved();
+}
+
+void WvRfifoEndpoint::corrupt_view_epoch(std::uint64_t epoch) {
+  if (crashed_) return;
+  View forged = *current_view_;
+  forged.id.epoch = epoch;
+  current_view_ = views_.intern(forged);
+  for (Lane& lane : lanes_) {
+    lane.msgs = &buffer_mut(lane.sender, current_view_->id);
+  }
+  views_moved();
 }
 
 std::set<net::NodeId> WvRfifoEndpoint::nodes_of(
@@ -71,7 +91,7 @@ std::set<net::NodeId> WvRfifoEndpoint::nodes_of(
 AppMsg WvRfifoEndpoint::send(std::string payload) {
   AppMsg m{self_, ++uid_counter_, std::move(payload)};
   if (crashed_) return m;
-  buffer_mut(self_, current_view_.id).append(m);
+  lanes_[self_lane_].msgs->append(m);
   ++stats_.sent;
   if (trace_on()) emit(spec::GcsSend{self_, m});
   pump();
@@ -81,19 +101,21 @@ AppMsg WvRfifoEndpoint::send(std::string payload) {
 void WvRfifoEndpoint::on_start_change(StartChangeId cid,
                                       const std::set<ProcessId>& set) {
   if (crashed_) return;
-  emit(spec::MbrStartChange{self_, cid, set});
+  if (trace_on()) emit(spec::MbrStartChange{self_, cid, set});
   // The WV_RFIFO parent ignores start_change notifications; VsRfifoTsEndpoint
   // overrides run_child_tasks()/state through handle_start_change().
   handle_start_change(cid, set);
   reliable_stale_ = true;
+  views_moved();
   pump();
 }
 
 void WvRfifoEndpoint::on_view(const View& v) {
   if (crashed_) return;
-  emit(spec::MbrView{self_, v});
-  mbrshp_view_ = v;
+  if (trace_on()) emit(spec::MbrView{self_, v});
+  mbrshp_view_ = views_.intern(v);
   reliable_stale_ = true;
+  views_moved();
   pump();
 }
 
@@ -102,18 +124,26 @@ bool WvRfifoEndpoint::on_co_rfifo_deliver(ProcessId from,
   if (crashed_) return false;
 
   if (const auto* vm = std::any_cast<wire::ViewMsg>(&payload)) {
-    view_msg_[from] = vm->view;
+    view_msg_[from] = views_.intern(vm->view);
     last_rcvd_[from] = 0;
     pump();
     return true;
   }
 
   if (const auto* am = std::any_cast<wire::AppMsgWire>(&payload)) {
-    // A peer with no view_msg yet is still in its initial view v_from.
+    // A peer with no view_msg yet is still in its initial view v_from. A
+    // message of the current view goes straight to the sender's lane.
     auto vm = view_msg_.find(from);
-    const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second.id;
+    const std::size_t lane = vm != view_msg_.end() && vm->second == current_view_
+                                 ? lane_index(from)
+                                 : lanes_.size();
     const std::int64_t index = last_rcvd_[from] + 1;
-    buffer_mut(from, v).put(index, am->msg);
+    if (lane < lanes_.size()) {
+      lanes_[lane].msgs->put(index, am->msg);
+    } else {
+      const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second->id;
+      buffer_mut(from, v).put(index, am->msg);
+    }
     last_rcvd_[from] = index;
     if (lifecycle_on()) {
       emit(spec::MsgRecv{self_, from, am->msg.sender, am->msg.uid, false});
@@ -181,8 +211,8 @@ bool WvRfifoEndpoint::try_set_reliable() {
     desired.insert(self_);
     if (desired != reliable_set_) {
       VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
-                                 current_view_.members.begin(),
-                                 current_view_.members.end()),
+                                 current_view_->members.begin(),
+                                 current_view_->members.end()),
                    "reliable set must cover the current view at "
                        << to_string(self_));
       reliable_set_ = std::move(desired);
@@ -205,12 +235,13 @@ bool WvRfifoEndpoint::try_send_view_msg() {
   // co_rfifo.send_p(set, tag=view_msg, v)
   if (view_msg_.at(self_) == current_view_) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
-                     current_view_.members.begin(),
-                     current_view_.members.end())) {
+                     current_view_->members.begin(),
+                     current_view_->members.end())) {
     return false;
   }
-  wire::ViewMsg vm{current_view_};
-  transport_.send(view_dests_, net::Payload(vm), codec::wire_size(vm));
+  wire::ViewMsg vm{*current_view_};
+  const std::size_t size = codec::wire_size(vm);
+  transport_.send(view_dests_, net::Payload(std::move(vm)), size);
   view_msg_[self_] = current_view_;
   ++stats_.view_msgs_sent;
   return true;
@@ -220,7 +251,7 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
   // co_rfifo.send_p(set, tag=app_msg, m)
   if (view_msg_.at(self_) != current_view_) return false;
   bool progress = false;
-  const FifoBuffer& own = buffer(self_, current_view_.id);
+  const FifoBuffer& own = *lanes_[self_lane_].msgs;
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
     transport_.send(view_dests_, net::Payload(am), codec::wire_size(am));
@@ -237,13 +268,16 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
   bool any = true;
   while (any && !crashed_) {
     any = false;
-    for (Lane& lane : lanes_) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      Lane& lane = lanes_[i];
       const ProcessId q = lane.sender;
       const std::int64_t next = lane.last_dlvrd + 1;
+      // An idle lane costs one comparison, not a buffer lookup.
+      if (next > lane.msgs->last_index()) continue;
       const AppMsg* m = lane.msgs->get(next);
       if (m == nullptr) continue;
       if (q == self_ && !(lane.last_dlvrd < last_sent_)) continue;
-      if (!deliver_allowed(q, next)) continue;
+      if (!deliver_allowed(i, q, next)) continue;
       lane.last_dlvrd = next;
       ++stats_.delivered;
       if (trace_on()) emit(spec::GcsDeliver{self_, q, *m});
@@ -258,20 +292,21 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
 
 bool WvRfifoEndpoint::try_deliver_view() {
   // view_p(v, T)
-  const View& candidate = next_view_candidate();
-  if (!(current_view_.id < candidate.id)) return false;
+  const View& candidate = *next_view_candidate();
+  if (!(current_view_->id < candidate.id)) return false;
   VSGC_REQUIRE(candidate.contains(self_),
                "MBRSHP violated Self Inclusion at " << to_string(self_));
   std::set<ProcessId> transitional;
   if (!view_gate(candidate, transitional)) return false;
 
-  // Copy before the effects: TwoRoundEndpoint::pre_view_effects pops the
-  // pending view `candidate` refers to.
-  const View v = candidate;
+  // Hold the handle across the effects: TwoRoundEndpoint::pre_view_effects
+  // pops the pending view `candidate` refers to.
+  const ViewRef installed = next_view_candidate();
+  const View& v = *installed;
   // Child effects first, then parent effects (one atomic step).
   pre_view_effects(v);
 
-  current_view_ = v;
+  current_view_ = installed;
   last_sent_ = 0;
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
   // delivery only ever reads the current view's buffers from here on.
@@ -301,10 +336,10 @@ void WvRfifoEndpoint::recover() {
   VSGC_REQUIRE(crashed_, "recover() without crash at " << to_string(self_));
   // Reset to initial values — no stable storage. uid_counter_ survives as a
   // history variable (proof artifact only; see DESIGN.md).
-  current_view_ = View::initial(self_);
-  mbrshp_view_ = View::initial(self_);
+  current_view_ = views_.intern(View::initial(self_));
+  mbrshp_view_ = current_view_;
   view_msg_.clear();
-  view_msg_[self_] = View::initial(self_);
+  view_msg_[self_] = current_view_;
   msgs_.clear();
   last_sent_ = 0;
   last_rcvd_.clear();

@@ -27,6 +27,7 @@
 #include "gcs/client.hpp"
 #include "gcs/fifo_buffer.hpp"
 #include "gcs/messages.hpp"
+#include "gcs/view_table.hpp"
 #include "membership/interface.hpp"
 #include "membership/view.hpp"
 #include "sim/time.hpp"
@@ -91,17 +92,14 @@ class WvRfifoEndpoint : public membership::Listener {
   /// *unrecoverable* wedge the eventual-safety suite must flag after its
   /// tolerance window (no recovery path exists for corrupted installed-view
   /// state; contrast the recoverable kCorrupt* family).
-  void corrupt_view_epoch(std::uint64_t epoch) {
-    if (crashed_) return;
-    current_view_.id.epoch = epoch;
-    for (Lane& lane : lanes_) {
-      lane.msgs = &buffer_mut(lane.sender, current_view_.id);
-    }
-  }
+  void corrupt_view_epoch(std::uint64_t epoch);
 
   // Introspection (tests, benches, forwarding strategies).
-  const View& current_view() const { return current_view_; }
-  const View& mbrshp_view() const { return mbrshp_view_; }
+  const View& current_view() const { return *current_view_; }
+  const View& mbrshp_view() const { return *mbrshp_view_; }
+  /// The interned handle behind current_view(). Handles of one end-point
+  /// are equal iff their views are (gcs/view_table.hpp).
+  const ViewRef& current_view_ref() const { return current_view_; }
   ProcessId self() const { return self_; }
   const Stats& stats() const { return stats_; }
   /// last_dlvrd[q]: 0 for a sender outside the current view.
@@ -115,12 +113,15 @@ class WvRfifoEndpoint : public membership::Listener {
   /// install or recover, so an override may read no state that changes
   /// anywhere else.
   virtual std::set<ProcessId> desired_reliable_set() const {
-    return current_view_.members;
+    return current_view_->members;
   }
 
   /// Precondition the child adds to deliver_p(q, m) for the message at
-  /// `next_index` (1-based). Parent allows everything.
-  virtual bool deliver_allowed(ProcessId q, std::int64_t next_index) const {
+  /// `next_index` (1-based); q is lanes()[lane].sender. Parent allows
+  /// everything.
+  virtual bool deliver_allowed(std::size_t lane, ProcessId q,
+                               std::int64_t next_index) const {
+    (void)lane;
     (void)q;
     (void)next_index;
     return true;
@@ -153,7 +154,12 @@ class WvRfifoEndpoint : public membership::Listener {
   /// algorithms always target the latest membership view (and thereby never
   /// deliver obsolete views); the two-round baseline overrides this to work
   /// through its queue of pending views in order.
-  virtual const View& next_view_candidate() const { return mbrshp_view_; }
+  virtual const ViewRef& next_view_candidate() const { return mbrshp_view_; }
+
+  /// Called wherever current_view or mbrshp_view may have moved, and on
+  /// start_change: on_start_change, on_view, view install, recover and
+  /// corrupt_view_epoch. A child drops the caches it derives from them.
+  virtual void views_moved() {}
 
   /// Child input effects for MBRSHP.start_change (the parent ignores it).
   virtual void handle_start_change(StartChangeId cid,
@@ -167,6 +173,20 @@ class WvRfifoEndpoint : public membership::Listener {
 
   // ---- Shared machinery for children ----
 
+  /// One sender of the current view in the delivery index: its buffer
+  /// msgs[sender][current_view.id] and its cursor last_dlvrd[sender].
+  struct Lane {
+    ProcessId sender;
+    FifoBuffer* msgs;
+    std::int64_t last_dlvrd = 0;
+  };
+
+  /// One lane per current-view member, ascending by sender.
+  const std::vector<Lane>& lanes() const { return lanes_; }
+
+  /// This end-point's handle for a view equal to `v`.
+  ViewRef intern(const View& v) { return views_.intern(v); }
+
   /// Fire all enabled locally-controlled actions until quiescent.
   void pump();
 
@@ -176,9 +196,9 @@ class WvRfifoEndpoint : public membership::Listener {
                                  bool exclude_self) const;
   void emit(spec::EventBody body);
 
-  /// Gate for the events that copy a payload or a view (GcsSend,
-  /// GcsDeliver, GcsView): construct nothing when no recorder or sink would
-  /// read them.
+  /// Gate for the events that copy a payload, a view or a set (GcsSend,
+  /// GcsDeliver, GcsView, MbrStartChange, MbrView): construct nothing when
+  /// no recorder or sink would read them.
   bool trace_on() const { return trace_ != nullptr && trace_->active(); }
 
   /// Gate for the high-volume causal span events (DESIGN.md §10): emission
@@ -196,10 +216,6 @@ class WvRfifoEndpoint : public membership::Listener {
   Stats stats_;
 
   // ---- Figure 9 state (owned by the parent; children only read) ----
-  View current_view_;
-  View mbrshp_view_;
-  /// Latest view_msg from q; view_msg[self] is seeded with v_self.
-  std::map<ProcessId, View> view_msg_;
   std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
   std::map<ProcessId, std::int64_t> last_rcvd_;
@@ -208,13 +224,14 @@ class WvRfifoEndpoint : public membership::Listener {
   bool crashed_ = false;
 
  private:
-  /// One sender of the current view in the delivery index: its buffer
-  /// msgs[sender][current_view.id] and its cursor last_dlvrd[sender].
-  struct Lane {
-    ProcessId sender;
-    FifoBuffer* msgs;
-    std::int64_t last_dlvrd = 0;
-  };
+  /// Every view below is a handle from this table.
+  ViewTable views_;
+  // Figure 9 views; children read them through current_view(),
+  // mbrshp_view() and their handles.
+  ViewRef current_view_;
+  ViewRef mbrshp_view_;
+  /// Latest view_msg from q; view_msg[self] is seeded with v_self.
+  std::map<ProcessId, ViewRef> view_msg_;
 
   bool try_set_reliable();
   bool try_send_view_msg();
@@ -223,8 +240,12 @@ class WvRfifoEndpoint : public membership::Listener {
   bool try_deliver_view();
 
   /// Rebuild the per-view caches (destinations, delivery index) for a newly
-  /// current view, with every cursor at 0, and mark the reliable set stale.
+  /// current view, with every cursor at 0; mark the reliable set stale and
+  /// call views_moved().
   void index_current_view();
+
+  /// The index of q's lane, or lanes_.size() when q is not a member.
+  std::size_t lane_index(ProcessId q) const;
 
   // ---- Pump caches, derived from the Figure 9 state above (DESIGN.md
   // §11.5). Rebuilt only where their inputs change. ----
@@ -232,6 +253,7 @@ class WvRfifoEndpoint : public membership::Listener {
   bool reliable_stale_ = true;  ///< desired_reliable_set() may have moved
   std::set<net::NodeId> view_dests_;  ///< current_view.set − {self}
   std::vector<Lane> lanes_;  ///< one per current-view member, ascending
+  std::size_t self_lane_ = 0;  ///< lanes_[self_lane_].sender == self
 
   bool pumping_ = false;
   bool pump_again_ = false;

@@ -21,7 +21,9 @@
 // bool as one byte, the id types as their integer parts, strings and
 // containers as a u32 count then the elements in container order. A field
 // that is itself a described struct nests its own encoding, tag byte
-// included, and the decoder checks that tag too.
+// included, and the decoder checks that tag too. Set elements and map keys
+// decode only in strictly ascending order, the order the encoder writes, so
+// a decoded message always re-encodes to the bytes it came from.
 #pragma once
 
 #include <cstdint>
@@ -129,12 +131,22 @@ struct Sequence {
   }
 };
 
+/// Throws unless `next` sorts strictly after the last key decoded before it.
+template <class K>
+void require_ascending(const K* last, const K& next) {
+  if (last != nullptr && !(*last < next)) {
+    throw DecodeError("container keys not strictly ascending");
+  }
+}
+
 template <class T>
 struct Field<std::set<T>> : Sequence<std::set<T>> {
   static std::set<T> get(Decoder& d) {
     std::set<T> s;
     for (std::uint32_t n = d.get_u32(); n > 0; --n) {
-      s.insert(Field<T>::get(d));
+      T x = Field<T>::get(d);
+      require_ascending(s.empty() ? nullptr : &*s.rbegin(), x);
+      s.insert(s.end(), std::move(x));
     }
     return s;
   }
@@ -162,7 +174,8 @@ struct Field<std::map<K, V>> : Sequence<std::map<K, V>> {
     std::map<K, V> m;
     for (std::uint32_t n = d.get_u32(); n > 0; --n) {
       auto [k, v] = Field<std::pair<K, V>>::get(d);
-      m.insert_or_assign(k, std::move(v));
+      require_ascending(m.empty() ? nullptr : &m.rbegin()->first, k);
+      m.emplace_hint(m.end(), std::move(k), std::move(v));
     }
     return m;
   }

@@ -1,4 +1,5 @@
-// Heap-allocation budget of the steady-state data path (DESIGN.md §11.5).
+// Heap-allocation budgets of the steady-state data path and of a view change
+// (DESIGN.md §11.5).
 // Every operator new in this executable bumps one counter (the idiom of
 // perfbench/alloc_counter.cpp). A simulated execution is a pure function of
 // its seed, so the counts repeat exactly and the budgets below hold without
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
 
 #include "app/world.hpp"
@@ -116,6 +118,56 @@ TEST_F(AllocBudget, SteadyMulticastStaysUnderTenAllocationsPerDelivery) {
   RecordProperty("allocs_per_delivery", std::to_string(per_delivery));
   EXPECT_LE(per_delivery, 10.0) << allocs << " allocations for " << expected
                                 << " deliveries";
+}
+
+/// Heap allocations per view change over `cycles` crash-and-return cycles
+/// of perfbench's `churn` recipe on n clients and n/4 servers, checkers and
+/// recording off. Each cycle every client sends 64 B, one client crashes,
+/// the survivors reconverge, it recovers, and all n reconverge: two view
+/// changes. The first cycle warms the deployment up and is not counted.
+double allocs_per_view_change(int n, int cycles) {
+  app::WorldConfig wc;
+  wc.num_clients = n;
+  wc.num_servers = n / 4;
+  wc.attach_checkers = false;
+  wc.record_trace = false;
+  app::World w(wc);
+  w.start();
+  const std::set<ProcessId> all = w.all_members();
+  EXPECT_TRUE(w.run_until_converged(all, 10 * sim::kSecond));
+  const std::string payload(64, 'c');
+  std::uint64_t before = 0;
+  for (int k = 0; k <= cycles; ++k) {
+    if (k == 1) before = allocations();
+    for (int c = 0; c < n; ++c) w.client(c).send(payload);
+    const int victim = k % n;
+    std::set<ProcessId> survivors = all;
+    survivors.erase(w.process(victim).id());
+    w.process(victim).crash();
+    EXPECT_TRUE(w.run_until_converged(survivors, 5 * sim::kSecond))
+        << "cycle " << k << ": survivors did not reconverge";
+    w.process(victim).recover();
+    EXPECT_TRUE(w.run_until_converged(all, 5 * sim::kSecond))
+        << "cycle " << k << ": the group did not reconverge";
+  }
+  return static_cast<double>(allocations() - before) / (2.0 * cycles);
+}
+
+TEST(AllocBudgetChurn, ViewChangeStaysUnderThirteenThousandAllocations) {
+  const double per_change = allocs_per_view_change(16, 4);
+  RecordProperty("allocs_per_view_change", std::to_string(per_change));
+  EXPECT_LE(per_change, 13000.0);
+}
+
+// A view change among n members moves O(n^2) sync, view and ack messages,
+// so its events grow about 16x from n = 8 to n = 32. Work per event that is
+// O(n) (a view or cut copied per message) grows allocations far faster.
+TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
+  const double at8 = allocs_per_view_change(8, 4);
+  const double at32 = allocs_per_view_change(32, 4);
+  RecordProperty("allocs_per_view_change_n8", std::to_string(at8));
+  RecordProperty("allocs_per_view_change_n32", std::to_string(at32));
+  EXPECT_LE(at32, 24.0 * at8) << at8 << " at n=8, " << at32 << " at n=32";
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ gcs::AppMsg random_app_msg(Rng& rng) {
   return gcs::AppMsg{random_process(rng), rng.next_u64(), random_payload(rng)};
 }
 
-std::map<ProcessId, std::int64_t> random_cut(Rng& rng, const View& v) {
-  std::map<ProcessId, std::int64_t> cut;
-  for (ProcessId p : v.members) cut[p] = rng.next_in(0, 1 << 16);
+gcs::wire::Cut random_cut(Rng& rng, const View& v) {
+  gcs::wire::Cut cut;
+  for (ProcessId p : v.members) cut.emplace_back(p, rng.next_in(0, 1 << 16));
   return cut;
 }
 
@@ -347,6 +347,65 @@ TEST(Codec, WrongTagIsRejected) {
   Decoder dec(good);
   EXPECT_THROW(codec::decode<gcs::wire::SyncMsg>(dec), DecodeError)
       << "an AggregateSyncMsg is not a SyncMsg";
+}
+
+/// A View's bytes with the given members (a set) and start_id keys (a map),
+/// written raw so that duplicate and descending keys can be forged.
+std::vector<std::uint8_t> raw_view(const std::vector<ProcessId>& members,
+                                   const std::vector<ProcessId>& keys) {
+  Encoder enc;
+  enc.put_view_id(ViewId{7, 1});
+  enc.put_u32(static_cast<std::uint32_t>(members.size()));
+  for (ProcessId p : members) enc.put_process(p);
+  enc.put_u32(static_cast<std::uint32_t>(keys.size()));
+  for (ProcessId p : keys) {
+    enc.put_process(p);
+    enc.put_start_change_id(StartChangeId{2});
+  }
+  return enc.bytes();
+}
+
+// A duplicate or descending key used to decode to a message whose
+// re-encoding has other bytes (a set deduplicated, a map kept the last
+// value); the decoders now refuse both.
+TEST(Codec, SetElementsMustStrictlyAscend) {
+  const std::vector<std::uint8_t> ok = raw_view({p1, p3}, {p1, p3});
+  Decoder ok_dec(ok);
+  EXPECT_NO_THROW(codec::decode<View>(ok_dec));
+  for (const auto& members : {std::vector{p1, p1}, std::vector{p3, p1}}) {
+    const std::vector<std::uint8_t> bytes = raw_view(members, {p1, p3});
+    Decoder dec(bytes);
+    EXPECT_THROW(codec::decode<View>(dec), DecodeError);
+  }
+}
+
+TEST(Codec, MapKeysMustStrictlyAscend) {
+  for (const auto& keys : {std::vector{p1, p1}, std::vector{p3, p1}}) {
+    const std::vector<std::uint8_t> bytes = raw_view({p1, p3}, keys);
+    Decoder dec(bytes);
+    EXPECT_THROW(codec::decode<View>(dec), DecodeError);
+  }
+}
+
+TEST(Codec, SyncMsgCutSendersMustStrictlyAscend) {
+  // The cut is a flat vector that encodes as a map, so its decoder checks
+  // the map's key order, for the paper's and the baseline's sync message.
+  const gcs::wire::Cut forged[] = {{{p1, 4}, {p1, 5}}, {{p3, 4}, {p1, 5}}};
+  for (const gcs::wire::Cut& cut : forged) {
+    gcs::wire::SyncMsg sync = kFixedSync;
+    sync.cut = cut;
+    Encoder enc;
+    codec::encode(sync, enc);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(codec::decode<gcs::wire::SyncMsg>(dec), DecodeError);
+
+    const baseline::wire::SyncMsg base{ViewId{8, 2}, fixed_view(), cut};
+    Encoder base_enc;
+    codec::encode(base, base_enc);
+    Decoder base_dec(base_enc.bytes());
+    EXPECT_THROW(codec::decode<baseline::wire::SyncMsg>(base_dec),
+                 DecodeError);
+  }
 }
 
 TEST(Codec, ViewDeltaDiffApplyReconstructsView) {

@@ -1,14 +1,26 @@
-// The end-point pump's cached reliable set (DESIGN.md §11.5). The pump
-// re-evaluates desired_reliable_set() only after start_change, a membership
-// view, a view install or recovery; these tests check that after each of
-// those inputs the transport holds exactly node_of(desired ∪ {self}), for
-// the paper's GCS end-point and for the two-round baseline, and that a
-// corrupted transport reliable set (sim::FaultOp::kCorruptReliable) is
-// re-asserted by the next input's pump.
+// The end-point pump's caches (DESIGN.md §11.5).
+//
+// The pump re-evaluates desired_reliable_set() only after start_change, a
+// membership view, a view install or recovery; these tests check that after
+// each of those inputs the transport holds exactly node_of(desired ∪
+// {self}), for the paper's GCS end-point and for the two-round baseline,
+// and that a corrupted transport reliable set (sim::FaultOp::kCorruptReliable)
+// is re-asserted by the next input's pump.
+//
+// The GCS end-point interns its views and caches the resolution of its
+// candidate view; these tests check that held views share one handle and
+// that the cached resolution equals a from-scratch one after every input
+// that invalidates it.
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/oracle_world.hpp"
 #include "baseline/two_round_endpoint.hpp"
@@ -16,7 +28,8 @@
 namespace vsgc {
 namespace {
 
-/// GcsEndpoint with its reliable-set hook made readable.
+/// GcsEndpoint with its reliable-set hook, its delivery gate and its view
+/// table made readable.
 class GcsProbe : public gcs::GcsEndpoint {
  public:
   GcsProbe(sim::Simulator& sim, transport::Channel transport, ProcessId self,
@@ -24,7 +37,9 @@ class GcsProbe : public gcs::GcsEndpoint {
       : gcs::GcsEndpoint(sim, transport, self,
                          gcs::make_strategy(gcs::ForwardingKind::kMinCopies),
                          trace) {}
+  using gcs::GcsEndpoint::deliver_allowed;
   using gcs::GcsEndpoint::desired_reliable_set;
+  using gcs::GcsEndpoint::intern;
 };
 
 /// TwoRoundEndpoint with its reliable-set hook made readable.
@@ -125,6 +140,201 @@ TYPED_TEST(PumpCache, NextInputHealsCorruptedTransportReliableSet) {
     EXPECT_EQ(w.ep(i).last_dlvrd(w.pid(0)), 1) << "endpoint " << i;
   }
   w.checkers.finalize();
+}
+
+TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
+  app::OracleWorld<GcsProbe> w{3};
+  w.change_view(w.all());
+  w.oracle.start_change(w.all());
+  w.run();
+  for (int i = 0; i < 3; ++i) {
+    GcsProbe& ep = w.ep(i);
+    std::size_t syncs = 0;
+    for (const auto& [q, per_cid] : ep.sync_msgs()) {
+      for (const auto& [cid, data] : per_cid) {
+        EXPECT_EQ(data.view, ep.current_view_ref())
+            << to_string(q) << "'s sync at endpoint " << i;
+        ++syncs;
+      }
+    }
+    EXPECT_EQ(syncs, 3u) << "endpoint " << i;
+  }
+
+  const View v = w.oracle.deliver_view(w.all());
+  w.run();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(w.ep(i).current_view(), v);
+    EXPECT_EQ(&w.ep(i).current_view(), &w.ep(i).mbrshp_view())
+        << "the installed view is the membership view's handle";
+  }
+
+  // Interning compares whole views: an equal copy maps to the held handle,
+  // a forged view under the same id gets a handle of its own.
+  GcsProbe& ep = w.ep(0);
+  EXPECT_EQ(ep.intern(View(ep.current_view())), ep.current_view_ref());
+  View forged = ep.current_view();
+  forged.members.erase(w.pid(2));
+  const gcs::ViewRef handle = ep.intern(forged);
+  EXPECT_NE(handle, ep.current_view_ref());
+  EXPECT_EQ(ep.intern(forged), handle);
+  w.checkers.finalize();
+}
+
+/// A client that never answers block(), so a test decides when block_ok()
+/// (and with it the end-point's own sync message) happens.
+class HoldClient : public gcs::Client {
+ public:
+  void deliver(ProcessId, const gcs::AppMsg&) override {}
+  void view(const View&, const std::set<ProcessId>&) override {}
+  void block() override {}
+};
+
+/// Endpoint 0 of three, driven input by input: the simulator never runs
+/// after the first view, so each of its inputs is one the test hands it.
+class CandidateCache : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    w.change_view(w.all());
+    v1 = w.ep(0).current_view();
+    // Two messages from p3 that endpoint 0 has not received.
+    m1 = w.ep(2).send("a");
+    m2 = w.ep(2).send("b");
+    w.ep(0).set_client(hold);
+  }
+
+  GcsProbe& ep() { return w.ep(0); }
+  ProcessId pid(int i) const { return w.pid(i); }
+
+  void deliver(int from, const std::any& msg) {
+    ASSERT_TRUE(ep().on_co_rfifo_deliver(pid(from), msg));
+  }
+
+  gcs::wire::SyncMsg sync(StartChangeId cid, const View& view,
+                          std::int64_t from_p3) const {
+    return {cid, view, {{pid(0), 0}, {pid(1), 0}, {pid(2), from_p3}}};
+  }
+
+  /// Runs start_change and the membership view to V2 at endpoint 0, with
+  /// its own sync sent, then p2's sync, whose cut holds both of p3's
+  /// messages.
+  void to_candidate_with_p2_sync() {
+    cids = w.oracle.start_change(w.all());
+    expect_fresh("start_change");
+    ep().block_ok();
+    expect_fresh("own sync sent");
+    v2 = w.oracle.make_view(w.all());
+    w.oracle.deliver_view_to(pid(0), v2);
+    expect_fresh("membership view");
+    deliver(1, sync(cids.at(pid(1)), v1, 2));
+    expect_fresh("p2's sync");
+  }
+
+  /// candidate_resolution() and deliver_allowed() against a resolution made
+  /// from scratch from the public state, comparing views by value.
+  void expect_fresh(const std::string& when) {
+    const GcsProbe& e = ep();
+    const View& v = e.mbrshp_view();
+    const View& cv = e.current_view();
+    std::vector<std::pair<ProcessId, const gcs::SyncMsgData*>> syncs;
+    std::vector<ProcessId> t;
+    std::vector<std::int64_t> agreed(cv.members.size(), 0);
+    std::size_t missing = 0;
+    for (ProcessId r : v.members) {
+      if (!cv.contains(r)) continue;
+      const gcs::SyncMsgData* sm = e.sync_msg(r, v.start_id_of(r));
+      syncs.emplace_back(r, sm);
+      if (sm == nullptr) {
+        ++missing;
+        continue;
+      }
+      if (!(*sm->view == cv)) continue;
+      t.push_back(r);
+      std::size_t i = 0;
+      for (ProcessId q : cv.members) {
+        agreed[i] = std::max(agreed[i], sm->cut_of(q));
+        ++i;
+      }
+    }
+    const gcs::SyncResolution& res = e.candidate_resolution();
+    EXPECT_EQ(res.syncs, syncs) << "after " << when;
+    EXPECT_EQ(res.missing, missing) << "after " << when;
+    std::vector<ProcessId> cached_t;
+    for (const auto& [r, sm] : res.transitional) cached_t.push_back(r);
+    EXPECT_EQ(cached_t, t) << "after " << when;
+    EXPECT_EQ(res.agreed, agreed) << "after " << when;
+
+    const auto& sc = e.start_change();
+    const gcs::SyncMsgData* own =
+        sc ? e.sync_msg(e.self(), sc->first) : nullptr;
+    const bool matches = sc && cv.id < v.id && v.contains(e.self()) &&
+                         sc->first == v.start_id_of(e.self());
+    std::size_t i = 0;
+    for (ProcessId q : cv.members) {
+      if (own == nullptr) {
+        EXPECT_TRUE(e.deliver_allowed(
+            i, q, std::numeric_limits<std::int64_t>::max()))
+            << "after " << when << ": lane " << i;
+      } else {
+        const std::int64_t limit = matches ? agreed[i] : own->cut_of(q);
+        EXPECT_TRUE(e.deliver_allowed(i, q, limit))
+            << "after " << when << ": lane " << i;
+        EXPECT_FALSE(e.deliver_allowed(i, q, limit + 1))
+            << "after " << when << ": lane " << i;
+      }
+      ++i;
+    }
+  }
+
+  app::OracleWorld<GcsProbe> w{3};
+  HoldClient hold;
+  View v1;
+  View v2;
+  gcs::AppMsg m1;
+  gcs::AppMsg m2;
+  std::map<ProcessId, StartChangeId> cids;
+};
+
+TEST_F(CandidateCache, FreshAfterEveryInvalidatingInput) {
+  expect_fresh("the first view");
+  to_candidate_with_p2_sync();
+  deliver(2, sync(cids.at(pid(2)), v1, 2));
+  expect_fresh("p3's sync");
+  ASSERT_EQ(ep().current_view(), v1) << "the agreed cut waits for p3's messages";
+
+  deliver(2, gcs::wire::AppMsgWire{m1});
+  deliver(2, gcs::wire::AppMsgWire{m2});
+  ASSERT_EQ(ep().current_view(), v2);
+  expect_fresh("install");
+
+  // A relayed copy of our own next sync message arrives before its
+  // start_change, so that start_change sends nothing and only moves
+  // start_change itself.
+  const StartChangeId next{w.oracle.last_cid(pid(0)).value + 1};
+  deliver(0, sync(next, v2, 1));
+  expect_fresh("our own sync relayed back");
+  w.oracle.start_change_to(pid(0), w.all());
+  expect_fresh("a start_change whose sync is already known");
+
+  ep().crash();
+  w.transport(0).crash();
+  w.transport(0).recover();
+  ep().recover();
+  expect_fresh("recover");
+}
+
+TEST_F(CandidateCache, FreshAfterOurOwnSyncArrivesBeforeWeSendIt) {
+  // A relayed copy of our own sync message commits our cut before we send
+  // it, so deliver_allowed's limit moves with no other input.
+  cids = w.oracle.start_change(w.all());
+  expect_fresh("start_change");
+  deliver(0, sync(cids.at(pid(0)), v1, 0));
+  expect_fresh("our own sync relayed back");
+}
+
+TEST_F(CandidateCache, FreshAfterCorruptViewEpoch) {
+  to_candidate_with_p2_sync();
+  ep().corrupt_view_epoch(v2.id.epoch + 100);
+  expect_fresh("corrupt_view_epoch");
 }
 
 }  // namespace

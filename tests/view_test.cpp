@@ -87,8 +87,7 @@ TEST(WireMessages, SizesTrackPayloads) {
   EXPECT_GT(codec::wire_size(gcs::wire::AppMsgWire{big}),
             codec::wire_size(gcs::wire::AppMsgWire{small}) + 900);
   gcs::wire::SyncMsg sync{StartChangeId{1}, View::initial(ProcessId{1}), {}};
-  sync.cut[ProcessId{1}] = 5;
-  sync.cut[ProcessId{2}] = 7;
+  sync.cut = {{ProcessId{1}, 5}, {ProcessId{2}, 7}};
   EXPECT_GT(codec::wire_size(sync), 20u) << "cut entries must be accounted";
 }
 
