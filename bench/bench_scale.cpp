@@ -10,8 +10,8 @@
 // (128 groups at N=1024), Zipf-distributed multicast traffic (hot groups get
 // most of the load), a flash-crowd join into the hottest groups mid-run, and
 // correlated failure waves (FailureInjector kWave: a random 10% slice of the
-// population isolated in one bulk call, lifted after a hold) — all under the
-// eventual-safety checkers per group.
+// population isolated in one bulk call, lifted after a hold) — all under each
+// group's checker bundle with a 2 s tolerance window.
 //
 // --check-sublinear fits log(metric) ~ e*log(N) over the sweep and fails if
 // view-change latency or per-member resident bytes grows with exponent
@@ -34,7 +34,7 @@
 #include "obs/span.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/failure_injector.hpp"
-#include "spec/eventually.hpp"
+#include "spec/all_checkers.hpp"
 #include "transport/channel_mux.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -69,7 +69,7 @@ struct GroupState {
   std::set<ProcessId> base;     ///< initial members
   std::set<ProcessId> joiners;  ///< flash-crowd join set (hot groups only)
   spec::TraceBus bus;
-  spec::AllEventualCheckers checkers{2 * sim::kSecond};
+  spec::AllCheckers checkers{2 * sim::kSecond};
   membership::OracleMembership oracle;
   ViewId initial_view = ViewId::zero();
   sim::Time initial_sc_at = 0;

@@ -42,6 +42,7 @@ struct RunResult {
   std::vector<spec::Event> trace;
   sim::Simulator::Stats sim_stats;  ///< the world's kernel counters
   sim::Time sim_time = 0;           ///< simulated time at the end of the run
+  std::uint64_t checker_tolerated = 0;  ///< World::checkers().tolerated()
   obs::Registry snapshot;           ///< World::snapshot, only if violating
 };
 
@@ -60,6 +61,7 @@ RunResult<Script> checked_run(World& w, Drive&& drive) {
   result.trace = w.trace().recorded();
   result.sim_stats = w.sim().stats();
   result.sim_time = w.sim().now();
+  result.checker_tolerated = w.checkers().tolerated();
   if (result.violation) w.snapshot(result.snapshot);
   return result;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "sim/simulator.hpp"
 #include "spec/all_checkers.hpp"
 #include "spec/co_rfifo_checker.hpp"
-#include "spec/eventually.hpp"
 #include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -39,13 +39,11 @@ struct WorldConfig {
   gcs::ForwardingKind forwarding = gcs::ForwardingKind::kMinCopies;
   gcs::SyncRouting sync_routing;  ///< direct by default
   bool attach_checkers = true;
-  /// Attach the eventual-safety bundle (spec::AllEventualCheckers) instead of
-  /// the exact one: violations are tolerated inside a bounded window after a
-  /// corruption injection (DESIGN.md §12). Corruption-enabled harnesses
-  /// (vsgc_stress --corrupt, the mc corruption menu) set this; exact checkers
-  /// stay the default everywhere else.
-  bool eventual_checkers = false;
-  sim::Time eventual_window = 30 * sim::kSecond;
+  /// Set: the checker bundle tolerates violations inside this window after a
+  /// corruption injection (spec::AllCheckers, DESIGN.md §12).
+  /// Corruption-enabled harnesses (vsgc_stress --corrupt, the mc corruption
+  /// menu) set it; unset, the checkers are exact.
+  std::optional<sim::Time> tolerance_window;
   bool record_trace = true;
   /// Emit the fine-grained causal span events (DESIGN.md §10) so recorded
   /// traces carry per-message lifecycles and view-change phase milestones.
@@ -63,15 +61,7 @@ class World {
                                               config.net);
     if (config.record_trace) trace_.set_recording(true);
     if (config.lifecycle_spans) trace_.set_lifecycle(true);
-    if (config.attach_checkers) {
-      if (config.eventual_checkers) {
-        eventual_ = std::make_unique<spec::AllEventualCheckers>(
-            config.eventual_window);
-        eventual_->attach(trace_);
-      } else {
-        checkers_.attach(trace_);
-      }
-    }
+    if (config.attach_checkers) checkers_.attach(trace_);
 
     std::set<ServerId> server_ids;
     for (int s = 0; s < config.num_servers; ++s) {
@@ -277,15 +267,8 @@ class World {
     return t;
   }
 
-  /// End-of-execution checks, dispatching to whichever checker bundle this
-  /// world attached (exact by default, eventual under `eventual_checkers`).
-  void finalize_checkers() const {
-    if (eventual_ != nullptr) {
-      eventual_->finalize();
-    } else {
-      checkers_.finalize();
-    }
-  }
+  /// End-of-execution checks of the attached checker bundle.
+  void finalize_checkers() const { checkers_.finalize(); }
 
   /// The stabilize-and-check epilogue of every checked run (Property 4.2):
   /// undo the injector's faults, require reconvergence within 60 s, send
@@ -313,8 +296,6 @@ class World {
   net::Network& network() { return *network_; }
   spec::TraceBus& trace() { return trace_; }
   spec::AllCheckers& checkers() { return checkers_; }
-  /// Non-null iff eventual_checkers was set (tolerance introspection).
-  spec::AllEventualCheckers* eventual_checkers() { return eventual_.get(); }
   membership::MembershipServer& server(int i) { return *servers_.at(i); }
   gcs::Process& process(int i) { return *processes_.at(i); }
   BlockingClient& client(int i) { return *clients_.at(i); }
@@ -327,8 +308,7 @@ class World {
   /// Log lines carry simulated timestamps while this world is alive.
   ScopedSimClock log_clock_{[this] { return sim_.now(); }};
   spec::TraceBus trace_;
-  spec::AllCheckers checkers_;
-  std::unique_ptr<spec::AllEventualCheckers> eventual_;
+  spec::AllCheckers checkers_{config_.tolerance_window};
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<membership::MembershipServer>> servers_;
   std::vector<std::unique_ptr<gcs::Process>> processes_;

@@ -587,11 +587,13 @@ void Linter::check_event_coverage() {
   }
   if (alternatives.empty()) return;
 
-  // Checker set = every file included by all_checkers.hpp as "spec/...",
-  // plus each one's .cpp twin (consumption may live out-of-line).
-  std::string checker_text;
+  // Checker set = all_checkers.hpp itself (the bundle consumes events too),
+  // every file it includes as "spec/..." other than events.hpp (which only
+  // declares them), and each one's .cpp twin (consumption may live
+  // out-of-line).
+  std::string checker_text = hub_it->second.text;
   {
-    LexResult hub = lex(files_["src/spec/all_checkers.hpp"].text);
+    LexResult hub = lex(hub_it->second.text);
     for (const Token& t : hub.tokens) {
       if (t.kind != TokKind::kPreprocessor) continue;
       const std::size_t q1 = t.text.find('"');
@@ -599,7 +601,7 @@ void Linter::check_event_coverage() {
           q1 == std::string::npos ? q1 : t.text.find('"', q1 + 1);
       if (q2 == std::string::npos) continue;
       const std::string inc = t.text.substr(q1 + 1, q2 - q1 - 1);
-      if (!starts_with(inc, "spec/")) continue;
+      if (!starts_with(inc, "spec/") || inc == "spec/events.hpp") continue;
       const std::string hpp = "src/" + inc;
       if (auto it = files_.find(hpp); it != files_.end()) {
         checker_text += it->second.text;

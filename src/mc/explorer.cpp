@@ -120,7 +120,7 @@ RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl) {
   wc.seed = sc.seed;
   wc.net.drop_probability = sc.drop;
   wc.net.jitter = sc.jitter;
-  wc.eventual_checkers = sc.corruption;
+  if (sc.corruption) wc.tolerance_window = 30 * sim::kSecond;
   app::World w(wc);
 
   sim::FailureInjector::Policy policy;

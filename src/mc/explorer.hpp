@@ -56,10 +56,11 @@ struct ScenarioConfig {
   sim::Time jitter = 0;  ///< > 0: every packet adds a "net.jitter" choice
   bool inject_bug = false;  ///< planted dup-delivery action on the menu
   /// State-corruption exploration (DESIGN.md §12): the fault menu gains one
-  /// deterministic entry per recoverable corruption kind, and the world runs
-  /// the eventual-safety checker bundle so tolerated recovery windows don't
-  /// read as violations. With inject_bug, the planted action becomes the
-  /// *unrecoverable* kBugCorruptWedge instead of the dup-delivery forgery.
+  /// deterministic entry per recoverable corruption kind, and the world's
+  /// checkers get a 30 s tolerance window so recovery fallout inside it
+  /// doesn't read as a violation. With inject_bug, the planted action
+  /// becomes the *unrecoverable* kBugCorruptWedge instead of the
+  /// dup-delivery forgery.
   bool corruption = false;
 
   template <class S, class V>

@@ -16,6 +16,7 @@ MembershipServer::MembershipServer(sim::Simulator& sim, net::Network& network,
       all_servers_(std::move(all_servers)),
       config_(config),
       fd_(sim, config.fd, [this]() { on_estimate_change(); }) {
+  all_servers_.insert(self_);
   transport_ = std::make_unique<transport::CoRfifoTransport>(
       sim_, network_, net::node_of(self_));
   transport_->set_deliver_handler(
@@ -67,9 +68,9 @@ std::set<ProcessId> MembershipServer::alive_local_clients() const {
 }
 
 std::set<ServerId> MembershipServer::alive_servers() const {
-  std::set<ServerId> out = {self_};
+  std::set<ServerId> out;
   for (ServerId s : all_servers_) {
-    if (s != self_ && fd_.alive(net::node_of(s))) out.insert(s);
+    if (s == self_ || fd_.alive(net::node_of(s))) out.insert(s);
   }
   return out;
 }
@@ -200,17 +201,35 @@ void MembershipServer::on_deliver(net::NodeId from, const std::any& payload) {
   }
 }
 
-void MembershipServer::try_form() {
-  const std::set<ServerId> participants = alive_servers();
+bool MembershipServer::matches_fd(const wire::Proposal& prop) const {
+  // Both sides are sorted, so each comparison is one walk in step.
+  auto s = prop.participants.begin();
+  for (ServerId want : all_servers_) {
+    if (want != self_ && !fd_.alive(net::node_of(want))) continue;
+    if (s == prop.participants.end() || *s != want) return false;
+    ++s;
+  }
+  if (s != prop.participants.end()) return false;
+  auto p = prop.local_alive.begin();
+  for (const auto& [want, rec] : clients_) {
+    if (!fd_.alive(net::node_of(want))) continue;
+    if (p == prop.local_alive.end() || *p != want) return false;
+    ++p;
+  }
+  return p == prop.local_alive.end();
+}
 
+void MembershipServer::try_form() {
   // Our own round-`round_` proposal must reflect the current FD output and
   // local clients; otherwise this round can never legally complete.
   const auto own = proposals_.find(self_);
   if (own == proposals_.end() || own->second.round != round_ ||
-      own->second.participants != participants ||
-      own->second.local_alive != alive_local_clients()) {
+      !matches_fd(own->second)) {
     reconfigure();
   }
+  // Now (or after reconfigure()) the own proposal's participants are exactly
+  // alive_servers().
+  const std::set<ServerId>& participants = proposals_.at(self_).participants;
 
   // Round completion: every participant proposed for round_ with the same
   // participant set.

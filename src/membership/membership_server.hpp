@@ -117,6 +117,9 @@ class MembershipServer {
   /// Start (or catch up to) a round: round_ = max(round_+1, min_round,
   /// last_epoch_+1), fresh cids, start_changes, and a proposal for it.
   void reconfigure(std::uint64_t min_round = 0);
+  /// Do `prop`'s participants and local_alive equal alive_servers() and
+  /// alive_local_clients()? Compared in place, building neither set.
+  bool matches_fd(const wire::Proposal& prop) const;
   void try_form();
   void deliver_view(const View& v);
   std::set<ProcessId> alive_local_clients() const;
@@ -128,7 +131,7 @@ class MembershipServer {
   sim::Simulator& sim_;
   net::Network& network_;
   ServerId self_;
-  std::set<ServerId> all_servers_;
+  std::set<ServerId> all_servers_;  ///< every server, self included
   Config config_;
   Stats stats_;
 

@@ -119,9 +119,9 @@ struct Recover {
 /// failure, loss spike, ...). Process crash/recovery keeps its dedicated
 /// Crash/Recover events; this covers every other fault so post-mortem
 /// timelines show exactly which adversarial schedule an execution ran under.
-// Faults are adversarial *inputs*, not protocol actions a safety checker
-// could constrain; the consumers are the trace exporters (src/obs).
-// vsgc-lint: allow(event-coverage) adversarial input metadata, consumed by src/obs timelines rather than by a spec checker
+/// Faults are adversarial *inputs*, not protocol actions a safety checker
+/// could constrain; the checker bundle reads the corruption kinds and
+/// "stabilize" to time its tolerance window (DESIGN.md §12).
 struct FaultInjected {
   static constexpr const char* kType = "fault";
   std::string kind;    ///< stable op name, e.g. "partition", "link_down"

@@ -13,7 +13,6 @@
 
 #include "spec/all_checkers.hpp"
 #include "spec/co_rfifo_checker.hpp"
-#include "spec/eventually.hpp"
 #include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
 
@@ -221,10 +220,19 @@ TEST(CheckerBundle, LivenessPremiseFailureIsNotAViolation) {
   EXPECT_FALSE(LivenessChecker::check(b.bus.recorded()));
 }
 
+TEST(CheckerBundle, ExactBundleIgnoresCorruptionMarkers) {
+  // A default bundle has no window: a corruption marker tolerates nothing.
+  Bundle b;
+  b.emit(FaultInjected{"corrupt_seq", "no window"});
+  const std::string what = violation_of([&] { b.emit(GcsBlockOk{kP1}); });
+  EXPECT_NE(what.find("CLIENT"), std::string::npos) << what;
+  EXPECT_EQ(b.checkers.tolerated(), 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Eventual-safety bundle (spec/eventually.hpp, DESIGN.md §12): a corruption
-// FaultInjected opens a tolerance window; violations inside it are swallowed
-// and counted, the same violation after the window closes must still fire.
+// The bundle with a tolerance window (DESIGN.md §12): a corruption
+// FaultInjected opens the window; violations inside it are swallowed and
+// counted, the same violation after the window closes must still fire.
 // ---------------------------------------------------------------------------
 
 constexpr sim::Time kWindow = 10 * sim::kSecond;
@@ -241,14 +249,14 @@ struct EventualBundle {
   }
 
   TraceBus bus;
-  AllEventualCheckers checkers;
+  AllCheckers checkers;
   sim::Time t = 0;
 };
 
 /// Plants the same violation twice: once inside a corruption tolerance window
 /// (must be swallowed and counted) and once after the window closed (must
-/// fire with `tag`). Proves each *deployed* eventual checker is neither
-/// vacuous (post-window arm) nor exact (in-window arm).
+/// fire with `tag`). Proves each checker of the bundle is neither vacuous
+/// (post-window arm) nor exact (in-window arm).
 void expect_tolerated_then_fires(
     const std::string& tag, const std::function<void(EventualBundle&)>& setup,
     const std::function<void(EventualBundle&)>& plant) {
@@ -338,8 +346,8 @@ TEST(EventualBundle, ClientToleratedInWindowFiresAfter) {
 }
 
 TEST(EventualBundle, NoCorruptionMeansExactSemantics) {
-  // Without a corruption event there is no window at all: the eventual
-  // bundle degenerates to the exact one, even at time zero.
+  // Without a corruption event there is no window at all: the bundle judges
+  // exactly, even at time zero.
   EventualBundle b;
   const std::string what = violation_of([&] { b.emit(GcsBlockOk{kP1}); });
   EXPECT_NE(what.find("CLIENT"), std::string::npos) << what;
@@ -355,7 +363,9 @@ TEST(EventualBundle, ResyncTracksPostCorruptionStateAfterToleratedViolation) {
   b.emit(GcsSend{kP1, msg(kP1, 1)});
   b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
   b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});  // duplicate: tolerated
-  EXPECT_EQ(b.checkers.wv_rfifo.tolerated(), 1u);
+  // Counted once per checker that raised it: WV_RFIFO, and the VS_RFIFO and
+  // SELF checkers that extend it.
+  EXPECT_EQ(b.checkers.tolerated(), 3u);
   // The rebuilt automaton keeps checking: the next legal pair passes, and a
   // post-window duplicate of it still fires.
   b.emit(GcsSend{kP1, msg(kP1, 2)});
@@ -384,7 +394,7 @@ TEST(EventualBundle, StabilizeExtendsAnOpenWindowButNeverReopensAClosedOne) {
     const std::string what = violation_of(
         [&] { b.emit_at(15 * sim::kSecond, GcsDeliver{kP2, kP1, msg(kP1, 1)}); });
     EXPECT_TRUE(what.empty()) << what;
-    EXPECT_EQ(b.checkers.wv_rfifo.tolerated(), 1u);
+    EXPECT_EQ(b.checkers.tolerated(), 3u);
   }
   {
     // stabilize at 20s arrives after the window closed at 11s: it must not

@@ -104,7 +104,7 @@ std::string corruption_churn_jsonl(std::uint64_t injector_seed,
   cfg.num_clients = 4;
   cfg.num_servers = 2;
   cfg.seed = 11;
-  cfg.eventual_checkers = true;
+  cfg.tolerance_window = 30 * sim::kSecond;
   app::World w(cfg);
   w.start();
   w.run_until_converged(w.all_members(), 10 * sim::kSecond);

@@ -434,7 +434,7 @@ TEST(FailureInjector, InjectedDuplicateDeliveryTripsTheCheckers) {
 
 app::WorldConfig EventualWorld(int clients = 4, int servers = 2) {
   app::WorldConfig cfg = SmallWorld(clients, servers);
-  cfg.eventual_checkers = true;  // corruption fallout is tolerated in-window
+  cfg.tolerance_window = 30 * sim::kSecond;  // corruption fallout is tolerated
   return cfg;
 }
 
@@ -581,8 +581,8 @@ TEST(FailureInjector, CorruptionChurnReplaysItsOwnTraceByteForByte) {
 
 TEST(FailureInjector, CorruptionWedgeBugDefeatsReconvergence) {
   // bug_is_corruption plants kBugCorruptWedge: an unrecoverable view-epoch
-  // wedge the stabilize-and-reconverge epilogue must flag even under the
-  // eventual-safety bundle — the corruption twin of the dup-delivery hook.
+  // wedge the stabilize-and-reconverge epilogue must flag even with a
+  // tolerance window — the corruption twin of the dup-delivery hook.
   app::World w(EventualWorld(3, 1));
   w.start();
   ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));

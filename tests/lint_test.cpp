@@ -354,6 +354,33 @@ TEST(LintEventCoverage, FullyConsumedVariantPasses) {
   EXPECT_EQ(count_rule(fs, "event-coverage"), 0);
 }
 
+std::vector<Finding> run_with_hub(const std::string& hub) {
+  Linter linter;
+  linter.lint_source("src/spec/events.hpp", kEventsTwo);
+  linter.lint_source("src/spec/all_checkers.hpp",
+                     "#pragma once\n#include \"spec/events.hpp\"\n"
+                     "#include \"spec/foo_checker.hpp\"\n" + hub);
+  linter.lint_source("src/spec/foo_checker.hpp",
+                     "#pragma once\nvoid on_a(const EvA& e);\n");
+  linter.finalize();
+  return linter.findings();
+}
+
+TEST(LintEventCoverage, EventConsumedOnlyByTheHubPasses) {
+  // The bundle in all_checkers.hpp is itself a consumer (it reads the
+  // corruption markers that time its tolerance window).
+  EXPECT_EQ(count_rule(run_with_hub("void on_b(const EvB& e);\n"),
+                       "event-coverage"),
+            0);
+}
+
+TEST(LintEventCoverage, HubIncludingTheEventsFileConsumesNothing) {
+  // events.hpp declares every event; including it consumes none of them.
+  const auto fs = run_with_hub("");
+  ASSERT_EQ(count_rule(fs, "event-coverage"), 1);
+  EXPECT_NE(fs[0].message.find("EvB"), std::string::npos);
+}
+
 TEST(LintEventCoverage, PragmaSuppresses) {
   const auto fs = run_spec_trio(
       "#pragma once\n"

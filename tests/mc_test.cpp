@@ -311,7 +311,7 @@ TEST(Scenario, CorruptionMenuExtendsTheFaultVocabulary) {
   EXPECT_EQ(menu[10].kind, sim::FaultOp::Kind::kCorruptBackoff);
 
   // The flag participates in the scenario JSON round-trip: a violation
-  // bundle's scenario.json must rebuild the eventual-checker world.
+  // bundle's scenario.json must rebuild the tolerance-window world.
   std::ostringstream os;
   obs::to_json(sc).write_pretty(os);
   std::string error;

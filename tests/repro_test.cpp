@@ -137,7 +137,7 @@ StressRun planted_run(const PlantedConfig& cfg,
   wc.num_clients = 3;
   wc.num_servers = 1;
   wc.seed = cfg.seed;
-  wc.eventual_checkers = cfg.corrupt;
+  if (cfg.corrupt) wc.tolerance_window = 30 * sim::kSecond;
   app::World w(wc);
   sim::FailureInjector::Policy policy;
   policy.steps = 8;

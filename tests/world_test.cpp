@@ -84,6 +84,25 @@ TEST(World, TraceRecordingCanBeDisabled) {
   EXPECT_TRUE(w.trace().recorded().empty());
 }
 
+TEST(World, ToleranceWindowJudgesWithTheAttachedBundle) {
+  // checkers() is the bundle on the bus: a planted violation inside the
+  // window is counted there, and the same violation after it fires.
+  app::WorldConfig cfg;
+  cfg.num_clients = 2;
+  cfg.tolerance_window = 10 * sim::kSecond;
+  app::World w(cfg);
+  w.start();
+  ASSERT_TRUE(w.run_until_converged(w.all_members(), 5 * sim::kSecond));
+  const sim::Time t = w.sim().now();
+  const ProcessId stranger{99};  // never blocked, so block_ok is illegal
+  w.trace().emit(t, spec::FaultInjected{"corrupt_seq", "planted"});
+  w.trace().emit(t, spec::GcsBlockOk{stranger});
+  EXPECT_EQ(w.checkers().tolerated(), 1u);
+  EXPECT_THROW(w.trace().emit(t + 11 * sim::kSecond, spec::GcsBlockOk{stranger}),
+               InvariantViolation);
+  EXPECT_EQ(w.checkers().tolerated(), 1u);
+}
+
 TEST(World, RejectsServerlessOrNegativeSizes) {
   app::WorldConfig cfg;
   cfg.num_servers = 0;  // clients would be assigned to server i % 0

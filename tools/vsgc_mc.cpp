@@ -98,7 +98,7 @@ int usage() {
       "               [--horizon H] [--inject-bug] [--corrupt]\n"
       "               [--walks LO:HI]\n"
       "  --corrupt  add the state-corruption family to the fault menu and\n"
-      "             run the eventual-safety checker bundle; with\n"
+      "             run the checkers with a tolerance window; with\n"
       "             --inject-bug the planted action becomes an unrecoverable\n"
       "             view-epoch wedge\n"
       "               [--out DIR] [--no-minimize] [--expect-violation]\n"

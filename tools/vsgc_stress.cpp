@@ -58,8 +58,8 @@ struct StressConfig {
   bool two_tier = false;
   gcs::ForwardingKind forwarding = gcs::ForwardingKind::kMinCopies;
   /// State-corruption mode (DESIGN.md §12): the churn policy draws corruption
-  /// ops, the world attaches the eventual-safety checker bundle (violations
-  /// tolerated inside eventual_window after an injection), and --inject-bug
+  /// ops, the world's checker bundle tolerates violations inside
+  /// eventual_window after an injection, and --inject-bug
   /// plants the unrecoverable kBugCorruptWedge instead of the dup-delivery
   /// forgery. Both fields round-trip through config.json so bundle replay and
   /// the minimizer judge every script subset under the *same* window bound.
@@ -96,8 +96,7 @@ app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
   wc.seed = seed;
   wc.forwarding = cfg.forwarding;
   wc.net.drop_probability = cfg.drop;
-  wc.eventual_checkers = cfg.corrupt;
-  wc.eventual_window = cfg.eventual_window;
+  if (cfg.corrupt) wc.tolerance_window = cfg.eventual_window;
   if (cfg.two_tier) {
     wc.sync_routing.mode = gcs::SyncRouting::Mode::kTwoTier;
     const int half = (cfg.clients + 1) / 2;
@@ -306,6 +305,7 @@ int main(int argc, char** argv) {
     row["violation"] = result.violation;
     row["fault_ops"] = result.script.ops.size();
     row["events"] = result.sim_stats.events_executed;
+    row["checker_tolerated"] = result.checker_tolerated;
     if (!result.violation) {
       std::cout << "seed " << seed << ": ok (" << result.script.ops.size()
                 << " fault ops)\n";
