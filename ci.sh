@@ -522,6 +522,14 @@ VSGC_BENCH_OUT="$PERF_OUT" "$BUILD_DIR_REL/bench/bench_scale" \
   --check-sublinear
 "$BUILD_DIR_REL/tools/validate_bench_json" "$PERF_OUT/BENCH_scale.json"
 
+echo "== perfbench self-test (Release, builds src/ directly) =="
+# perfbench compiles the sources under src/ itself and is not edited along
+# with them, so a src/ API change that breaks its build or its workloads
+# fails here, not first in the benchmark pipeline. Its build tree lives
+# under the CI build dir.
+CARGO_TARGET_DIR="$BUILD_DIR/perfbench-target" \
+  python3 perfbench/test_perfbench.py
+
 echo "== thread sanitizer (batch engine) =="
 # TSan and ASan cannot share a build; a dedicated tree covers the only
 # threaded component (sim::BatchRunner) plus a parallel stress sweep that

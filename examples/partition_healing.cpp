@@ -16,7 +16,7 @@ namespace {
 
 void print_view(int idx, const View& v, const std::set<ProcessId>& t) {
   std::cout << "  [p" << idx + 1 << "] view " << to_string(v.id) << " members={";
-  for (ProcessId q : v.members) std::cout << " " << to_string(q);
+  for (ProcessId q : v.members()) std::cout << " " << to_string(q);
   std::cout << " } transitional={";
   for (ProcessId q : t) std::cout << " " << to_string(q);
   std::cout << " }\n";

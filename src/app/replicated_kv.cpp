@@ -126,7 +126,7 @@ void ReplicatedKvStore::handle_view(const View& v,
                                     const std::set<ProcessId>& transitional) {
   snapshot_duty_ = false;
   const bool everyone_moved_together =
-      transitional.size() == v.members.size();
+      transitional.size() == v.members().size();
   if (everyone_moved_together) {
     // Virtual Synchrony at work: no state exchange needed at all — the very
     // point of the property (Section 4.1.2).
@@ -138,7 +138,7 @@ void ReplicatedKvStore::handle_view(const View& v,
   // of the new view moved from; every process can decide membership of it
   // locally: it is primary iff that lowest-id member is in its transitional
   // set. Everyone else resynchronizes from the primary component.
-  const ProcessId lowest_member = *v.members.begin();
+  const ProcessId lowest_member = *v.members().begin();
   const bool in_primary = transitional.contains(lowest_member) && synced_;
 
   if (in_primary) {

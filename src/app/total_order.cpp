@@ -118,7 +118,7 @@ void TotalOrder::flush_residue() {
 void TotalOrder::handle_view(const View& v,
                              const std::set<ProcessId>& transitional) {
   flush_residue();
-  sequencer_ = *v.members.begin();
+  sequencer_ = *v.members().begin();
   if (view_) view_(v, transitional);
 }
 

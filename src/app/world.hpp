@@ -123,7 +123,7 @@ class World {
       if (!members.contains(p->id())) continue;
       if (p->crashed()) return false;
       const View& cv = p->endpoint().current_view();
-      if (cv.members != members) return false;
+      if (cv.members() != members) return false;
       if (seen != nullptr && !(*seen == cv)) return false;
       seen = &cv;
     }

@@ -43,10 +43,10 @@ void TwoRoundEndpoint::prune_pending() {
   // when a later view excludes one of its participants (that participant is
   // gone; its agree/cut would never arrive and liveness would be lost).
   while (pending_.size() > 1) {
-    const View& front = *pending_.front();
+    const View& front = pending_.front();
     bool excluded_later = false;
     for (ProcessId q : participants(front)) {
-      if (!pending_.back()->contains(q)) {
+      if (!pending_.back().contains(q)) {
         excluded_later = true;
         break;
       }
@@ -60,18 +60,18 @@ void TwoRoundEndpoint::prune_pending() {
     pending_.pop_front();
   }
   // Drop queued views the installed view already supersedes.
-  while (!pending_.empty() && !(current_view().id < pending_.front()->id)) {
+  while (!pending_.empty() && !(current_view().id < pending_.front().id)) {
     pending_.pop_front();
   }
 }
 
-const gcs::ViewRef& TwoRoundEndpoint::next_view_candidate() const {
-  return pending_.empty() ? current_view_ref() : pending_.front();
+const View& TwoRoundEndpoint::next_view_candidate() const {
+  return pending_.empty() ? current_view() : pending_.front();
 }
 
 std::set<ProcessId> TwoRoundEndpoint::participants(const View& target) const {
   std::set<ProcessId> out;
-  for (ProcessId q : target.members) {
+  for (ProcessId q : target.members()) {
     if (current_view().contains(q)) out.insert(q);
   }
   out.insert(self_);
@@ -98,18 +98,18 @@ const gcs::SyncMsgData* TwoRoundEndpoint::sync_of(ViewId target,
 std::set<ProcessId> TwoRoundEndpoint::transitional_for(
     const View& target) const {
   std::set<ProcessId> t;
-  for (ProcessId q : target.members) {
+  for (ProcessId q : target.members()) {
     if (!current_view().contains(q)) continue;
     const gcs::SyncMsgData* sm = sync_of(target.id, q);
-    if (sm != nullptr && sm->view == current_view_ref()) t.insert(q);
+    if (sm != nullptr && sm->view == current_view()) t.insert(q);
   }
   return t;
 }
 
 std::set<ProcessId> TwoRoundEndpoint::desired_reliable_set() const {
-  std::set<ProcessId> set = current_view().members;
-  for (const gcs::ViewRef& v : pending_) {
-    set.insert(v->members.begin(), v->members.end());
+  std::set<ProcessId> set = current_view().members();
+  for (const View& v : pending_) {
+    set.insert(v.members().begin(), v.members().end());
   }
   return set;
 }
@@ -139,18 +139,18 @@ bool TwoRoundEndpoint::try_send_agree() {
   // Round 1: confirm the globally unique identifier (the view id) with every
   // participant. This is the round the paper's algorithm eliminates.
   if (pending_.empty()) return false;
-  const View& target = *pending_.front();
+  const View& target = pending_.front();
   if (agree_sent_.contains(target.id)) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
-                     target.members.begin(), target.members.end())) {
+                     target.members().begin(), target.members().end())) {
     return false;
   }
   wire::AgreeMsg am{target.id};
-  transport_.send(nodes_of(target.members, /*exclude_self=*/true),
+  transport_.send(nodes_of(target.members(), /*exclude_self=*/true),
                   net::Payload(am), codec::wire_size(am));
   agree_sent_.insert(target.id);
   agrees_[target.id].insert(self_);
-  baseline_stats_.agrees_sent += target.members.size() - 1;  // per-dest copies
+  baseline_stats_.agrees_sent += target.members().size() - 1;  // per-dest copies
   return true;
 }
 
@@ -158,22 +158,22 @@ bool TwoRoundEndpoint::try_send_sync() {
   // Round 2: cut exchange, only after round 1 completed and the client is
   // blocked (Self Delivery).
   if (pending_.empty()) return false;
-  const View& target = *pending_.front();
+  const View& target = pending_.front();
   if (sync_sent_.contains(target.id)) return false;
   if (!agree_complete(target)) return false;
   if (block_status_ != BlockStatus::kBlocked) return false;
 
   gcs::SyncMsgData& data = syncs_[target.id][self_];
-  data = gcs::SyncMsgData{current_view_ref(), {}};
+  data = gcs::SyncMsgData{current_view(), {}};
   for (const Lane& lane : lanes()) {
     data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
   }
-  wire::SyncMsg sm{target.id, *data.view, data.cut};
+  wire::SyncMsg sm{target.id, data.view, data.cut};
   const std::size_t size = codec::wire_size(sm);
-  transport_.send(nodes_of(target.members, /*exclude_self=*/true),
+  transport_.send(nodes_of(target.members(), /*exclude_self=*/true),
                   net::Payload(std::move(sm)), size);
   sync_sent_.insert(target.id);
-  baseline_stats_.sync_msgs_sent += target.members.size() - 1;  // per-dest
+  baseline_stats_.sync_msgs_sent += target.members().size() - 1;  // per-dest
   return true;
 }
 
@@ -193,7 +193,7 @@ bool TwoRoundEndpoint::handle_child_message(ProcessId from,
 bool TwoRoundEndpoint::deliver_allowed(std::size_t /*lane*/, ProcessId q,
                                        std::int64_t next_index) const {
   if (pending_.empty()) return true;
-  const View& target = *pending_.front();
+  const View& target = pending_.front();
   const gcs::SyncMsgData* own = sync_of(target.id, self_);
   if (own == nullptr) return true;  // cut not committed yet
 
@@ -208,12 +208,12 @@ bool TwoRoundEndpoint::deliver_allowed(std::size_t /*lane*/, ProcessId q,
 
 bool TwoRoundEndpoint::view_gate(const View& v,
                                  std::set<ProcessId>& transitional) {
-  if (pending_.empty() || pending_.front().get() != &v) return false;
+  if (pending_.empty() || pending_.front() != v) return false;
   for (ProcessId q : participants(v)) {
     if (sync_of(v.id, q) == nullptr) return false;
   }
   transitional = transitional_for(v);
-  for (ProcessId q : current_view().members) {
+  for (ProcessId q : current_view().members()) {
     std::int64_t agreed = 0;
     for (ProcessId r : transitional) {
       agreed = std::max(agreed, sync_of(v.id, r)->cut_of(q));
@@ -228,7 +228,7 @@ bool TwoRoundEndpoint::try_forward() {
   // participant's cut is known, the lowest-id holder of a missing message
   // from a non-transitional sender forwards it.
   if (pending_.empty()) return false;
-  const View& target = *pending_.front();
+  const View& target = pending_.front();
   for (ProcessId q : participants(target)) {
     if (sync_of(target.id, q) == nullptr) return false;
   }
@@ -237,7 +237,7 @@ bool TwoRoundEndpoint::try_forward() {
 
   bool progress = false;
   const View& current = current_view();
-  for (ProcessId r : current.members) {
+  for (ProcessId r : current.members()) {
     if (t.contains(r)) continue;
     std::int64_t max_committed = 0;
     for (ProcessId u : t) {
@@ -276,7 +276,7 @@ void TwoRoundEndpoint::pre_view_effects(const View& v) {
   if (pending_.size() > 1 || mbrshp_view().id > v.id) {
     ++baseline_stats_.obsolete_views_delivered;
   }
-  VSGC_REQUIRE(!pending_.empty() && pending_.front().get() == &v,
+  VSGC_REQUIRE(!pending_.empty() && pending_.front() == v,
                "baseline installed a view it was not processing");
   pending_.pop_front();
   agrees_.erase(v.id);

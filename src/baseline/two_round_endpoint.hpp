@@ -96,7 +96,7 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   std::size_t pending_views() const { return pending_.size(); }
 
  protected:
-  const gcs::ViewRef& next_view_candidate() const override;
+  const View& next_view_candidate() const override;
   std::set<ProcessId> desired_reliable_set() const override;
   bool deliver_allowed(std::size_t lane, ProcessId q,
                        std::int64_t next_index) const override;
@@ -123,7 +123,7 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   std::set<ProcessId> transitional_for(const View& target) const;
 
   BaselineStats baseline_stats_;
-  std::deque<gcs::ViewRef> pending_;
+  std::deque<View> pending_;
   bool start_change_seen_ = false;
   BlockStatus block_status_ = BlockStatus::kUnblocked;
   std::map<ViewId, std::set<ProcessId>> agrees_;

@@ -49,14 +49,14 @@ void fold_cut(const wire::Cut& cut, const std::set<ProcessId>& members,
 
 }  // namespace
 
-void VsRfifoTsEndpoint::resolve(const View& v, const ViewRef& w,
+void VsRfifoTsEndpoint::resolve(const View& v, const View& w,
                                 SyncResolution& out) const {
   out.syncs.clear();
   out.missing = 0;
   out.transitional.clear();
-  out.agreed.assign(w->members.size(), 0);
-  for (ProcessId r : v.members) {
-    if (!w->contains(r)) continue;
+  out.agreed.assign(w.members().size(), 0);
+  for (ProcessId r : v.members()) {
+    if (!w.contains(r)) continue;
     const SyncMsgData* sm = sync_msg(r, v.start_id_of(r));
     out.syncs.emplace_back(r, sm);
     if (sm == nullptr) {
@@ -65,14 +65,14 @@ void VsRfifoTsEndpoint::resolve(const View& v, const ViewRef& w,
     }
     if (sm->view != w) continue;
     out.transitional.emplace_back(r, sm);
-    fold_cut(sm->cut, w->members, out.agreed);
+    fold_cut(sm->cut, w.members(), out.agreed);
   }
 }
 
 void VsRfifoTsEndpoint::refresh_candidate() const {
   if (!candidate_stale_) return;
   candidate_stale_ = false;
-  resolve(mbrshp_view(), current_view_ref(), candidate_);
+  resolve(mbrshp_view(), current_view(), candidate_);
 
   // deliver_allowed's three cases, per lane (Figure 10): no limit before our
   // own cut is committed; our own cut until the membership view for this
@@ -105,13 +105,13 @@ void VsRfifoTsEndpoint::absorb(ProcessId from, StartChangeId cid,
   }
   slot->second = &sm;
   --candidate_.missing;
-  if (sm.view != current_view_ref()) return;
+  if (sm.view != current_view()) return;
   auto& t = candidate_.transitional;
   t.emplace(std::lower_bound(
                 t.begin(), t.end(), from,
                 [](const auto& entry, ProcessId p) { return entry.first < p; }),
             from, &sm);
-  fold_cut(sm.cut, current_view().members, candidate_.agreed);
+  fold_cut(sm.cut, current_view().members(), candidate_.agreed);
   if (limit_is_agreed_) deliver_limit_ = candidate_.agreed;
 }
 
@@ -138,7 +138,7 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   for (const auto& [q, per_cid] : sync_msgs_) {
     if (q == self_ || per_cid.empty()) continue;
     const auto& [latest_cid, data] = *per_cid.rbegin();
-    const wire::SyncMsg sync{latest_cid, *data.view, data.cut};
+    const wire::SyncMsg sync{latest_cid, data.view, data.cut};
     for_locals.entries.emplace_back(q, sync);
     if (routing_.leader(q) == self_) for_peers.entries.emplace_back(q, sync);
   }
@@ -173,7 +173,7 @@ std::set<ProcessId> VsRfifoTsEndpoint::desired_reliable_set() const {
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
   // (start_change_ moves only under on_start_change, view install and
   // recover: three of the parent's points that mark this set stale.)
-  std::set<ProcessId> set = current_view().members;
+  std::set<ProcessId> set = current_view().members();
   if (start_change_) {
     set.insert(start_change_->second.begin(), start_change_->second.end());
   }
@@ -210,13 +210,13 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
   }
 
   SyncMsgData& data = sync_msgs_[self_][cid];
-  data.view = current_view_ref();
+  data.view = current_view();
   data.cut.reserve(lanes().size());
   for (const Lane& lane : lanes()) {
     data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
   }
   candidate_stale_ = true;
-  wire::SyncMsg full{cid, *data.view, data.cut};
+  wire::SyncMsg full{cid, data.view, data.cut};
   const std::size_t full_size = codec::wire_size(full);
   const std::set<ProcessId>& change_set = start_change_->second;
 
@@ -242,9 +242,9 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
       vs_stats_.sync_bytes_sent += size;
     }
   } else if (routing_.compact_sync_to_strangers &&
-             !std::includes(current_view().members.begin(),
-                            current_view().members.end(), change_set.begin(),
-                            change_set.end())) {
+             !std::includes(current_view().members().begin(),
+                            current_view().members().end(),
+                            change_set.begin(), change_set.end())) {
     // Direct all-to-all (Section 5.2) with the Section 5.2.4 compaction:
     // strangers (outside our view) never read our cut.
     std::set<ProcessId> members;
@@ -253,7 +253,7 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
       if (q == self_) continue;
       (current_view().contains(q) ? members : strangers).insert(q);
     }
-    wire::SyncMsg compact{cid, *data.view, {}};
+    wire::SyncMsg compact{cid, data.view, {}};
     const std::size_t compact_size = codec::wire_size(compact);
     transport_.send(nodes_of(members, /*exclude_self=*/true),
                     net::Payload(std::move(full)), full_size);
@@ -299,7 +299,7 @@ void VsRfifoTsEndpoint::relay_as_leader(ProcessId origin,
   // installed the view while slower members are still synchronizing — their
   // late up-sends must still be disseminated or those members starve.
   const std::set<ProcessId>& scope =
-      start_change_ ? start_change_->second : mbrshp_view().members;
+      start_change_ ? start_change_->second : mbrshp_view().members();
   std::set<ProcessId> dests = relay_dests(scope);
   dests.erase(origin);
   if (dests.empty()) return;
@@ -327,7 +327,7 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
     if (agg->hops == 0 && routing_.mode == SyncRouting::Mode::kTwoTier &&
         routing_.leader(self_) == self_) {
       const std::set<ProcessId>& scope =
-          start_change_ ? start_change_->second : mbrshp_view().members;
+          start_change_ ? start_change_->second : mbrshp_view().members();
       std::set<ProcessId> locals;
       for (ProcessId q : scope) {
         if (q != self_ && q != from && routing_.leader(q) == self_) {
@@ -400,19 +400,19 @@ bool VsRfifoTsEndpoint::try_forward() {
   // same destination twice).
   bool progress = false;
   for (ForwardAction& action : strategy_->select(*this)) {
-    const AppMsg* m = buffer(action.orig, action.view->id).get(action.index);
+    const AppMsg* m = buffer(action.orig, action.view.id).get(action.index);
     if (m == nullptr) continue;  // we do not hold the message
     std::set<ProcessId> fresh;
     for (ProcessId dest : action.dests) {
       if (dest == self_) continue;
-      if (forwarded_set_.emplace(dest, action.orig, action.view->id,
+      if (forwarded_set_.emplace(dest, action.orig, action.view.id,
                                  action.index)
               .second) {
         fresh.insert(dest);
       }
     }
     if (fresh.empty()) continue;
-    wire::FwdMsg fm{action.orig, *action.view, action.index, *m};
+    wire::FwdMsg fm{action.orig, action.view, action.index, *m};
     const std::size_t size = codec::wire_size(fm);
     transport_.send(nodes_of(fresh, /*exclude_self=*/true),
                     net::Payload(std::move(fm)), size);
@@ -448,8 +448,8 @@ std::vector<ForwardAction> SimpleForwardingStrategy::select(
     if (q == ep.self() || per_cid.empty()) continue;
     const SyncMsgData& latest = per_cid.rbegin()->second;
     // Forward to q only if we know of no later view of q than v.
-    if (latest.view != ep.current_view_ref()) continue;
-    for (ProcessId r : v.members) {
+    if (latest.view != ep.current_view()) continue;
+    for (ProcessId r : v.members()) {
       const std::int64_t have = latest.cut_of(r);
       const std::int64_t committed = own->cut_of(r);
       for (std::int64_t i = have + 1; i <= committed; ++i) {
@@ -476,7 +476,7 @@ std::vector<ForwardAction> MinCopiesForwardingStrategy::select(
   // corrupt_view_epoch has since forged the current view.
   SyncResolution forged;
   const SyncResolution* res = &forged;
-  if (own->view == ep.current_view_ref()) {
+  if (own->view == ep.current_view()) {
     res = &ep.candidate_resolution();
   } else {
     ep.resolve(mv, own->view, forged);
@@ -488,7 +488,7 @@ std::vector<ForwardAction> MinCopiesForwardingStrategy::select(
   // retransmit their own messages through live CO_RFIFO channels).
   auto in_t = t.begin();
   std::size_t i = 0;
-  for (ProcessId r : own->view->members) {
+  for (ProcessId r : own->view.members()) {
     const std::int64_t max_committed = res->agreed[i++];
     while (in_t != t.end() && in_t->first < r) ++in_t;
     if (in_t != t.end() && in_t->first == r) continue;

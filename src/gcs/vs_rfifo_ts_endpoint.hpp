@@ -26,7 +26,7 @@ namespace vsgc::gcs {
 
 /// A received (or self-recorded) synchronization message.
 struct SyncMsgData {
-  ViewRef view;  ///< sender's view when it sent the sync message
+  View view;  ///< sender's view when it sent the sync message
   wire::Cut cut;
 
   std::int64_t cut_of(ProcessId q) const { return wire::cut_of(cut, q); }
@@ -36,7 +36,7 @@ struct SyncMsgData {
 struct ForwardAction {
   std::set<ProcessId> dests;
   ProcessId orig;
-  ViewRef view;
+  View view;
   std::int64_t index = 0;
 };
 
@@ -140,7 +140,7 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
 
   /// Resolve candidate v against reference w into `out`, reusing its
   /// capacity.
-  void resolve(const View& v, const ViewRef& w, SyncResolution& out) const;
+  void resolve(const View& v, const View& w, SyncResolution& out) const;
 
   /// resolve(mbrshp_view, current_view), cached (DESIGN.md §11.5). A new
   /// peer sync message is folded in; anything else that moves an input

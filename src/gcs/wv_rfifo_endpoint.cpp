@@ -53,11 +53,11 @@ std::size_t WvRfifoEndpoint::lane_index(ProcessId q) const {
 }
 
 void WvRfifoEndpoint::index_current_view() {
-  view_dests_ = nodes_of(current_view_->members, /*exclude_self=*/true);
+  view_dests_ = nodes_of(current_view_.members(), /*exclude_self=*/true);
   lanes_.clear();
-  for (ProcessId q : current_view_->members) {
+  for (ProcessId q : current_view_.members()) {
     if (q == self_) self_lane_ = lanes_.size();
-    lanes_.push_back(Lane{q, &buffer_mut(q, current_view_->id)});
+    lanes_.push_back(Lane{q, &buffer_mut(q, current_view_.id)});
   }
   reliable_stale_ = true;
   views_moved();
@@ -65,11 +65,11 @@ void WvRfifoEndpoint::index_current_view() {
 
 void WvRfifoEndpoint::corrupt_view_epoch(std::uint64_t epoch) {
   if (crashed_) return;
-  View forged = *current_view_;
+  View forged = current_view_;
   forged.id.epoch = epoch;
   current_view_ = views_.intern(forged);
   for (Lane& lane : lanes_) {
-    lane.msgs = &buffer_mut(lane.sender, current_view_->id);
+    lane.msgs = &buffer_mut(lane.sender, current_view_.id);
   }
   views_moved();
 }
@@ -141,7 +141,7 @@ bool WvRfifoEndpoint::on_co_rfifo_deliver(ProcessId from,
     if (lane < lanes_.size()) {
       lanes_[lane].msgs->put(index, am->msg);
     } else {
-      const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second->id;
+      const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second.id;
       buffer_mut(from, v).put(index, am->msg);
     }
     last_rcvd_[from] = index;
@@ -211,8 +211,8 @@ bool WvRfifoEndpoint::try_set_reliable() {
     desired.insert(self_);
     if (desired != reliable_set_) {
       VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
-                                 current_view_->members.begin(),
-                                 current_view_->members.end()),
+                                 current_view_.members().begin(),
+                                 current_view_.members().end()),
                    "reliable set must cover the current view at "
                        << to_string(self_));
       reliable_set_ = std::move(desired);
@@ -225,8 +225,14 @@ bool WvRfifoEndpoint::try_set_reliable() {
   // transport reliable_set (sim::FaultOp::kCorruptReliable) silently stops
   // retransmission toward the dropped peer, and only this re-assertion path
   // heals it (DESIGN.md §12). Honest runs never diverge — the check compares
-  // two sets, allocates nothing and never fires.
-  if (transport_.reliable_matches(reliable_nodes_)) return false;
+  // two sets, allocates nothing and never fires. It runs only when the
+  // transport's set was written since it last matched.
+  const std::uint32_t generation = transport_.reliable_generation();
+  if (reliable_matched_at_ == generation) return false;
+  if (transport_.reliable_matches(reliable_nodes_)) {
+    reliable_matched_at_ = generation;
+    return false;
+  }
   transport_.set_reliable(reliable_nodes_);
   return true;
 }
@@ -235,11 +241,11 @@ bool WvRfifoEndpoint::try_send_view_msg() {
   // co_rfifo.send_p(set, tag=view_msg, v)
   if (view_msg_.at(self_) == current_view_) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
-                     current_view_->members.begin(),
-                     current_view_->members.end())) {
+                     current_view_.members().begin(),
+                     current_view_.members().end())) {
     return false;
   }
-  wire::ViewMsg vm{*current_view_};
+  wire::ViewMsg vm{current_view_};
   const std::size_t size = codec::wire_size(vm);
   transport_.send(view_dests_, net::Payload(std::move(vm)), size);
   view_msg_[self_] = current_view_;
@@ -292,21 +298,20 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
 
 bool WvRfifoEndpoint::try_deliver_view() {
   // view_p(v, T)
-  const View& candidate = *next_view_candidate();
-  if (!(current_view_->id < candidate.id)) return false;
+  const View& candidate = next_view_candidate();
+  if (!(current_view_.id < candidate.id)) return false;
   VSGC_REQUIRE(candidate.contains(self_),
                "MBRSHP violated Self Inclusion at " << to_string(self_));
   std::set<ProcessId> transitional;
   if (!view_gate(candidate, transitional)) return false;
 
-  // Hold the handle across the effects: TwoRoundEndpoint::pre_view_effects
-  // pops the pending view `candidate` refers to.
-  const ViewRef installed = next_view_candidate();
-  const View& v = *installed;
+  // Hold a copy across the effects: TwoRoundEndpoint::pre_view_effects pops
+  // the pending view `candidate` refers to.
+  const View v = candidate;
   // Child effects first, then parent effects (one atomic step).
   pre_view_effects(v);
 
-  current_view_ = installed;
+  current_view_ = v;
   last_sent_ = 0;
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
   // delivery only ever reads the current view's buffers from here on.
@@ -345,6 +350,7 @@ void WvRfifoEndpoint::recover() {
   last_rcvd_.clear();
   reliable_set_ = {self_};
   reliable_nodes_ = {net::node_of(self_)};
+  reliable_matched_at_.reset();
   index_current_view();
   reset_child_state();
   crashed_ = false;

@@ -95,11 +95,10 @@ class WvRfifoEndpoint : public membership::Listener {
   void corrupt_view_epoch(std::uint64_t epoch);
 
   // Introspection (tests, benches, forwarding strategies).
-  const View& current_view() const { return *current_view_; }
-  const View& mbrshp_view() const { return *mbrshp_view_; }
-  /// The interned handle behind current_view(). Handles of one end-point
-  /// are equal iff their views are (gcs/view_table.hpp).
-  const ViewRef& current_view_ref() const { return current_view_; }
+  /// Both are views of this end-point's table (gcs/view_table.hpp), as is
+  /// every view the end-point holds.
+  const View& current_view() const { return current_view_; }
+  const View& mbrshp_view() const { return mbrshp_view_; }
   ProcessId self() const { return self_; }
   const Stats& stats() const { return stats_; }
   /// last_dlvrd[q]: 0 for a sender outside the current view.
@@ -113,7 +112,7 @@ class WvRfifoEndpoint : public membership::Listener {
   /// install or recover, so an override may read no state that changes
   /// anywhere else.
   virtual std::set<ProcessId> desired_reliable_set() const {
-    return current_view_->members;
+    return current_view_.members();
   }
 
   /// Precondition the child adds to deliver_p(q, m) for the message at
@@ -154,7 +153,7 @@ class WvRfifoEndpoint : public membership::Listener {
   /// algorithms always target the latest membership view (and thereby never
   /// deliver obsolete views); the two-round baseline overrides this to work
   /// through its queue of pending views in order.
-  virtual const ViewRef& next_view_candidate() const { return mbrshp_view_; }
+  virtual const View& next_view_candidate() const { return mbrshp_view_; }
 
   /// Called wherever current_view or mbrshp_view may have moved, and on
   /// start_change: on_start_change, on_view, view install, recover and
@@ -184,8 +183,8 @@ class WvRfifoEndpoint : public membership::Listener {
   /// One lane per current-view member, ascending by sender.
   const std::vector<Lane>& lanes() const { return lanes_; }
 
-  /// This end-point's handle for a view equal to `v`.
-  ViewRef intern(const View& v) { return views_.intern(v); }
+  /// This end-point's view equal to `v`.
+  View intern(const View& v) { return views_.intern(v); }
 
   /// Fire all enabled locally-controlled actions until quiescent.
   void pump();
@@ -224,14 +223,14 @@ class WvRfifoEndpoint : public membership::Listener {
   bool crashed_ = false;
 
  private:
-  /// Every view below is a handle from this table.
+  /// Every view below comes from this table.
   ViewTable views_;
-  // Figure 9 views; children read them through current_view(),
-  // mbrshp_view() and their handles.
-  ViewRef current_view_;
-  ViewRef mbrshp_view_;
+  // Figure 9 views; children read them through current_view() and
+  // mbrshp_view().
+  View current_view_;
+  View mbrshp_view_;
   /// Latest view_msg from q; view_msg[self] is seeded with v_self.
-  std::map<ProcessId, ViewRef> view_msg_;
+  std::map<ProcessId, View> view_msg_;
 
   bool try_set_reliable();
   bool try_send_view_msg();
@@ -251,6 +250,9 @@ class WvRfifoEndpoint : public membership::Listener {
   // §11.5). Rebuilt only where their inputs change. ----
   std::set<net::NodeId> reliable_nodes_;  ///< node image of reliable_set_
   bool reliable_stale_ = true;  ///< desired_reliable_set() may have moved
+  /// The transport's reliable_generation() when its set last matched
+  /// reliable_nodes_; unset until the first check and after recover.
+  std::optional<std::uint32_t> reliable_matched_at_;
   std::set<net::NodeId> view_dests_;  ///< current_view.set − {self}
   std::vector<Lane> lanes_;  ///< one per current-view member, ascending
   std::size_t self_lane_ = 0;  ///< lanes_[self_lane_].sender == self

@@ -243,26 +243,28 @@ void MembershipServer::try_form() {
   if (last_epoch_ >= round_) return;  // this round's view already formed
 
   // Deterministic view from the (unique) round-`round_` proposal set.
-  View v;
+  std::set<ProcessId> members;
+  std::map<ProcessId, StartChangeId> start_id;
   for (ServerId s : participants) {
     const wire::Proposal& prop = proposals_.at(s);
     for (ProcessId p : prop.local_alive) {
-      v.members.insert(p);
-      v.start_id[p] = prop.cids.at(p);
+      members.insert(p);
+      start_id[p] = prop.cids.at(p);
     }
   }
-  v.id = ViewId{round_, participants.begin()->value};
-  if (v.members.empty()) return;
+  if (members.empty()) return;
+  const View v(ViewId{round_, participants.begin()->value}, std::move(members),
+               std::move(start_id));
 
   // MBRSHP spec validation for our local clients: the view must reflect the
   // latest start_change each of them received. If the estimate drifted, run
   // another round instead of delivering a stale notification.
   for (const auto& [p, rec] : clients_) {
-    if (!v.members.contains(p) || !fd_.alive(net::node_of(p))) continue;
+    if (!v.members().contains(p) || !fd_.alive(net::node_of(p))) continue;
     const bool ok = rec.change_started &&
                     std::includes(rec.last_sc_set.begin(), rec.last_sc_set.end(),
-                                  v.members.begin(), v.members.end()) &&
-                    rec.last_cid == v.start_id.at(p);
+                                  v.members().begin(), v.members().end()) &&
+                    rec.last_cid == v.start_id().at(p);
     if (!ok) {
       ++stats_.obsolete_views_suppressed;
       reconfigure();
@@ -281,7 +283,7 @@ void MembershipServer::deliver_view(const View& v) {
   const wire::ViewDelivery full{v};
   const std::size_t full_size = codec::wire_size(full);
   for (auto& [p, rec] : clients_) {
-    if (!v.members.contains(p) || !fd_.alive(net::node_of(p))) {
+    if (!v.members().contains(p) || !fd_.alive(net::node_of(p))) {
       // This client misses the view: an unacked suffix toward it may be
       // dropped with it from the reliable set, so in-order receipt of the
       // delta chain is no longer certain — next view goes out full.

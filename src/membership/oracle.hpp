@@ -59,16 +59,14 @@ class OracleMembership {
 
   /// Build (but do not deliver) a view over `members` with the latest cids.
   View make_view(const std::set<ProcessId>& members) {
-    View v;
-    v.id = ViewId{++epoch_, 0};
-    v.members = members;
+    std::map<ProcessId, StartChangeId> start_id;
     for (ProcessId p : members) {
       auto it = records_.find(p);
       VSGC_REQUIRE(it != records_.end(),
                    "view member " << to_string(p) << " never attached");
-      v.start_id[p] = it->second.last_cid;
+      start_id[p] = it->second.last_cid;
     }
-    return v;
+    return View(ViewId{++epoch_, 0}, members, std::move(start_id));
   }
 
   /// Deliver a previously built view to one process (staggered delivery).
@@ -81,7 +79,7 @@ class OracleMembership {
                  "view startId mismatch at " << to_string(p));
     VSGC_REQUIRE(
         std::includes(rec.last_set.begin(), rec.last_set.end(),
-                      v.members.begin(), v.members.end()),
+                      v.members().begin(), v.members().end()),
         "view members exceed announced start_change set at " << to_string(p));
     rec.change_started = false;
     rec.last_view_id = v.id;

@@ -101,17 +101,17 @@ struct ViewDelta {
     ViewDelta d;
     d.id = next.id;
     d.base = base_view.id;
-    for (ProcessId p : base_view.members) {
-      if (!next.members.contains(p)) d.leaves.insert(p);
+    for (ProcessId p : base_view.members()) {
+      if (!next.members().contains(p)) d.leaves.insert(p);
     }
     bool bump_set = false;
-    for (ProcessId p : next.members) {
-      const StartChangeId cid = next.start_id.at(p);
-      if (!base_view.members.contains(p)) {
+    for (ProcessId p : next.members()) {
+      const StartChangeId cid = next.start_id().at(p);
+      if (!base_view.members().contains(p)) {
         d.joins[p] = cid;
         continue;
       }
-      const std::uint64_t b = base_view.start_id.at(p).value;
+      const std::uint64_t b = base_view.start_id().at(p).value;
       if (!bump_set && cid.value >= b) {
         // The first survivor fixes the common bump; outliers become
         // exceptions below (ordered iteration keeps this deterministic).
@@ -128,27 +128,26 @@ struct ViewDelta {
   /// already is one) — the client-side forged/stale-delta rejection path.
   std::optional<View> apply(const View& base_view) const {
     if (base_view.id != base) return std::nullopt;
-    View v;
-    v.id = id;
-    v.members = base_view.members;
+    std::set<ProcessId> members = base_view.members();
     for (ProcessId p : leaves) {
-      if (v.members.erase(p) == 0) return std::nullopt;
+      if (members.erase(p) == 0) return std::nullopt;
     }
-    for (ProcessId p : v.members) {
-      v.start_id[p] =
-          StartChangeId{base_view.start_id.at(p).value + cid_bump};
+    std::map<ProcessId, StartChangeId> start_id;
+    for (ProcessId p : members) {
+      start_id[p] =
+          StartChangeId{base_view.start_id().at(p).value + cid_bump};
     }
     for (const auto& [p, cid] : exceptions) {
-      auto it = v.start_id.find(p);
-      if (it == v.start_id.end()) return std::nullopt;
+      auto it = start_id.find(p);
+      if (it == start_id.end()) return std::nullopt;
       it->second = cid;
     }
     for (const auto& [p, cid] : joins) {
-      if (!v.members.insert(p).second) return std::nullopt;
-      v.start_id[p] = cid;
+      if (!members.insert(p).second) return std::nullopt;
+      start_id[p] = cid;
     }
-    if (v.members.empty()) return std::nullopt;
-    return v;
+    if (members.empty()) return std::nullopt;
+    return View(id, std::move(members), std::move(start_id));
   }
 
   friend bool operator==(const ViewDelta&, const ViewDelta&) = default;

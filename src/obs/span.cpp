@@ -301,7 +301,7 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
     span.wire_send_at = m.wire_send;
     span.view = m.view;
     const ProcTimeline& st = procs[id.sender];
-    for (ProcessId r : m.view.members) {
+    for (ProcessId r : m.view.members()) {
       DeliveryLeg leg;
       leg.receiver = r;
       if (auto it = m.recv.find(r); it != m.recv.end()) {

@@ -42,7 +42,7 @@ std::optional<View> LivenessChecker::stable_view(
     if (!s.final_mbr_view || s.mbr_event_after_view || s.crashed) continue;
     const View& v = *s.final_mbr_view;
     bool stable = true;
-    for (ProcessId q : v.members) {
+    for (ProcessId q : v.members()) {
       auto it = summary.find(q);
       if (it == summary.end() || !it->second.final_mbr_view ||
           it->second.mbr_event_after_view || it->second.crashed ||
@@ -68,7 +68,7 @@ bool LivenessChecker::check(const std::vector<Event>& trace) {
       if (gv->view == v) delivered_view.insert(gv->p);
     }
   }
-  for (ProcessId p : v.members) {
+  for (ProcessId p : v.members()) {
     VSGC_REQUIRE(delivered_view.contains(p),
                  "Liveness: membership stabilized on "
                      << to_string(v.id) << " but " << to_string(p)
@@ -91,7 +91,7 @@ bool LivenessChecker::check(const std::vector<Event>& trace) {
     }
   }
   for (const auto& [sender, uid] : sent_in_v) {
-    for (ProcessId q : v.members) {
+    for (ProcessId q : v.members()) {
       VSGC_REQUIRE(delivered[q].contains({sender, uid}),
                    "Liveness: message uid "
                        << uid << " sent by " << to_string(sender)

@@ -52,7 +52,7 @@ class MbrshpChecker : public TraceSink {
       VSGC_REQUIRE(v.start_id_of(mv->p) == st.last_cid,
                    "MBRSHP: view startId(" << to_string(mv->p)
                                            << ") != latest start_change cid");
-      for (ProcessId q : v.members) {
+      for (ProcessId q : v.members()) {
         VSGC_REQUIRE(st.last_set.contains(q),
                      "MBRSHP: view member " << to_string(q)
                                             << " not in announced set at "

@@ -63,7 +63,7 @@ class TransSetChecker : public TraceSink {
     }
     for (const Delivery& d : deliveries_) {
       if (d.at <= cutoff) continue;
-      for (ProcessId q : d.view.members) {
+      for (ProcessId q : d.view.members()) {
         if (!d.previous.contains(q)) continue;
         auto it = prev.find(std::make_pair(q, d.view));
         if (it == prev.end()) continue;  // q never delivered v'

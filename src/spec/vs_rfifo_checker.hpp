@@ -25,7 +25,7 @@ class VsRfifoChecker : public WvRfifoChecker {
     const View& old_view = current_view(e.p);
     // Snapshot of what p delivered in the old view, per sender.
     std::map<ProcessId, std::int64_t> delivered;
-    for (ProcessId q : old_view.members) {
+    for (ProcessId q : old_view.members()) {
       delivered[q] = last_dlvrd_[q][e.p];
     }
 
@@ -36,7 +36,7 @@ class VsRfifoChecker : public WvRfifoChecker {
       cut_.emplace(key, delivered);
     } else {
       // Every later mover over the same (v, v') edge must match it exactly.
-      for (ProcessId q : old_view.members) {
+      for (ProcessId q : old_view.members()) {
         const std::int64_t agreed = it->second.count(q) ? it->second.at(q) : 0;
         VSGC_REQUIRE(delivered[q] == agreed,
                      "VS_RFIFO: Virtual Synchrony violated — "

@@ -62,6 +62,13 @@ class Channel {
   /// their idempotence check before re-asserting the set.
   inline bool reliable_matches(const std::set<net::NodeId>& set) const;
 
+  /// The transport's reliable_generation(). Every slice write goes through
+  /// the transport's set_reliable, so it moves whenever the answer of
+  /// reliable_matches may have.
+  std::uint32_t reliable_generation() const {
+    return transport_->reliable_generation();
+  }
+
   CoRfifoTransport& transport() { return *transport_; }
   const CoRfifoTransport& transport() const { return *transport_; }
   std::uint32_t group() const { return group_; }

@@ -245,6 +245,7 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
 }
 
 void CoRfifoTransport::set_reliable(const std::set<net::NodeId>& set) {
+  ++reliable_generation_;  // a mux slice may have moved even while crashed
   if (crashed_) return;
   for (auto& [q, out] : outgoing_) {
     if (set.contains(q) || !reliable_set_.contains(q)) continue;
@@ -577,6 +578,7 @@ bool CoRfifoTransport::corrupt_drop_reliable(net::NodeId peer) {
   // bit. Retransmission toward `peer` silently stops until the next
   // set_reliable() re-asserts the true set and re-arms the timer.
   reliable_set_.erase(peer);
+  ++reliable_generation_;
   return true;
 }
 
@@ -620,6 +622,7 @@ void CoRfifoTransport::crash() {
   outgoing_.clear();
   incoming_.clear();
   reliable_set_ = {self_};
+  ++reliable_generation_;
 }
 
 void CoRfifoTransport::recover() {

@@ -186,6 +186,10 @@ class CoRfifoTransport {
   /// Maintain reliable gap-free connections to exactly `set` (plus self).
   void set_reliable(const std::set<net::NodeId>& set);
   const std::set<net::NodeId>& reliable_set() const { return reliable_set_; }
+  /// Moves whenever the reliable set may have been written: set_reliable,
+  /// corrupt_drop_reliable and crash. While it stands still, so does the
+  /// set, so a check of the set made at one generation holds until the next.
+  std::uint32_t reliable_generation() const { return reliable_generation_; }
 
   /// Section 8: crash wipes all state and stops all activity.
   void crash();
@@ -294,6 +298,8 @@ class CoRfifoTransport {
   std::map<net::NodeId, Incoming> incoming_;
   std::uint64_t incarnation_counter_ = 0;
   bool crashed_ = false;
+  /// 32 bits fit beside crashed_, so the transport's size is unchanged.
+  std::uint32_t reliable_generation_ = 0;
 };
 
 }  // namespace vsgc::transport

@@ -25,7 +25,7 @@ TEST(Baseline, InstallsViewsAndDeliversMessages) {
   w.oracle.deliver_view(w.all());
   w.run(2 * sim::kSecond);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(w.ep(i).current_view().members, w.all());
+    EXPECT_EQ(w.ep(i).current_view().members(), w.all());
   }
   w.ep(0).send("hello");
   w.run(2 * sim::kSecond);
@@ -109,9 +109,9 @@ TEST(Baseline, AbandonsViewWhoseParticipantVanished) {
   w.oracle.deliver_view_to(w.pid(1), survivors);
   w.run(3 * sim::kSecond);
 
-  EXPECT_EQ(w.ep(0).current_view().members,
+  EXPECT_EQ(w.ep(0).current_view().members(),
             (std::set<ProcessId>{w.pid(0), w.pid(1)}));
-  EXPECT_EQ(w.ep(1).current_view().members,
+  EXPECT_EQ(w.ep(1).current_view().members(),
             (std::set<ProcessId>{w.pid(0), w.pid(1)}));
   EXPECT_GE(w.ep(0).baseline_stats().views_abandoned, 1u);
   w.checkers.finalize();

@@ -22,15 +22,16 @@ namespace vsgc {
 namespace {
 
 View random_view(Rng& rng) {
-  View v;
-  v.id = ViewId{rng.next_u64() % 1000, static_cast<std::uint32_t>(rng.next_below(8))};
+  const ViewId id{rng.next_u64() % 1000, static_cast<std::uint32_t>(rng.next_below(8))};
+  std::set<ProcessId> members;
+  std::map<ProcessId, StartChangeId> start_id;
   const int n = static_cast<int>(rng.next_in(1, 6));
   for (int i = 0; i < n; ++i) {
     const ProcessId p{static_cast<std::uint32_t>(rng.next_below(100))};
-    v.members.insert(p);
-    v.start_id[p] = StartChangeId{rng.next_u64() % 50};
+    members.insert(p);
+    start_id[p] = StartChangeId{rng.next_u64() % 50};
   }
-  return v;
+  return View(id, std::move(members), std::move(start_id));
 }
 
 ProcessId random_process(Rng& rng) {
@@ -49,7 +50,7 @@ gcs::AppMsg random_app_msg(Rng& rng) {
 
 gcs::wire::Cut random_cut(Rng& rng, const View& v) {
   gcs::wire::Cut cut;
-  for (ProcessId p : v.members) cut.emplace_back(p, rng.next_in(0, 1 << 16));
+  for (ProcessId p : v.members()) cut.emplace_back(p, rng.next_in(0, 1 << 16));
   return cut;
 }
 
@@ -67,22 +68,25 @@ std::pair<View, View> random_churn(Rng& rng) {
   for (;;) {
     View base = random_view(rng);
     base.id = ViewId{1 + rng.next_u64() % 100, 0};
-    View next;
-    next.id = ViewId{base.id.epoch + 1 + rng.next_u64() % 10, 0};
+    const ViewId next_id{base.id.epoch + 1 + rng.next_u64() % 10, 0};
+    std::set<ProcessId> members;
+    std::map<ProcessId, StartChangeId> start_id;
     const std::uint64_t bump = rng.next_in(1, 4);
-    for (ProcessId p : base.members) {
+    for (ProcessId p : base.members()) {
       if (rng.next_below(4) == 0) continue;  // leave
-      next.members.insert(p);
-      std::uint64_t cid = base.start_id.at(p).value + bump;
+      members.insert(p);
+      std::uint64_t cid = base.start_id().at(p).value + bump;
       if (rng.next_below(5) == 0) cid += 1 + rng.next_below(3);  // outlier
-      next.start_id[p] = StartChangeId{cid};
+      start_id[p] = StartChangeId{cid};
     }
     for (int k = static_cast<int>(rng.next_below(3)); k > 0; --k) {  // joins
       const ProcessId p{static_cast<std::uint32_t>(200 + rng.next_below(50))};
-      next.members.insert(p);
-      next.start_id[p] = StartChangeId{rng.next_u64() % 50};
+      members.insert(p);
+      start_id[p] = StartChangeId{rng.next_u64() % 50};
     }
-    if (!next.members.empty()) return {base, next};
+    if (!members.empty()) {
+      return {base, View(next_id, std::move(members), std::move(start_id))};
+    }
   }
 }
 
@@ -90,11 +94,8 @@ std::pair<View, View> random_churn(Rng& rng) {
 const ProcessId p1{1}, p3{3}, p4{4};
 
 View fixed_view() {
-  View v;
-  v.id = ViewId{7, 2};
-  v.members = {p1, p3};
-  v.start_id = {{p1, StartChangeId{5}}, {p3, StartChangeId{9}}};
-  return v;
+  return View(ViewId{7, 2}, {p1, p3},
+              {{p1, StartChangeId{5}}, {p3, StartChangeId{9}}});
 }
 
 const gcs::AppMsg kFixedApp{p3, 42, "hi"};
@@ -441,7 +442,7 @@ TEST(Codec, ViewDeltaForgedRejection) {
   // A join for a process that already is a member.
   {
     auto forged = delta;
-    forged.joins[*base.members.begin()] = StartChangeId{1};
+    forged.joins[*base.members().begin()] = StartChangeId{1};
     EXPECT_FALSE(forged.apply(base).has_value());
   }
   // A start-id exception for a process outside the view.
@@ -454,7 +455,7 @@ TEST(Codec, ViewDeltaForgedRejection) {
   {
     auto forged = delta;
     forged.joins.clear();
-    forged.leaves = base.members;
+    forged.leaves = base.members();
     EXPECT_FALSE(forged.apply(base).has_value());
   }
 
@@ -470,7 +471,7 @@ TEST(Codec, ViewDeltaForgedRejection) {
   }
   {
     auto forged = delta;
-    const ProcessId p = *base.members.begin();
+    const ProcessId p = *base.members().begin();
     forged.leaves.insert(p);
     forged.joins[p] = StartChangeId{1};
     Encoder enc;
@@ -482,7 +483,7 @@ TEST(Codec, ViewDeltaForgedRejection) {
     auto populated = delta;
     populated.leaves.insert(ProcessId{7});
     populated.joins[ProcessId{300}] = StartChangeId{3};
-    populated.exceptions[*base.members.begin()] = StartChangeId{11};
+    populated.exceptions[*base.members().begin()] = StartChangeId{11};
     Encoder enc;
     codec::encode(populated, enc);
     const auto& full = enc.bytes();
@@ -502,12 +503,13 @@ TEST(Codec, WireSizeMatchesEncodedSizeForViewCarriers) {
   // a ViewDelta's to pick the smaller form, so they must be exact at any N
   // (View = id 12 + members 4 + 4n + start_id 4 + 12n).
   for (std::uint32_t n : {1u, 64u, 1024u}) {
-    View v;
-    v.id = ViewId{n, 1};
+    std::set<ProcessId> members;
+    std::map<ProcessId, StartChangeId> start_id;
     for (std::uint32_t i = 0; i < n; ++i) {
-      v.members.insert(ProcessId{i});
-      v.start_id[ProcessId{i}] = StartChangeId{i};
+      members.insert(ProcessId{i});
+      start_id[ProcessId{i}] = StartChangeId{i};
     }
+    const View v(ViewId{n, 1}, std::move(members), std::move(start_id));
     const std::size_t view_bytes = 12 + 4 + 4 * n + 4 + 12 * n;
     EXPECT_EQ(codec::wire_size(v), view_bytes);
     const gcs::wire::ViewMsg vm{v};
@@ -529,18 +531,18 @@ TEST(Codec, EncoderReserveNeverChangesEncoding) {
     const std::string s = random_payload(rng);
     Encoder plain;
     Encoder hinted;
-    hinted.reserve(1 + 8 + 4 + 4 + 4 * v.members.size() + 4 + s.size());
+    hinted.reserve(1 + 8 + 4 + 4 + 4 * v.members().size() + 4 + s.size());
     for (Encoder* e : {&plain, &hinted}) {
       e->put_u8(0x7e);
       e->put_view_id(v.id);
-      codec::Field<std::set<ProcessId>>::put(*e, v.members);
+      codec::Field<std::set<ProcessId>>::put(*e, v.members());
       e->put_string(s);
     }
     ASSERT_EQ(plain.bytes(), hinted.bytes()) << "round " << round;
     Decoder dec(hinted.bytes());
     EXPECT_EQ(dec.get_u8(), 0x7e);
     EXPECT_EQ(dec.get_view_id(), v.id);
-    EXPECT_EQ(codec::Field<std::set<ProcessId>>::get(dec), v.members);
+    EXPECT_EQ(codec::Field<std::set<ProcessId>>::get(dec), v.members());
     EXPECT_EQ(dec.get_string(), s);
     EXPECT_TRUE(dec.done());
   }

@@ -24,13 +24,13 @@ TEST(CrashRecovery, CrashedEndpointIgnoresAllInputs) {
   const View v = w.oracle.make_view({w.pid(1)});
   w.oracle.deliver_view_to(w.pid(1), v);
   w.settle();
-  EXPECT_NE(w.ep(0).current_view().members, std::set<ProcessId>{w.pid(1)});
+  EXPECT_NE(w.ep(0).current_view().members(), std::set<ProcessId>{w.pid(1)});
 }
 
 TEST(CrashRecovery, RecoveryResetsToInitialSingletonView) {
   OracleWorld w(2);
   w.change_view(w.all());
-  EXPECT_EQ(w.ep(0).current_view().members.size(), 2u);
+  EXPECT_EQ(w.ep(0).current_view().members().size(), 2u);
   w.ep(0).crash();
   w.transport(0).crash();
   w.sim.run_until(w.sim.now() + sim::kMillisecond);
@@ -71,7 +71,7 @@ TEST(CrashRecovery, LocalMonotonicityHeldAcrossRecovery) {
   // higher id; the checker would throw otherwise.
   w.change_view(w.all());
   w.settle();
-  EXPECT_EQ(w.ep(0).current_view().members, w.all());
+  EXPECT_EQ(w.ep(0).current_view().members(), w.all());
   w.checkers.finalize();
 }
 

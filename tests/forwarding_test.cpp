@@ -51,8 +51,8 @@ void run_forwarding_scenario(gcs::ForwardingKind kind,
   w.oracle.deliver_view_to(w.pid(2), v);
   w.run(2 * sim::kSecond);
 
-  EXPECT_EQ(w.ep(1).current_view().members, w.pids({1, 2}));
-  EXPECT_EQ(w.ep(2).current_view().members, w.pids({1, 2}));
+  EXPECT_EQ(w.ep(1).current_view().members(), w.pids({1, 2}));
+  EXPECT_EQ(w.ep(2).current_view().members(), w.pids({1, 2}));
   ASSERT_EQ(rx[2].size(), 1u) << "the lost message must be forwarded to p3";
   EXPECT_EQ(rx[2][0], "p1:lost-msg");
   *forwarded_copies = w.ep(1).vs_stats().forwards_sent +

@@ -144,8 +144,8 @@ TEST(VirtualSynchrony, PartitionYieldsDisjointViewsAndCuts) {
   w.oracle.deliver_view_to(w.pid(2), vb);
   w.oracle.deliver_view_to(w.pid(3), vb);
   w.run();
-  EXPECT_EQ(w.ep(0).current_view().members, w.pids({0, 1}));
-  EXPECT_EQ(w.ep(2).current_view().members, w.pids({2, 3}));
+  EXPECT_EQ(w.ep(0).current_view().members(), w.pids({0, 1}));
+  EXPECT_EQ(w.ep(2).current_view().members(), w.pids({2, 3}));
   w.checkers.finalize();
 }
 
@@ -240,7 +240,7 @@ TEST(ObsoleteViews, SupersededViewNeverDelivered) {
   w.settle();
   EXPECT_EQ(w.ep(0).stats().views_delivered, views_before + 1)
       << "exactly one view (v2) delivered; v1 skipped";
-  EXPECT_EQ(w.ep(0).current_view().members, w.all());
+  EXPECT_EQ(w.ep(0).current_view().members(), w.all());
   w.checkers.finalize();
 }
 

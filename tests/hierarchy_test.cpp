@@ -30,7 +30,7 @@ TEST(TwoTier, ViewChangeCompletesWithAggregation) {
   for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(6, 2));
   w.change_view(w.all());
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(w.ep(i).current_view().members, w.all()) << "endpoint " << i;
+    EXPECT_EQ(w.ep(i).current_view().members(), w.all()) << "endpoint " << i;
   }
   // Leaders must have relayed something; non-leaders up-send exactly once.
   EXPECT_GT(w.ep(0).vs_stats().aggregates_relayed, 0u);
@@ -102,7 +102,7 @@ TEST(TwoTier, OrphanFallsBackToDirectWhenLeaderExcluded) {
   for (ProcessId p : rest) w.oracle.deliver_view_to(p, v);
   w.run(2 * sim::kSecond);
   for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(w.ep(i).current_view().members, rest) << "endpoint " << i;
+    EXPECT_EQ(w.ep(i).current_view().members(), rest) << "endpoint " << i;
   }
   w.checkers.finalize();
 }
@@ -121,7 +121,7 @@ TEST(CompactSync, StrangersGetCutlessSyncs) {
   w.oracle.deliver_view(w.all());
   w.settle();
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(w.ep(i).current_view().members, w.all()) << "endpoint " << i;
+    EXPECT_EQ(w.ep(i).current_view().members(), w.all()) << "endpoint " << i;
   }
   w.checkers.finalize();
 }
@@ -152,7 +152,7 @@ TEST(CompactSync, SavesBytesOnMerges) {
   run_merge(compact);
   EXPECT_LT(sync_bytes(compact), sync_bytes(plain));
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(compact.ep(i).current_view().members, compact.all());
+    EXPECT_EQ(compact.ep(i).current_view().members(), compact.all());
   }
   compact.checkers.finalize();
 }

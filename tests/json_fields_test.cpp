@@ -30,12 +30,10 @@ using sim::FaultOp;
 using sim::FaultScript;
 
 std::vector<spec::Event> sample_events() {
-  View v;
-  v.id = ViewId{3, 2};
-  v.members = {ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  v.start_id = {{ProcessId{1}, StartChangeId{4}},
+  const View v(ViewId{3, 2}, {ProcessId{1}, ProcessId{2}, ProcessId{3}},
+               {{ProcessId{1}, StartChangeId{4}},
                 {ProcessId{2}, StartChangeId{5}},
-                {ProcessId{3}, StartChangeId{6}}};
+                {ProcessId{3}, StartChangeId{6}}});
   const gcs::AppMsg msg{ProcessId{1}, 7, "hi \x01 \"there\""};
   const ProcessId p1{1}, p2{2}, p3{3}, p4{4};
   return {

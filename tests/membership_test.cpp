@@ -104,7 +104,7 @@ TEST(Membership, SingleServerFormsFullView) {
   h.run(2 * sim::kSecond);
   for (int i = 0; i < 3; ++i) {
     ASSERT_NE(h.last_view(i), nullptr) << "client " << i;
-    EXPECT_EQ(h.last_view(i)->members.size(), 3u);
+    EXPECT_EQ(h.last_view(i)->members().size(), 3u);
   }
   // All clients must receive the *identical* view (same startId map).
   EXPECT_EQ(*h.last_view(0), *h.last_view(1));
@@ -132,7 +132,7 @@ TEST(Membership, TwoServersAgreeOnOneView) {
   h.run(3 * sim::kSecond);
   for (int i = 0; i < 4; ++i) {
     ASSERT_NE(h.last_view(i), nullptr) << "client " << i;
-    EXPECT_EQ(h.last_view(i)->members.size(), 4u) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 4u) << "client " << i;
   }
   EXPECT_EQ(*h.last_view(0), *h.last_view(1));
   EXPECT_EQ(*h.last_view(0), *h.last_view(2));
@@ -149,7 +149,7 @@ TEST(Membership, CrashedClientIsExcluded) {
   h.run(3 * sim::kSecond);
   for (int i = 0; i < 2; ++i) {
     ASSERT_NE(h.last_view(i), nullptr);
-    EXPECT_EQ(h.last_view(i)->members.size(), 2u) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 2u) << "client " << i;
     EXPECT_FALSE(h.last_view(i)->contains(ProcessId{3}));
   }
 }
@@ -166,7 +166,7 @@ TEST(Membership, RecoveredClientRejoins) {
   h.run(3 * sim::kSecond);
   for (int i = 0; i < 3; ++i) {
     ASSERT_NE(h.last_view(i), nullptr);
-    EXPECT_EQ(h.last_view(i)->members.size(), 3u) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 3u) << "client " << i;
   }
 }
 
@@ -182,9 +182,9 @@ TEST(Membership, ServerPartitionFormsDisjointViews) {
   h.run(4 * sim::kSecond);
   ASSERT_NE(h.last_view(0), nullptr);
   ASSERT_NE(h.last_view(1), nullptr);
-  EXPECT_EQ(h.last_view(0)->members,
+  EXPECT_EQ(h.last_view(0)->members(),
             (std::set<ProcessId>{ProcessId{1}, ProcessId{3}}));
-  EXPECT_EQ(h.last_view(1)->members,
+  EXPECT_EQ(h.last_view(1)->members(),
             (std::set<ProcessId>{ProcessId{2}, ProcessId{4}}));
   // Disjoint concurrent views must carry distinct identifiers.
   EXPECT_NE(h.last_view(0)->id, h.last_view(1)->id);
@@ -203,7 +203,7 @@ TEST(Membership, HealedPartitionMergesViews) {
   h.run(4 * sim::kSecond);
   for (int i = 0; i < 4; ++i) {
     ASSERT_NE(h.last_view(i), nullptr);
-    EXPECT_EQ(h.last_view(i)->members.size(), 4u) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 4u) << "client " << i;
   }
   EXPECT_EQ(*h.last_view(0), *h.last_view(1));
   EXPECT_EQ(*h.last_view(0), *h.last_view(3));
@@ -217,12 +217,12 @@ TEST(Membership, LateJoinerIsAdmitted) {
   h.clients[1]->start();
   h.run(2 * sim::kSecond);
   ASSERT_NE(h.last_view(0), nullptr);
-  EXPECT_EQ(h.last_view(0)->members.size(), 2u);
+  EXPECT_EQ(h.last_view(0)->members().size(), 2u);
   h.clients[2]->start();
   h.run(3 * sim::kSecond);
   for (int i = 0; i < 3; ++i) {
     ASSERT_NE(h.last_view(i), nullptr);
-    EXPECT_EQ(h.last_view(i)->members.size(), 3u) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 3u) << "client " << i;
   }
 }
 
@@ -247,7 +247,7 @@ TEST(Membership, StartChangeResentAfterRecoveryIsDropped) {
   EXPECT_EQ(seen.size(), before);
   h.run(3 * sim::kSecond);
   ASSERT_NE(h.last_view(1), nullptr);
-  EXPECT_EQ(h.last_view(1)->members.size(), 2u);
+  EXPECT_EQ(h.last_view(1)->members().size(), 2u);
   EXPECT_GT(seen.size(), before) << "the rejoin brings a fresh start_change";
 }
 

@@ -140,13 +140,10 @@ TEST(Metrics, RegistryJsonIsDeterministicAndSorted) {
 std::vector<spec::Event> scripted_view_change() {
   const ProcessId p1{1};
   const ProcessId p2{2};
-  View v1;
-  v1.id = ViewId{1, 0};
-  v1.members = {p1, p2};
-  v1.start_id = {{p1, StartChangeId{1}}, {p2, StartChangeId{1}}};
-  View v2 = v1;
-  v2.id = ViewId{2, 0};
-  v2.start_id = {{p1, StartChangeId{2}}, {p2, StartChangeId{2}}};
+  const View v1(ViewId{1, 0}, {p1, p2},
+                {{p1, StartChangeId{1}}, {p2, StartChangeId{1}}});
+  const View v2(ViewId{2, 0}, v1.members(),
+                {{p1, StartChangeId{2}}, {p2, StartChangeId{2}}});
 
   std::vector<spec::Event> events;
   events.push_back({0, spec::MbrStartChange{p1, StartChangeId{1}, {p1, p2}}});
@@ -199,9 +196,7 @@ TEST(TraceMetrics, CrashResetsOpenIntervals) {
   const ProcessId p1{1};
   View stale = View::initial(p1);
   stale.id = ViewId{1, 0};
-  View v = View::initial(p1);
-  v.id = ViewId{2, 0};
-  v.start_id = {{p1, StartChangeId{1}}};
+  const View v(ViewId{2, 0}, {p1}, {{p1, StartChangeId{1}}});
   bus.emit(0, spec::MbrStartChange{p1, StartChangeId{1}, {p1}});
   bus.emit(100, spec::GcsBlock{p1});
   bus.emit(150, spec::MbrView{p1, stale});  // membership round: 150us
@@ -456,7 +451,7 @@ TEST(TraceRecorder, JsonlRoundTripOfScriptedTrace) {
   const auto* view = std::get_if<spec::GcsView>(&parsed[6].body);
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->view.id, (ViewId{2, 0}));
-  EXPECT_EQ(view->view.start_id.at(ProcessId{1}), StartChangeId{2});
+  EXPECT_EQ(view->view.start_id().at(ProcessId{1}), StartChangeId{2});
   EXPECT_EQ(view->transitional, (std::set<ProcessId>{{1}, {2}}));
 }
 

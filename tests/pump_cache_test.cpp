@@ -8,7 +8,7 @@
 // is re-asserted by the next input's pump.
 //
 // The GCS end-point interns its views and caches the resolution of its
-// candidate view; these tests check that held views share one handle and
+// candidate view; these tests check that held views share one body and
 // that the cached resolution equals a from-scratch one after every input
 // that invalidates it.
 #include <gtest/gtest.h>
@@ -79,7 +79,7 @@ class PumpCache : public ::testing::Test {
     expect_in_sync(what + ": membership view");
     w.run(2 * sim::kSecond);
     for (ProcessId p : members) {
-      EXPECT_EQ(w.ep(static_cast<int>(p.value) - 1).current_view().members,
+      EXPECT_EQ(w.ep(static_cast<int>(p.value) - 1).current_view().members(),
                 members)
           << what << ": " << to_string(p) << " did not install";
     }
@@ -152,7 +152,9 @@ TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
     std::size_t syncs = 0;
     for (const auto& [q, per_cid] : ep.sync_msgs()) {
       for (const auto& [cid, data] : per_cid) {
-        EXPECT_EQ(data.view, ep.current_view_ref())
+        EXPECT_EQ(data.view, ep.current_view())
+            << to_string(q) << "'s sync at endpoint " << i;
+        EXPECT_TRUE(data.view.shares_body_with(ep.current_view()))
             << to_string(q) << "'s sync at endpoint " << i;
         ++syncs;
       }
@@ -164,19 +166,27 @@ TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
   w.run();
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(w.ep(i).current_view(), v);
-    EXPECT_EQ(&w.ep(i).current_view(), &w.ep(i).mbrshp_view())
-        << "the installed view is the membership view's handle";
+    const GcsProbe& ep = w.ep(i);
+    EXPECT_TRUE(ep.current_view().shares_body_with(ep.mbrshp_view()))
+        << "the installed view is the membership view's body";
   }
 
-  // Interning compares whole views: an equal copy maps to the held handle,
-  // a forged view under the same id gets a handle of its own.
+  // Interning compares whole views: an equal view built from scratch maps
+  // to the held body, a forged view under the same id gets a body of its
+  // own.
   GcsProbe& ep = w.ep(0);
-  EXPECT_EQ(ep.intern(View(ep.current_view())), ep.current_view_ref());
-  View forged = ep.current_view();
-  forged.members.erase(w.pid(2));
-  const gcs::ViewRef handle = ep.intern(forged);
-  EXPECT_NE(handle, ep.current_view_ref());
-  EXPECT_EQ(ep.intern(forged), handle);
+  const View& cv = ep.current_view();
+  const View rebuilt(cv.id, cv.members(), cv.start_id());
+  ASSERT_FALSE(rebuilt.shares_body_with(cv));
+  EXPECT_TRUE(ep.intern(rebuilt).shares_body_with(cv));
+  std::set<ProcessId> fewer = cv.members();
+  fewer.erase(w.pid(2));
+  const View forged(cv.id, fewer, cv.start_id());
+  const View held = ep.intern(forged);
+  EXPECT_NE(held, cv);
+  EXPECT_FALSE(held.shares_body_with(cv));
+  EXPECT_TRUE(ep.intern(View(forged.id, fewer, cv.start_id()))
+                  .shares_body_with(held));
   w.checkers.finalize();
 }
 
@@ -237,9 +247,9 @@ class CandidateCache : public ::testing::Test {
     const View& cv = e.current_view();
     std::vector<std::pair<ProcessId, const gcs::SyncMsgData*>> syncs;
     std::vector<ProcessId> t;
-    std::vector<std::int64_t> agreed(cv.members.size(), 0);
+    std::vector<std::int64_t> agreed(cv.members().size(), 0);
     std::size_t missing = 0;
-    for (ProcessId r : v.members) {
+    for (ProcessId r : v.members()) {
       if (!cv.contains(r)) continue;
       const gcs::SyncMsgData* sm = e.sync_msg(r, v.start_id_of(r));
       syncs.emplace_back(r, sm);
@@ -247,10 +257,10 @@ class CandidateCache : public ::testing::Test {
         ++missing;
         continue;
       }
-      if (!(*sm->view == cv)) continue;
+      if (!(sm->view == cv)) continue;
       t.push_back(r);
       std::size_t i = 0;
-      for (ProcessId q : cv.members) {
+      for (ProcessId q : cv.members()) {
         agreed[i] = std::max(agreed[i], sm->cut_of(q));
         ++i;
       }
@@ -269,7 +279,7 @@ class CandidateCache : public ::testing::Test {
     const bool matches = sc && cv.id < v.id && v.contains(e.self()) &&
                          sc->first == v.start_id_of(e.self());
     std::size_t i = 0;
-    for (ProcessId q : cv.members) {
+    for (ProcessId q : cv.members()) {
       if (own == nullptr) {
         EXPECT_TRUE(e.deliver_allowed(
             i, q, std::numeric_limits<std::int64_t>::max()))

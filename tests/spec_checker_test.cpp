@@ -14,11 +14,9 @@ const ProcessId kP2{2};
 
 View make_view(std::uint64_t epoch, std::set<ProcessId> members,
                std::uint64_t cid = 1) {
-  View v;
-  v.id = ViewId{epoch, 0};
-  v.members = members;
-  for (ProcessId p : members) v.start_id[p] = StartChangeId{cid};
-  return v;
+  std::map<ProcessId, StartChangeId> start_id;
+  for (ProcessId p : members) start_id[p] = StartChangeId{cid};
+  return View(ViewId{epoch, 0}, std::move(members), std::move(start_id));
 }
 
 gcs::AppMsg msg(ProcessId sender, std::uint64_t uid) {

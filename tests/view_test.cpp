@@ -1,20 +1,77 @@
 // Unit tests: View type, FifoBuffer, wire message sizing, oracle membership.
+//
+// This executable counts every operator new (the idiom of
+// alloc_budget_test.cpp), so a test can show that copying a view allocates
+// nothing.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "gcs/fifo_buffer.hpp"
 #include "gcs/messages.hpp"
 #include "membership/oracle.hpp"
 #include "membership/view.hpp"
+#include "obs/json_fields.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/wire_codec.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// std::stable_sort's temporary buffer comes from the nothrow form; it must
+// pair with the free() below as well.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+// Once these are inlined, GCC pairs the free() with the library's operator
+// new rather than the malloc() above and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace vsgc {
 namespace {
 
+std::uint64_t allocations() { return g_allocs.load(std::memory_order_relaxed); }
+
+View view_of(ViewId id, std::set<ProcessId> members, std::uint64_t cid) {
+  std::map<ProcessId, StartChangeId> start_id;
+  for (ProcessId p : members) start_id[p] = StartChangeId{cid};
+  return View(id, std::move(members), std::move(start_id));
+}
+
 TEST(View, InitialViewIsSingleton) {
   const View v = View::initial(ProcessId{7});
   EXPECT_EQ(v.id, ViewId::zero());
-  EXPECT_EQ(v.members, std::set<ProcessId>{ProcessId{7}});
+  EXPECT_EQ(v.members(), std::set<ProcessId>{ProcessId{7}});
   EXPECT_EQ(v.start_id_of(ProcessId{7}), StartChangeId::zero());
   EXPECT_TRUE(v.contains(ProcessId{7}));
   EXPECT_FALSE(v.contains(ProcessId{8}));
@@ -24,17 +81,97 @@ TEST(View, EqualityComparesAllThreeComponents) {
   View a = View::initial(ProcessId{1});
   View b = a;
   EXPECT_EQ(a, b);
-  b.start_id[ProcessId{1}] = StartChangeId{5};
+  b = View(a.id, a.members(), {{ProcessId{1}, StartChangeId{5}}});
   EXPECT_NE(a, b) << "same id+members but different startId => different view";
 }
 
+TEST(View, DefaultViewIsEmpty) {
+  const View v;
+  EXPECT_EQ(v.id, ViewId::zero());
+  EXPECT_TRUE(v.members().empty());
+  EXPECT_TRUE(v.start_id().empty());
+  EXPECT_EQ(v.body_use_count(), 0);
+  EXPECT_EQ(v, View(ViewId::zero(), {}, {}));
+}
+
+TEST(View, CopySharesItsBodyAndAllocatesNothing) {
+  const View v = view_of(ViewId{3, 1}, {ProcessId{1}, ProcessId{2}}, 4);
+  const std::uint64_t before = allocations();
+  View copy = v;
+  View assigned;
+  assigned = copy;
+  View forged = v;
+  forged.id.epoch = 99;
+  const std::uint64_t after = allocations();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_TRUE(copy.shares_body_with(v));
+  EXPECT_TRUE(assigned.shares_body_with(v));
+  EXPECT_TRUE(forged.shares_body_with(v));
+  EXPECT_EQ(v.body_use_count(), 4);
+  EXPECT_EQ(copy, v);
+  EXPECT_NE(forged, v) << "a forged view differs by id alone";
+  EXPECT_EQ(forged.members(), v.members());
+}
+
+/// A random view over few ids and processes, so that random pairs often
+/// tie on id, on members or on everything.
+View random_view(Rng& rng) {
+  const ViewId id{rng.next_below(3), static_cast<std::uint32_t>(rng.next_below(2))};
+  std::set<ProcessId> members;
+  std::map<ProcessId, StartChangeId> start_id;
+  for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+    const ProcessId p{static_cast<std::uint32_t>(1 + rng.next_below(4))};
+    members.insert(p);
+    start_id[p] = StartChangeId{rng.next_below(2)};
+  }
+  return View(id, std::move(members), std::move(start_id));
+}
+
+/// The member-wise comparison a defaulted operator<=> over (id, members,
+/// start_id) would make.
+std::strong_ordering reference(const View& a, const View& b) {
+  return std::tie(a.id, a.members(), a.start_id()) <=>
+         std::tie(b.id, b.members(), b.start_id());
+}
+
+TEST(View, CompareAgreesWithMemberwiseReference) {
+  Rng rng(23);
+  std::vector<View> views;
+  for (int i = 0; i < 64; ++i) {
+    const View v = random_view(rng);
+    views.push_back(v);
+    // The same body under another id (a forged view), and the same parts in
+    // a body of their own.
+    View forged = v;
+    forged.id = ViewId{v.id.epoch + 1, v.id.origin};
+    views.push_back(forged);
+    views.emplace_back(v.id, v.members(), v.start_id());
+  }
+  // Same id, different members.
+  views.push_back(view_of(ViewId{1, 0}, {ProcessId{1}, ProcessId{2}}, 1));
+  views.push_back(view_of(ViewId{1, 0}, {ProcessId{1}}, 1));
+  // Same members, different ids.
+  views.push_back(view_of(ViewId{1, 1}, {ProcessId{1}, ProcessId{2}}, 1));
+  views.push_back(view_of(ViewId{2, 0}, {ProcessId{1}, ProcessId{2}}, 1));
+  views.emplace_back();
+  std::size_t ties = 0;
+  for (const View& a : views) {
+    for (const View& b : views) {
+      const std::strong_ordering want = reference(a, b);
+      EXPECT_EQ(a <=> b, want) << to_string(a) << " vs " << to_string(b);
+      EXPECT_EQ(a == b, want == 0) << to_string(a) << " vs " << to_string(b);
+      EXPECT_EQ(a < b, want < 0) << to_string(a) << " vs " << to_string(b);
+      if (want == 0 && !a.shares_body_with(b)) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 0u) << "no equal views in distinct bodies were compared";
+}
+
 TEST(View, EncodeDecodeRoundTrip) {
-  View v;
-  v.id = ViewId{42, 3};
-  v.members = {ProcessId{1}, ProcessId{2}, ProcessId{9}};
-  v.start_id = {{ProcessId{1}, StartChangeId{10}},
+  const View v(ViewId{42, 3}, {ProcessId{1}, ProcessId{2}, ProcessId{9}},
+               {{ProcessId{1}, StartChangeId{10}},
                 {ProcessId{2}, StartChangeId{20}},
-                {ProcessId{9}, StartChangeId{90}}};
+                {ProcessId{9}, StartChangeId{90}}});
   Encoder enc;
   codec::encode(v, enc);
   Decoder dec(enc.bytes());
@@ -42,6 +179,20 @@ TEST(View, EncodeDecodeRoundTrip) {
   EXPECT_EQ(v, round);
   EXPECT_TRUE(dec.done());
   EXPECT_EQ(codec::wire_size(v), enc.size());
+}
+
+TEST(View, JsonRoundTripIsUnchanged) {
+  const View v(ViewId{42, 3}, {ProcessId{1}, ProcessId{9}},
+               {{ProcessId{1}, StartChangeId{10}},
+                {ProcessId{9}, StartChangeId{90}}});
+  const std::string text = obs::to_json(v).dump();
+  EXPECT_EQ(text,
+            R"({"epoch":42,"origin":3,"members":[1,9],"start_id":{"1":10,"9":90}})");
+  View round;
+  ASSERT_TRUE(obs::from_json(obs::JsonValue::parse(text), &round));
+  EXPECT_EQ(round, v);
+  EXPECT_EQ(round.members(), v.members());
+  EXPECT_EQ(round.start_id(), v.start_id());
 }
 
 TEST(View, ToStringMentionsMembersAndCids) {

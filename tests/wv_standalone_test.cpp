@@ -40,7 +40,7 @@ TEST(WvStandalone, ViewsInstallWithoutSynchronizationMessages) {
   w.oracle.start_change(w.all());
   w.oracle.deliver_view(w.all());
   for (auto& ep : w.endpoints) {
-    EXPECT_EQ(ep->current_view().members, w.all());
+    EXPECT_EQ(ep->current_view().members(), w.all());
   }
 }
 
