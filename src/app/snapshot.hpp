@@ -5,7 +5,7 @@
 //   net.*           the datagram network (unlabelled)
 //   xport.frame.*   one CO_RFIFO transport's wire-frame economics: frames vs
 //                   entries (batch density), piggybacked vs standalone acks,
-//                   retransmissions, bytes
+//                   retransmissions, bytes, frame cells ever made
 //   xport.window.*  ... and its flow-control health: credit stalls,
 //                   receive-window drops, peak queue depths
 //                   (both labelled process=pN or server=sN)
@@ -56,6 +56,8 @@ inline void snapshot_transport(const transport::CoRfifoTransport& t,
       .inc(s.acks_piggybacked);
   reg.counter("xport.frame.retransmissions", labels).inc(s.retransmissions);
   reg.counter("xport.frame.bytes_sent", labels).inc(s.bytes_sent);
+  reg.counter("xport.frame.cells_allocated", labels)
+      .inc(s.frame_cells_allocated);
   reg.counter("xport.window.stalls", labels).inc(s.window_stalls);
   reg.counter("xport.window.ooo_dropped", labels).inc(s.ooo_dropped);
   reg.gauge("xport.window.peak_unacked", labels)

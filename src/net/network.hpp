@@ -25,12 +25,12 @@
 
 namespace vsgc::net {
 
-/// Refcounted immutable payload handle. A payload is wrapped into one
-/// heap-allocated std::any when it enters the network layer and is shared by
-/// reference count from there on: enqueueing a delivery, buffering a packet
-/// for retransmission, or fanning a multicast out to N destinations copies a
-/// pointer, never the payload bytes. Handlers still receive `const
-/// std::any&`, so receive paths are unchanged.
+/// Refcounted immutable payload handle. A payload is wrapped into one shared
+/// std::any on entering the network layer (one allocation, two if std::any
+/// cannot keep the value inline) and shared by refcount from there on:
+/// enqueueing a delivery, buffering a packet for retransmission, or fanning
+/// a multicast out to N destinations copies a pointer, never the payload
+/// bytes. Handlers still receive `const std::any&`: receive paths unchanged.
 class Payload {
  public:
   Payload() = default;
@@ -38,7 +38,7 @@ class Payload {
   Payload(std::any value)
       : ptr_(std::make_shared<const std::any>(std::move(value))) {}
 
-  /// Wrap any payload type directly (one allocation, no intermediate any).
+  /// Wrap any payload type directly (no intermediate std::any).
   template <typename T,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<T>, Payload> &&
@@ -47,6 +47,13 @@ class Payload {
   Payload(T&& value)
       : ptr_(std::make_shared<const std::any>(
             std::in_place_type<std::decay_t<T>>, std::forward<T>(value))) {}
+
+  /// Share an existing cell instead of wrapping a new one (no allocation).
+  static Payload share(std::shared_ptr<const std::any> cell) {
+    Payload p;
+    p.ptr_ = std::move(cell);
+    return p;
+  }
 
   const std::any& any() const {
     static const std::any kEmpty;

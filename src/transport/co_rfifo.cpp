@@ -108,7 +108,7 @@ void CoRfifoTransport::flush(net::NodeId to) {
       break;
     }
     if (out.incarnation == 0) out.incarnation = fresh_incarnation();
-    Frame f;
+    Frame& f = acquire_frame();
     f.header.incarnation = out.incarnation;
     f.header.first_seq = out.acked + 1;
     f.header.base_seq = out.next_seq;
@@ -135,7 +135,7 @@ void CoRfifoTransport::flush(net::NodeId to) {
     }
     track_peak(stats_.peak_unacked, out.unacked.size());
     attach_piggyback(to, f);
-    transmit_frame(to, std::move(f));
+    transmit_frame(to);
     arm_retransmit(to);
   }
 }
@@ -165,15 +165,70 @@ void CoRfifoTransport::attach_piggyback(net::NodeId to, Frame& frame) {
   }
 }
 
-void CoRfifoTransport::transmit_frame(net::NodeId to, Frame frame) {
+Frame& CoRfifoTransport::acquire_frame() {
+  // The next cell in ring order is the least recently sent; skip any that a
+  // delivery closure still holds (DESIGN.md §11.1).
+  auto& ring = cells_.ring;
+  const std::size_t n = ring.size();
+  std::size_t k = 0;
+  while (k < n && ring[(cells_.next + k) % n].use_count() > 1) ++k;
+  if (k == n) {
+    // All in flight: a new cell joins the ring before the oldest, or at the
+    // cap replaces it (the closure holding the old one frees it).
+    ++stats_.frame_cells_allocated;
+    if (n < kMaxFrameCells) ring.emplace(ring.begin() + cells_.next);
+    ring[cells_.next] = std::make_shared<std::any>(std::in_place_type<Frame>);
+    k = 0;
+  }
+  cells_.open = (cells_.next + k) % ring.size();
+  cells_.next = (cells_.open + 1) % ring.size();
+  Frame& f = *std::any_cast<Frame>(ring[cells_.open].get());
+  f.header = wire::FrameHeader{};
+  f.entries.clear();  // keeps the capacity
+  return f;
+}
+
+void CoRfifoTransport::transmit_frame(net::NodeId to) {
+  const std::shared_ptr<std::any>& cell = cells_.ring[cells_.open];
+  Frame& frame = *std::any_cast<Frame>(cell.get());
   frame.header.count = static_cast<std::uint32_t>(frame.entries.size());
   const std::size_t bytes = frame_wire_size(frame);
   stats_.bytes_sent += bytes;
   ++stats_.frames_sent;
   stats_.entries_sent += frame.entries.size();
-  // Wrapping the Frame costs one allocation; the payload bytes inside its
-  // entries are shared by refcount with the unacked buffer, never copied.
-  network_.send(self_, to, net::Payload(std::move(frame)), bytes);
+  // The delivery closure shares the cell itself, and the payload bytes in
+  // its entries are shared by refcount with the unacked buffer: no copy.
+  network_.send(self_, to, net::Payload::share(cell), bytes);
+}
+
+std::size_t CoRfifoTransport::resend(net::NodeId to, const Outgoing& out,
+                                     std::size_t i, std::size_t limit) {
+  Frame& f = acquire_frame();
+  f.header.incarnation = out.incarnation;
+  f.header.first_seq = out.acked + 1;
+  f.header.base_seq = out.unacked[i].seq;
+  f.header.group = out.unacked[i].group;
+  std::size_t take = 1;
+  while (i + take < out.unacked.size() && take < limit &&
+         take < config_.max_batch &&
+         out.unacked[i + take].group == f.header.group &&
+         !out.peer_sacked.contains(out.unacked[i + take].seq)) {
+    ++take;
+  }
+  f.entries.assign(out.unacked.begin() + i, out.unacked.begin() + i + take);
+  stats_.retransmissions += take;
+  attach_piggyback(to, f);
+  transmit_frame(to);
+  return take;
+}
+
+void CoRfifoTransport::send_reset_request(net::NodeId to,
+                                          std::uint64_t incarnation) {
+  Frame& reset = acquire_frame();
+  reset.header.flags = wire::kFlagReset;
+  reset.header.ack_incarnation = incarnation;
+  ++stats_.acks_sent;
+  transmit_frame(to);
 }
 
 void CoRfifoTransport::arm_retransmit(net::NodeId to) {
@@ -206,27 +261,10 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
             ++i;
             continue;
           }
-          Frame f;
-          f.header.incarnation = out.incarnation;
-          f.header.first_seq = out.acked + 1;
-          f.header.base_seq = out.unacked[i].seq;
-          f.header.group = out.unacked[i].group;
-          std::size_t take = 1;
-          while (i + take < out.unacked.size() && take < config_.max_batch &&
-                 resent + take < kRetransmitBatch &&
-                 out.unacked[i + take].group == f.header.group &&
-                 !out.peer_sacked.contains(out.unacked[i + take].seq)) {
-            ++take;
-          }
-          f.entries.reserve(take);
-          for (std::size_t k = 0; k < take; ++k) {
-            f.entries.push_back(out.unacked[i + k]);
-          }
+          const std::size_t take =
+              resend(to, out, i, kRetransmitBatch - resent);
           i += take;
           resent += take;
-          stats_.retransmissions += take;
-          attach_piggyback(to, f);
-          transmit_frame(to, std::move(f));
         }
         if (resent > 0 && trace_ != nullptr && trace_->lifecycle()) {
           trace_->emit(sim_.now(),
@@ -373,28 +411,11 @@ void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
   for (FrameEntry& e : out.unacked) e.seq = seq++;
   out.next_seq = seq;
   const std::size_t total = out.unacked.size();
-  std::size_t i = 0;
-  while (i < total) {
-    Frame f;
-    f.header.incarnation = out.incarnation;
-    f.header.first_seq = 1;
-    f.header.base_seq = out.unacked[i].seq;
-    f.header.group = out.unacked[i].group;
-    std::size_t take = 1;
-    while (i + take < total && take < config_.max_batch &&
-           out.unacked[i + take].group == f.header.group) {
-      ++take;
-    }
-    f.entries.reserve(take);
-    for (std::size_t k = 0; k < take; ++k) {
-      f.entries.push_back(out.unacked[i + k]);
-    }
-    i += take;
-    // Re-homing the suffix re-sends entries already transmitted once:
-    // recovery cost, counted like any other retransmission.
-    stats_.retransmissions += take;
-    attach_piggyback(to, f);
-    transmit_frame(to, std::move(f));
+  // Re-homing the suffix re-sends entries already transmitted once:
+  // recovery cost, counted like any other retransmission. The peer's SACK
+  // state is clear, so frames break only at groups and max_batch.
+  for (std::size_t i = 0; i < total;) {
+    i += resend(to, out, i, total);
   }
   if (trace_ != nullptr && trace_->lifecycle()) {
     trace_->emit(sim_.now(),
@@ -428,11 +449,7 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
       // Mid-stream continuation of an incarnation we have no state for: we
       // crashed and lost the prefix, and the sender can no longer retransmit
       // it (it was acked by our previous life). Ask for a fresh stream.
-      Frame reset;
-      reset.header.flags = wire::kFlagReset;
-      reset.header.ack_incarnation = h.incarnation;
-      ++stats_.acks_sent;
-      transmit_frame(from, std::move(reset));
+      send_reset_request(from, h.incarnation);
       return;
     }
     // Fresh connection incarnation from the peer: restart the stream.
@@ -449,11 +466,7 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
     // cursor skipped are lost to this stream, and only a view change can
     // re-align endpoint delivery indexes (DESIGN.md §12).
     ++stats_.corruption_resets;
-    Frame reset;
-    reset.header.flags = wire::kFlagReset;
-    reset.header.ack_incarnation = h.incarnation;
-    ++stats_.acks_sent;
-    transmit_frame(from, std::move(reset));
+    send_reset_request(from, h.incarnation);
     if (reset_handler_) reset_handler_(from);
     return;
   }
@@ -530,7 +543,7 @@ void CoRfifoTransport::send_standalone_ack(net::NodeId to) {
   auto it = incoming_.find(to);
   if (it == incoming_.end()) return;
   auto& in = it->second;
-  Frame ack;
+  Frame& ack = acquire_frame();
   ack.header.flags = wire::kFlagHasAck;
   ack.header.ack_incarnation = in.incarnation;
   ack.header.ack_seq = in.next_expected - 1;
@@ -542,7 +555,7 @@ void CoRfifoTransport::send_standalone_ack(net::NodeId to) {
   ++stats_.acks_sent;
   // A standalone ack is a header-only frame: kFrameHeaderBytes on the wire
   // (honest accounting — it carries no entry, so no per-entry cost).
-  transmit_frame(to, std::move(ack));
+  transmit_frame(to);
 }
 
 bool CoRfifoTransport::corrupt_outgoing_seq(net::NodeId peer,
@@ -593,9 +606,11 @@ bool CoRfifoTransport::corrupt_backoff(net::NodeId peer, std::uint32_t value) {
 std::size_t CoRfifoTransport::resident_bytes() const {
   // Approximate heap footprint of per-peer stream state: container node and
   // element sizes, not payload bytes (payloads are refcounted and owned by
-  // the application layer). bench_scale fits this against N.
+  // the application layer), nor the frame cells (DESIGN.md §11.1).
+  // bench_scale fits this against N.
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  std::size_t total = sizeof(*this);
+  std::size_t total = sizeof(*this) - sizeof(cells_) -
+                      sizeof(stats_.frame_cells_allocated);
   for (const auto& [q, out] : outgoing_) {
     total += sizeof(std::pair<const net::NodeId, Outgoing>) + kNodeOverhead;
     total += (out.pending.size() + out.unacked.size()) * sizeof(FrameEntry);

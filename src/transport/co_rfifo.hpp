@@ -120,6 +120,7 @@ class CoRfifoTransport {
     std::uint64_t corruption_resets = 0;
     std::uint64_t sack_runs_sent = 0;   ///< selective-ack runs put on the wire
     std::uint64_t sack_suppressed = 0;  ///< retransmits skipped via peer SACK
+    std::uint64_t frame_cells_allocated = 0;  ///< frame cells ever made
   };
 
   using DeliverFn =
@@ -135,6 +136,8 @@ class CoRfifoTransport {
                    net::NodeId self)
       : CoRfifoTransport(sim, network, self, Config()) {}
   ~CoRfifoTransport();
+
+  static constexpr std::size_t kMaxFrameCells = 64;  ///< DESIGN.md §11.1
 
   CoRfifoTransport(const CoRfifoTransport&) = delete;
   CoRfifoTransport& operator=(const CoRfifoTransport&) = delete;
@@ -266,7 +269,14 @@ class CoRfifoTransport {
   void flush(net::NodeId to);
   void schedule_flush(net::NodeId to);
   void attach_piggyback(net::NodeId to, Frame& frame);
-  void transmit_frame(net::NodeId to, Frame frame);
+  /// Hands out the next free frame cell, cleared; transmit_frame() sends it.
+  Frame& acquire_frame();
+  void transmit_frame(net::NodeId to);
+  /// Re-sends one frame of out.unacked[i..]: at most min(limit, max_batch)
+  /// entries of one group, none the peer SACKed. Returns how many it sent.
+  std::size_t resend(net::NodeId to, const Outgoing& out, std::size_t i,
+                     std::size_t limit);
+  void send_reset_request(net::NodeId to, std::uint64_t incarnation);
   void send_standalone_ack(net::NodeId to);
   void schedule_ack(net::NodeId from);
   void arm_retransmit(net::NodeId to);
@@ -296,6 +306,14 @@ class CoRfifoTransport {
   std::set<net::NodeId> reliable_set_;
   std::map<net::NodeId, Outgoing> outgoing_;
   std::map<net::NodeId, Incoming> incoming_;
+  /// Frame cells in ring order (DESIGN.md §11.1): `open` is the one handed
+  /// out last, `next` the least recently sent.
+  struct FrameCells {
+    std::vector<std::shared_ptr<std::any>> ring;
+    std::size_t open = 0;
+    std::size_t next = 0;
+  };
+  FrameCells cells_;
   std::uint64_t incarnation_counter_ = 0;
   bool crashed_ = false;
   /// 32 bits fit beside crashed_, so the transport's size is unchanged.

@@ -12,8 +12,9 @@
 // sizes with it and the adversarial decode tests drive truncated and
 // oversized-count frames through it. Inside the simulator frames travel as
 // structured objects (one refcounted payload handle per entry — never a
-// per-entry std::any wrap), so the codec is exercised by tests, not per
-// packet on the hot path.
+// per-entry std::any wrap) in cells the sending transport recycles
+// (DESIGN.md §11.1), so the codec is exercised by tests, not per packet on
+// the hot path.
 #pragma once
 
 #include <cstdint>

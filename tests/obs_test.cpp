@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "app/world.hpp"
 #include "obs/artifact.hpp"
@@ -422,6 +423,42 @@ TEST(WorldSnapshot, CountersSumTheLayersAndStayDisjointFromTheTraceFold) {
   for (const std::string& name : layer) {
     EXPECT_FALSE(trace.contains(name)) << name;
   }
+}
+
+// A transport recycles its frame cells (DESIGN.md §11.1): once steady
+// multicast has warmed every transport up, 100 more ticks of it send frames
+// without making a single new cell.
+TEST(WorldSnapshot, FrameCellsStayFlatUnderSteadyMulticast) {
+  app::WorldConfig config;
+  config.num_clients = 8;
+  config.num_servers = 2;
+  config.attach_checkers = false;
+  config.record_trace = false;
+  app::World world(config);
+  world.start();
+  ASSERT_TRUE(
+      world.run_until_converged(world.all_members(), 10 * sim::kSecond));
+  const std::string payload(64, 'm');
+  const auto ticks = [&](int n) {
+    for (int t = 0; t < n; ++t) {
+      for (int c = 0; c < world.num_clients(); ++c) {
+        world.client(c).send(payload);
+      }
+      world.run_for(sim::kMillisecond);
+    }
+  };
+  ticks(20);
+  obs::Registry warm;
+  world.snapshot(warm);
+  ticks(100);
+  obs::Registry after;
+  world.snapshot(after);
+
+  EXPECT_GT(warm.counter_total("xport.frame.cells_allocated"), 0u);
+  EXPECT_EQ(after.counter_total("xport.frame.cells_allocated"),
+            warm.counter_total("xport.frame.cells_allocated"));
+  EXPECT_GT(after.counter_total("xport.frame.frames_sent"),
+            warm.counter_total("xport.frame.frames_sent") + 1000);
 }
 
 // ------------------------------------------------------------ trace recorder

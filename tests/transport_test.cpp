@@ -9,6 +9,7 @@
 
 #include "net/network.hpp"
 #include "spec/co_rfifo_checker.hpp"
+#include "transport/channel_mux.hpp"
 #include "transport/co_rfifo.hpp"
 
 namespace vsgc::transport {
@@ -314,6 +315,121 @@ TEST(CoRfifo, LoopbackAcrossOwnCrashIsACountedDrop) {
       << "a loopback lost to our own crash must be counted, not vanish";
   EXPECT_EQ(stats.bytes_sent, 8u + kPacketHeaderBytes)
       << "bytes were put on the (virtual) wire before the crash";
+}
+
+/// A raw network node standing in for a transport's peer: it records a copy
+/// of every frame that arrives, as it is at arrival.
+struct FrameTap {
+  FrameTap(net::Network& network, net::NodeId node) {
+    network.attach(node, [this](net::NodeId, const std::any& raw) {
+      frames.push_back(std::any_cast<Frame>(raw));
+    });
+  }
+  std::vector<Frame> frames;
+};
+
+Frame data_frame(std::uint64_t incarnation, std::uint64_t first_seq,
+                 std::uint64_t seq, std::uint64_t uid) {
+  Frame f;
+  f.header.incarnation = incarnation;
+  f.header.first_seq = first_seq;
+  f.header.base_seq = seq;
+  f.header.count = 1;
+  f.entries.push_back(FrameEntry{seq, net::Payload(uid), 8, 0});
+  return f;
+}
+
+TEST(CoRfifoFrameCells, AReusedCellCarriesNothingIntoTheNextFrame) {
+  // Each frame arrives before the next is built, so all four share one
+  // cell; each must hold exactly what its own construction site wrote.
+  sim::Simulator sim;
+  net::Network network(sim, Rng(1), {});
+  const net::NodeId self{1}, p{2}, q{3};
+  CoRfifoTransport a(sim, network, self);
+  ChannelMux mux(a);
+  Channel group7 = mux.open(7, [](net::NodeId, const std::any&) {});
+  FrameTap at_p(network, p);
+  FrameTap at_q(network, q);
+
+  // 1. Seq 2 of p's stream 5 arrives before seq 1: a SACK-bearing ack.
+  network.send(p, self, data_frame(5, 1, 2, 20));
+  sim.run_to_quiescence();
+  ASSERT_EQ(at_p.frames.size(), 1u);
+  wire::FrameHeader sack_ack;
+  sack_ack.flags = wire::kFlagHasAck;
+  sack_ack.ack_incarnation = 5;
+  sack_ack.sack.insert(2);
+  EXPECT_EQ(at_p.frames[0].header, sack_ack);
+  EXPECT_TRUE(at_p.frames[0].entries.empty());
+
+  // 2. A group-7 data frame to q, which has sent nothing: no ack fields.
+  group7.send({q}, std::uint64_t{70}, 8);
+  sim.run_to_quiescence();
+  ASSERT_EQ(at_q.frames.size(), 1u);
+  const Frame& data = at_q.frames[0];
+  wire::FrameHeader grouped;
+  grouped.incarnation = data.header.incarnation;
+  grouped.base_seq = 1;
+  grouped.count = 1;
+  grouped.group = 7;
+  EXPECT_NE(data.header.incarnation, 0u);
+  EXPECT_EQ(data.header, grouped);
+  ASSERT_EQ(data.entries.size(), 1u);
+  EXPECT_EQ(std::any_cast<std::uint64_t>(data.entries[0].payload.any()), 70u);
+
+  // 3. A mid-stream frame of an unknown incarnation: a reset request.
+  network.send(p, self, data_frame(9, 4, 4, 40));
+  sim.run_to_quiescence();
+  ASSERT_EQ(at_p.frames.size(), 2u);
+  wire::FrameHeader reset;
+  reset.flags = wire::kFlagReset;
+  reset.ack_incarnation = 9;
+  EXPECT_EQ(at_p.frames[1].header, reset);
+  EXPECT_TRUE(at_p.frames[1].entries.empty());
+
+  // 4. Seq 1 fills the gap: a plain cumulative ack, no SACK run left.
+  network.send(p, self, data_frame(5, 1, 1, 10));
+  sim.run_to_quiescence();
+  ASSERT_EQ(at_p.frames.size(), 3u);
+  wire::FrameHeader plain_ack;
+  plain_ack.flags = wire::kFlagHasAck;
+  plain_ack.ack_incarnation = 5;
+  plain_ack.ack_seq = 2;
+  EXPECT_EQ(at_p.frames[2].header, plain_ack);
+  EXPECT_TRUE(at_p.frames[2].entries.empty());
+
+  EXPECT_EQ(a.stats().frames_sent, 4u);
+  EXPECT_EQ(a.stats().frame_cells_allocated, 1u)
+      << "every frame was back before the next one was built";
+}
+
+TEST(CoRfifoFrameCells, AFrameInFlightIsNeverRewritten) {
+  // On a 50 ms link, a frame every 250 us puts all 200 in flight before the
+  // first arrives: more than the transport keeps cells for. Each must arrive
+  // as it was sent. No ack comes back, so 200 stays inside the credit window.
+  sim::Simulator sim;
+  net::Network::Config slow;
+  slow.base_latency = 50 * sim::kMillisecond;
+  net::Network network(sim, Rng(1), slow);
+  const net::NodeId self{1}, p{2};
+  CoRfifoTransport a(sim, network, self);
+  FrameTap at_p(network, p);
+  constexpr std::uint64_t kFrames = 200;
+  static_assert(kFrames > CoRfifoTransport::kMaxFrameCells);
+  for (std::uint64_t uid = 1; uid <= kFrames; ++uid) {
+    a.send({p}, uid, 8);
+    sim.run_until(sim.now() + 250);
+  }
+  sim.run_to_quiescence();
+  ASSERT_EQ(at_p.frames.size(), kFrames);
+  for (std::uint64_t uid = 1; uid <= kFrames; ++uid) {
+    const Frame& f = at_p.frames[uid - 1];
+    EXPECT_EQ(f.header.base_seq, uid);
+    ASSERT_EQ(f.entries.size(), 1u);
+    EXPECT_EQ(std::any_cast<std::uint64_t>(f.entries[0].payload.any()), uid);
+  }
+  EXPECT_GT(a.stats().frame_cells_allocated, CoRfifoTransport::kMaxFrameCells)
+      << "the cap was reached, so some frames went out in fresh cells";
 }
 
 }  // namespace
