@@ -23,8 +23,7 @@ Result run_case(int n, sim::Time fd_timeout, obs::BenchArtifact& art,
   app::WorldConfig cfg;
   cfg.num_clients = n;
   cfg.record_trace = false;
-  cfg.server.fd.timeout = fd_timeout;
-  cfg.server.fd.check_interval = fd_timeout / 5;
+  cfg.server.fd_timeout = fd_timeout;
   app::World w(cfg);
   const Tally<app::World> tally{art, reg, w};
   w.start();

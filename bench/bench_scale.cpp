@@ -272,6 +272,9 @@ Row measure(const ScaleParams& params, obs::BenchArtifact& art,
     else w.network.deisolate(slice);
   };
   target.heal = [&w] { w.network.heal(); };
+  target.base_drop = w.network.config().drop_probability;
+  target.base_latency = w.network.config().base_latency;
+  target.base_jitter = w.network.config().jitter;
   sim::FailureInjector::Policy policy;
   policy.steps = 3;
   policy.min_gap = 600 * sim::kMillisecond;
@@ -290,8 +293,6 @@ Row measure(const ScaleParams& params, obs::BenchArtifact& art,
   policy.w_crash_in_delivery = 0;
   policy.w_partition_in_view_change = 0;
   policy.w_wave = 1;
-  policy.wave_fraction = 0.1;
-  policy.spike_len = 300 * sim::kMillisecond;
   sim::FailureInjector injector(target, policy, params.seed);
   injector.run_churn();
   injector.stabilize();
@@ -407,7 +408,7 @@ int main(int argc, char** argv) {
   obs::BenchArtifact art("scale");
   art.config("group_size") = kGroupSize;
   art.config("membership_round_ms") = ms(kMembershipRound);
-  art.config("wave_fraction") = 0.1;
+  art.config("wave_fraction") = sim::FailureInjector::kWaveFraction;
   art.config("zipf_s") = 1.0;
   obs::Registry reg;
   Table t({"N", "groups", "view change (ms)", "flash join (ms)", "msgs/s",

@@ -121,6 +121,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L property
 echo "== test: mc =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L mc
 
+echo "== test: examples =="
+# The runnable examples exit non-zero when their scenario fails; here they
+# run under the same sanitizers as the tests.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L example
+
 echo "== bench smoke + artifact validation =="
 # Every bench here runs under the exact online spec checkers and ends each
 # measured run with their finalize() (Property 4.1's cross-process half), so

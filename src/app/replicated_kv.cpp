@@ -80,7 +80,6 @@ void ReplicatedKvStore::apply(const std::string& command) {
     VSGC_REQUIRE(false, "replicated kv: unknown command op " << int(op));
   }
   ++version_;
-  if (applied_) applied_();
 }
 
 void ReplicatedKvStore::handle_deliver(ProcessId origin,

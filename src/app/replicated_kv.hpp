@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -38,9 +37,6 @@ class ReplicatedKvStore {
   std::uint64_t version() const { return version_; }  ///< commands applied
   bool synced() const { return synced_; }
 
-  /// Application hook fired after every applied command.
-  void on_apply(std::function<void()> fn) { applied_ = std::move(fn); }
-
  private:
   void handle_deliver(ProcessId origin, const std::string& payload);
   void handle_view(const View& v, const std::set<ProcessId>& transitional);
@@ -48,7 +44,6 @@ class ReplicatedKvStore {
 
   TotalOrder& to_;
   ProcessId self_;
-  std::function<void()> applied_;
 
   std::map<std::string, std::string> state_;
   std::uint64_t version_ = 0;

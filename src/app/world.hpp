@@ -33,9 +33,7 @@ struct WorldConfig {
   int num_servers = 1;
   std::uint64_t seed = 1;
   net::Network::Config net;
-  transport::CoRfifoTransport::Config transport;
   membership::MembershipServer::Config server;
-  membership::MembershipClient::Config client;
   gcs::ForwardingKind forwarding = gcs::ForwardingKind::kMinCopies;
   gcs::SyncRouting sync_routing;  ///< direct by default
   bool attach_checkers = true;
@@ -76,12 +74,8 @@ class World {
     for (int i = 0; i < config.num_clients; ++i) {
       const ProcessId p{static_cast<std::uint32_t>(i + 1)};
       const ServerId s{static_cast<std::uint32_t>(i % config.num_servers)};
-      gcs::Process::Config pc;
-      pc.transport = config.transport;
-      pc.membership = config.client;
-      pc.forwarding = config.forwarding;
       auto proc = std::make_unique<gcs::Process>(sim_, *network_, p, s,
-                                                 &trace_, pc);
+                                                 &trace_, config.forwarding);
       proc->endpoint().set_sync_routing(config.sync_routing);
       // Clients become alive at their server on first heartbeat, so a
       // process that is never start()ed stays out of every view (late-join
@@ -148,14 +142,15 @@ class World {
   }
 
   /// Assert the flow-control bounds (DESIGN.md §11) on every transport in
-  /// the world: no unacked queue ever exceeded its credit window and no
-  /// reorder buffer its receive window. Cheap (reads peak stats); stress and
+  /// the world: no unacked queue ever exceeded the credit window and no
+  /// reorder buffer the receive window. Cheap (reads peak stats); stress and
   /// mc harnesses call it alongside the trace checkers' finalize().
   void check_transport_bounded() const {
-    const auto check = [](const transport::CoRfifoTransport& t) {
+    using transport::CoRfifoTransport;
+    const auto check = [](const CoRfifoTransport& t) {
       spec::CoRfifoChecker::check_bounded(
-          t.self(), t.stats().peak_unacked, t.config().send_window,
-          t.stats().peak_out_of_order, t.config().recv_window);
+          t.self(), t.stats().peak_unacked, CoRfifoTransport::kSendWindow,
+          t.stats().peak_out_of_order, CoRfifoTransport::kRecvWindow);
     };
     for (const auto& p : processes_) check(p->transport());
     for (const auto& s : servers_) check(s->transport());
@@ -230,6 +225,9 @@ class World {
     t.set_latency = [this](sim::Time base, sim::Time jitter) {
       network_->set_latency(base, jitter);
     };
+    t.base_drop = config_.net.drop_probability;
+    t.base_latency = config_.net.base_latency;
+    t.base_jitter = config_.net.jitter;
     t.arm_crash_in_delivery = [this](int i, bool on) {
       arm_crash_on_delivery(i, on);
     };

@@ -93,7 +93,6 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   void on_view(const View& v) override;
 
   const BaselineStats& baseline_stats() const { return baseline_stats_; }
-  std::size_t pending_views() const { return pending_.size(); }
 
  protected:
   const View& next_view_candidate() const override;

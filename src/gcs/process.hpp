@@ -44,21 +44,15 @@ inline std::unique_ptr<ForwardingStrategy> make_strategy(ForwardingKind kind) {
 
 class Process {
  public:
-  struct Config {
-    transport::CoRfifoTransport::Config transport;
-    membership::MembershipClient::Config membership;
-    ForwardingKind forwarding = ForwardingKind::kMinCopies;
-  };
-
   Process(sim::Simulator& sim, net::Network& network, ProcessId self,
-          ServerId server, spec::TraceBus* trace, Config config)
+          ServerId server, spec::TraceBus* trace, ForwardingKind forwarding)
       : self_(self) {
     transport_ = std::make_unique<transport::CoRfifoTransport>(
-        sim, network, net::node_of(self), config.transport);
+        sim, network, net::node_of(self));
     endpoint_ = std::make_unique<GcsEndpoint>(
-        sim, *transport_, self, make_strategy(config.forwarding), trace);
+        sim, *transport_, self, make_strategy(forwarding), trace);
     membership_ = std::make_unique<membership::MembershipClient>(
-        sim, *transport_, self, server, config.membership);
+        sim, *transport_, self, server);
     membership_->add_listener(*endpoint_);
     // Span instrumentation shares the end-point's bus; all sites stay
     // zero-cost until TraceBus::set_lifecycle(true) (DESIGN.md §10).
@@ -87,10 +81,6 @@ class Process {
     transport_->set_reset_handler(
         [this](net::NodeId) { membership_->resync(); });
   }
-
-  Process(sim::Simulator& sim, net::Network& network, ProcessId self,
-          ServerId server, spec::TraceBus* trace = nullptr)
-      : Process(sim, network, self, server, trace, Config()) {}
 
   /// Begin heartbeating to the membership server (attaches the process).
   void start() { membership_->start(); }

@@ -128,10 +128,6 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
     return sync_msgs_;
   }
 
-  const FifoBuffer& peek_buffer(ProcessId q, ViewId v) const {
-    return buffer(q, v);
-  }
-
   const VsStats& vs_stats() const { return vs_stats_; }
 
   /// Configure sync-message dissemination (default: direct all-to-all).

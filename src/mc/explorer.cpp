@@ -123,10 +123,7 @@ RunResult run_scenario(const ScenarioConfig& sc, RecordingController& ctl) {
   if (sc.corruption) wc.tolerance_window = 30 * sim::kSecond;
   app::World w(wc);
 
-  sim::FailureInjector::Policy policy;
-  policy.base_drop = sc.drop;
-  policy.base_jitter = sc.jitter;
-  sim::FailureInjector injector(w.fault_target(), policy, sc.seed);
+  sim::FailureInjector injector(w.fault_target(), {}, sc.seed);
   const std::vector<sim::FaultOp> menu = fault_menu(sc);
 
   RunResult out = app::checked_run<ScheduleScript>(w, [&] {

@@ -16,15 +16,12 @@ namespace vsgc::membership {
 
 class FailureDetector {
  public:
-  struct Config {
-    sim::Time timeout = 250 * sim::kMillisecond;
-    sim::Time check_interval = 50 * sim::kMillisecond;
-  };
-
-  /// `on_change` fires whenever any monitored node's liveness flips.
-  FailureDetector(sim::Simulator& sim, Config config,
+  /// `on_change` fires whenever any monitored node's liveness flips. A node
+  /// silent for longer than `timeout` is suspected by the next sweep; sweeps
+  /// run every timeout / 5.
+  FailureDetector(sim::Simulator& sim, sim::Time timeout,
                   std::function<void()> on_change)
-      : sim_(sim), config_(config), on_change_(std::move(on_change)) {}
+      : sim_(sim), timeout_(timeout), on_change_(std::move(on_change)) {}
 
   ~FailureDetector() { stop(); }
 
@@ -42,7 +39,7 @@ class FailureDetector {
     it->second.alive = false;
     // Backdate last_heard so the node stays down until a genuinely new
     // message arrives (heard() refreshes the timestamp).
-    it->second.last_heard = sim_.now() - config_.timeout;
+    it->second.last_heard = sim_.now() - timeout_;
     if (on_change_) on_change_();
   }
 
@@ -88,11 +85,11 @@ class FailureDetector {
   };
 
   void arm() {
-    timer_ = sim_.schedule(config_.check_interval, [this]() {
+    timer_ = sim_.schedule(timeout_ / 5, [this]() {
       if (!running_) return;
       bool changed = false;
       for (auto& [n, rec] : targets_) {
-        if (rec.alive && sim_.now() - rec.last_heard > config_.timeout) {
+        if (rec.alive && sim_.now() - rec.last_heard > timeout_) {
           rec.alive = false;
           changed = true;
         }
@@ -103,7 +100,7 @@ class FailureDetector {
   }
 
   sim::Simulator& sim_;
-  Config config_;
+  sim::Time timeout_;
   std::function<void()> on_change_;
   std::map<net::NodeId, Record> targets_;
   sim::TimerHandle timer_;

@@ -23,21 +23,7 @@ bool MembershipClient::handle(net::NodeId from, const std::any& payload) {
   }
 
   if (const auto* vd = std::any_cast<wire::ViewDelivery>(&payload)) {
-    if (!running_) return true;
-    const View& v = vd->view;
-    // Local Monotonicity / Self Inclusion / latest-start_change guards: a
-    // failed guard suppresses the notification (and marks the drop when span
-    // instrumentation is on).
-    if (!(last_view_id_ < v.id) || !v.contains(self_) ||
-        v.start_id_of(self_) != last_cid_) {
-      emit_notify_drop(v.id.epoch);
-      return true;
-    }
-    last_view_id_ = v.id;
-    last_notified_id_ = v.id;
-    last_view_ = v;
-    VSGC_TRACE("mbr-client", to_string(self_) << " view " << to_string(v));
-    for (Listener* l : listeners_) l->on_view(v);
+    if (running_) accept_view(vd->view, "view");
     return true;
   }
 
@@ -55,23 +41,29 @@ bool MembershipClient::handle(net::NodeId from, const std::any& payload) {
       resync();
       return true;
     }
-    // Same guards as a full ViewDelivery on the reconstructed view.
-    if (!(last_view_id_ < v->id) || !v->contains(self_) ||
-        v->start_id_of(self_) != last_cid_) {
-      emit_notify_drop(v->id.epoch);
-      return true;
-    }
-    last_view_id_ = v->id;
-    last_notified_id_ = v->id;
-    last_view_ = *v;
-    VSGC_TRACE("mbr-client", to_string(self_) << " view(delta) "
-                                              << to_string(*v));
-    for (Listener* l : listeners_) l->on_view(last_view_);
+    accept_view(*v, "view(delta)");
     return true;
   }
 
   if (std::any_cast<wire::Heartbeat>(&payload) != nullptr) return true;
   return false;
+}
+
+void MembershipClient::accept_view(const View& v, const char* kind) {
+  // Local Monotonicity / Self Inclusion / latest-start_change guards: a
+  // failed guard suppresses the notification (and marks the drop when span
+  // instrumentation is on).
+  if (!(last_view_id_ < v.id) || !v.contains(self_) ||
+      v.start_id_of(self_) != last_cid_) {
+    emit_notify_drop(v.id.epoch);
+    return;
+  }
+  last_view_id_ = v.id;
+  last_notified_id_ = v.id;
+  last_view_ = v;
+  VSGC_TRACE("mbr-client",
+             to_string(self_) << " " << kind << " " << to_string(v));
+  for (Listener* l : listeners_) l->on_view(v);
 }
 
 }  // namespace vsgc::membership

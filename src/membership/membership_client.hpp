@@ -23,20 +23,9 @@ namespace vsgc::membership {
 
 class MembershipClient {
  public:
-  struct Config {
-    sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-  };
-
-  MembershipClient(sim::Simulator& sim, transport::CoRfifoTransport& transport,
-                   ProcessId self, ServerId server, Config config)
-      : sim_(sim),
-        transport_(transport),
-        self_(self),
-        server_(server),
-        config_(config) {}
   MembershipClient(sim::Simulator& sim, transport::CoRfifoTransport& transport,
                    ProcessId self, ServerId server)
-      : MembershipClient(sim, transport, self, server, Config()) {}
+      : sim_(sim), transport_(transport), self_(self), server_(server) {}
 
   ~MembershipClient() { heartbeat_timer_.cancel(); }
 
@@ -126,6 +115,10 @@ class MembershipClient {
     }
   }
 
+  /// Deliver `v` to the listeners unless a guard rejects it; `kind` names
+  /// the notification in the trace log ("view" or "view(delta)").
+  void accept_view(const View& v, const char* kind);
+
   void heartbeat_tick() {
     if (!running_) return;
     if (last_view_id_ != last_notified_id_) {
@@ -142,7 +135,7 @@ class MembershipClient {
     wire::Heartbeat hb{/*from_server=*/false, self_.value, incarnation_};
     transport_.send_raw(net::node_of(server_), net::Payload(hb),
                         codec::wire_size(hb));
-    heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval,
+    heartbeat_timer_ = sim_.schedule(wire::kHeartbeatInterval,
                                      [this]() { heartbeat_tick(); });
   }
 
@@ -150,7 +143,6 @@ class MembershipClient {
   transport::CoRfifoTransport& transport_;
   ProcessId self_;
   ServerId server_;
-  Config config_;
 
   std::vector<Listener*> listeners_;
   spec::TraceBus* trace_ = nullptr;

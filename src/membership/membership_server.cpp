@@ -14,8 +14,7 @@ MembershipServer::MembershipServer(sim::Simulator& sim, net::Network& network,
       network_(network),
       self_(self),
       all_servers_(std::move(all_servers)),
-      config_(config),
-      fd_(sim, config.fd, [this]() { on_estimate_change(); }) {
+      fd_(sim, config.fd_timeout, [this]() { on_estimate_change(); }) {
   all_servers_.insert(self_);
   transport_ = std::make_unique<transport::CoRfifoTransport>(
       sim_, network_, net::node_of(self_));
@@ -55,7 +54,7 @@ void MembershipServer::heartbeat_tick() {
                            codec::wire_size(hb));
     }
   }
-  heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval,
+  heartbeat_timer_ = sim_.schedule(wire::kHeartbeatInterval,
                                    [this]() { heartbeat_tick(); });
 }
 

@@ -46,8 +46,8 @@ namespace vsgc::membership {
 class MembershipServer {
  public:
   struct Config {
-    sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-    FailureDetector::Config fd;
+    /// Silence after which the failure detector suspects a client or server.
+    sim::Time fd_timeout = 250 * sim::kMillisecond;
   };
 
   struct Stats {
@@ -132,7 +132,6 @@ class MembershipServer {
   net::Network& network_;
   ServerId self_;
   std::set<ServerId> all_servers_;  ///< every server, self included
-  Config config_;
   Stats stats_;
 
   std::unique_ptr<transport::CoRfifoTransport> transport_;

@@ -12,6 +12,7 @@
 #include <set>
 
 #include "membership/view.hpp"
+#include "sim/time.hpp"
 #include "util/ids.hpp"
 #include "util/wire_codec.hpp"
 
@@ -185,6 +186,9 @@ struct Proposal {
 /// incarnation change knows the client lost its state — even if the failure
 /// detector never noticed the blip — and starts a fresh membership round so
 /// the client receives a new (monotonically larger) view.
+/// How often a client heartbeats to its server and a server to its peers.
+inline constexpr sim::Time kHeartbeatInterval = 50 * sim::kMillisecond;
+
 struct Heartbeat {
   static constexpr Tag kTag = Tag::kHeartbeat;
   bool from_server = false;

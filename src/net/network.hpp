@@ -109,7 +109,6 @@ class Network {
     if (up) down_nodes_.erase(node);
     else down_nodes_.insert(node);
   }
-  bool node_up(NodeId node) const { return !down_nodes_.contains(node); }
 
   /// Symmetric link control; a downed link drops packets in both directions.
   void set_link_up(NodeId a, NodeId b, bool up) {

@@ -358,8 +358,8 @@ bool FailureInjector::generate_step(int step) {
   };
   const auto random_groups = [&]() {
     const int ways =
-        2 + static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(
-                std::max(1, policy_.max_partition_ways - 1))));
+        2 + static_cast<int>(
+                rng_.next_below(std::uint64_t{kMaxPartitionWays - 1}));
     std::vector<std::vector<int>> groups(static_cast<std::size_t>(ways));
     for (int i = 0; i < target_.num_processes; ++i) {
       groups[rng_.next_below(static_cast<std::uint64_t>(ways))].push_back(
@@ -496,31 +496,31 @@ bool FailureInjector::generate_step(int step) {
       FaultOp up = op;
       up.kind = FaultOp::Kind::kLinkUp;
       schedule_restore(target_.sim->now() +
-                           policy_.spike_len *
+                           kSpikeLen *
                                (1 + static_cast<Time>(rng_.next_below(3))),
                        up);
       return true;
     }
     case 8: {  // drop spike
       op.kind = FaultOp::Kind::kDrop;
-      op.p = policy_.spike_drop;
+      op.p = kSpikeDrop;
       apply(op, true);
       FaultOp restore;
       restore.kind = FaultOp::Kind::kDrop;
-      restore.p = policy_.base_drop;
-      schedule_restore(target_.sim->now() + policy_.spike_len, restore);
+      restore.p = target_.base_drop;
+      schedule_restore(target_.sim->now() + kSpikeLen, restore);
       return true;
     }
     case 9: {  // delay burst
       op.kind = FaultOp::Kind::kLatency;
-      op.t0 = policy_.burst_latency;
-      op.t1 = policy_.burst_jitter;
+      op.t0 = kBurstLatency;
+      op.t1 = kBurstJitter;
       apply(op, true);
       FaultOp restore;
       restore.kind = FaultOp::Kind::kLatency;
-      restore.t0 = policy_.base_latency;
-      restore.t1 = policy_.base_jitter;
-      schedule_restore(target_.sim->now() + policy_.burst_len, restore);
+      restore.t0 = target_.base_latency;
+      restore.t1 = target_.base_jitter;
+      schedule_restore(target_.sim->now() + kBurstLen, restore);
       return true;
     }
     case 10: {  // server outage (keep a majority-ish: at least one server up)
@@ -536,7 +536,7 @@ bool FailureInjector::generate_step(int step) {
       restore.kind = FaultOp::Kind::kServerUp;
       restore.a = op.a;
       schedule_restore(target_.sim->now() +
-                           policy_.spike_len *
+                           kSpikeLen *
                                (1 + static_cast<Time>(rng_.next_below(3))),
                        restore);
       return true;
@@ -562,7 +562,7 @@ bool FailureInjector::generate_step(int step) {
       FaultOp split;
       split.kind = FaultOp::Kind::kPartition;
       split.groups = random_groups();
-      schedule_restore(target_.sim->now() + policy_.view_change_delay, split);
+      schedule_restore(target_.sim->now() + kViewChangeDelay, split);
       partitioned_ = true;  // the split is committed (pending)
       return true;
     }
@@ -612,7 +612,7 @@ bool FailureInjector::generate_step(int step) {
       }
       const std::size_t slice = std::max<std::size_t>(
           1, static_cast<std::size_t>(
-                 static_cast<double>(alive.size()) * policy_.wave_fraction));
+                 static_cast<double>(alive.size()) * kWaveFraction));
       if (alive.size() < 2 || slice >= alive.size()) {
         return fallback_traffic();
       }
@@ -629,7 +629,7 @@ bool FailureInjector::generate_step(int step) {
       FaultOp lift = op;
       lift.kind = FaultOp::Kind::kWaveLift;
       schedule_restore(target_.sim->now() +
-                           policy_.spike_len *
+                           kSpikeLen *
                                (1 + static_cast<Time>(rng_.next_below(3))),
                        lift);
       return true;
@@ -685,9 +685,9 @@ void FailureInjector::stabilize() {
   if (target_.heal) target_.heal();
   partitioned_ = false;
   downed_links_.clear();
-  if (target_.set_drop) target_.set_drop(policy_.base_drop);
+  if (target_.set_drop) target_.set_drop(target_.base_drop);
   if (target_.set_latency) {
-    target_.set_latency(policy_.base_latency, policy_.base_jitter);
+    target_.set_latency(target_.base_latency, target_.base_jitter);
   }
   for (int s = 0; s < target_.num_servers; ++s) {
     if (server_down_[static_cast<std::size_t>(s)] && target_.set_server_up) {

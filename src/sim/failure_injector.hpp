@@ -182,6 +182,12 @@ struct FaultTarget {
   std::function<void(int, int, bool, bool)> set_link;  // a, b, up, oneway
   std::function<void(double)> set_drop;
   std::function<void(Time, Time)> set_latency;  // base, jitter
+  /// The wrapped network's own drop probability, base latency and jitter:
+  /// what drop-spike and delay-burst restores and stabilize() return to.
+  /// Whoever builds the target fills them from the network it wraps.
+  double base_drop = 0.0;
+  Time base_latency = 0;
+  Time base_jitter = 0;
   /// Arm (or disarm) "crash inside the next delivery callback" at process a.
   std::function<void(int, bool)> arm_crash_in_delivery;
   std::function<void(int, const std::string&)> send_traffic;
@@ -193,9 +199,9 @@ struct FaultTarget {
 
 class FailureInjector {
  public:
-  /// Weighted action mix and shape parameters for generate mode. Weight 0
-  /// removes an action from the vocabulary (e.g. partitions in single-
-  /// component tests); the defaults reproduce a broad churn mix.
+  /// Weighted action mix and pacing for generate mode. Weight 0 removes an
+  /// action from the vocabulary (e.g. partitions in single-component tests);
+  /// the defaults reproduce a broad churn mix.
   struct Policy {
     int steps = 25;                 ///< actions per run_churn()
     Time min_gap = 50 * kMillisecond;
@@ -214,29 +220,15 @@ class FailureInjector {
     int w_server_outage = 1;   ///< only effective with >= 2 servers
     int w_crash_in_delivery = 1;
     int w_partition_in_view_change = 1;  ///< leave, then partition mid-change
-    /// Correlated failure wave: isolate a random `wave_fraction` slice of the
+    /// Correlated failure wave: isolate a random kWaveFraction slice of the
     /// processes in one bulk call, lift it after a random hold. Off by
     /// default; the scale bench turns it on to model rack/AZ failures.
     int w_wave = 0;
-    double wave_fraction = 0.1;
     /// State-corruption family weight (off by default so crash/partition-only
     /// suites keep their exact-safety contract; vsgc_stress --corrupt and the
     /// mc corruption menu turn it on). One draw picks uniformly among the
     /// five recoverable corruption kinds.
     int w_corrupt = 0;
-
-    int max_partition_ways = 3;
-    double spike_drop = 0.4;
-    Time spike_len = 300 * kMillisecond;
-    Time burst_latency = 25 * kMillisecond;
-    Time burst_jitter = 5 * kMillisecond;
-    Time burst_len = 300 * kMillisecond;
-    Time view_change_delay = 15 * kMillisecond;  ///< leave -> partition gap
-
-    // Baseline the restores return to (mirror the target's network config).
-    double base_drop = 0.0;
-    Time base_latency = 1 * kMillisecond;
-    Time base_jitter = 200;
 
     /// Test hook: at this churn step (if >= 0), forge a duplicate-delivery
     /// trace event — a deliberately injected "endpoint bug" that the spec
@@ -249,6 +241,20 @@ class FailureInjector {
     /// the pipeline self-check.
     bool bug_is_corruption = false;
   };
+
+  // Shapes of the generated faults.
+  static constexpr int kMaxPartitionWays = 3;
+  static constexpr double kSpikeDrop = 0.4;  ///< drop probability of a spike
+  /// How long a drop spike lasts; link flaps, server outages and waves hold
+  /// for 1-3 times this.
+  static constexpr Time kSpikeLen = 300 * kMillisecond;
+  static constexpr Time kBurstLatency = 25 * kMillisecond;
+  static constexpr Time kBurstJitter = 5 * kMillisecond;
+  static constexpr Time kBurstLen = 300 * kMillisecond;
+  /// Gap between the leave and the split of a partition-in-view-change.
+  static constexpr Time kViewChangeDelay = 15 * kMillisecond;
+  /// Share of the live processes a failure wave isolates.
+  static constexpr double kWaveFraction = 0.1;
 
   FailureInjector(FaultTarget target, Policy policy, std::uint64_t seed);
 

@@ -27,8 +27,8 @@ constexpr std::size_t kRetransmitBatch = 64;
 }  // namespace
 
 CoRfifoTransport::CoRfifoTransport(sim::Simulator& sim, net::Network& network,
-                                   net::NodeId self, Config config)
-    : sim_(sim), network_(network), self_(self), config_(config) {
+                                   net::NodeId self)
+    : sim_(sim), network_(network), self_(self) {
   reliable_set_ = {self};
   network_.attach(self, [this](net::NodeId from, const std::any& raw) {
     on_packet(from, raw);
@@ -88,7 +88,9 @@ void CoRfifoTransport::send(const std::set<net::NodeId>& dests,
 void CoRfifoTransport::schedule_flush(net::NodeId to) {
   auto& out = outgoing_[to];
   if (out.flush_timer.pending()) return;
-  out.flush_timer = sim_.schedule(config_.flush_window, [this, to]() {
+  // Zero delay still batches: every send to `to` in this sim instant lands
+  // in `pending` before the flush event runs.
+  out.flush_timer = sim_.schedule(0, [this, to]() {
     if (crashed_) return;
     flush(to);
   });
@@ -101,7 +103,7 @@ void CoRfifoTransport::flush(net::NodeId to) {
   out.flush_timer.cancel();
   if (audit_outgoing(to)) return;  // corrupted cursors: stream was re-homed
   while (!out.pending.empty()) {
-    if (out.unacked.size() >= config_.send_window) {
+    if (out.unacked.size() >= kSendWindow) {
       // Zero credits: the entries stay queued until an ack frees window
       // space (handle_ack re-enters flush), bounding `unacked` per peer.
       ++stats_.window_stalls;
@@ -113,9 +115,9 @@ void CoRfifoTransport::flush(net::NodeId to) {
     f.header.first_seq = out.acked + 1;
     f.header.base_seq = out.next_seq;
     f.header.group = out.pending.front().group;
-    const std::size_t room = config_.send_window - out.unacked.size();
+    const std::size_t room = kSendWindow - out.unacked.size();
     std::size_t take = out.pending.size();
-    if (take > config_.max_batch) take = config_.max_batch;
+    if (take > kMaxBatch) take = kMaxBatch;
     if (take > room) take = room;
     // A frame carries one group tag, so a multiplexed burst breaks at group
     // boundaries (group-0-only traffic never does — PR 7 framing unchanged).
@@ -210,7 +212,7 @@ std::size_t CoRfifoTransport::resend(net::NodeId to, const Outgoing& out,
   f.header.group = out.unacked[i].group;
   std::size_t take = 1;
   while (i + take < out.unacked.size() && take < limit &&
-         take < config_.max_batch &&
+         take < kMaxBatch &&
          out.unacked[i + take].group == f.header.group &&
          !out.peer_sacked.contains(out.unacked[i + take].seq)) {
     ++take;
@@ -235,13 +237,13 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
   auto& out = outgoing_[to];
   if (out.unacked.empty()) return;
   if (out.retransmit_timer.pending()) return;
-  if (out.backoff == 0 || out.backoff > config_.backoff_limit) {
+  if (out.backoff == 0 || out.backoff > kBackoffLimit) {
     // Self-stabilization clamp (DESIGN.md §12): a corrupted multiplier would
     // either spin the timer at a zero interval or freeze retransmission.
-    out.backoff = out.backoff == 0 ? 1 : config_.backoff_limit;
+    out.backoff = out.backoff == 0 ? 1 : kBackoffLimit;
   }
   out.retransmit_timer =
-      sim_.schedule(config_.retransmit_timeout * out.backoff, [this, to]() {
+      sim_.schedule(kRetransmitTimeout * out.backoff, [this, to]() {
         if (crashed_) return;
         auto it = outgoing_.find(to);
         if (it == outgoing_.end()) return;
@@ -272,10 +274,10 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
         }
         // No ack progress since the last fire: back off (capped) so a long
         // partition degenerates to a slow probe, not a duplicate storm.
-        if (out.backoff < config_.backoff_limit) {
+        if (out.backoff < kBackoffLimit) {
           out.backoff *= 2;
-          if (out.backoff > config_.backoff_limit) {
-            out.backoff = config_.backoff_limit;
+          if (out.backoff > kBackoffLimit) {
+            out.backoff = kBackoffLimit;
           }
         }
         arm_retransmit(to);
@@ -413,7 +415,7 @@ void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
   const std::size_t total = out.unacked.size();
   // Re-homing the suffix re-sends entries already transmitted once:
   // recovery cost, counted like any other retransmission. The peer's SACK
-  // state is clear, so frames break only at groups and max_batch.
+  // state is clear, so frames break only at groups and kMaxBatch.
   for (std::size_t i = 0; i < total;) {
     i += resend(to, out, i, total);
   }
@@ -481,7 +483,7 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
     const std::uint64_t seq = h.base_seq + i;
     if (seq < in.next_expected) {
       ++stats_.duplicates_dropped;
-    } else if (seq >= in.next_expected + config_.recv_window) {
+    } else if (seq >= in.next_expected + kRecvWindow) {
       // Beyond the receive window: drop instead of buffering, so a
       // reordering adversary (or a sender predating the credit window)
       // cannot grow this map without bound. The sender retransmits once
@@ -530,7 +532,8 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
 void CoRfifoTransport::schedule_ack(net::NodeId from) {
   auto& in = incoming_[from];
   if (in.ack_timer.pending()) return;
-  in.ack_timer = sim_.schedule(config_.ack_delay, [this, from]() {
+  // Zero delay: a reply flushed in this sim instant piggybacks the ack first.
+  in.ack_timer = sim_.schedule(0, [this, from]() {
     if (crashed_) return;
     auto it = incoming_.find(from);
     if (it == incoming_.end()) return;

@@ -20,9 +20,9 @@
 //   * crash()/recover(): Section 8 semantics — a crash wipes all transport
 //     state; recovery starts new incarnations everywhere.
 //
-// Data plane (DESIGN.md §11): messages to the same peer coalesce into
-// multi-entry wire::Frame batches inside a configurable flush window; data
-// frames piggyback the reverse stream's cumulative ack (suppressing most
+// Data plane (DESIGN.md §11): messages sent to the same peer in one sim
+// instant coalesce into multi-entry wire::Frame batches; data frames
+// piggyback the reverse stream's cumulative ack (suppressing most
 // standalone ack frames); a per-peer credit window bounds `unacked`, a
 // receive window bounds `out_of_order`, and the retransmit timer backs off
 // exponentially (reset on ack progress) so partitions don't cause duplicate
@@ -76,27 +76,19 @@ constexpr std::size_t kPacketHeaderBytes =
 
 class CoRfifoTransport {
  public:
-  struct Config {
-    sim::Time retransmit_timeout = 20 * sim::kMillisecond;
-    /// Max retransmit-interval multiplier for exponential backoff (interval =
-    /// retransmit_timeout * min(2^k, backoff_limit); 1 = fixed interval).
-    std::uint32_t backoff_limit = 8;
-    /// How long a message may wait for companions before its frame flushes.
-    /// 0 still batches: all sends to one peer at the same sim instant share a
-    /// frame (the flush fires as a zero-delay event after the current event).
-    sim::Time flush_window = 0;
-    std::size_t max_batch = 64;  ///< max entries per data frame
-    /// How long a received data frame may wait for a reverse-direction data
-    /// frame to piggyback its ack before a standalone ack frame goes out.
-    sim::Time ack_delay = 0;
-    /// Credit window: max unacked entries per peer. Further sends queue in
-    /// `pending` until acks return credits.
-    std::size_t send_window = 256;
-    /// Receive window: out-of-order entries at or beyond next_expected +
-    /// recv_window are dropped (counted in ooo_dropped), bounding the
-    /// reorder buffer against adversarial or badly reordered traffic.
-    std::size_t recv_window = 256;
-  };
+  /// Base retransmit interval; the timer backs off exponentially from it:
+  /// interval = kRetransmitTimeout * min(2^k, kBackoffLimit).
+  static constexpr sim::Time kRetransmitTimeout = 20 * sim::kMillisecond;
+  static constexpr std::uint32_t kBackoffLimit = 8;
+  static constexpr std::size_t kMaxBatch = 64;  ///< max entries per data frame
+  /// Credit window: max unacked entries per peer. Further sends queue in
+  /// `pending` until acks return credits.
+  static constexpr std::size_t kSendWindow = 256;
+  /// Receive window: out-of-order entries at or beyond next_expected +
+  /// kRecvWindow are dropped (counted in ooo_dropped), bounding the reorder
+  /// buffer against adversarial or badly reordered traffic.
+  static constexpr std::size_t kRecvWindow = 256;
+  static constexpr std::size_t kMaxFrameCells = 64;  ///< DESIGN.md §11.1
 
   struct Stats {
     std::uint64_t messages_sent = 0;  ///< upper-layer sends (per destination)
@@ -131,13 +123,8 @@ class CoRfifoTransport {
   using ResetFn = std::function<void(net::NodeId peer)>;
 
   CoRfifoTransport(sim::Simulator& sim, net::Network& network,
-                   net::NodeId self, Config config);
-  CoRfifoTransport(sim::Simulator& sim, net::Network& network,
-                   net::NodeId self)
-      : CoRfifoTransport(sim, network, self, Config()) {}
+                   net::NodeId self);
   ~CoRfifoTransport();
-
-  static constexpr std::size_t kMaxFrameCells = 64;  ///< DESIGN.md §11.1
 
   CoRfifoTransport(const CoRfifoTransport&) = delete;
   CoRfifoTransport& operator=(const CoRfifoTransport&) = delete;
@@ -201,7 +188,6 @@ class CoRfifoTransport {
   bool crashed() const { return crashed_; }
 
   const Stats& stats() const { return stats_; }
-  const Config& config() const { return config_; }
   net::NodeId self() const { return self_; }
 
   /// Approximate resident heap footprint of all per-peer stream state
@@ -248,7 +234,7 @@ class CoRfifoTransport {
   struct Incoming {
     std::uint64_t incarnation = 0;
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, FrameEntry> out_of_order;  ///< bounded: recv_window
+    std::map<std::uint64_t, FrameEntry> out_of_order;  ///< bounded: kRecvWindow
     /// Run-length twin of out_of_order's key set: O(log runs) duplicate
     /// classification and O(runs) SACK-block generation, where runs is the
     /// number of loss gaps — not the window size (DESIGN.md §13).
@@ -272,7 +258,7 @@ class CoRfifoTransport {
   /// Hands out the next free frame cell, cleared; transmit_frame() sends it.
   Frame& acquire_frame();
   void transmit_frame(net::NodeId to);
-  /// Re-sends one frame of out.unacked[i..]: at most min(limit, max_batch)
+  /// Re-sends one frame of out.unacked[i..]: at most min(limit, kMaxBatch)
   /// entries of one group, none the peer SACKed. Returns how many it sent.
   std::size_t resend(net::NodeId to, const Outgoing& out, std::size_t i,
                      std::size_t limit);
@@ -293,7 +279,6 @@ class CoRfifoTransport {
   sim::Simulator& sim_;
   net::Network& network_;
   net::NodeId self_;
-  Config config_;
   Stats stats_;
   DeliverFn deliver_;
   GroupDeliverFn group_deliver_;

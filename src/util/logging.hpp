@@ -36,7 +36,6 @@ class Logger {
     return logger;
   }
 
-  void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
   bool enabled(LogLevel level) const { return level >= level_; }
 

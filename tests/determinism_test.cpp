@@ -54,43 +54,59 @@ TEST(Determinism, DifferentSeedDifferentSchedule) {
   EXPECT_NE(run_and_fingerprint(42), run_and_fingerprint(43));
 }
 
-std::string run_batched_jsonl(std::uint64_t seed) {
-  // Non-default data-plane settings: a real flush window, delayed acks, and
-  // small windows, so frame packing, piggybacking, credit stalls, and backoff
-  // all engage — the recorded JSONL (with lifecycle spans) must still be a
-  // pure function of the seed.
+struct BatchedRun {
+  std::string jsonl;
+  transport::CoRfifoTransport::Stats clients;  ///< summed over the clients
+};
+
+BatchedRun run_batched(std::uint64_t seed) {
+  // Lossy bursts larger than the credit window, so frame packing,
+  // piggybacking, credit stalls and retransmit backoff all engage. The
+  // recorded JSONL (with lifecycle spans) must still be a pure function of
+  // the seed.
+  constexpr std::size_t kBurst = transport::CoRfifoTransport::kSendWindow + 64;
   app::WorldConfig cfg;
   cfg.num_clients = 3;
   cfg.seed = seed;
   cfg.net.jitter = 300;
   cfg.net.drop_probability = 0.05;
-  cfg.transport.flush_window = 200;  // 200us coalescing window
-  cfg.transport.ack_delay = 200;
-  cfg.transport.send_window = 16;
-  cfg.transport.recv_window = 16;
   cfg.lifecycle_spans = true;
   app::World w(cfg);
   w.start();
   w.run_until_converged(w.all_members(), 10 * sim::kSecond);
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 3; ++i) {
-      w.client(i).send("b" + std::to_string(round * 3 + i));
+      for (std::size_t k = 0; k < kBurst; ++k) {
+        w.client(i).send("b" + std::to_string(round) + "." +
+                         std::to_string(i) + "." + std::to_string(k));
+      }
     }
     w.run_for(50 * sim::kMillisecond);
   }
   w.run_for(2 * sim::kSecond);
   w.check_transport_bounded();
+  BatchedRun run;
   std::ostringstream os;
   obs::write_jsonl(w.trace().recorded(), os);
-  return os.str();
+  run.jsonl = os.str();
+  for (int i = 0; i < 3; ++i) {
+    const auto& st = w.process(i).transport().stats();
+    run.clients.window_stalls += st.window_stalls;
+    run.clients.acks_piggybacked += st.acks_piggybacked;
+    run.clients.retransmissions += st.retransmissions;
+  }
+  return run;
 }
 
 TEST(Determinism, BatchedDataPlaneTraceIsByteIdentical) {
-  const std::string a = run_batched_jsonl(7);
-  const std::string b = run_batched_jsonl(7);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b)
+  const BatchedRun a = run_batched(7);
+  const BatchedRun b = run_batched(7);
+  EXPECT_FALSE(a.jsonl.empty());
+  EXPECT_EQ(a.jsonl, b.jsonl)
       << "frame packing must not leak nondeterminism into the trace";
+  EXPECT_GT(a.clients.window_stalls, 0u) << "bursts must hit the credit window";
+  EXPECT_GT(a.clients.acks_piggybacked, 0u);
+  EXPECT_GT(a.clients.retransmissions, 0u) << "loss must fire the timer";
 }
 
 // A corruption churn run (state mutators + the traffic that exposes them +

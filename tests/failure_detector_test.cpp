@@ -7,8 +7,8 @@ namespace vsgc::membership {
 namespace {
 
 struct Harness {
-  explicit Harness(FailureDetector::Config cfg = {})
-      : fd(sim, cfg, [this]() { ++changes; }) {}
+  explicit Harness(sim::Time timeout = 250 * sim::kMillisecond)
+      : fd(sim, timeout, [this]() { ++changes; }) {}
 
   sim::Simulator sim;
   int changes = 0;
@@ -28,10 +28,7 @@ TEST(FailureDetector, InitialAlivenessAsConfigured) {
 }
 
 TEST(FailureDetector, SilenceSuspectsAfterTimeout) {
-  FailureDetector::Config cfg;
-  cfg.timeout = 100 * sim::kMillisecond;
-  cfg.check_interval = 20 * sim::kMillisecond;
-  Harness h(cfg);
+  Harness h(100 * sim::kMillisecond);
   h.fd.monitor(kN1, true);
   h.fd.start();
   h.sim.run_until(90 * sim::kMillisecond);
@@ -42,10 +39,7 @@ TEST(FailureDetector, SilenceSuspectsAfterTimeout) {
 }
 
 TEST(FailureDetector, HeartbeatsKeepNodeAlive) {
-  FailureDetector::Config cfg;
-  cfg.timeout = 100 * sim::kMillisecond;
-  cfg.check_interval = 20 * sim::kMillisecond;
-  Harness h(cfg);
+  Harness h(100 * sim::kMillisecond);
   h.fd.monitor(kN1, true);
   h.fd.start();
   for (int i = 1; i <= 20; ++i) {
@@ -57,10 +51,7 @@ TEST(FailureDetector, HeartbeatsKeepNodeAlive) {
 }
 
 TEST(FailureDetector, HeardResurrectsAndNotifies) {
-  FailureDetector::Config cfg;
-  cfg.timeout = 50 * sim::kMillisecond;
-  cfg.check_interval = 10 * sim::kMillisecond;
-  Harness h(cfg);
+  Harness h(50 * sim::kMillisecond);
   h.fd.monitor(kN1, true);
   h.fd.start();
   h.sim.run_until(200 * sim::kMillisecond);
@@ -79,10 +70,7 @@ TEST(FailureDetector, UnmonitoredNodesIgnored) {
 }
 
 TEST(FailureDetector, ForgetStopsMonitoring) {
-  FailureDetector::Config cfg;
-  cfg.timeout = 50 * sim::kMillisecond;
-  cfg.check_interval = 10 * sim::kMillisecond;
-  Harness h(cfg);
+  Harness h(50 * sim::kMillisecond);
   h.fd.monitor(kN1, true);
   h.fd.start();
   h.fd.forget(kN1);
@@ -91,10 +79,7 @@ TEST(FailureDetector, ForgetStopsMonitoring) {
 }
 
 TEST(FailureDetector, StopCancelsSweeps) {
-  FailureDetector::Config cfg;
-  cfg.timeout = 50 * sim::kMillisecond;
-  cfg.check_interval = 10 * sim::kMillisecond;
-  Harness h(cfg);
+  Harness h(50 * sim::kMillisecond);
   h.fd.monitor(kN1, true);
   h.fd.start();
   h.fd.stop();

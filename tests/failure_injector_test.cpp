@@ -282,6 +282,91 @@ TEST(FailureInjector, StabilizeUndoesCrashesPartitionsAndServerOutages) {
       << "every member must be back in one agreed view after stabilize()";
 }
 
+TEST(FailureInjector, FaultRestoresReturnToTheWorldsOwnNetwork) {
+  // A world whose network is not the default one. Every restore the
+  // injector makes (the timed restore of a drop spike or delay burst, and
+  // stabilize()) returns to that world's own drop, latency and jitter: the
+  // injector reads them from its target, and no caller copies them.
+  app::WorldConfig cfg = SmallWorld(3, 1);
+  cfg.net.base_latency = 3 * sim::kMillisecond;
+  cfg.net.jitter = 700;
+  cfg.net.drop_probability = 0.02;
+  const auto expect_own_network = [&cfg](const net::Network& net) {
+    EXPECT_EQ(net.config().base_latency, cfg.net.base_latency);
+    EXPECT_EQ(net.config().jitter, cfg.net.jitter);
+    EXPECT_EQ(net.config().drop_probability, cfg.net.drop_probability);
+  };
+
+  // Generate mode, drop spikes and delay bursts only: each is followed by a
+  // recorded restore op.
+  {
+    app::World w(cfg);
+    w.start();
+    ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+    FailureInjector::Policy policy;
+    policy.steps = 8;
+    policy.w_traffic = 0;
+    policy.w_crash = 0;
+    policy.w_recover = 0;
+    policy.w_leave = 0;
+    policy.w_rejoin = 0;
+    policy.w_partition = 0;
+    policy.w_heal = 0;
+    policy.w_link = 0;
+    policy.w_server_outage = 0;
+    policy.w_crash_in_delivery = 0;
+    policy.w_partition_in_view_change = 0;
+    FailureInjector injector(w.fault_target(), policy, 1);
+    injector.run_churn();
+    int spikes = 0, bursts = 0, restores = 0;
+    for (const FaultOp& op : injector.script().ops) {
+      if (op.kind == FaultOp::Kind::kDrop) {
+        if (op.p == FailureInjector::kSpikeDrop) {
+          ++spikes;
+          continue;
+        }
+        ++restores;
+        EXPECT_EQ(op.p, cfg.net.drop_probability);
+      } else if (op.kind == FaultOp::Kind::kLatency) {
+        if (op.t0 == FailureInjector::kBurstLatency) {
+          ++bursts;
+          continue;
+        }
+        ++restores;
+        EXPECT_EQ(op.t0, cfg.net.base_latency);
+        EXPECT_EQ(op.t1, cfg.net.jitter);
+      }
+    }
+    EXPECT_GT(spikes, 0);
+    EXPECT_GT(bursts, 0);
+    EXPECT_EQ(restores, spikes + bursts) << "one restore per spike or burst";
+    expect_own_network(w.network());
+    injector.stabilize();
+    expect_own_network(w.network());
+  }
+
+  // Replay of a spike and a burst that nothing restores: stabilize() does.
+  {
+    app::World w(cfg);
+    w.start();
+    ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+    FaultOp burst = At(w.sim().now(), FaultOp::Kind::kLatency);
+    burst.t0 = 25 * sim::kMillisecond;
+    burst.t1 = 5 * sim::kMillisecond;
+    FaultOp spike = At(w.sim().now(), FaultOp::Kind::kDrop);
+    spike.p = 0.4;
+    FaultScript script;
+    script.ops = {burst, spike};
+    FailureInjector injector(w.fault_target(), {}, 1);
+    injector.replay(script);
+    EXPECT_EQ(w.network().config().base_latency, burst.t0);
+    EXPECT_EQ(w.network().config().drop_probability, spike.p);
+    injector.stabilize();
+    expect_own_network(w.network());
+    EXPECT_TRUE(w.run_until_converged(w.all_members(), 60 * sim::kSecond));
+  }
+}
+
 // -- Correlated failure waves -------------------------------------------------
 
 TEST(FailureInjector, WaveIsolatesSliceInBulkAndLiftRestoresIt) {

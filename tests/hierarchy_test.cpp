@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "app/oracle_world.hpp"
+#include "app/world.hpp"
 
 namespace vsgc {
 namespace {
@@ -155,6 +156,87 @@ TEST(CompactSync, SavesBytesOnMerges) {
     EXPECT_EQ(compact.ep(i).current_view().members(), compact.all());
   }
   compact.checkers.finalize();
+}
+
+/// Sync messages as the processes of one World received them, and the
+/// sync bytes they sent. A receipt is a stranger's when the receiver is
+/// outside the view the sync message carries (its sender's view).
+struct SiteMerge {
+  int stranger_syncs = 0;
+  int stranger_syncs_with_cut = 0;
+  int member_syncs_without_cut = 0;
+  std::uint64_t sync_bytes = 0;
+};
+
+/// Two sites, each with its own membership server, form their own views
+/// under a partition and exchange traffic; the heal merges them, so every
+/// process of the other site is a stranger to each sender. Real membership
+/// servers, exact checkers.
+SiteMerge run_site_merge(bool compact) {
+  app::WorldConfig cfg;
+  cfg.num_clients = 6;
+  cfg.num_servers = 2;
+  cfg.seed = 5;
+  cfg.sync_routing.compact_sync_to_strangers = compact;
+  app::World w(cfg);
+  SiteMerge run;
+  for (int i = 0; i < w.num_clients(); ++i) {
+    // gcs::Process's routing, with each sync message noted on its way in.
+    gcs::Process* p = &w.process(i);
+    p->transport().set_deliver_handler(
+        [p, &run](net::NodeId from, const std::any& payload) {
+          if (p->membership().handle(from, payload)) return;
+          if (net::is_server_node(from)) return;
+          if (const auto* sync = std::any_cast<gcs::wire::SyncMsg>(&payload)) {
+            if (!sync->view.contains(p->id())) {
+              ++run.stranger_syncs;
+              if (!sync->cut.empty()) ++run.stranger_syncs_with_cut;
+            } else if (sync->cut.empty()) {
+              ++run.member_syncs_without_cut;
+            }
+          }
+          p->endpoint().on_co_rfifo_deliver(net::process_of(from), payload);
+        });
+  }
+  // Clients i % 2 == s attach to server s: site A is p1, p3, p5 and s0.
+  std::set<ProcessId> site_a, site_b;
+  std::set<net::NodeId> nodes_a{net::node_of(ServerId{0})};
+  std::set<net::NodeId> nodes_b{net::node_of(ServerId{1})};
+  for (int i = 0; i < w.num_clients(); ++i) {
+    const ProcessId p = w.process(i).id();
+    (i % 2 == 0 ? site_a : site_b).insert(p);
+    (i % 2 == 0 ? nodes_a : nodes_b).insert(net::node_of(p));
+  }
+  w.network().partition({nodes_a, nodes_b});
+  w.start();
+  EXPECT_TRUE(w.run_until_converged(site_a, 10 * sim::kSecond));
+  EXPECT_TRUE(w.run_until_converged(site_b, 10 * sim::kSecond));
+  for (int i = 0; i < w.num_clients(); ++i) {
+    for (int k = 0; k < 5; ++k) w.client(i).send("m");
+  }
+  w.run_for(500 * sim::kMillisecond);
+  w.network().heal();
+  EXPECT_TRUE(w.run_until_converged(w.all_members(), 20 * sim::kSecond));
+  w.run_for(sim::kSecond);
+  EXPECT_NO_THROW(w.finalize_checkers());
+  for (int i = 0; i < w.num_clients(); ++i) {
+    run.sync_bytes += w.process(i).endpoint().vs_stats().sync_bytes_sent;
+  }
+  return run;
+}
+
+TEST(CompactSync, StrangersJoiningAChangeGetCutlessSyncs) {
+  const SiteMerge direct = run_site_merge(false);
+  const SiteMerge compact = run_site_merge(true);
+  EXPECT_GT(compact.stranger_syncs, 0);
+  EXPECT_EQ(compact.stranger_syncs_with_cut, 0)
+      << "a sync message to a stranger carries no cut";
+  EXPECT_EQ(compact.member_syncs_without_cut, 0)
+      << "members of the sender's view still get the cut";
+  EXPECT_GT(direct.stranger_syncs, 0);
+  EXPECT_EQ(direct.stranger_syncs_with_cut, direct.stranger_syncs)
+      << "direct mode sends every recipient the cut";
+  EXPECT_LT(compact.sync_bytes, direct.sync_bytes);
 }
 
 }  // namespace

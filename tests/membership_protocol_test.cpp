@@ -67,7 +67,7 @@ TEST(MembershipProtocol, FastCrashRecoveryBlipStillYieldsFreshView) {
   // incarnations); without that, Property 4.2 liveness fails.
   app::WorldConfig cfg;
   cfg.num_clients = 3;
-  cfg.server.fd.timeout = 500 * sim::kMillisecond;  // generous timeout
+  cfg.server.fd_timeout = 500 * sim::kMillisecond;  // generous timeout
   app::World w(cfg);
   w.start();
   ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
@@ -113,7 +113,7 @@ TEST(MembershipProtocol, ObsoleteViewSuppressionCountsStayBounded) {
 TEST(MembershipProtocol, GracefulLeaveSkipsFailureDetectorTimeout) {
   app::WorldConfig cfg;
   cfg.num_clients = 3;
-  cfg.server.fd.timeout = 2 * sim::kSecond;  // deliberately long
+  cfg.server.fd_timeout = 2 * sim::kSecond;  // deliberately long
   app::World w(cfg);
   w.start();
   ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));

@@ -198,8 +198,8 @@ TEST(Network, OnewayLinkFailureIsAsymmetric) {
 TEST(Network, OnewayOutageWithDropSpikesKeepsCoRfifoClean) {
   struct Stream {
     Stream() : network(sim, Rng(31), {}),
-               a(sim, network, NodeId{1}, {}),
-               b(sim, network, NodeId{2}, {}) {
+               a(sim, network, NodeId{1}),
+               b(sim, network, NodeId{2}) {
       a.set_reliable({NodeId{2}});
       checker.note_reliable(NodeId{1}, {NodeId{1}, NodeId{2}});
       b.set_deliver_handler([this](NodeId from, const std::any& payload) {

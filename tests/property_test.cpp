@@ -59,12 +59,6 @@ app::WorldConfig MakeConfig(const ChurnParams& param) {
   return cfg;
 }
 
-sim::FailureInjector::Policy MakePolicy(const ChurnParams& param) {
-  sim::FailureInjector::Policy policy;
-  policy.base_drop = param.drop_probability;
-  return policy;
-}
-
 class ChurnProperty : public ::testing::TestWithParam<ChurnParams> {};
 
 TEST_P(ChurnProperty, SafetyAlwaysLivenessAfterStabilization) {
@@ -75,8 +69,7 @@ TEST_P(ChurnProperty, SafetyAlwaysLivenessAfterStabilization) {
       << "initial convergence";
 
   // Churn phase: the injector draws faults and traffic from its policy.
-  sim::FailureInjector injector(w.fault_target(), MakePolicy(param),
-                                param.seed);
+  sim::FailureInjector injector(w.fault_target(), {}, param.seed);
   injector.run_churn();
 
   // Stabilization: heal everything, recover everyone, let traffic drain.
@@ -147,8 +140,7 @@ InjectedRun RunChurn(const ChurnParams& param,
   app::World w(MakeConfig(param));
   w.start();
   EXPECT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
-  sim::FailureInjector injector(w.fault_target(), MakePolicy(param),
-                                param.seed);
+  sim::FailureInjector injector(w.fault_target(), {}, param.seed);
   if (replay != nullptr) injector.replay(*replay);
   else injector.run_churn();
   injector.stabilize();

@@ -14,11 +14,10 @@ namespace vsgc::transport {
 namespace {
 
 struct Pair {
-  explicit Pair(net::Network::Config cfg = {}, std::uint64_t seed = 1,
-                CoRfifoTransport::Config tcfg = {})
+  explicit Pair(net::Network::Config cfg = {}, std::uint64_t seed = 1)
       : network(sim, Rng(seed), cfg),
-        a(sim, network, net::NodeId{1}, tcfg),
-        b(sim, network, net::NodeId{2}, tcfg) {
+        a(sim, network, net::NodeId{1}),
+        b(sim, network, net::NodeId{2}) {
     a.set_reliable({net::NodeId{2}});
     checker.note_reliable(net::NodeId{1}, {net::NodeId{1}, net::NodeId{2}});
     b.set_deliver_handler([this](net::NodeId from, const std::any& payload) {
@@ -131,12 +130,10 @@ TEST(CoRfifoReset, LossDuringHandshakeStillConverges) {
 
 TEST(CoRfifoReset, RehomedPacketsCountAsRetransmissions) {
   // Regression: the reset re-home loop used to bypass stats_.retransmissions,
-  // so a recovery storm looked free in the retransmission tables. With the
-  // retransmit timer pushed out of reach, the one re-homed packet is the only
-  // possible retransmission.
-  CoRfifoTransport::Config tcfg;
-  tcfg.retransmit_timeout = 3600 * sim::kSecond;
-  Pair h({}, 1, tcfg);
+  // so a recovery storm looked free in the retransmission tables. The whole
+  // handshake takes a few 1 ms hops, well inside one retransmit interval, so
+  // the one re-homed packet is the only possible retransmission.
+  Pair h;
   h.send(1);
   h.sim.run_until(h.sim.now() + sim::kSecond);
   ASSERT_EQ(h.received.size(), 1u);
@@ -210,85 +207,104 @@ TEST(CoRfifoReset, StaleResetAckIgnored) {
 
 TEST(CoRfifoFlowControl, ReceiveWindowBoundsOutOfOrderBuffer) {
   // Regression for the unbounded reorder buffer: the receiver used to emplace
-  // every out-of-window packet into `out_of_order` forever. With recv_window
-  // = 4, a gap at seq 1 plus a burst of later frames may buffer at most 4
-  // entries; the rest are dropped and recovered by retransmission.
-  CoRfifoTransport::Config tcfg;
-  tcfg.max_batch = 1;  // one entry per frame, so individual frames can race
-  tcfg.recv_window = 4;
-  tcfg.retransmit_timeout = 50 * sim::kMillisecond;
-  Pair h({}, 1, tcfg);
+  // every out-of-window entry into `out_of_order` forever. An honest sender
+  // never gets that far ahead (the credit window stops it at kSendWindow
+  // unacked entries), so a forged one does: a gap at seq 1, then more than
+  // kRecvWindow entries after it. The receiver buffers what fits in the
+  // window, drops the rest, and takes them when they are sent again.
+  constexpr std::uint64_t kLast = CoRfifoTransport::kRecvWindow + 44;
+  sim::Simulator sim;
+  net::Network network(sim, Rng(1), {});
+  const net::NodeId sender{1}, self{2};
+  CoRfifoTransport b(sim, network, self);
+  std::vector<std::uint64_t> received;
+  b.set_deliver_handler([&received](net::NodeId, const std::any& payload) {
+    received.push_back(std::any_cast<std::uint64_t>(payload));
+  });
+  // Entries lo..hi of one stream, each carrying its seq as the payload.
+  const auto frame = [](std::uint64_t lo, std::uint64_t hi) {
+    Frame f;
+    f.header.incarnation = 5;
+    f.header.first_seq = 1;
+    f.header.base_seq = lo;
+    for (std::uint64_t seq = lo; seq <= hi; ++seq) {
+      f.entries.push_back(FrameEntry{seq, net::Payload(seq), 8, 0});
+    }
+    f.header.count = static_cast<std::uint32_t>(f.entries.size());
+    return f;
+  };
 
-  h.network.set_link_up(net::NodeId{1}, net::NodeId{2}, false);
-  h.send(1);  // frame for seq 1 is lost on the downed link
-  h.sim.run_until(h.sim.now() + sim::kMillisecond);
-  h.network.set_link_up(net::NodeId{1}, net::NodeId{2}, true);
-  for (std::uint64_t i = 2; i <= 10; ++i) h.send(i);
-  h.sim.run_to_quiescence();
-
-  const auto& rx_stats = h.b.stats();
-  EXPECT_GE(rx_stats.ooo_dropped, 1u)
-      << "seqs beyond next_expected + recv_window must be dropped";
-  EXPECT_LE(rx_stats.peak_out_of_order, 4u)
+  network.send(sender, self, frame(2, kLast));  // seq 1 is missing
+  sim.run_to_quiescence();
+  const auto& rx_stats = b.stats();
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(rx_stats.ooo_dropped, kLast - CoRfifoTransport::kRecvWindow)
+      << "seqs at or beyond next_expected + kRecvWindow must be dropped";
+  EXPECT_LE(rx_stats.peak_out_of_order, CoRfifoTransport::kRecvWindow)
       << "the reorder buffer must never exceed the receive window";
-  EXPECT_EQ(h.received,
-            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}))
-      << "retransmission must recover everything the window dropped";
+
+  network.send(sender, self, frame(1, 1));
+  network.send(sender, self, frame(CoRfifoTransport::kRecvWindow + 1, kLast));
+  sim.run_to_quiescence();
+  ASSERT_EQ(received.size(), kLast)
+      << "re-sending must recover everything the window dropped";
+  for (std::uint64_t seq = 1; seq <= kLast; ++seq) {
+    EXPECT_EQ(received[seq - 1], seq);
+  }
   spec::CoRfifoChecker::check_bounded(
-      net::NodeId{2}, h.b.stats().peak_unacked, tcfg.send_window,
-      rx_stats.peak_out_of_order, tcfg.recv_window);
+      self, rx_stats.peak_unacked, CoRfifoTransport::kSendWindow,
+      rx_stats.peak_out_of_order, CoRfifoTransport::kRecvWindow);
 }
 
 TEST(CoRfifoFlowControl, CreditWindowBoundsUnackedQueue) {
-  CoRfifoTransport::Config tcfg;
-  tcfg.send_window = 8;
-  Pair h({}, 1, tcfg);
+  constexpr std::uint64_t kSends = CoRfifoTransport::kSendWindow + 44;
+  Pair h;
   h.network.set_node_up(net::NodeId{2}, false);  // no acks will come back
-  for (std::uint64_t i = 1; i <= 50; ++i) h.send(i);
+  for (std::uint64_t i = 1; i <= kSends; ++i) h.send(i);
   h.sim.run_until(h.sim.now() + 500 * sim::kMillisecond);
 
   const auto& tx = h.a.stats();
-  EXPECT_LE(tx.peak_unacked, 8u)
+  EXPECT_LE(tx.peak_unacked, CoRfifoTransport::kSendWindow)
       << "sends past the credit window must queue, not enter unacked";
   EXPECT_GE(tx.window_stalls, 1u);
-  EXPECT_GE(tx.peak_pending, 42u) << "the overflow waits in pending";
+  EXPECT_GE(tx.peak_pending, kSends - CoRfifoTransport::kSendWindow)
+      << "the overflow waits in pending";
 
   h.network.set_node_up(net::NodeId{2}, true);
   h.sim.run_to_quiescence();
-  ASSERT_EQ(h.received.size(), 50u) << "credits from acks drain the queue";
-  for (std::uint64_t i = 1; i <= 50; ++i) EXPECT_EQ(h.received[i - 1], i);
-  EXPECT_LE(h.a.stats().peak_unacked, 8u);
+  ASSERT_EQ(h.received.size(), kSends) << "credits from acks drain the queue";
+  for (std::uint64_t i = 1; i <= kSends; ++i) {
+    EXPECT_EQ(h.received[i - 1], i);
+  }
+  EXPECT_LE(h.a.stats().peak_unacked, CoRfifoTransport::kSendWindow);
 }
 
 TEST(CoRfifoFlowControl, ExponentialBackoffShrinksDuplicateStorms) {
   // Acks from b to a are severed (one-way outage), so a retransmits the same
-  // message into b forever. With a fixed interval that is a duplicate storm;
-  // with capped exponential backoff the duplicate count shrinks by the
-  // backoff factor. Same topology, same duration — only the policy differs.
-  const auto run = [](std::uint32_t backoff_limit) {
-    CoRfifoTransport::Config tcfg;
-    tcfg.backoff_limit = backoff_limit;
-    Pair h({}, 1, tcfg);
-    h.network.set_oneway_link_up(net::NodeId{2}, net::NodeId{1}, false);
-    h.send(1);
-    h.sim.run_until(h.sim.now() + 4 * sim::kSecond);
-    return std::pair<std::uint64_t, std::uint64_t>{
-        h.a.stats().retransmissions, h.b.stats().duplicates_dropped};
-  };
-  const auto [fixed_retrans, fixed_dups] = run(1);
-  const auto [backoff_retrans, backoff_dups] = run(8);
+  // message into b for the whole outage. A fixed interval would re-send it
+  // every kRetransmitTimeout (200 times in 4 s), each a duplicate at b. The
+  // backoff doubles the interval on every fire up to kBackoffLimit times the
+  // base, so after three doubling fires (1x, 2x, 4x) it probes once per
+  // capped interval.
+  constexpr sim::Time kOutage = 4 * sim::kSecond;
+  constexpr auto kCappedFires = static_cast<std::uint64_t>(
+      kOutage / (CoRfifoTransport::kRetransmitTimeout *
+                 CoRfifoTransport::kBackoffLimit));
+  Pair h;
+  h.network.set_oneway_link_up(net::NodeId{2}, net::NodeId{1}, false);
+  h.send(1);
+  h.sim.run_until(h.sim.now() + kOutage);
 
-  EXPECT_GT(fixed_retrans, 100u) << "fixed interval keeps hammering";
-  EXPECT_LT(backoff_retrans * 3, fixed_retrans)
-      << "backoff must cut retransmissions by at least 3x over the outage";
-  EXPECT_LT(backoff_dups * 3, fixed_dups)
-      << "duplicate deliveries at the receiver must shrink accordingly";
+  const std::uint64_t retrans = h.a.stats().retransmissions;
+  EXPECT_GE(retrans, kCappedFires) << "the capped timer keeps probing";
+  EXPECT_LE(retrans, kCappedFires + 3)
+      << "backoff must bound retransmissions over the outage";
+  EXPECT_LE(h.b.stats().duplicates_dropped, retrans)
+      << "every duplicate at the receiver is one of those retransmissions";
 }
 
 TEST(CoRfifoFlowControl, BackoffResetsOnAckProgress) {
-  CoRfifoTransport::Config tcfg;
-  tcfg.backoff_limit = 8;
-  Pair h({}, 1, tcfg);
+  Pair h;
   // Phase 1: outage long enough to reach the backoff cap.
   h.network.set_oneway_link_up(net::NodeId{2}, net::NodeId{1}, false);
   h.send(1);
@@ -304,7 +320,7 @@ TEST(CoRfifoFlowControl, BackoffResetsOnAckProgress) {
   h.sim.run_until(h.sim.now() + sim::kMillisecond);
   h.network.set_link_up(net::NodeId{1}, net::NodeId{2}, true);
   const sim::Time healed_at = h.sim.now();
-  h.sim.run_until(healed_at + tcfg.retransmit_timeout +
+  h.sim.run_until(healed_at + CoRfifoTransport::kRetransmitTimeout +
                   10 * sim::kMillisecond);
   EXPECT_GT(h.a.stats().retransmissions, after_heal)
       << "after ack progress the timer runs at the base interval again";

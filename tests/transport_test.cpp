@@ -250,27 +250,24 @@ TEST(CoRfifo, BatchingCoalescesSameInstantSends) {
 }
 
 TEST(CoRfifo, MaxBatchSplitsLargeBursts) {
-  // A 100-message burst needs ceil(100 / max_batch) data frames; max_batch = 1
-  // puts every message in a frame of its own.
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
-    sim::Simulator sim;
-    net::Network network(sim, Rng(1), {});
-    CoRfifoTransport::Config tcfg;
-    tcfg.max_batch = max_batch;
-    CoRfifoTransport a(sim, network, net::NodeId{1}, tcfg);
-    CoRfifoTransport b(sim, network, net::NodeId{2}, tcfg);
-    a.set_reliable({net::NodeId{2}});
-    std::vector<std::uint64_t> rx;
-    b.set_deliver_handler([&rx](net::NodeId, const std::any& payload) {
-      rx.push_back(std::any_cast<std::uint64_t>(payload));
-    });
-    for (std::uint64_t i = 1; i <= 100; ++i) a.send({net::NodeId{2}}, i, 8);
-    sim.run_to_quiescence();
-    ASSERT_EQ(rx.size(), 100u) << "max_batch " << max_batch;
-    EXPECT_EQ(a.stats().frames_sent, (100 + max_batch - 1) / max_batch)
-        << "max_batch " << max_batch;
-    EXPECT_EQ(a.stats().entries_sent, 100u) << "max_batch " << max_batch;
-  }
+  // A 100-message burst needs ceil(100 / kMaxBatch) data frames.
+  constexpr std::size_t kBurst = 100;
+  sim::Simulator sim;
+  net::Network network(sim, Rng(1), {});
+  CoRfifoTransport a(sim, network, net::NodeId{1});
+  CoRfifoTransport b(sim, network, net::NodeId{2});
+  a.set_reliable({net::NodeId{2}});
+  std::vector<std::uint64_t> rx;
+  b.set_deliver_handler([&rx](net::NodeId, const std::any& payload) {
+    rx.push_back(std::any_cast<std::uint64_t>(payload));
+  });
+  for (std::uint64_t i = 1; i <= kBurst; ++i) a.send({net::NodeId{2}}, i, 8);
+  sim.run_to_quiescence();
+  ASSERT_EQ(rx.size(), kBurst);
+  EXPECT_EQ(a.stats().frames_sent,
+            (kBurst + CoRfifoTransport::kMaxBatch - 1) /
+                CoRfifoTransport::kMaxBatch);
+  EXPECT_EQ(a.stats().entries_sent, kBurst);
 }
 
 TEST(CoRfifo, PiggybackedAckSuppressesStandaloneAck) {

@@ -111,7 +111,6 @@ app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
 sim::FailureInjector::Policy make_policy(const StressConfig& cfg) {
   sim::FailureInjector::Policy policy;
   policy.steps = cfg.steps;
-  policy.base_drop = cfg.drop;
   policy.bug_at_step = cfg.bug_at_step;
   if (cfg.corrupt) {
     policy.w_corrupt = 6;
