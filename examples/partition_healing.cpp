@@ -38,7 +38,7 @@ int main() {
         });
     world.client(i).on_deliver([idx](ProcessId from, const gcs::AppMsg& m) {
       std::cout << "  [p" << idx + 1 << "] <- " << to_string(from) << ": "
-                << m.payload << "\n";
+                << m.payload() << "\n";
     });
   }
 

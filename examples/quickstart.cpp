@@ -25,7 +25,7 @@ int main() {
       std::cout << " }\n";
     });
     world.client(i).on_deliver([idx](ProcessId from, const gcs::AppMsg& m) {
-      std::cout << "  [p" << idx + 1 << "] got \"" << m.payload << "\" from "
+      std::cout << "  [p" << idx + 1 << "] got \"" << m.payload() << "\" from "
                 << to_string(from) << "\n";
     });
   }

@@ -96,7 +96,7 @@ void CausalOrder::drain() {
 }
 
 void CausalOrder::handle_deliver(ProcessId from, const gcs::AppMsg& msg) {
-  auto [clock, payload] = decode_stamped(msg.payload);
+  auto [clock, payload] = decode_stamped(msg.payload());
   pending_[from].push_back(Stamped{std::move(clock), std::move(payload)});
   drain();
 }

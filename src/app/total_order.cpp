@@ -55,10 +55,10 @@ void TotalOrder::send(const std::string& payload) {
 }
 
 void TotalOrder::handle_deliver(ProcessId from, const gcs::AppMsg& msg) {
-  VSGC_REQUIRE(!msg.payload.empty(), "total order: empty wire payload");
+  VSGC_REQUIRE(!msg.payload().empty(), "total order: empty wire payload");
   const MsgId id{from, msg.uid};
-  if (msg.payload[0] == kDataTag) {
-    data_[id] = msg.payload.substr(1);
+  if (msg.payload()[0] == kDataTag) {
+    data_[id] = msg.payload().substr(1);
     if (!sequenced_.contains(id)) unsequenced_.push_back(id);
     if (self_ == sequencer_) {
       // Sequence everything unsequenced so far, in arrival order.
@@ -70,8 +70,8 @@ void TotalOrder::handle_deliver(ProcessId from, const gcs::AppMsg& msg) {
     try_deliver();
     return;
   }
-  if (msg.payload[0] == kOrderTag) {
-    for (const MsgId& m : decode_order(msg.payload)) {
+  if (msg.payload()[0] == kOrderTag) {
+    for (const MsgId& m : decode_order(msg.payload())) {
       order_.push_back(m);
       sequenced_.insert(m);
       std::erase(unsequenced_, m);

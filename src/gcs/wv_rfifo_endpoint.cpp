@@ -260,7 +260,8 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
   const FifoBuffer& own = *lanes_[self_lane_].msgs;
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
-    transport_.send(view_dests_, net::Payload(am), codec::wire_size(am));
+    const std::size_t size = codec::wire_size(am);
+    transport_.send(view_dests_, net::Payload(std::move(am)), size);
     ++last_sent_;
     if (lifecycle_on()) emit(spec::MsgWireSend{self_, m->sender, m->uid});
     progress = true;
@@ -286,8 +287,11 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
       if (!deliver_allowed(i, q, next)) continue;
       lane.last_dlvrd = next;
       ++stats_.delivered;
-      if (trace_on()) emit(spec::GcsDeliver{self_, q, *m});
-      if (client_ != nullptr) client_->deliver(q, *m);
+      // A client that sends from inside deliver() grows its own lane, which
+      // can move *m; the client gets a copy, which shares the payload.
+      const AppMsg msg = *m;
+      if (trace_on()) emit(spec::GcsDeliver{self_, q, msg});
+      if (client_ != nullptr) client_->deliver(q, msg);
       any = true;
       progress = true;
       if (crashed_) return progress;

@@ -195,9 +195,9 @@ class WvRfifoEndpoint : public membership::Listener {
                                  bool exclude_self) const;
   void emit(spec::EventBody body);
 
-  /// Gate for the events that copy a payload, a view or a set (GcsSend,
-  /// GcsDeliver, GcsView, MbrStartChange, MbrView): construct nothing when
-  /// no recorder or sink would read them.
+  /// Gate for the events that hold a message or a view or copy a set
+  /// (GcsSend, GcsDeliver, GcsView, MbrStartChange, MbrView): construct
+  /// nothing when no recorder or sink would read them.
   bool trace_on() const { return trace_ != nullptr && trace_->active(); }
 
   /// Gate for the high-volume causal span events (DESIGN.md §10): emission

@@ -193,7 +193,7 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
       m.view = proc.current(e->p);
       ProcessCounts& n = out.counts[e->p];
       ++n.msgs_sent;
-      n.payload_bytes_sent += e->msg.payload.size();
+      n.payload_bytes_sent += e->msg.payload().size();
     } else if (const auto* e = std::get_if<spec::MsgWireSend>(&b)) {
       MsgAcc& m = msgs[MsgTraceId{e->sender, e->uid}];
       if (m.wire_send < 0) m.wire_send = ev.at;
@@ -205,7 +205,7 @@ TraceAnalysis analyze(const std::vector<spec::Event>& events) {
       m.deliver.try_emplace(e->p, ev.at);
       ProcessCounts& n = out.counts[e->p];
       ++n.msgs_delivered;
-      n.payload_bytes_delivered += e->msg.payload.size();
+      n.payload_bytes_delivered += e->msg.payload().size();
       ViewSpan& change = procs[e->p].change;
       if (change.prev_view_deliveries >= 0) ++change.prev_view_deliveries;
     } else if (const auto* e = std::get_if<spec::GcsView>(&b)) {

@@ -286,7 +286,7 @@ class TraceBus {
   bool lifecycle() const { return lifecycle_; }
 
   /// Does an emitted event reach anyone (recording is on, or a sink is
-  /// attached)? Sites whose event copies a payload or a view check this
+  /// attached)? Sites whose event holds a message or a view check this
   /// before constructing it, so an idle bus costs one branch per site.
   bool active() const { return recording_ || !sinks_.empty(); }
 

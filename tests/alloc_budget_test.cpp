@@ -105,10 +105,13 @@ TEST_F(AllocBudget, PumpWithNothingToDoAllocatesNothing) {
   EXPECT_EQ(ep.last_dlvrd(sender.self()), 1);
 }
 
-// Frames travel in recycled cells (DESIGN.md §11.1). On this deployment a
-// delivery measured 7.16 allocations while every frame allocated its own
-// cell and 2.80 with recycled ones; most of the rest is FifoBuffer::put's
-// map node and AppMsg string copy.
+// Frames travel in recycled cells (DESIGN.md §11.1) and every holder of a
+// message shares its payload (§11.5). On this deployment a delivery
+// measured 7.16 allocations while every frame allocated its own cell, 2.80
+// with recycled ones, and 0.75 once FifoBuffer's prefix is a vector and no
+// layer copies a payload. What is left is per send, spread over the eight
+// deliveries of each message: the caller's payload string, the message's
+// shared body and its transport Payload wrap.
 TEST_F(AllocBudget, SteadyMulticastStaysUnderBudget) {
   constexpr int kTicks = 100;
   const int n = w.num_clients();
@@ -131,7 +134,7 @@ TEST_F(AllocBudget, SteadyMulticastStaysUnderBudget) {
   const double per_delivery =
       static_cast<double>(allocs) / static_cast<double>(expected);
   RecordProperty("allocs_per_delivery", std::to_string(per_delivery));
-  EXPECT_LE(per_delivery, 4.0) << allocs << " allocations for " << expected
+  EXPECT_LE(per_delivery, 1.0) << allocs << " allocations for " << expected
                                 << " deliveries";
 }
 
@@ -206,22 +209,23 @@ double allocs_per_view_change(int n, int cycles) {
 }
 
 // 8,411 allocations per view change while every transport frame allocated
-// its own cell, 5,408 with recycled cells.
+// its own cell, 5,408 with recycled cells, 5,287 with shared payloads.
 TEST(AllocBudgetChurn, ViewChangeStaysUnderBudget) {
   const double per_change = allocs_per_view_change(16, 4);
   RecordProperty("allocs_per_view_change", std::to_string(per_change));
-  EXPECT_LE(per_change, 7000.0);
+  EXPECT_LE(per_change, 6500.0);
 }
 
 // A view change among n members moves O(n^2) sync, view and ack messages,
 // so its events grow about 16x from n = 8 to n = 32. Work per event that is
 // O(n) (a view or cut copied per message) grows allocations far faster.
+// Measured: 1,419 at n = 8 and 20,437 at n = 32, 14.4x.
 TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
   const double at8 = allocs_per_view_change(8, 4);
   const double at32 = allocs_per_view_change(32, 4);
   RecordProperty("allocs_per_view_change_n8", std::to_string(at8));
   RecordProperty("allocs_per_view_change_n32", std::to_string(at32));
-  EXPECT_LE(at32, 24.0 * at8) << at8 << " at n=8, " << at32 << " at n=32";
+  EXPECT_LE(at32, 18.0 * at8) << at8 << " at n=8, " << at32 << " at n=32";
 }
 
 /// Heap allocations of one seed of perfbench's `stress` recipe, which is
@@ -252,8 +256,10 @@ std::uint64_t stress_seed_allocations(std::uint64_t seed) {
 // recorder, the membership layer and the endpoints hold views without
 // copying trees. On the first seed of perfbench's stress pool this seed
 // measured 7,536 allocations while every copy of a View copied its
-// member set and startId map, 4,686 with shared views, and 4,354 once
-// transport frames travel in recycled cells.
+// member set and startId map, 4,686 with shared views, 4,354 once
+// transport frames travel in recycled cells, and 4,340 with shared
+// payloads: its payloads fit in a std::string with no allocation, so a
+// shared body gains little there.
 TEST(AllocBudgetStress, CheckedSeedStaysUnderBudget) {
   const std::uint64_t allocs = stress_seed_allocations(1000000000);
   RecordProperty("allocs_per_seed", std::to_string(allocs));

@@ -38,12 +38,12 @@ struct CausalRig {
       });
     } else {
       world->client(1).on_deliver([this](ProcessId, const gcs::AppMsg& m) {
-        if (m.payload.starts_with("ask")) {
-          world->client(1).send("reply-to-" + m.payload);
+        if (m.payload().starts_with("ask")) {
+          world->client(1).send("reply-to-" + m.payload());
         }
       });
       world->client(2).on_deliver([this](ProcessId, const gcs::AppMsg& m) {
-        order.push_back(m.payload);
+        order.push_back(m.payload());
       });
     }
   }

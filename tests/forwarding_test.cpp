@@ -25,7 +25,7 @@ void run_forwarding_scenario(gcs::ForwardingKind kind,
   for (int i = 0; i < 3; ++i) {
     w.client(i).on_deliver([&rx, i](ProcessId from, const gcs::AppMsg& m) {
       rx[static_cast<std::size_t>(i)].push_back(to_string(from) + ":" +
-                                                m.payload);
+                                                m.payload());
     });
   }
   w.change_view(w.all());
@@ -91,7 +91,7 @@ TEST(Forwarding, MultipleMissingMessagesAllRecovered) {
   OracleWorld w(3, 1, {}, gcs::ForwardingKind::kMinCopies);
   std::vector<std::string> rx3;
   w.client(2).on_deliver(
-      [&rx3](ProcessId, const gcs::AppMsg& m) { rx3.push_back(m.payload); });
+      [&rx3](ProcessId, const gcs::AppMsg& m) { rx3.push_back(m.payload()); });
   w.change_view(w.all());
   w.network.set_link_up(net::node_of(w.pid(0)), net::node_of(w.pid(2)),
                          false);

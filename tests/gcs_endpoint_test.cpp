@@ -20,7 +20,7 @@ TEST(WvRfifo, MessagesDeliveredInSendingView) {
   for (int i = 0; i < 3; ++i) {
     w.client(i).on_deliver([&rx, i](ProcessId from, const gcs::AppMsg& m) {
       rx[static_cast<std::size_t>(i)].push_back(to_string(from) + ":" +
-                                                m.payload);
+                                                m.payload());
     });
   }
   w.change_view(w.all());
@@ -38,7 +38,7 @@ TEST(WvRfifo, PerSenderFifoOrder) {
   OracleWorld w(2);
   std::vector<std::string> rx;
   w.client(1).on_deliver(
-      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload); });
+      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload()); });
   w.change_view(w.all());
   for (int i = 0; i < 20; ++i) w.client(0).send("m" + std::to_string(i));
   w.settle();
@@ -61,11 +61,43 @@ TEST(WvRfifo, SenderSelfDeliversOwnMessages) {
   EXPECT_EQ(self_rx, 2);
 }
 
+// The end-point hands deliver() a copy of the message. A client that sends
+// from inside the delivery of its own message grows its lane's buffer, which
+// moves the buffer's entries; a reference into the buffer would then read
+// freed memory (ASan reports it in the sanitizer build).
+TEST(WvRfifo, SendingInsideOwnDeliveryKeepsTheDeliveredMessage) {
+  OracleWorld w(2);
+  const std::string first(40, 'f');
+  std::vector<std::string> self_rx;
+  bool burst_sent = false;
+  w.client(0).on_deliver([&](ProcessId from, const gcs::AppMsg& m) {
+    if (from != w.pid(0)) return;
+    if (!burst_sent) {
+      burst_sent = true;
+      for (int k = 0; k < 64; ++k) {
+        w.client(0).send("burst-" + std::to_string(k) +
+                         std::string(32, 'b'));
+      }
+      EXPECT_EQ(m.payload(), first);
+      EXPECT_EQ(m.uid, 1u);
+      EXPECT_EQ(m.sender, w.pid(0));
+    }
+    self_rx.push_back(m.payload());
+  });
+  w.change_view(w.all());
+  w.client(0).send(first);
+  w.settle();
+  ASSERT_EQ(self_rx.size(), 65u);
+  EXPECT_EQ(self_rx[0], first);
+  EXPECT_EQ(self_rx[64], "burst-63" + std::string(32, 'b'));
+  w.checkers.finalize();
+}
+
 TEST(WvRfifo, InitialSingletonViewAllowsLocalSends) {
   OracleWorld w(1);
   std::vector<std::string> rx;
   w.client(0).on_deliver(
-      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload); });
+      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload()); });
   // No oracle activity at all: the end-point lives in its initial view v_p.
   w.client(0).send("solo");
   w.settle();

@@ -20,7 +20,7 @@ TEST(Smoke, ThreeProcessesConvergeAndMulticast) {
     world.client(i).on_deliver([&received, i](ProcessId from,
                                               const gcs::AppMsg& m) {
       received[static_cast<std::size_t>(i)].push_back(
-          to_string(from) + ":" + m.payload);
+          to_string(from) + ":" + m.payload());
     });
   }
 

@@ -1,8 +1,9 @@
-// Unit tests: View type, FifoBuffer, wire message sizing, oracle membership.
+// Unit tests: View type, AppMsg, FifoBuffer, wire message sizing, oracle
+// membership.
 //
 // This executable counts every operator new (the idiom of
-// alloc_budget_test.cpp), so a test can show that copying a view allocates
-// nothing.
+// alloc_budget_test.cpp), so a test can show that copying a view or a
+// message allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -209,7 +210,7 @@ TEST(FifoBuffer, AppendAndPrefix) {
   EXPECT_EQ(buf.longest_prefix(), 2);
   EXPECT_EQ(buf.last_index(), 2);
   ASSERT_NE(buf.get(1), nullptr);
-  EXPECT_EQ(buf.get(1)->payload, "a");
+  EXPECT_EQ(buf.get(1)->payload(), "a");
   EXPECT_EQ(buf.get(3), nullptr);
 }
 
@@ -230,6 +231,129 @@ TEST(FifoBuffer, DuplicatePutIsIdempotent) {
   buf.put(1, gcs::AppMsg{ProcessId{1}, 99, "other"});
   EXPECT_EQ(buf.get(1)->uid, 1u) << "first write wins";
   EXPECT_EQ(buf.size(), 1u);
+}
+
+gcs::AppMsg msg_of(std::uint64_t uid) {
+  return gcs::AppMsg{ProcessId{1}, uid, "m" + std::to_string(uid)};
+}
+
+TEST(FifoBuffer, DuplicateTailPutAndPutBelowPrefixChangeNothing) {
+  gcs::FifoBuffer buf;
+  buf.put(1, msg_of(1));
+  buf.put(2, msg_of(2));
+  buf.put(5, msg_of(5));
+  const gcs::AppMsg other{ProcessId{2}, 99, "other"};
+  const std::uint64_t before = allocations();
+  buf.put(5, other);  // duplicate in the tail
+  buf.put(2, other);  // below the prefix
+  buf.put(1, other);
+  buf.put(0, other);  // indices start at 1
+  buf.put(-3, other);
+  EXPECT_EQ(allocations() - before, 0u) << "a no-op put copies nothing";
+  EXPECT_EQ(other.payload_use_count(), 1) << "and holds no share";
+  EXPECT_EQ(buf.get(5)->uid, 5u) << "first write wins in the tail";
+  EXPECT_EQ(buf.get(1)->uid, 1u);
+  EXPECT_EQ(buf.get(2)->uid, 2u);
+  EXPECT_EQ(buf.get(0), nullptr);
+  EXPECT_EQ(buf.get(-3), nullptr);
+  EXPECT_EQ(buf.longest_prefix(), 2);
+  EXPECT_EQ(buf.last_index(), 5);
+  EXPECT_EQ(buf.size(), 3u);
+}
+
+TEST(FifoBuffer, ForwardClosingTheGapDrainsTheWholeTailInOrder) {
+  gcs::FifoBuffer buf;
+  // (index put, then longest_prefix, last_index, size)
+  const std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t,
+                               std::size_t>>
+      steps = {{1, 1, 1, 1}, {3, 1, 3, 2}, {6, 1, 6, 3},
+               {4, 1, 6, 4}, {5, 1, 6, 5}, {2, 6, 6, 6},
+               {8, 6, 8, 7}, {7, 8, 8, 8}};
+  for (const auto& [i, prefix, last, size] : steps) {
+    buf.put(i, msg_of(static_cast<std::uint64_t>(i)));
+    EXPECT_EQ(buf.longest_prefix(), prefix) << "after put(" << i << ")";
+    EXPECT_EQ(buf.last_index(), last) << "after put(" << i << ")";
+    EXPECT_EQ(buf.size(), size) << "after put(" << i << ")";
+  }
+  for (std::int64_t i = 1; i <= 8; ++i) {
+    ASSERT_NE(buf.get(i), nullptr) << i;
+    EXPECT_EQ(buf.get(i)->uid, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(buf.get(i)->payload(), "m" + std::to_string(i));
+  }
+  EXPECT_EQ(buf.append(msg_of(9)), 9);
+  EXPECT_EQ(buf.longest_prefix(), 9);
+}
+
+TEST(FifoBuffer, GetAtThePrefixTailBoundary) {
+  gcs::FifoBuffer buf;
+  buf.put(1, msg_of(1));
+  buf.put(2, msg_of(2));
+  buf.put(4, msg_of(4));
+  ASSERT_NE(buf.get(2), nullptr) << "last of the prefix";
+  EXPECT_EQ(buf.get(2)->uid, 2u);
+  EXPECT_EQ(buf.get(3), nullptr) << "the gap";
+  ASSERT_NE(buf.get(4), nullptr) << "first of the tail";
+  EXPECT_EQ(buf.get(4)->uid, 4u);
+  EXPECT_EQ(buf.get(5), nullptr) << "past the last index";
+  EXPECT_EQ(buf.longest_prefix(), 2);
+  EXPECT_EQ(buf.last_index(), 4);
+}
+
+TEST(AppMsg, CopySharesItsPayloadAndAllocatesNothing) {
+  const gcs::AppMsg m{ProcessId{1}, 7, std::string(64, 'p')};
+  const std::uint64_t before = allocations();
+  gcs::AppMsg copy = m;
+  gcs::AppMsg assigned;
+  assigned = copy;
+  const gcs::wire::AppMsgWire wire{m};
+  const std::uint64_t after = allocations();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_TRUE(copy.shares_payload_with(m));
+  EXPECT_TRUE(assigned.shares_payload_with(m));
+  EXPECT_TRUE(wire.msg.shares_payload_with(m));
+  EXPECT_EQ(m.payload_use_count(), 4);
+  EXPECT_EQ(&copy.payload(), &m.payload()) << "one payload, not four";
+  EXPECT_EQ(copy, m);
+  EXPECT_EQ(assigned.uid, 7u);
+}
+
+TEST(AppMsg, DecodedMessageEqualsItsOriginalWithItsOwnBody) {
+  const gcs::AppMsg m{ProcessId{3}, 42, std::string(40, 'q')};
+  Encoder enc;
+  codec::encode(gcs::wire::AppMsgWire{m}, enc);
+  Decoder dec(enc.bytes());
+  const gcs::AppMsg round = codec::decode<gcs::wire::AppMsgWire>(dec).msg;
+  EXPECT_TRUE(dec.done());
+  EXPECT_FALSE(round.shares_payload_with(m));
+  EXPECT_EQ(round, m) << "equal contents, different bodies";
+  EXPECT_NE(round, (gcs::AppMsg{ProcessId{3}, 42, std::string(40, 'r')}))
+      << "same identity, different payload";
+  EXPECT_NE(round, (gcs::AppMsg{ProcessId{3}, 43, m.payload()}));
+}
+
+TEST(AppMsg, EmptyPayloadHasNoBody) {
+  const std::uint64_t before = allocations();
+  const gcs::AppMsg m{ProcessId{2}, 5, ""};
+  const gcs::AppMsg none;
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(m.payload(), "");
+  EXPECT_EQ(m.payload_use_count(), 0);
+  EXPECT_EQ(none.payload(), "");
+  EXPECT_EQ(none.sender, ProcessId{});
+  EXPECT_EQ(none.uid, 0u);
+  EXPECT_NE(m, none);
+  EXPECT_EQ(m, (gcs::AppMsg{ProcessId{2}, 5, ""}));
+
+  Encoder enc;
+  codec::encode(m, enc);
+  Decoder dec(enc.bytes());
+  EXPECT_EQ(codec::decode<gcs::AppMsg>(dec), m);
+  EXPECT_EQ(codec::wire_size(m), enc.size());
+  const std::string text = obs::to_json(m).dump();
+  EXPECT_EQ(text, R"({"sender":2,"uid":5,"payload":""})");
+  gcs::AppMsg from_text{ProcessId{9}, 9, "stale"};
+  ASSERT_TRUE(obs::from_json(obs::JsonValue::parse(text), &from_text));
+  EXPECT_EQ(from_text, m);
 }
 
 TEST(WireMessages, SizesTrackPayloads) {

@@ -23,7 +23,7 @@ TEST(BlockingClient, QueuedSendsPreserveOrderAcrossViewChange) {
   OracleWorld w(2);
   std::vector<std::string> rx;
   w.client(1).on_deliver(
-      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload); });
+      [&rx](ProcessId, const gcs::AppMsg& m) { rx.push_back(m.payload()); });
   w.change_view(w.all());
   w.client(0).send("before");
   w.oracle.start_change(w.all());

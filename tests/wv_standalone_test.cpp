@@ -20,7 +20,7 @@ struct Seen {
     for (std::size_t i = 0; i < w.endpoints.size(); ++i) {
       w.client(static_cast<int>(i))
           .on_deliver([this, i](ProcessId, const AppMsg& m) {
-            payloads[i].push_back(m.payload);
+            payloads[i].push_back(m.payload());
           });
       w.client(static_cast<int>(i))
           .on_view([this, i](const View&, const std::set<ProcessId>&) {
