@@ -32,7 +32,7 @@ void Network::send(NodeId from, NodeId to, Payload payload,
   // NondetSource. Short-circuit order matches the uncontrolled path so no
   // draw (or choice) is consumed for packets a fault already blocks.
   bool dropped = false;
-  if (!can_send(from, to)) {
+  if (!fault_free() && !can_send(from, to)) {
     dropped = true;
   } else if (config_.drop_probability > 0.0) {
     dropped = nondet_ != nullptr ? nondet_->choose("net.drop", 2) == 1
@@ -58,7 +58,7 @@ void Network::send(NodeId from, NodeId to, Payload payload,
   // Links are FIFO: jitter never lets a packet overtake an earlier one on
   // the same link.
   sim::Time arrival = sim_.now() + delay;
-  auto& last = last_arrival_[{from, to}];
+  sim::Time& last = last_arrival_[Link{from, to}];
   if (arrival <= last) arrival = last + 1;
   last = arrival;
 
@@ -68,17 +68,19 @@ void Network::send(NodeId from, NodeId to, Payload payload,
   sim_.schedule_at(arrival, [this, from, to, payload = std::move(payload)]() {
     // Re-check destination health at arrival time: a node that crashed while
     // the packet was in flight never sees it.
-    if (down_nodes_.contains(to)) {
+    if (!down_nodes_.empty() && down_nodes_.contains(to)) {
       ++stats_.packets_dropped;
       return;
     }
-    auto it = handlers_.find(to);
-    if (it == handlers_.end()) {
+    const auto slot = handlers_.find(to);
+    if (slot == decltype(handlers_)::kNone) {
       ++stats_.packets_dropped;
       return;
     }
     ++stats_.packets_delivered;
-    it->second(from, payload.any());
+    // The box outlives any growth of the table the handler causes.
+    Handler& handler = *handlers_.at(slot);
+    handler(from, payload.any());
   });
 }
 

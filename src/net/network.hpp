@@ -5,6 +5,13 @@
 // partitions. CO_RFIFO (src/transport) builds its reliable FIFO service on
 // top of this, exactly like the paper's implementation built on the reliable
 // datagram service of [36].
+//
+// Per-packet cost (DESIGN.md §11.6): a node's handler and a link's FIFO
+// arrival bound sit in flat open-addressed tables (util::FlatTable), sized by
+// the nodes attached and the links used — never by the largest NodeId or by
+// N^2. send() skips every fault check while no fault state is set, and a
+// packet finds its destination's handler when it arrives, so one that is in
+// flight while its node detaches and re-attaches reaches the new handler.
 #pragma once
 
 #include <any>
@@ -21,6 +28,7 @@
 #include "net/node.hpp"
 #include "sim/nondet.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 
 namespace vsgc::net {
@@ -89,14 +97,18 @@ class Network {
       : sim_(sim), rng_(rng), config_(config) {}
   Network(sim::Simulator& sim, Rng rng) : Network(sim, rng, Config()) {}
 
-  void attach(NodeId node, Handler handler) { handlers_[node] = std::move(handler); }
+  void attach(NodeId node, Handler handler) {
+    auto& box = handlers_[node];
+    if (box == nullptr) box = std::make_unique<Handler>();
+    *box = std::move(handler);
+  }
 
   /// Remove the handler AND every per-link bookkeeping entry that names the
   /// node, so attach/detach churn cannot grow last_arrival_ without bound.
   void detach(NodeId node) {
-    handlers_.erase(node);
-    std::erase_if(last_arrival_, [node](const auto& kv) {
-      return kv.first.first == node || kv.first.second == node;
+    handlers_.erase_if([node](const auto& e) { return e.key == node; });
+    last_arrival_.erase_if([node](const auto& e) {
+      return e.key.from == node || e.key.to == node;
     });
   }
 
@@ -160,6 +172,12 @@ class Network {
   }
 
   bool link_up(NodeId a, NodeId b) const;
+  /// No node down, no link down either way, no isolation, no partition:
+  /// every link is up, and send() checks nothing.
+  bool fault_free() const {
+    return down_nodes_.empty() && down_links_.empty() &&
+           down_oneway_.empty() && isolated_.empty() && component_of_.empty();
+  }
   /// Directional reachability: link_up(from, to) plus one-way link state.
   bool can_send(NodeId from, NodeId to) const {
     return link_up(from, to) && !down_oneway_.contains({from, to});
@@ -185,6 +203,18 @@ class Network {
   void set_nondet(sim::NondetSource* source) { nondet_ = source; }
 
  private:
+  /// A directed link: the key of the FIFO arrival table.
+  struct Link {
+    NodeId from;
+    NodeId to;
+    friend bool operator==(const Link&, const Link&) = default;
+  };
+  struct LinkHash {
+    std::uint64_t operator()(const Link& l) const noexcept {
+      return (std::uint64_t{l.from.value} << 32) | l.to.value;
+    }
+  };
+
   static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   }
@@ -195,13 +225,15 @@ class Network {
   Stats stats_;
   sim::NondetSource* nondet_ = nullptr;
 
-  std::map<NodeId, Handler> handlers_;
+  /// Boxed, so a handler stays put while the table grows under its call.
+  util::FlatTable<NodeId, std::unique_ptr<Handler>> handlers_;
   std::set<NodeId> down_nodes_;
   std::set<std::pair<NodeId, NodeId>> down_links_;
   std::set<std::pair<NodeId, NodeId>> down_oneway_;  ///< directional (from,to)
   std::set<NodeId> isolated_;  ///< wave-isolated nodes (bulk API)
   std::map<NodeId, std::uint32_t> component_of_;
-  std::map<std::pair<NodeId, NodeId>, sim::Time> last_arrival_;
+  /// Latest arrival time scheduled on each directed link used so far.
+  util::FlatTable<Link, sim::Time, LinkHash> last_arrival_;
 };
 
 }  // namespace vsgc::net

@@ -78,30 +78,30 @@ void CoRfifoTransport::send(const std::set<net::NodeId>& dests,
       });
       continue;
     }
-    auto& out = outgoing_[q];
+    const Slot s = peers_.insert(q);
+    Outgoing& out = peers_.at(s).out;
     out.pending.push_back(FrameEntry{0, payload, payload_size, group});
     track_peak(stats_.peak_pending, out.pending.size());
-    schedule_flush(q);
+    schedule_flush(s);
   }
 }
 
-void CoRfifoTransport::schedule_flush(net::NodeId to) {
-  auto& out = outgoing_[to];
+void CoRfifoTransport::schedule_flush(Slot s) {
+  Outgoing& out = peers_.at(s).out;
   if (out.flush_timer.pending()) return;
-  // Zero delay still batches: every send to `to` in this sim instant lands
-  // in `pending` before the flush event runs.
-  out.flush_timer = sim_.schedule(0, [this, to]() {
+  // Zero delay still batches: every send to the peer in this sim instant
+  // lands in `pending` before the flush event runs. The closure carries the
+  // slot: crash() cancels it before the table is cleared.
+  out.flush_timer = sim_.schedule(0, [this, s]() {
     if (crashed_) return;
-    flush(to);
+    flush(s);
   });
 }
 
-void CoRfifoTransport::flush(net::NodeId to) {
-  auto it = outgoing_.find(to);
-  if (it == outgoing_.end()) return;
-  auto& out = it->second;
+void CoRfifoTransport::flush(Slot s) {
+  Outgoing& out = peers_.at(s).out;
   out.flush_timer.cancel();
-  if (audit_outgoing(to)) return;  // corrupted cursors: stream was re-homed
+  if (audit_outgoing(s)) return;  // corrupted cursors: stream was re-homed
   while (!out.pending.empty()) {
     if (out.unacked.size() >= kSendWindow) {
       // Zero credits: the entries stay queued until an ack frees window
@@ -136,16 +136,15 @@ void CoRfifoTransport::flush(net::NodeId to) {
       f.entries.push_back(std::move(e));
     }
     track_peak(stats_.peak_unacked, out.unacked.size());
-    attach_piggyback(to, f);
-    transmit_frame(to);
-    arm_retransmit(to);
+    attach_piggyback(s, f);
+    transmit_frame(peers_.key(s));
+    arm_retransmit(s);
   }
 }
 
-void CoRfifoTransport::attach_piggyback(net::NodeId to, Frame& frame) {
-  auto it = incoming_.find(to);
-  if (it == incoming_.end() || it->second.incarnation == 0) return;
-  auto& in = it->second;
+void CoRfifoTransport::attach_piggyback(Slot s, Frame& frame) {
+  Incoming& in = peers_.at(s).in;
+  if (in.incarnation == 0) return;
   // The ack fields are part of the fixed frame header, so carrying the
   // latest cumulative ack on every data frame is free.
   frame.header.flags |= wire::kFlagHasAck;
@@ -203,8 +202,9 @@ void CoRfifoTransport::transmit_frame(net::NodeId to) {
   network_.send(self_, to, net::Payload::share(cell), bytes);
 }
 
-std::size_t CoRfifoTransport::resend(net::NodeId to, const Outgoing& out,
-                                     std::size_t i, std::size_t limit) {
+std::size_t CoRfifoTransport::resend(Slot s, std::size_t i,
+                                     std::size_t limit) {
+  const Outgoing& out = peers_.at(s).out;
   Frame& f = acquire_frame();
   f.header.incarnation = out.incarnation;
   f.header.first_seq = out.acked + 1;
@@ -217,10 +217,13 @@ std::size_t CoRfifoTransport::resend(net::NodeId to, const Outgoing& out,
          !out.peer_sacked.contains(out.unacked[i + take].seq)) {
     ++take;
   }
-  f.entries.assign(out.unacked.begin() + i, out.unacked.begin() + i + take);
+  f.entries.reserve(take);
+  for (std::size_t k = 0; k < take; ++k) {
+    f.entries.push_back(out.unacked[i + k]);
+  }
   stats_.retransmissions += take;
-  attach_piggyback(to, f);
-  transmit_frame(to);
+  attach_piggyback(s, f);
+  transmit_frame(peers_.key(s));
   return take;
 }
 
@@ -233,8 +236,8 @@ void CoRfifoTransport::send_reset_request(net::NodeId to,
   transmit_frame(to);
 }
 
-void CoRfifoTransport::arm_retransmit(net::NodeId to) {
-  auto& out = outgoing_[to];
+void CoRfifoTransport::arm_retransmit(Slot s) {
+  Outgoing& out = peers_.at(s).out;
   if (out.unacked.empty()) return;
   if (out.retransmit_timer.pending()) return;
   if (out.backoff == 0 || out.backoff > kBackoffLimit) {
@@ -243,14 +246,13 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
     out.backoff = out.backoff == 0 ? 1 : kBackoffLimit;
   }
   out.retransmit_timer =
-      sim_.schedule(kRetransmitTimeout * out.backoff, [this, to]() {
+      sim_.schedule(kRetransmitTimeout * out.backoff, [this, s]() {
         if (crashed_) return;
-        auto it = outgoing_.find(to);
-        if (it == outgoing_.end()) return;
-        auto& out = it->second;
+        Outgoing& out = peers_.at(s).out;
         if (out.unacked.empty()) return;
+        const net::NodeId to = peers_.key(s);
         if (!reliable_set_.contains(to)) return;  // abandoned connection
-        if (audit_outgoing(to)) return;  // corrupted cursors: re-homed
+        if (audit_outgoing(s)) return;  // corrupted cursors: re-homed
         // Walk the unacked window, skipping entries the peer's SACK says it
         // already holds: one loss gap costs one re-send, not a window burst.
         // Frames break at SACK gaps and group boundaries (entries in a frame
@@ -263,8 +265,7 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
             ++i;
             continue;
           }
-          const std::size_t take =
-              resend(to, out, i, kRetransmitBatch - resent);
+          const std::size_t take = resend(s, i, kRetransmitBatch - resent);
           i += take;
           resent += take;
         }
@@ -280,17 +281,20 @@ void CoRfifoTransport::arm_retransmit(net::NodeId to) {
             out.backoff = kBackoffLimit;
           }
         }
-        arm_retransmit(to);
+        arm_retransmit(s);
       });
 }
 
 void CoRfifoTransport::set_reliable(const std::set<net::NodeId>& set) {
   ++reliable_generation_;  // a mux slice may have moved even while crashed
   if (crashed_) return;
-  for (auto& [q, out] : outgoing_) {
-    if (set.contains(q) || !reliable_set_.contains(q)) continue;
+  for (net::NodeId q : reliable_set_) {
+    if (set.contains(q)) continue;
+    const Slot s = peers_.find(q);
+    if (s == PeerTable::kNone) continue;
     // Peer dropped from the reliable set: abandon the connection. The unacked
     // suffix is lost (Figure 3's lose(p, q)); a later re-add starts fresh.
+    Outgoing& out = peers_.at(s).out;
     out.pending.clear();
     out.unacked.clear();
     out.peer_sacked.clear();
@@ -306,10 +310,13 @@ void CoRfifoTransport::set_reliable(const std::set<net::NodeId>& set) {
   // A peer re-entering the set may have a live stream whose retransmit timer
   // was lost while it was outside (e.g. a corrupted reliable_set dropped it
   // and the timer body bailed on the membership check). Re-arm so in-flight
-  // entries are not stranded until the next fresh send.
-  for (auto& [q, out] : outgoing_) {
-    if (q != self_ && reliable_set_.contains(q) && !out.unacked.empty()) {
-      arm_retransmit(q);
+  // entries are not stranded until the next fresh send. The walk is the
+  // set's, so timers are armed in NodeId order.
+  for (net::NodeId q : reliable_set_) {
+    if (q == self_) continue;
+    const Slot s = peers_.find(q);
+    if (s != PeerTable::kNone && !peers_.at(s).out.unacked.empty()) {
+      arm_retransmit(s);
     }
   }
 }
@@ -321,30 +328,34 @@ void CoRfifoTransport::on_packet(net::NodeId from, const std::any& raw) {
     if (raw_) raw_(from, raw);
     return;
   }
+  // The one lookup of this packet. Only data opens a stream: an ack or a
+  // reset for a peer we hold nothing about is stale.
+  const Slot s = frame->entries.empty() ? peers_.find(from)
+                                        : peers_.insert(from);
+  if (s == PeerTable::kNone) return;
   const wire::FrameHeader& h = frame->header;
   if (h.flags & wire::kFlagReset) {
-    handle_reset(from, h.ack_incarnation);
+    handle_reset(s, h.ack_incarnation);
     return;
   }
   if (h.flags & wire::kFlagHasAck) {
-    handle_ack(from, h.ack_incarnation, h.ack_seq, h.sack);
+    handle_ack(s, h.ack_incarnation, h.ack_seq, h.sack);
+    if (crashed_) return;  // the reset handler may have crashed us
   }
-  if (!frame->entries.empty()) handle_data(from, *frame);
+  if (!frame->entries.empty()) handle_data(s, *frame);
 }
 
-void CoRfifoTransport::handle_ack(net::NodeId from, std::uint64_t incarnation,
+void CoRfifoTransport::handle_ack(Slot s, std::uint64_t incarnation,
                                   std::uint64_t ack_seq,
                                   const util::IntervalSet& sack) {
-  auto it = outgoing_.find(from);
-  if (it == outgoing_.end()) return;
-  auto& out = it->second;
+  Outgoing& out = peers_.at(s).out;
   if (incarnation != out.incarnation) return;  // stale incarnation
   if (ack_seq >= out.next_seq) {
     // Cumulative ack for a sequence number never sent: impossible for honest
     // cursors on both ends — one side's state is corrupted. Re-home the
     // stream under a fresh incarnation instead of trimming into garbage
     // (DESIGN.md §12).
-    reset_stream(from, /*detected_corruption=*/true);
+    reset_stream(s, /*detected_corruption=*/true);
     return;
   }
   if (ack_seq < out.acked) return;  // stale/reordered: old selective info too
@@ -371,31 +382,29 @@ void CoRfifoTransport::handle_ack(net::NodeId from, std::uint64_t incarnation,
   // timer from a clean interval.
   out.backoff = 1;
   out.retransmit_timer.cancel();
-  arm_retransmit(from);
+  arm_retransmit(s);
   // Freed credits may unblock window-stalled entries.
-  if (!out.pending.empty()) flush(from);
+  if (!out.pending.empty()) flush(s);
 }
 
-void CoRfifoTransport::handle_reset(net::NodeId from,
-                                    std::uint64_t incarnation) {
-  auto it = outgoing_.find(from);
-  if (it == outgoing_.end()) return;
-  if (incarnation != it->second.incarnation) return;  // stale incarnation
+void CoRfifoTransport::handle_reset(Slot s, std::uint64_t incarnation) {
+  if (incarnation != peers_.at(s).out.incarnation) return;  // stale
   // The peer lost this stream's prefix (it crashed and recovered without
   // stable storage, or detected corrupted cursors). Re-home under a fresh
   // incarnation — the acked prefix belongs to the peer's previous life and
   // is gone by design (Section 8).
-  reset_stream(from, /*detected_corruption=*/false);
+  reset_stream(s, /*detected_corruption=*/false);
 }
 
-void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
-  auto it = outgoing_.find(to);
-  if (it == outgoing_.end()) return;
-  auto& out = it->second;
+void CoRfifoTransport::reset_stream(Slot s, bool detected_corruption) {
+  const net::NodeId to = peers_.key(s);
   if (detected_corruption) {
     ++stats_.corruption_resets;
     if (reset_handler_) reset_handler_(to);
+    if (crashed_) return;
   }
+  // Resolved after the upcall: the handler may have grown the table.
+  Outgoing& out = peers_.at(s).out;
   // Carry the unacked suffix over as the new stream's first messages. The
   // peer's selective-ack state belongs to the dead incarnation.
   out.acked = 0;
@@ -405,32 +414,32 @@ void CoRfifoTransport::reset_stream(net::NodeId to, bool detected_corruption) {
   if (out.unacked.empty()) {
     out.incarnation = 0;  // next flush opens a new stream lazily
     out.next_seq = 1;
-    if (!out.pending.empty()) flush(to);
+    if (!out.pending.empty()) flush(s);
     return;
   }
   out.incarnation = fresh_incarnation();
-  std::uint64_t seq = 1;
-  for (FrameEntry& e : out.unacked) e.seq = seq++;
-  out.next_seq = seq;
+  for (std::size_t i = 0; i < out.unacked.size(); ++i) {
+    out.unacked[i].seq = i + 1;
+  }
+  out.next_seq = out.unacked.size() + 1;
   const std::size_t total = out.unacked.size();
   // Re-homing the suffix re-sends entries already transmitted once:
   // recovery cost, counted like any other retransmission. The peer's SACK
   // state is clear, so frames break only at groups and kMaxBatch.
   for (std::size_t i = 0; i < total;) {
-    i += resend(to, out, i, total);
+    i += resend(s, i, total);
   }
   if (trace_ != nullptr && trace_->lifecycle()) {
     trace_->emit(sim_.now(),
                  spec::XportRetransmit{self_.value, to.value, total});
   }
-  arm_retransmit(to);
-  if (!out.pending.empty()) flush(to);
+  arm_retransmit(s);
+  if (!out.pending.empty()) flush(s);
 }
 
-bool CoRfifoTransport::audit_outgoing(net::NodeId to) {
-  auto it = outgoing_.find(to);
-  if (it == outgoing_.end() || it->second.incarnation == 0) return false;
-  const Outgoing& out = it->second;
+bool CoRfifoTransport::audit_outgoing(Slot s) {
+  const Outgoing& out = peers_.at(s).out;
+  if (out.incarnation == 0) return false;
   const bool consistent =
       out.acked < out.next_seq &&
       (out.unacked.empty()
@@ -438,15 +447,19 @@ bool CoRfifoTransport::audit_outgoing(net::NodeId to) {
            : out.unacked.front().seq == out.acked + 1 &&
                  out.unacked.back().seq == out.next_seq - 1);
   if (consistent) return false;
-  reset_stream(to, /*detected_corruption=*/true);
+  reset_stream(s, /*detected_corruption=*/true);
   return true;
 }
 
-void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
-  auto& in = incoming_[from];
+void CoRfifoTransport::handle_data(Slot s, const Frame& frame) {
+  // Every upcall below (the reset handler, the batch hooks, deliver_up) may
+  // send to a new peer and grow the table, which moves its entries. So no
+  // reference into it is held: `in()` re-reads this peer's entry at each use.
+  const auto in = [this, s]() -> Incoming& { return peers_.at(s).in; };
+  const net::NodeId from = peers_.key(s);
   const wire::FrameHeader& h = frame.header;
-  if (h.incarnation < in.incarnation) return;  // stale stream
-  if (h.incarnation > in.incarnation) {
+  if (h.incarnation < in().incarnation) return;  // stale stream
+  if (h.incarnation > in().incarnation) {
     if (h.first_seq > 1) {
       // Mid-stream continuation of an incarnation we have no state for: we
       // crashed and lost the prefix, and the sender can no longer retransmit
@@ -455,11 +468,12 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
       return;
     }
     // Fresh connection incarnation from the peer: restart the stream.
-    in.incarnation = h.incarnation;
-    in.next_expected = 1;
-    in.out_of_order.clear();
-    in.received.clear();
-  } else if (h.first_seq > in.next_expected) {
+    Incoming& fresh = in();
+    fresh.incarnation = h.incarnation;
+    fresh.next_expected = 1;
+    fresh.out_of_order.clear();
+    fresh.received.clear();
+  } else if (h.first_seq > in().next_expected) {
     // Same incarnation, yet the sender's unacked window starts beyond our
     // cumulative ack. Impossible for honest cursors: first_seq is the
     // sender's acked+1, and we only ever acked what we delivered — so one
@@ -481,71 +495,68 @@ void CoRfifoTransport::handle_data(net::NodeId from, const Frame& frame) {
   if (deliver_begin_) deliver_begin_();
   for (std::size_t i = 0; i < frame.entries.size() && !crashed_; ++i) {
     const std::uint64_t seq = h.base_seq + i;
-    if (seq < in.next_expected) {
+    if (seq < in().next_expected) {
       ++stats_.duplicates_dropped;
-    } else if (seq >= in.next_expected + kRecvWindow) {
+    } else if (seq >= in().next_expected + kRecvWindow) {
       // Beyond the receive window: drop instead of buffering, so a
       // reordering adversary (or a sender predating the credit window)
       // cannot grow this map without bound. The sender retransmits once
       // the cumulative ack catches up.
       ++stats_.ooo_dropped;
-    } else if (seq == in.next_expected && in.out_of_order.empty()) {
+    } else if (seq == in().next_expected && in().out_of_order.empty()) {
       ++stats_.messages_delivered;
-      ++in.next_expected;
+      ++in().next_expected;
       deliver_up(from, h.group, frame.entries[i].payload.any());
       // delivery handler may have crashed us: loop condition re-checks
-    } else if (in.received.insert(seq)) {
+    } else if (in().received.insert(seq)) {
       // Genuinely new reordered entry: buffer it. `received` is the
       // run-length twin of the buffer's key set — it classifies duplicates
       // in O(log runs) and becomes the SACK block of the next ack.
-      in.out_of_order.emplace(seq, frame.entries[i]);
-      track_peak(stats_.peak_out_of_order, in.out_of_order.size());
+      in().out_of_order.emplace(seq, frame.entries[i]);
+      track_peak(stats_.peak_out_of_order, in().out_of_order.size());
     }
   }
   // Drain entries this frame made contiguous with earlier reordered ones.
   // `received` knows the whole contiguous run in O(log runs); the map walk
   // hands each buffered payload up in order.
-  if (!crashed_ && in.received.contains(in.next_expected)) {
-    const std::uint64_t run_end = in.received.next_missing(in.next_expected);
-    while (!crashed_ && in.next_expected < run_end) {
-      auto next = in.out_of_order.find(in.next_expected);
-      VSGC_REQUIRE(next != in.out_of_order.end(),
+  if (!crashed_ && in().received.contains(in().next_expected)) {
+    const std::uint64_t run_end =
+        in().received.next_missing(in().next_expected);
+    while (!crashed_ && in().next_expected < run_end) {
+      auto& buffered = in().out_of_order;
+      auto next = buffered.find(in().next_expected);
+      VSGC_REQUIRE(next != buffered.end(),
                    "reorder buffer diverged from its received-run twin");
       ++stats_.messages_delivered;
-      ++in.next_expected;
+      ++in().next_expected;
       FrameEntry ready = std::move(next->second);
-      in.out_of_order.erase(next);
+      buffered.erase(next);
       deliver_up(from, ready.group, ready.payload.any());
     }
-    if (!crashed_) in.received.erase_below(in.next_expected);
+    if (!crashed_) in().received.erase_below(in().next_expected);
   }
   if (deliver_end_) deliver_end_();
-  // The end hook (endpoint pump → app) may also have crashed us; `in` is
-  // dangling after crash() clears incoming_, so re-resolve before acking.
-  if (crashed_) return;
-  auto it = incoming_.find(from);
-  if (it == incoming_.end()) return;
-  it->second.ack_due = true;
-  schedule_ack(from);
+  // The end hook (endpoint pump → app) may also have crashed us, or crashed
+  // and recovered us: crash() clears the table, so check the slot still
+  // names this peer before acking.
+  if (crashed_ || s >= peers_.size() || peers_.key(s) != from) return;
+  in().ack_due = true;
+  schedule_ack(s);
 }
 
-void CoRfifoTransport::schedule_ack(net::NodeId from) {
-  auto& in = incoming_[from];
+void CoRfifoTransport::schedule_ack(Slot s) {
+  Incoming& in = peers_.at(s).in;
   if (in.ack_timer.pending()) return;
   // Zero delay: a reply flushed in this sim instant piggybacks the ack first.
-  in.ack_timer = sim_.schedule(0, [this, from]() {
+  in.ack_timer = sim_.schedule(0, [this, s]() {
     if (crashed_) return;
-    auto it = incoming_.find(from);
-    if (it == incoming_.end()) return;
-    if (!it->second.ack_due) return;  // a piggyback beat us to it
-    send_standalone_ack(from);
+    if (!peers_.at(s).in.ack_due) return;  // a piggyback beat us to it
+    send_standalone_ack(s);
   });
 }
 
-void CoRfifoTransport::send_standalone_ack(net::NodeId to) {
-  auto it = incoming_.find(to);
-  if (it == incoming_.end()) return;
-  auto& in = it->second;
+void CoRfifoTransport::send_standalone_ack(Slot s) {
+  Incoming& in = peers_.at(s).in;
   Frame& ack = acquire_frame();
   ack.header.flags = wire::kFlagHasAck;
   ack.header.ack_incarnation = in.incarnation;
@@ -558,24 +569,24 @@ void CoRfifoTransport::send_standalone_ack(net::NodeId to) {
   ++stats_.acks_sent;
   // A standalone ack is a header-only frame: kFrameHeaderBytes on the wire
   // (honest accounting — it carries no entry, so no per-entry cost).
-  transmit_frame(to);
+  transmit_frame(peers_.key(s));
 }
 
 bool CoRfifoTransport::corrupt_outgoing_seq(net::NodeId peer,
                                             std::uint64_t delta) {
   if (crashed_ || delta == 0) return false;
-  auto it = outgoing_.find(peer);
-  if (it == outgoing_.end() || it->second.incarnation == 0) return false;
-  it->second.next_seq += delta;  // audit_outgoing() will catch the gap
+  const Slot s = peers_.find(peer);
+  if (s == PeerTable::kNone || peers_.at(s).out.incarnation == 0) return false;
+  peers_.at(s).out.next_seq += delta;  // audit_outgoing() will catch the gap
   return true;
 }
 
 bool CoRfifoTransport::corrupt_ack_cursor(net::NodeId peer,
                                           std::uint64_t delta) {
   if (crashed_ || delta == 0) return false;
-  auto it = outgoing_.find(peer);
-  if (it == outgoing_.end() || it->second.incarnation == 0) return false;
-  auto& out = it->second;
+  const Slot s = peers_.find(peer);
+  if (s == PeerTable::kNone || peers_.at(s).out.incarnation == 0) return false;
+  Outgoing& out = peers_.at(s).out;
   // Advance the cursor as if acks arrived for entries the peer never saw,
   // trimming unacked to match — internally consistent, so the sender-side
   // audit stays blind; only the receiver's first_seq check can expose it.
@@ -600,31 +611,29 @@ bool CoRfifoTransport::corrupt_drop_reliable(net::NodeId peer) {
 
 bool CoRfifoTransport::corrupt_backoff(net::NodeId peer, std::uint32_t value) {
   if (crashed_) return false;
-  auto it = outgoing_.find(peer);
-  if (it == outgoing_.end() || it->second.incarnation == 0) return false;
-  it->second.backoff = value;  // arm_retransmit() clamps before scheduling
+  const Slot s = peers_.find(peer);
+  if (s == PeerTable::kNone || peers_.at(s).out.incarnation == 0) return false;
+  peers_.at(s).out.backoff = value;  // arm_retransmit() clamps it
   return true;
 }
 
 std::size_t CoRfifoTransport::resident_bytes() const {
-  // Approximate heap footprint of per-peer stream state: container node and
-  // element sizes, not payload bytes (payloads are refcounted and owned by
-  // the application layer), nor the frame cells (DESIGN.md §11.1).
+  // Approximate heap held by per-peer stream state: the peer table's and the
+  // send queues' capacity, reorder-buffer and run-set nodes, the reliable
+  // set. Payload bytes are left out (refcounted, owned by the application
+  // layer), and so are the frame cells (DESIGN.md §11.1) and every fixed
+  // member: the value moves with the peers in use and nothing else.
   // bench_scale fits this against N.
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  std::size_t total = sizeof(*this) - sizeof(cells_) -
-                      sizeof(stats_.frame_cells_allocated);
-  for (const auto& [q, out] : outgoing_) {
-    total += sizeof(std::pair<const net::NodeId, Outgoing>) + kNodeOverhead;
-    total += (out.pending.size() + out.unacked.size()) * sizeof(FrameEntry);
-    total += out.peer_sacked.resident_bytes();
-  }
-  for (const auto& [q, in] : incoming_) {
-    total += sizeof(std::pair<const net::NodeId, Incoming>) + kNodeOverhead;
-    total += in.out_of_order.size() *
+  std::size_t total = peers_.capacity_bytes();
+  for (const auto& [q, peer] : peers_) {
+    total += (peer.out.pending.capacity() + peer.out.unacked.capacity()) *
+             sizeof(FrameEntry);
+    total += peer.out.peer_sacked.resident_bytes();
+    total += peer.in.out_of_order.size() *
              (sizeof(std::pair<const std::uint64_t, FrameEntry>) +
               kNodeOverhead);
-    total += in.received.resident_bytes();
+    total += peer.in.received.resident_bytes();
   }
   total += reliable_set_.size() * (sizeof(net::NodeId) + kNodeOverhead);
   return total;
@@ -632,13 +641,12 @@ std::size_t CoRfifoTransport::resident_bytes() const {
 
 void CoRfifoTransport::crash() {
   crashed_ = true;
-  for (auto& [q, out] : outgoing_) {
-    out.flush_timer.cancel();
-    out.retransmit_timer.cancel();
+  for (auto& [q, peer] : peers_) {
+    peer.out.flush_timer.cancel();
+    peer.out.retransmit_timer.cancel();
+    peer.in.ack_timer.cancel();
   }
-  for (auto& [q, in] : incoming_) in.ack_timer.cancel();
-  outgoing_.clear();
-  incoming_.clear();
+  peers_.clear();
   reliable_set_ = {self_};
   ++reliable_generation_;
 }

@@ -28,6 +28,13 @@
 // exponentially (reset on ack progress) so partitions don't cause duplicate
 // storms.
 //
+// Per-peer state (DESIGN.md §11.6): everything the transport keeps about one
+// peer, both directions of the stream, is one entry of a flat table (no tree
+// per peer). A packet or a timer finds its entry once, by slot; a timer's
+// closure carries the slot itself. Any upcall may send to a new peer and grow
+// the table, which moves the entries, so no reference into it survives an
+// upcall: the code re-reads the entry by slot after each.
+//
 // The `live_set` of the spec models real network connectivity; in this
 // implementation that role is played by the vsgc::net::Network fault state,
 // and the spec checker (src/spec/co_rfifo_spec) tracks it from trace events.
@@ -35,7 +42,6 @@
 
 #include <any>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -46,8 +52,10 @@
 #include "sim/time.hpp"
 #include "spec/events.hpp"
 #include "transport/frame.hpp"
+#include "util/flat_table.hpp"
 #include "util/ids.hpp"
 #include "util/interval_set.hpp"
+#include "util/ring_queue.hpp"
 
 namespace vsgc::transport {
 
@@ -190,9 +198,10 @@ class CoRfifoTransport {
   const Stats& stats() const { return stats_; }
   net::NodeId self() const { return self_; }
 
-  /// Approximate resident heap footprint of all per-peer stream state
-  /// (pending/unacked buffers, reorder runs, SACK runs). bench_scale uses
-  /// this for its per-member-memory-vs-N sublinearity fit.
+  /// Approximate heap held by per-peer stream state: the peer table's
+  /// capacity, the send queues' capacity, reorder and SACK runs, the reliable
+  /// set. Nothing else: a crashed or fresh transport reads the same value.
+  /// bench_scale uses this for its per-member-memory-vs-N sublinearity fit.
   std::size_t resident_bytes() const;
 
   /// Optional span instrumentation (DESIGN.md §10): when set AND the bus has
@@ -220,8 +229,8 @@ class CoRfifoTransport {
     std::uint64_t incarnation = 0;
     std::uint64_t next_seq = 1;  ///< seq for the next new message
     std::uint64_t acked = 0;     ///< highest cumulatively acked seq
-    std::deque<FrameEntry> pending;  ///< sent by app, not yet framed (no seq)
-    std::deque<FrameEntry> unacked;  ///< framed and in flight / retransmittable
+    util::RingQueue<FrameEntry> pending;  ///< sent by app, not yet framed
+    util::RingQueue<FrameEntry> unacked;  ///< framed, in flight, resendable
     /// Seqs above `acked` the peer has selectively acked (runs from its SACK
     /// blocks): the retransmit timer skips them, so one loss gap costs one
     /// re-send instead of a whole-window burst (DESIGN.md §13).
@@ -243,38 +252,49 @@ class CoRfifoTransport {
     sim::TimerHandle ack_timer;
   };
 
+  /// Both directions of the stream with one peer: one entry of `peers_`.
+  /// An absent peer behaves exactly like an entry at its default values.
+  struct Peer {
+    Outgoing out;
+    Incoming in;
+  };
+  using PeerTable = util::FlatTable<net::NodeId, Peer>;
+  /// A peer's place in `peers_`: stable until crash() clears the table.
+  using Slot = PeerTable::Slot;
+
   void on_packet(net::NodeId from, const std::any& raw);
-  void handle_data(net::NodeId from, const Frame& frame);
-  void handle_ack(net::NodeId from, std::uint64_t incarnation,
-                  std::uint64_t ack_seq, const util::IntervalSet& sack);
+  void handle_data(Slot s, const Frame& frame);
+  void handle_ack(Slot s, std::uint64_t incarnation, std::uint64_t ack_seq,
+                  const util::IntervalSet& sack);
   /// Route one delivered payload to the group-aware handler if installed,
   /// else the plain handler.
   void deliver_up(net::NodeId from, std::uint32_t group,
                   const std::any& payload);
-  void handle_reset(net::NodeId from, std::uint64_t incarnation);
-  void flush(net::NodeId to);
-  void schedule_flush(net::NodeId to);
-  void attach_piggyback(net::NodeId to, Frame& frame);
+  void handle_reset(Slot s, std::uint64_t incarnation);
+  void flush(Slot s);
+  void schedule_flush(Slot s);
+  void attach_piggyback(Slot s, Frame& frame);
   /// Hands out the next free frame cell, cleared; transmit_frame() sends it.
   Frame& acquire_frame();
   void transmit_frame(net::NodeId to);
-  /// Re-sends one frame of out.unacked[i..]: at most min(limit, kMaxBatch)
-  /// entries of one group, none the peer SACKed. Returns how many it sent.
-  std::size_t resend(net::NodeId to, const Outgoing& out, std::size_t i,
-                     std::size_t limit);
+  /// Re-sends one frame of out.unacked[i..] to peer `s`: at most
+  /// min(limit, kMaxBatch) entries of one group, none the peer SACKed.
+  /// Returns how many it sent.
+  std::size_t resend(Slot s, std::size_t i, std::size_t limit);
   void send_reset_request(net::NodeId to, std::uint64_t incarnation);
-  void send_standalone_ack(net::NodeId to);
-  void schedule_ack(net::NodeId from);
-  void arm_retransmit(net::NodeId to);
+  void send_standalone_ack(Slot s);
+  void schedule_ack(Slot s);
+  void arm_retransmit(Slot s);
   std::uint64_t fresh_incarnation();
-  /// Re-home the stream to `to` under a fresh incarnation (shared by legit
-  /// peer reset requests and the corruption guards). `detected_corruption`
-  /// counts the reset in stats and fires the reset handler.
-  void reset_stream(net::NodeId to, bool detected_corruption);
+  /// Re-home the stream to peer `s` under a fresh incarnation (shared by
+  /// legit peer reset requests and the corruption guards).
+  /// `detected_corruption` counts the reset in stats and fires the reset
+  /// handler.
+  void reset_stream(Slot s, bool detected_corruption);
   /// Self-stabilization guard: verify the outgoing cursor invariants toward
-  /// `to` (unacked spans exactly (acked, next_seq)); on violation reset the
-  /// stream and return true. Holds by construction absent corruption.
-  bool audit_outgoing(net::NodeId to);
+  /// peer `s` (unacked spans exactly (acked, next_seq)); on violation reset
+  /// the stream and return true. Holds by construction absent corruption.
+  bool audit_outgoing(Slot s);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -289,8 +309,7 @@ class CoRfifoTransport {
   spec::TraceBus* trace_ = nullptr;
 
   std::set<net::NodeId> reliable_set_;
-  std::map<net::NodeId, Outgoing> outgoing_;
-  std::map<net::NodeId, Incoming> incoming_;
+  PeerTable peers_;
   /// Frame cells in ring order (DESIGN.md §11.1): `open` is the one handed
   /// out last, `next` the least recently sent.
   struct FrameCells {
@@ -301,7 +320,6 @@ class CoRfifoTransport {
   FrameCells cells_;
   std::uint64_t incarnation_counter_ = 0;
   bool crashed_ = false;
-  /// 32 bits fit beside crashed_, so the transport's size is unchanged.
   std::uint32_t reliable_generation_ = 0;
 };
 

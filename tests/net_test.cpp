@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,150 @@ TEST(Network, ServerAndClientAddressing) {
   EXPECT_EQ(process_of(node_of(ProcessId{5})), ProcessId{5});
   EXPECT_EQ(server_of(node_of(ServerId{3})), ServerId{3});
   EXPECT_NE(node_of(ProcessId{0}), node_of(ServerId{0}));
+}
+
+// --- Flat tables and the fault-free fast path (DESIGN.md §11.6) ----------
+
+TEST(NetworkFaults, EachFaultKindDropsWhileSetAndOnlyThen) {
+  // Each fault kind cuts the 1 -> 2 link while 3 -> 4 stays clear. send()
+  // skips every check only while no fault of any kind is set, so each kind
+  // must drop while it is set, and delivery must resume once it is lifted.
+  struct Kind {
+    const char* name;
+    std::function<void(Network&)> set;
+    std::function<void(Network&)> lift;
+  };
+  const auto heal = [](Network& n) { n.heal(); };
+  const std::vector<Kind> kinds = {
+      {"node down", [](Network& n) { n.set_node_up(NodeId{2}, false); },
+       [](Network& n) { n.set_node_up(NodeId{2}, true); }},
+      {"link down",
+       [](Network& n) { n.set_link_up(NodeId{1}, NodeId{2}, false); }, heal},
+      {"one-way",
+       [](Network& n) { n.set_oneway_link_up(NodeId{1}, NodeId{2}, false); },
+       heal},
+      {"isolate", [](Network& n) { n.isolate({NodeId{2}}); }, heal},
+      {"partition",
+       [](Network& n) {
+         n.partition({{NodeId{1}, NodeId{3}, NodeId{4}}, {NodeId{2}}});
+       },
+       heal},
+  };
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    Harness h;
+    for (std::uint32_t n = 1; n <= 4; ++n) h.attach_collector(NodeId{n});
+    EXPECT_TRUE(h.network.fault_free());
+    kind.set(h.network);
+    EXPECT_FALSE(h.network.fault_free());
+    h.network.send(NodeId{1}, NodeId{2}, std::string("cut"), 1);
+    h.network.send(NodeId{3}, NodeId{4}, std::string("clear"), 1);
+    h.sim.run_to_quiescence();
+    ASSERT_EQ(h.received.size(), 1u);
+    EXPECT_EQ(h.received[0].payload, "clear");
+    EXPECT_EQ(h.network.stats().packets_dropped, 1u);
+    kind.lift(h.network);
+    EXPECT_TRUE(h.network.fault_free());
+    h.network.send(NodeId{1}, NodeId{2}, std::string("back"), 1);
+    h.sim.run_to_quiescence();
+    ASSERT_EQ(h.received.size(), 2u);
+    EXPECT_EQ(h.received[1].payload, "back");
+    EXPECT_EQ(h.received[1].at, NodeId{2});
+  }
+}
+
+TEST(NetworkFaults, AfterHealArrivalsMatchANetworkThatNeverFaulted) {
+  // A packet a fault drops draws no jitter and sets no FIFO bound. So once
+  // healed, a network must schedule every packet exactly when a twin on the
+  // same seed that never faulted does.
+  Network::Config cfg;
+  cfg.jitter = 700;
+  Harness faulted(cfg, 7);
+  Harness clean(cfg, 7);
+  for (Harness* h : {&faulted, &clean}) {
+    for (std::uint32_t n = 1; n <= 3; ++n) h->attach_collector(NodeId{n});
+  }
+  Network& net = faulted.network;
+  net.partition({{NodeId{1}}, {NodeId{2}, NodeId{3}}});
+  net.set_link_up(NodeId{2}, NodeId{3}, false);
+  net.set_oneway_link_up(NodeId{3}, NodeId{2}, false);
+  net.isolate({NodeId{3}});
+  for (int i = 0; i < 12; ++i) {
+    const NodeId from{1 + static_cast<std::uint32_t>(i % 3)};
+    const NodeId to{1 + static_cast<std::uint32_t>((i + 1) % 3)};
+    net.send(from, to, std::string("lost"), 1);
+  }
+  EXPECT_EQ(net.stats().packets_dropped, 12u);
+  EXPECT_EQ(net.tracked_links(), 0u) << "a dropped packet bounds no link";
+  net.heal();
+  for (Harness* h : {&faulted, &clean}) {
+    h->sim.run_until(3 * sim::kMillisecond);
+    for (int i = 0; i < 60; ++i) {
+      const NodeId from{1 + static_cast<std::uint32_t>(i % 3)};
+      const NodeId to{1 + static_cast<std::uint32_t>((i * 7 + 1) % 3)};
+      h->network.send(from, to, std::to_string(i), 1);
+    }
+    h->sim.run_to_quiescence();
+  }
+  ASSERT_EQ(faulted.received.size(), clean.received.size());
+  for (std::size_t i = 0; i < clean.received.size(); ++i) {
+    EXPECT_EQ(faulted.received[i].at, clean.received[i].at) << i;
+    EXPECT_EQ(faulted.received[i].from, clean.received[i].from) << i;
+    EXPECT_EQ(faulted.received[i].payload, clean.received[i].payload) << i;
+    EXPECT_EQ(faulted.received[i].when, clean.received[i].when) << i;
+  }
+}
+
+TEST(Network, PacketInFlightReachesTheHandlerAttachedAtArrival) {
+  // The handler is found when the packet arrives: a node that detaches and
+  // re-attaches while a packet is in flight gets it in the new handler, and
+  // a node that stays detached drops it.
+  Harness h;
+  std::vector<std::string> before, after;
+  const auto collect = [](std::vector<std::string>& into) {
+    return [&into](NodeId, const std::any& p) {
+      into.push_back(std::any_cast<std::string>(p));
+    };
+  };
+  h.network.attach(NodeId{2}, collect(before));
+  h.network.send(NodeId{1}, NodeId{2}, std::string("x"), 1);
+  h.network.detach(NodeId{2});
+  h.network.attach(NodeId{2}, collect(after));
+  h.sim.run_to_quiescence();
+  EXPECT_TRUE(before.empty());
+  EXPECT_EQ(after, std::vector<std::string>{"x"});
+
+  h.network.send(NodeId{1}, NodeId{2}, std::string("y"), 1);
+  h.network.detach(NodeId{2});
+  h.sim.run_to_quiescence();
+  EXPECT_EQ(after.size(), 1u);
+  EXPECT_EQ(h.network.stats().packets_dropped, 1u);
+}
+
+TEST(Network, HandlerMayAttachNodesDuringItsOwnCall) {
+  // Attaching grows the handler table while the calling handler runs. Its
+  // captures are one pointer, small enough for std::function to keep inline,
+  // so they would move with the table if the handler did; they must stay
+  // where they were (ASan checks this in ci.sh).
+  struct Ctx {
+    Harness* h;
+    std::uint32_t next = 10;
+    std::vector<std::string> log;
+  };
+  Harness h;
+  Ctx ctx{&h, 10, {}};
+  h.network.attach(NodeId{1}, [c = &ctx](NodeId, const std::any& p) {
+    for (int k = 0; k < 40; ++k) c->h->attach_collector(NodeId{c->next++});
+    c->log.push_back(std::any_cast<std::string>(p));
+  });
+  h.network.send(NodeId{2}, NodeId{1}, std::string("grow"), 1);
+  h.sim.run_to_quiescence();
+  EXPECT_EQ(ctx.log, std::vector<std::string>{"grow"});
+  EXPECT_EQ(ctx.next, 50u);
+  h.network.send(NodeId{1}, NodeId{49}, std::string("new"), 1);
+  h.sim.run_to_quiescence();
+  ASSERT_EQ(h.received.size(), 1u);
+  EXPECT_EQ(h.received[0].at, NodeId{49});
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // peers, fresh incarnations, crash/recovery, and the raw side-channel.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -427,6 +429,118 @@ TEST(CoRfifoFrameCells, AFrameInFlightIsNeverRewritten) {
   }
   EXPECT_GT(a.stats().frame_cells_allocated, CoRfifoTransport::kMaxFrameCells)
       << "the cap was reached, so some frames went out in fresh cells";
+}
+
+// --- Per-peer table (DESIGN.md §11.6) -------------------------------------
+
+TEST(CoRfifoPeerTable, TableGrowsInsideAnUpcallInTheMiddleOfAFrame) {
+  // Node 0 sends 20 entries in one instant, so they travel as one frame.
+  // While node 1 delivers the 5th, its handler sends to peers it has never
+  // seen, all with higher ids: node 1's peer table outgrows its first
+  // capacity and moves every entry, the stream being delivered included.
+  // The rest of the frame must still arrive exactly once and in order, with
+  // no retransmission to paper over a lost cursor update.
+  constexpr int kFresh = 2 * static_cast<int>(
+      util::FlatTable<net::NodeId, int>::kMinCapacity);
+  Harness h(2 + kFresh);
+  std::set<int> fresh;
+  for (int i = 2; i < 2 + kFresh; ++i) fresh.insert(i);
+  h.set_reliable(0, {1});
+  h.set_reliable(1, fresh);
+  h.transports[1]->set_deliver_handler(
+      [&h, &fresh](net::NodeId from, const std::any& payload) {
+        const auto uid = std::any_cast<std::uint64_t>(payload);
+        h.received[1].push_back({from, uid});
+        h.checker.note_deliver(from, h.nodes[1], uid);
+        if (uid == 5) h.send(1, fresh, 1000);
+      });
+  for (std::uint64_t uid = 1; uid <= 20; ++uid) h.send(0, {1}, uid);
+  h.sim.run_to_quiescence();
+
+  const CoRfifoTransport::Stats& sender = h.transports[0]->stats();
+  EXPECT_EQ(sender.frames_sent, 1u) << "all 20 entries rode one frame";
+  EXPECT_EQ(sender.retransmissions, 0u);
+  const auto& rx = h.received[1];
+  ASSERT_EQ(rx.size(), 20u);
+  for (std::uint64_t uid = 1; uid <= 20; ++uid) {
+    EXPECT_EQ(rx[uid - 1].second, uid);
+  }
+  for (int p : fresh) {
+    const auto& got = h.received[static_cast<std::size_t>(p)];
+    ASSERT_EQ(got.size(), 1u) << "peer " << p;
+    EXPECT_EQ(got[0].second, 1000u);
+  }
+}
+
+TEST(CoRfifoPeerTable, PeersOnBothSidesOfTheServerBase) {
+  // One client transport with two client peers and two server peers (ids at
+  // and above net::kServerBase). set_reliable must abandon exactly the
+  // streams it drops and re-arm exactly the stream that re-enters with
+  // entries in flight; crash() must empty the table, and recover() must
+  // open fresh incarnations everywhere.
+  sim::Simulator sim;
+  net::Network network(sim, Rng(5));
+  const net::NodeId self{5};
+  const net::NodeId c3{3}, c7{7};
+  const net::NodeId s0 = net::node_of(ServerId{0});
+  const net::NodeId s1 = net::node_of(ServerId{1});
+  const std::set<net::NodeId> peers{c3, c7, s0, s1};
+  ASSERT_TRUE(net::is_server_node(s0) && !net::is_server_node(c7));
+  CoRfifoTransport t(sim, network, self);
+  const std::size_t empty_bytes = t.resident_bytes();
+  std::map<net::NodeId, std::unique_ptr<CoRfifoTransport>> at;
+  std::map<net::NodeId, std::vector<std::uint64_t>> got;
+  for (net::NodeId p : peers) {
+    at[p] = std::make_unique<CoRfifoTransport>(sim, network, p);
+    at[p]->set_reliable({self});
+    at[p]->set_deliver_handler([&got, p](net::NodeId, const std::any& m) {
+      got[p].push_back(std::any_cast<std::uint64_t>(m));
+    });
+  }
+  t.set_reliable(peers);
+
+  // Uid 1 goes out to all four while they are down: every stream holds it
+  // unacked. s1 drops out of the set by corruption, and its retransmit timer
+  // fires and bails, so only set_reliable can re-arm it.
+  for (net::NodeId p : peers) network.set_node_up(p, false);
+  t.send(peers, std::uint64_t{1}, 8);
+  sim.run_until(sim.now() + sim::kMillisecond);
+  ASSERT_TRUE(t.corrupt_drop_reliable(s1));
+  sim.run_until(sim.now() + 5 * CoRfifoTransport::kRetransmitTimeout);
+  EXPECT_GT(t.resident_bytes(), empty_bytes);
+  t.set_reliable({c3, s1});  // abandons c7 and s0, re-arms s1
+  for (net::NodeId p : peers) network.set_node_up(p, true);
+  sim.run_to_quiescence();
+  EXPECT_EQ(got[c3], std::vector<std::uint64_t>{1}) << "kept: retransmitted";
+  EXPECT_EQ(got[s1], std::vector<std::uint64_t>{1}) << "re-armed";
+  EXPECT_TRUE(got[c7].empty()) << "abandoned";
+  EXPECT_TRUE(got[s0].empty()) << "abandoned";
+
+  // Re-adding the abandoned peers opens fresh streams: uid 2 is their first.
+  t.set_reliable(peers);
+  t.send(peers, std::uint64_t{2}, 8);
+  sim.run_to_quiescence();
+  for (net::NodeId p : peers) EXPECT_EQ(got[p].back(), 2u);
+  EXPECT_EQ(got[c7].size(), 1u);
+  EXPECT_EQ(got[s0].size(), 1u);
+
+  // A crash empties the table: the footprint is back at a fresh transport's,
+  // and no stream is left for the corruption hooks to find.
+  t.crash();
+  EXPECT_EQ(t.resident_bytes(), empty_bytes);
+  t.recover();
+  EXPECT_EQ(t.resident_bytes(), empty_bytes);
+  for (net::NodeId p : peers) EXPECT_FALSE(t.corrupt_outgoing_seq(p, 1));
+  // Fresh incarnations: every peer accepts seq 1 of the new stream as the
+  // start of a new connection, on either side of kServerBase.
+  t.set_reliable(peers);
+  t.send(peers, std::uint64_t{3}, 8);
+  sim.run_to_quiescence();
+  for (net::NodeId p : peers) {
+    EXPECT_EQ(got[p].back(), 3u) << net::to_string(p);
+    EXPECT_EQ(at[p]->stats().corruption_resets, 0u);
+  }
+  EXPECT_GT(t.resident_bytes(), empty_bytes);
 }
 
 }  // namespace

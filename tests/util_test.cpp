@@ -1,10 +1,16 @@
-// Unit tests: strong ids, deterministic RNG, binary codec, invariant macro.
+// Unit tests: strong ids, deterministic RNG, binary codec, invariant macro,
+// the flat per-peer table and the ring queue.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "util/assert.hpp"
+#include "util/flat_table.hpp"
 #include "util/ids.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
 #include "util/wire_codec.hpp"
@@ -133,6 +139,108 @@ TEST(Assert, RequireThrowsWithMessage) {
 
 TEST(Assert, RequirePassesSilently) {
   EXPECT_NO_THROW(VSGC_REQUIRE(true, "never"));
+}
+
+// --- FlatTable and RingQueue (DESIGN.md §11.6) ----------------------------
+
+TEST(FlatTable, FindsEveryKeyAcrossGrowthInInsertionOrder) {
+  // Keys a power of two apart share their low bits; the hash must still
+  // spread them, and every growth must keep each key at its slot.
+  util::FlatTable<std::uint32_t, int> t;
+  EXPECT_EQ(t.capacity_bytes(), 0u) << "nothing held before the first insert";
+  EXPECT_EQ(t.find(7), t.kNone);
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    keys.push_back((i % 3) << 24 | i << 8);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto s = t.insert(keys[i]);
+    EXPECT_EQ(s, i);
+    t.at(s) = static_cast<int>(i);
+    EXPECT_EQ(t.insert(keys[i]), s) << "a second insert finds the first";
+  }
+  ASSERT_EQ(t.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(t.find(keys[i]), i);
+    EXPECT_EQ(t.key(static_cast<std::uint32_t>(i)), keys[i]);
+  }
+  EXPECT_EQ(t.find(1), t.kNone);
+  std::size_t i = 0;
+  for (const auto& [key, value] : t) {
+    EXPECT_EQ(key, keys[i]);
+    EXPECT_EQ(value, static_cast<int>(i));
+    ++i;
+  }
+  // Capacity stays within twice the entries in use, index included.
+  EXPECT_LE(t.capacity_bytes(),
+            2 * keys.size() * (sizeof(std::uint32_t) + sizeof(int)) +
+                4 * keys.size() * sizeof(std::uint32_t));
+}
+
+TEST(FlatTable, EraseIfReindexesAndClearReleases) {
+  util::FlatTable<std::uint32_t, int> t;
+  for (std::uint32_t k = 1; k <= 20; ++k) t[k] = static_cast<int>(k) * 10;
+  t.erase_if([](const auto& e) { return e.key % 2 == 0; });
+  ASSERT_EQ(t.size(), 10u);
+  for (std::uint32_t k = 1; k <= 20; ++k) {
+    const auto s = t.find(k);
+    if (k % 2 == 0) {
+      EXPECT_EQ(s, t.kNone) << k;
+    } else {
+      ASSERT_NE(s, t.kNone) << k;
+      EXPECT_EQ(t.at(s), static_cast<int>(k) * 10);
+    }
+  }
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.capacity_bytes(), 0u);
+  EXPECT_EQ(t.find(1), t.kNone);
+  t[3] = 1;
+  EXPECT_EQ(t.find(3), 0u);
+}
+
+TEST(RingQueue, KeepsFifoOrderAcrossWrapAndGrowth) {
+  util::RingQueue<int> q;
+  EXPECT_EQ(q.capacity(), 0u) << "nothing is held before the first push";
+  int next_in = 0, next_out = 0;
+  // Interleave pushes and pops so the head wraps before each growth.
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 5; ++k) q.push_back(next_in++);
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      ASSERT_EQ(q[i], next_out + static_cast<int>(i));
+    }
+    EXPECT_EQ(q.back(), next_in - 1);
+  }
+  const std::size_t cap = q.capacity();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap) << "clear keeps the capacity";
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+}
+
+TEST(RingQueue, PopReleasesAndMoveEmptiesTheSource) {
+  auto held = std::make_shared<int>(1);
+  util::RingQueue<std::shared_ptr<int>> q;
+  q.push_back(held);
+  q.push_back(held);
+  EXPECT_EQ(held.use_count(), 3);
+  q.pop_front();
+  EXPECT_EQ(held.use_count(), 2) << "a popped slot lets go of its value";
+  util::RingQueue<std::shared_ptr<int>> moved(std::move(q));
+  EXPECT_TRUE(q.empty());  // NOLINT(bugprone-use-after-move): tested state
+  EXPECT_EQ(q.capacity(), 0u);
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved.front(), held);
+  moved.clear();
+  EXPECT_EQ(held.use_count(), 1) << "clear lets go of every value";
+  using Queue = util::RingQueue<std::shared_ptr<int>>;
+  static_assert(std::is_nothrow_move_constructible_v<Queue>);
 }
 
 }  // namespace
