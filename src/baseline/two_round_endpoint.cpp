@@ -19,7 +19,7 @@ void TwoRoundEndpoint::block_ok() {
 }
 
 void TwoRoundEndpoint::handle_start_change(StartChangeId cid,
-                                           const std::set<ProcessId>& set) {
+                                           const ProcessSet& set) {
   (void)cid;
   (void)set;
   // The baseline cannot use the locally-unique cid for synchronization; the
@@ -106,12 +106,15 @@ std::set<ProcessId> TwoRoundEndpoint::transitional_for(
   return t;
 }
 
-std::set<ProcessId> TwoRoundEndpoint::desired_reliable_set() const {
-  std::set<ProcessId> set = current_view().members();
+void TwoRoundEndpoint::desired_reliable_set(
+    std::vector<ProcessId>& out) const {
+  // current_view.set ∪ the members of every pending view.
+  out.assign(current_view().members().begin(), current_view().members().end());
   for (const View& v : pending_) {
-    set.insert(v.members().begin(), v.members().end());
+    out.insert(out.end(), v.members().begin(), v.members().end());
   }
-  return set;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 // --------------------------------------------------------------------------

@@ -93,18 +93,19 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   void on_view(const View& v) override;
 
   const BaselineStats& baseline_stats() const { return baseline_stats_; }
+  /// Membership views queued for installation, oldest first.
+  const std::deque<View>& pending() const { return pending_; }
 
  protected:
   const View& next_view_candidate() const override;
-  std::set<ProcessId> desired_reliable_set() const override;
+  void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(std::size_t lane, ProcessId q,
                        std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
   bool handle_child_message(ProcessId from, const std::any& payload) override;
-  void handle_start_change(StartChangeId cid,
-                           const std::set<ProcessId>& set) override;
+  void handle_start_change(StartChangeId cid, const ProcessSet& set) override;
   void reset_child_state() override;
 
  private:

@@ -1,6 +1,7 @@
 #include "gcs/vs_rfifo_ts_endpoint.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -120,7 +121,7 @@ void VsRfifoTsEndpoint::absorb(ProcessId from, StartChangeId cid,
 // --------------------------------------------------------------------------
 
 void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
-                                            const std::set<ProcessId>& set) {
+                                            const ProcessSet& set) {
   start_change_ = {cid, set};
 
   // Two-tier catch-up (Section 9 extension): sync messages may have reached
@@ -168,16 +169,20 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   }
 }
 
-std::set<ProcessId> VsRfifoTsEndpoint::desired_reliable_set() const {
+void VsRfifoTsEndpoint::desired_reliable_set(
+    std::vector<ProcessId>& out) const {
   // start_change = ⊥  ⇒ set = current_view.set
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
   // (start_change_ moves only under on_start_change, view install and
   // recover: three of the parent's points that mark this set stale.)
-  std::set<ProcessId> set = current_view().members();
-  if (start_change_) {
-    set.insert(start_change_->second.begin(), start_change_->second.end());
+  const std::set<ProcessId>& view = current_view().members();
+  if (!start_change_) {
+    out.assign(view.begin(), view.end());
+    return;
   }
-  return set;
+  const ProcessSet& change = start_change_->second;
+  std::set_union(view.begin(), view.end(), change.begin(), change.end(),
+                 std::back_inserter(out));
 }
 
 std::set<ProcessId> VsRfifoTsEndpoint::relay_dests(
@@ -218,7 +223,7 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
   candidate_stale_ = true;
   wire::SyncMsg full{cid, data.view, data.cut};
   const std::size_t full_size = codec::wire_size(full);
-  const std::set<ProcessId>& change_set = start_change_->second;
+  const std::set<ProcessId>& change_set = start_change_->second.get();
 
   const ProcessId my_leader = routing_.leader(self_);
   const bool two_tier = routing_.mode == SyncRouting::Mode::kTwoTier &&
@@ -264,10 +269,9 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
   } else {
     // Direct all-to-all (Section 5.2).
-    const std::set<net::NodeId> dests =
-        nodes_of(change_set, /*exclude_self=*/true);
-    transport_.send(dests, net::Payload(std::move(full)), full_size);
-    vs_stats_.sync_bytes_sent += full_size * dests.size();
+    nodes_into(change_set, /*exclude_self=*/true, sync_dests_);
+    transport_.send(sync_dests_, net::Payload(std::move(full)), full_size);
+    vs_stats_.sync_bytes_sent += full_size * sync_dests_.size();
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
   }
 
@@ -299,7 +303,7 @@ void VsRfifoTsEndpoint::relay_as_leader(ProcessId origin,
   // installed the view while slower members are still synchronizing — their
   // late up-sends must still be disseminated or those members starve.
   const std::set<ProcessId>& scope =
-      start_change_ ? start_change_->second : mbrshp_view().members();
+      start_change_ ? start_change_->second.get() : mbrshp_view().members();
   std::set<ProcessId> dests = relay_dests(scope);
   dests.erase(origin);
   if (dests.empty()) return;
@@ -327,7 +331,8 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
     if (agg->hops == 0 && routing_.mode == SyncRouting::Mode::kTwoTier &&
         routing_.leader(self_) == self_) {
       const std::set<ProcessId>& scope =
-          start_change_ ? start_change_->second : mbrshp_view().members();
+          start_change_ ? start_change_->second.get()
+                        : mbrshp_view().members();
       std::set<ProcessId> locals;
       for (ProcessId q : scope) {
         if (q != self_ && q != from && routing_.leader(q) == self_) {

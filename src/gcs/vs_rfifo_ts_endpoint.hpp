@@ -113,8 +113,10 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
 
   // ---- Read access for forwarding strategies and tests ----
 
-  const std::optional<std::pair<StartChangeId, std::set<ProcessId>>>&
-  start_change() const {
+  /// The pending start_change; its set is the body the membership service
+  /// sent.
+  const std::optional<std::pair<StartChangeId, ProcessSet>>& start_change()
+      const {
     return start_change_;
   }
 
@@ -151,7 +153,7 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
  protected:
   // Inheritance hooks from WvRfifoEndpoint (transition restrictions of
   // Figure 10).
-  std::set<ProcessId> desired_reliable_set() const override;
+  void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(std::size_t lane, ProcessId q,
                        std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
@@ -159,8 +161,7 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
   bool handle_child_message(ProcessId from, const std::any& payload) override;
-  void handle_start_change(StartChangeId cid,
-                           const std::set<ProcessId>& set) override;
+  void handle_start_change(StartChangeId cid, const ProcessSet& set) override;
   void reset_child_state() override;
 
   /// Hook for the Self Delivery child (Figure 11): gate on block status.
@@ -186,7 +187,7 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   VsStats vs_stats_;
 
   // ---- Figure 10 state extension ----
-  std::optional<std::pair<StartChangeId, std::set<ProcessId>>> start_change_;
+  std::optional<std::pair<StartChangeId, ProcessSet>> start_change_;
   std::map<ProcessId, std::map<StartChangeId, SyncMsgData>> sync_msgs_;
   /// forwarded_set: (dest, orig, view, index) tuples already forwarded.
   std::set<std::tuple<ProcessId, ProcessId, ViewId, std::int64_t>>
@@ -201,6 +202,9 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// deliver_limit_ is candidate_.agreed: the candidate is the membership
   /// view for our start_change and our own cut is committed.
   mutable bool limit_is_agreed_ = false;
+  /// start_change.set − {self} as NodeIds, for the direct sync multicast;
+  /// rebuilt into kept storage once per start_change.
+  std::vector<net::NodeId> sync_dests_;
 };
 
 /// Section 5.2.2, first strategy: forward every committed message a peer's

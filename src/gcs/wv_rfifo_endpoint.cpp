@@ -17,8 +17,8 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
       current_view_(views_.intern(View::initial(self))),
       mbrshp_view_(current_view_) {
   view_msg_[self] = current_view_;
-  reliable_set_ = {self};
-  reliable_nodes_ = {net::node_of(self)};
+  reliable_set_.assign(1, self);
+  reliable_nodes_.assign(1, net::node_of(self));
   index_current_view();
 }
 
@@ -53,7 +53,7 @@ std::size_t WvRfifoEndpoint::lane_index(ProcessId q) const {
 }
 
 void WvRfifoEndpoint::index_current_view() {
-  view_dests_ = nodes_of(current_view_.members(), /*exclude_self=*/true);
+  nodes_into(current_view_.members(), /*exclude_self=*/true, view_dests_);
   lanes_.clear();
   for (ProcessId q : current_view_.members()) {
     if (q == self_) self_lane_ = lanes_.size();
@@ -74,16 +74,6 @@ void WvRfifoEndpoint::corrupt_view_epoch(std::uint64_t epoch) {
   views_moved();
 }
 
-std::set<net::NodeId> WvRfifoEndpoint::nodes_of(
-    const std::set<ProcessId>& procs, bool exclude_self) const {
-  std::set<net::NodeId> out;
-  for (ProcessId q : procs) {
-    if (exclude_self && q == self_) continue;
-    out.insert(net::node_of(q));
-  }
-  return out;
-}
-
 // --------------------------------------------------------------------------
 // Inputs
 // --------------------------------------------------------------------------
@@ -99,7 +89,7 @@ AppMsg WvRfifoEndpoint::send(std::string payload) {
 }
 
 void WvRfifoEndpoint::on_start_change(StartChangeId cid,
-                                      const std::set<ProcessId>& set) {
+                                      const ProcessSet& set) {
   if (crashed_) return;
   if (trace_on()) emit(spec::MbrStartChange{self_, cid, set});
   // The WV_RFIFO parent ignores start_change notifications; VsRfifoTsEndpoint
@@ -204,19 +194,23 @@ void WvRfifoEndpoint::pump() {
 bool WvRfifoEndpoint::try_set_reliable() {
   // co_rfifo.reliable_p(set). Parent precondition: current_view.set ⊆ set;
   // the concrete set is chosen by the child hook (VS: ∪ start_change.set).
-  // The hook's inputs change only where reliable_stale_ is set.
+  // The hook's inputs change only where reliable_stale_ is set. The hook
+  // writes into kept storage, so the compare allocates nothing, and the
+  // caches are rebuilt only when the set moved.
   if (reliable_stale_) {
     reliable_stale_ = false;
-    std::set<ProcessId> desired = desired_reliable_set();
-    desired.insert(self_);
-    if (desired != reliable_set_) {
-      VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
+    desired_.clear();
+    desired_reliable_set(desired_);
+    const auto at = std::lower_bound(desired_.begin(), desired_.end(), self_);
+    if (at == desired_.end() || *at != self_) desired_.insert(at, self_);
+    if (desired_ != reliable_set_) {
+      VSGC_REQUIRE(std::includes(desired_.begin(), desired_.end(),
                                  current_view_.members().begin(),
                                  current_view_.members().end()),
                    "reliable set must cover the current view at "
                        << to_string(self_));
-      reliable_set_ = std::move(desired);
-      reliable_nodes_ = nodes_of(reliable_set_, /*exclude_self=*/false);
+      reliable_set_.swap(desired_);
+      nodes_into(reliable_set_, /*exclude_self=*/false, reliable_nodes_);
       transport_.set_reliable(reliable_nodes_);
       return true;
     }
@@ -352,8 +346,8 @@ void WvRfifoEndpoint::recover() {
   msgs_.clear();
   last_sent_ = 0;
   last_rcvd_.clear();
-  reliable_set_ = {self_};
-  reliable_nodes_ = {net::node_of(self_)};
+  reliable_set_.assign(1, self_);
+  reliable_nodes_.assign(1, net::node_of(self_));
   reliable_matched_at_.reset();
   index_current_view();
   reset_child_state();

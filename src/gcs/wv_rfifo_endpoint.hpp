@@ -76,8 +76,7 @@ class WvRfifoEndpoint : public membership::Listener {
   }
 
   // membership::Listener
-  void on_start_change(StartChangeId cid,
-                       const std::set<ProcessId>& set) override;
+  void on_start_change(StartChangeId cid, const ProcessSet& set) override;
   void on_view(const View& v) override;
 
   /// Section 8 crash/recovery: crash disables everything; recover resets all
@@ -103,16 +102,24 @@ class WvRfifoEndpoint : public membership::Listener {
   const Stats& stats() const { return stats_; }
   /// last_dlvrd[q]: 0 for a sender outside the current view.
   std::int64_t last_dlvrd(ProcessId q) const;
+  /// The paper's reliable_set, ascending, and the pump caches derived from
+  /// the current view (DESIGN.md §11.5).
+  const std::vector<ProcessId>& reliable_set() const { return reliable_set_; }
+  const std::vector<net::NodeId>& reliable_nodes() const {
+    return reliable_nodes_;
+  }
+  const std::vector<net::NodeId>& view_dests() const { return view_dests_; }
 
  protected:
   // ---- Inheritance hooks (the paper's transition restrictions) ----
 
-  /// Precondition the child adds to co_rfifo.reliable: which set to maintain.
-  /// The pump re-evaluates it only after on_start_change, on_view, a view
-  /// install or recover, so an override may read no state that changes
-  /// anywhere else.
-  virtual std::set<ProcessId> desired_reliable_set() const {
-    return current_view_.members();
+  /// Precondition the child adds to co_rfifo.reliable: which set to maintain,
+  /// written ascending and without duplicates into `out`, which arrives
+  /// empty and keeps its capacity from call to call. The pump re-evaluates
+  /// it only after on_start_change, on_view, a view install or recover, so
+  /// an override may read no state that changes anywhere else.
+  virtual void desired_reliable_set(std::vector<ProcessId>& out) const {
+    out.assign(current_view_.members().begin(), current_view_.members().end());
   }
 
   /// Precondition the child adds to deliver_p(q, m) for the message at
@@ -161,8 +168,7 @@ class WvRfifoEndpoint : public membership::Listener {
   virtual void views_moved() {}
 
   /// Child input effects for MBRSHP.start_change (the parent ignores it).
-  virtual void handle_start_change(StartChangeId cid,
-                                   const std::set<ProcessId>& set) {
+  virtual void handle_start_change(StartChangeId cid, const ProcessSet& set) {
     (void)cid;
     (void)set;
   }
@@ -191,11 +197,27 @@ class WvRfifoEndpoint : public membership::Listener {
 
   const FifoBuffer& buffer(ProcessId q, ViewId v) const;
   FifoBuffer& buffer_mut(ProcessId q, ViewId v);
-  std::set<net::NodeId> nodes_of(const std::set<ProcessId>& procs,
-                                 bool exclude_self) const;
+  /// node_of(q) for every q of the ascending `procs`, into `out`'s storage:
+  /// the ascending destination list CoRfifoTransport::send takes.
+  template <class Procs>
+  void nodes_into(const Procs& procs, bool exclude_self,
+                  std::vector<net::NodeId>& out) const {
+    out.clear();
+    out.reserve(procs.size());
+    for (ProcessId q : procs) {
+      if (!exclude_self || q != self_) out.push_back(net::node_of(q));
+    }
+  }
+  /// The same into a fresh vector.
+  std::vector<net::NodeId> nodes_of(const std::set<ProcessId>& procs,
+                                    bool exclude_self) const {
+    std::vector<net::NodeId> out;
+    nodes_into(procs, exclude_self, out);
+    return out;
+  }
   void emit(spec::EventBody body);
 
-  /// Gate for the events that hold a message or a view or copy a set
+  /// Gate for the events that hold a message, a view or a set
   /// (GcsSend, GcsDeliver, GcsView, MbrStartChange, MbrView): construct
   /// nothing when no recorder or sink would read them.
   bool trace_on() const { return trace_ != nullptr && trace_->active(); }
@@ -218,7 +240,7 @@ class WvRfifoEndpoint : public membership::Listener {
   std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
   std::map<ProcessId, std::int64_t> last_rcvd_;
-  std::set<ProcessId> reliable_set_;
+  std::vector<ProcessId> reliable_set_;  ///< ascending
   std::uint64_t uid_counter_ = 0;  ///< history variable: survives recovery
   bool crashed_ = false;
 
@@ -247,13 +269,17 @@ class WvRfifoEndpoint : public membership::Listener {
   std::size_t lane_index(ProcessId q) const;
 
   // ---- Pump caches, derived from the Figure 9 state above (DESIGN.md
-  // §11.5). Rebuilt only where their inputs change. ----
-  std::set<net::NodeId> reliable_nodes_;  ///< node image of reliable_set_
+  // §11.5). Rebuilt only where their inputs change, into storage they
+  // keep. ----
+  std::vector<net::NodeId> reliable_nodes_;  ///< node image of reliable_set_
   bool reliable_stale_ = true;  ///< desired_reliable_set() may have moved
+  /// desired_reliable_set() ∪ {self}, compared with reliable_set_ before
+  /// anything is rebuilt; swapped with it when they differ.
+  std::vector<ProcessId> desired_;
   /// The transport's reliable_generation() when its set last matched
   /// reliable_nodes_; unset until the first check and after recover.
   std::optional<std::uint32_t> reliable_matched_at_;
-  std::set<net::NodeId> view_dests_;  ///< current_view.set − {self}
+  std::vector<net::NodeId> view_dests_;  ///< current_view.set − {self}
   std::vector<Lane> lanes_;  ///< one per current-view member, ascending
   std::size_t self_lane_ = 0;  ///< lanes_[self_lane_].sender == self
 

@@ -7,8 +7,7 @@
 // implementation satisfying the MBRSHP spec.
 #pragma once
 
-#include <set>
-
+#include "membership/process_set.hpp"
 #include "membership/view.hpp"
 #include "util/ids.hpp"
 
@@ -20,8 +19,9 @@ class Listener {
 
   /// MBRSHP.start_change_p(cid, set): the service is attempting to form a new
   /// view with the members of `set`; `cid` is locally unique and increasing.
-  virtual void on_start_change(StartChangeId cid,
-                               const std::set<ProcessId>& set) = 0;
+  /// `set` is the body the service sent: a listener keeps it by copying the
+  /// handle.
+  virtual void on_start_change(StartChangeId cid, const ProcessSet& set) = 0;
 
   /// MBRSHP.view_p(v): the new view. v.start_id maps each member to the cid
   /// of the last start_change it received before this view.

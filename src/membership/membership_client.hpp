@@ -132,9 +132,17 @@ class MembershipClient {
       ++resyncs_;
       incarnation_ += 2;
     }
-    wire::Heartbeat hb{/*from_server=*/false, self_.value, incarnation_};
-    transport_.send_raw(net::node_of(server_), net::Payload(hb),
-                        codec::wire_size(hb));
+    // The heartbeat is wrapped once per incarnation: start(), resync() and
+    // the audit above move it, and only then is a new one built.
+    const auto* hb = std::any_cast<wire::Heartbeat>(&heartbeat_.any());
+    if (hb == nullptr || hb->incarnation != incarnation_) {
+      heartbeat_ =
+          net::Payload(wire::Heartbeat{/*from_server=*/false, self_.value,
+                                       incarnation_});
+      hb = std::any_cast<wire::Heartbeat>(&heartbeat_.any());
+    }
+    transport_.send_raw(net::node_of(server_), heartbeat_,
+                        codec::wire_size(*hb));
     heartbeat_timer_ = sim_.schedule(wire::kHeartbeatInterval,
                                      [this]() { heartbeat_tick(); });
   }
@@ -159,6 +167,8 @@ class MembershipClient {
   StartChangeId last_cid_ = StartChangeId::zero();
   std::uint64_t resyncs_ = 0;
   std::uint64_t incarnation_ = 0;
+  /// The last heartbeat sent, whose incarnation says whether it is current.
+  net::Payload heartbeat_;
   bool running_ = false;
   sim::TimerHandle heartbeat_timer_;
 };

@@ -14,7 +14,8 @@ MembershipServer::MembershipServer(sim::Simulator& sim, net::Network& network,
       network_(network),
       self_(self),
       all_servers_(std::move(all_servers)),
-      fd_(sim, config.fd_timeout, [this]() { on_estimate_change(); }) {
+      fd_(sim, config.fd_timeout, [this]() { on_estimate_change(); }),
+      heartbeat_(wire::Heartbeat{/*from_server=*/true, self.value}) {
   all_servers_.insert(self_);
   transport_ = std::make_unique<transport::CoRfifoTransport>(
       sim_, network_, net::node_of(self_));
@@ -47,12 +48,10 @@ void MembershipServer::start() {
 }
 
 void MembershipServer::heartbeat_tick() {
-  wire::Heartbeat hb{/*from_server=*/true, self_.value};
+  const std::size_t size =
+      codec::wire_size(*std::any_cast<wire::Heartbeat>(&heartbeat_.any()));
   for (ServerId s : all_servers_) {
-    if (s != self_) {
-      transport_->send_raw(net::node_of(s), net::Payload(hb),
-                           codec::wire_size(hb));
-    }
+    if (s != self_) transport_->send_raw(net::node_of(s), heartbeat_, size);
   }
   heartbeat_timer_ = sim_.schedule(wire::kHeartbeatInterval,
                                    [this]() { heartbeat_tick(); });
@@ -74,9 +73,11 @@ std::set<ServerId> MembershipServer::alive_servers() const {
   return out;
 }
 
-std::set<ProcessId> MembershipServer::estimate() const {
-  std::set<ProcessId> est = alive_local_clients();
-  for (ServerId s : alive_servers()) {
+ProcessSet MembershipServer::estimate(
+    const std::set<ProcessId>& local,
+    const std::set<ServerId>& participants) const {
+  std::set<ProcessId> est = local;
+  for (ServerId s : participants) {
     if (s == self_) continue;
     auto it = proposals_.find(s);
     if (it == proposals_.end()) continue;
@@ -106,41 +107,43 @@ void MembershipServer::reconfigure(std::uint64_t min_round) {
   round_ = std::max({round_ + 1, min_round, last_epoch_ + 1});
   emit_phase("round_start", round_);
 
-  const std::set<ProcessId> local = alive_local_clients();
-  const std::set<ServerId> participants = alive_servers();
-
-  // The (immutable) proposal for this round: fresh cids for local clients.
+  // The (immutable) proposal for this round: the failure detector's output,
+  // read once, and fresh cids for local clients.
   wire::Proposal prop;
   prop.from = self_;
   prop.round = round_;
-  prop.local_alive = local;
-  prop.participants = participants;
-  for (ProcessId p : local) {
+  prop.local_alive = alive_local_clients();
+  prop.participants = alive_servers();
+  for (ProcessId p : prop.local_alive) {
     auto& rec = clients_[p];
     rec.last_cid = StartChangeId{rec.last_cid.value + 1};
     prop.cids[p] = rec.last_cid;
   }
   proposals_[self_] = prop;
 
-  // start_change to every alive local client, with the current estimate.
-  const std::set<ProcessId> est = estimate();
-  for (ProcessId p : local) {
+  // start_change to every alive local client, with the current estimate:
+  // one set, whose body every client's StartChange and record share.
+  const ProcessSet est = estimate(prop.local_alive, prop.participants);
+  for (ProcessId p : prop.local_alive) {
     auto& rec = clients_[p];
     rec.last_sc_set = est;
     rec.change_started = true;
     wire::StartChange sc{rec.last_cid, est};
     ++stats_.start_changes_sent;
-    transport_->send({net::node_of(p)}, net::Payload(sc), codec::wire_size(sc));
+    const std::size_t size = codec::wire_size(sc);
+    transport_->send({net::node_of(p)}, net::Payload(std::move(sc)), size);
   }
 
-  // Proposal to all other participant servers.
+  // Proposal to all other participant servers; the message moves into its
+  // payload.
   std::set<net::NodeId> peers;
-  for (ServerId s : participants) {
+  for (ServerId s : prop.participants) {
     if (s != self_) peers.insert(net::node_of(s));
   }
   if (!peers.empty()) {
     ++stats_.proposals_sent;
-    transport_->send(peers, net::Payload(prop), codec::wire_size(prop));
+    const std::size_t size = codec::wire_size(prop);
+    transport_->send(peers, net::Payload(std::move(prop)), size);
   }
 }
 
@@ -281,6 +284,8 @@ void MembershipServer::deliver_view(const View& v) {
   last_epoch_ = std::max(last_epoch_, v.id.epoch);
   const wire::ViewDelivery full{v};
   const std::size_t full_size = codec::wire_size(full);
+  // Wrapped on first use and shared by every client that gets the full form.
+  net::Payload full_payload;
   for (auto& [p, rec] : clients_) {
     if (!v.members().contains(p) || !fd_.alive(net::node_of(p))) {
       // This client misses the view: an unacked suffix toward it may be
@@ -296,18 +301,20 @@ void MembershipServer::deliver_view(const View& v) {
     // cheaper; fall back to the full form otherwise (DESIGN.md §13).
     bool sent_delta = false;
     if (rec.last_view_sent.has_value() && rec.last_view_sent->id < v.id) {
-      const wire::ViewDelta delta = wire::ViewDelta::diff(*rec.last_view_sent, v);
+      wire::ViewDelta delta = wire::ViewDelta::diff(*rec.last_view_sent, v);
       const std::size_t delta_size = codec::wire_size(delta);
       if (delta_size < full_size) {
         ++stats_.delta_views_sent;
         stats_.view_bytes_saved += full_size - delta_size;
-        transport_->send({net::node_of(p)}, net::Payload(delta), delta_size);
+        transport_->send({net::node_of(p)}, net::Payload(std::move(delta)),
+                         delta_size);
         sent_delta = true;
       }
     }
     if (!sent_delta) {
       ++stats_.full_views_sent;
-      transport_->send({net::node_of(p)}, net::Payload(full), full_size);
+      if (!full_payload.has_value()) full_payload = net::Payload(full);
+      transport_->send({net::node_of(p)}, full_payload, full_size);
     }
     rec.last_view_sent = v;
   }

@@ -100,8 +100,8 @@ class MembershipServer {
 
   struct ClientRecord {
     StartChangeId last_cid{0};
-    std::set<ProcessId> last_sc_set;  ///< set in the latest start_change
-    bool change_started = false;      ///< MBRSHP mode[p] == change_started
+    ProcessSet last_sc_set;       ///< set in the latest start_change
+    bool change_started = false;  ///< MBRSHP mode[p] == change_started
     ViewId last_view_id = ViewId::zero();
     std::uint64_t incarnation = 0;  ///< client life id from its heartbeats
     /// Delta-encoding base (DESIGN.md §13): the last view sent to this
@@ -124,7 +124,10 @@ class MembershipServer {
   void deliver_view(const View& v);
   std::set<ProcessId> alive_local_clients() const;
   std::set<ServerId> alive_servers() const;
-  std::set<ProcessId> estimate() const;
+  /// `local` ∪ the local_alive of every other participant's proposal: the
+  /// set of this round's start_changes, built once for every local client.
+  ProcessSet estimate(const std::set<ProcessId>& local,
+                      const std::set<ServerId>& participants) const;
   void update_reliable_set();
   void heartbeat_tick();
 
@@ -143,6 +146,8 @@ class MembershipServer {
   std::uint64_t round_ = 0;       ///< our current agreement round
   std::uint64_t last_epoch_ = 0;  ///< epoch of the last view we formed
   std::optional<View> last_formed_;
+  /// The server's heartbeat never changes, so it is wrapped once.
+  net::Payload heartbeat_;
   sim::TimerHandle heartbeat_timer_;
 };
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "membership/interface.hpp"
+#include "membership/process_set.hpp"
 #include "membership/view.hpp"
 #include "util/assert.hpp"
 
@@ -27,8 +28,7 @@ class OracleMembership {
 
   /// Issue MBRSHP.start_change_p(cid, set) to every attached process in
   /// `set`, with a fresh per-process cid. Returns the cids issued.
-  std::map<ProcessId, StartChangeId> start_change(
-      const std::set<ProcessId>& set) {
+  std::map<ProcessId, StartChangeId> start_change(const ProcessSet& set) {
     std::map<ProcessId, StartChangeId> issued;
     for (ProcessId p : set) {
       auto it = records_.find(p);
@@ -39,7 +39,7 @@ class OracleMembership {
   }
 
   /// Issue a start_change to a single process (partitionable scenarios).
-  StartChangeId start_change_to(ProcessId p, const std::set<ProcessId>& set) {
+  StartChangeId start_change_to(ProcessId p, const ProcessSet& set) {
     VSGC_REQUIRE(set.contains(p), "start_change set must include the target");
     auto& rec = records_.at(p);
     rec.last_cid = StartChangeId{rec.last_cid.value + 1};
@@ -92,7 +92,7 @@ class OracleMembership {
   struct Record {
     std::vector<Listener*> listeners;
     StartChangeId last_cid = StartChangeId::zero();
-    std::set<ProcessId> last_set;
+    ProcessSet last_set;
     bool change_started = false;
     ViewId last_view_id = ViewId::zero();
   };

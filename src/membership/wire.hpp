@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 
+#include "membership/process_set.hpp"
 #include "membership/view.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
@@ -28,14 +29,16 @@ enum class Tag : std::uint8_t {
 };
 
 /// Server -> client: the membership service is attempting to form a new view.
+/// Every local client's StartChange of a round shares the server's one
+/// estimate; the wire bytes are those of the plain set.
 struct StartChange {
   static constexpr Tag kTag = Tag::kStartChange;
   StartChangeId cid{};
-  std::set<ProcessId> set{};
+  ProcessSet set{};
 
   template <class S, class V>
   static void fields(S& s, V& v) {
-    v(s.cid, s.set);
+    ProcessSet::with_plain(s.set, [&](auto& set) { v(s.cid, set); });
   }
 
   friend bool operator==(const StartChange&, const StartChange&) = default;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "gcs/app_msg.hpp"
+#include "membership/process_set.hpp"
 #include "membership/view.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
@@ -81,11 +82,13 @@ struct MbrStartChange {
   static constexpr const char* kType = "mbr_start_change";
   ProcessId p;
   StartChangeId cid;
-  std::set<ProcessId> set;
+  ProcessSet set;  ///< the body the membership service sent
 
   template <class S, class V>
   static void json_fields(S& s, V& v) {
-    v("p", s.p)("cid", s.cid)("set", s.set);
+    ProcessSet::with_plain(s.set, [&](auto& set) {
+      v("p", s.p)("cid", s.cid)("set", set);
+    });
   }
 };
 

@@ -73,7 +73,7 @@ class MbrshpChecker : public TraceSink {
  private:
   struct PerProcess {
     StartChangeId last_cid = StartChangeId::zero();
-    std::set<ProcessId> last_set;
+    ProcessSet last_set;  ///< shares the event's body
     bool change_started = false;
     ViewId last_view_id = ViewId::zero();
   };

@@ -1,5 +1,7 @@
 #include "transport/co_rfifo.hpp"
 
+#include <iterator>
+
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -53,9 +55,10 @@ void CoRfifoTransport::deliver_up(net::NodeId from, std::uint32_t group,
   }
 }
 
-void CoRfifoTransport::send(const std::set<net::NodeId>& dests,
-                            net::Payload payload, std::size_t payload_size,
-                            std::uint32_t group) {
+template <class Sorted>
+void CoRfifoTransport::send_sorted(const Sorted& dests, net::Payload payload,
+                                   std::size_t payload_size,
+                                   std::uint32_t group) {
   if (crashed_) return;
   for (net::NodeId q : dests) {
     ++stats_.messages_sent;
@@ -285,11 +288,25 @@ void CoRfifoTransport::arm_retransmit(Slot s) {
       });
 }
 
-void CoRfifoTransport::set_reliable(const std::set<net::NodeId>& set) {
+template <class Sorted>
+void CoRfifoTransport::assign_reliable(const Sorted& set) {
   ++reliable_generation_;  // a mux slice may have moved even while crashed
   if (crashed_) return;
-  for (net::NodeId q : reliable_set_) {
-    if (set.contains(q)) continue;
+  // One walk over both ascending sets: a peer only the new set names joins
+  // before the cursor, a peer only the old set holds is abandoned and
+  // erased (self stays), so the set keeps the nodes of every peer it keeps.
+  auto want = set.begin();
+  for (auto it = reliable_set_.begin(); it != reliable_set_.end();) {
+    const net::NodeId q = *it;
+    for (; want != set.end() && *want < q; ++want) {
+      reliable_set_.insert(it, *want);
+    }
+    if (want != set.end() && *want == q) {
+      ++want;
+      ++it;
+      continue;
+    }
+    it = q == self_ ? std::next(it) : reliable_set_.erase(it);
     const Slot s = peers_.find(q);
     if (s == PeerTable::kNone) continue;
     // Peer dropped from the reliable set: abandon the connection. The unacked
@@ -305,8 +322,9 @@ void CoRfifoTransport::set_reliable(const std::set<net::NodeId>& set) {
     out.acked = 0;
     out.backoff = 1;
   }
-  reliable_set_ = set;
-  reliable_set_.insert(self_);
+  for (; want != set.end(); ++want) {
+    reliable_set_.insert(reliable_set_.end(), *want);
+  }
   // A peer re-entering the set may have a live stream whose retransmit timer
   // was lost while it was outside (e.g. a corrupted reliable_set dropped it
   // and the timer body bailed on the membership check). Re-arm so in-flight
@@ -656,5 +674,15 @@ void CoRfifoTransport::recover() {
                "recover() without crash at " << net::to_string(self_));
   crashed_ = false;
 }
+
+template void CoRfifoTransport::send_sorted(const std::set<net::NodeId>&,
+                                            net::Payload, std::size_t,
+                                            std::uint32_t);
+template void CoRfifoTransport::send_sorted(
+    const std::span<const net::NodeId>&, net::Payload, std::size_t,
+    std::uint32_t);
+template void CoRfifoTransport::assign_reliable(const std::set<net::NodeId>&);
+template void CoRfifoTransport::assign_reliable(
+    const std::span<const net::NodeId>&);
 
 }  // namespace vsgc::transport

@@ -46,6 +46,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -179,10 +180,20 @@ class CoRfifoTransport {
   /// groups share this peer pair's single sequence space, ack stream, and
   /// retransmit budget.
   void send(const std::set<net::NodeId>& dests, net::Payload payload,
-            std::size_t payload_size = 0, std::uint32_t group = 0);
+            std::size_t payload_size = 0, std::uint32_t group = 0) {
+    send_sorted(dests, std::move(payload), payload_size, group);
+  }
+  /// The same for destinations held ascending and without duplicates in
+  /// storage the caller keeps (the endpoints' cached destination lists).
+  void send(std::span<const net::NodeId> dests, net::Payload payload,
+            std::size_t payload_size = 0, std::uint32_t group = 0) {
+    send_sorted(dests, std::move(payload), payload_size, group);
+  }
 
   /// Maintain reliable gap-free connections to exactly `set` (plus self).
-  void set_reliable(const std::set<net::NodeId>& set);
+  void set_reliable(const std::set<net::NodeId>& set) { assign_reliable(set); }
+  /// The same for a set held ascending and without duplicates.
+  void set_reliable(std::span<const net::NodeId> set) { assign_reliable(set); }
   const std::set<net::NodeId>& reliable_set() const { return reliable_set_; }
   /// Moves whenever the reliable set may have been written: set_reliable,
   /// corrupt_drop_reliable and crash. While it stands still, so does the
@@ -274,6 +285,13 @@ class CoRfifoTransport {
   void flush(Slot s);
   void schedule_flush(Slot s);
   void attach_piggyback(Slot s, Frame& frame);
+  /// send() and set_reliable() over either form of an ascending set.
+  template <class Sorted>
+  void send_sorted(const Sorted& dests, net::Payload payload,
+                   std::size_t payload_size, std::uint32_t group);
+  template <class Sorted>
+  void assign_reliable(const Sorted& set);
+
   /// Hands out the next free frame cell, cleared; transmit_frame() sends it.
   Frame& acquire_frame();
   void transmit_frame(net::NodeId to);

@@ -10,13 +10,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "alloc_recipes.hpp"
 #include "app/world.hpp"
+#include "gcs/process.hpp"
+#include "membership/oracle.hpp"
 #include "net/network.hpp"
-#include "sim/failure_injector.hpp"
 #include "transport/co_rfifo.hpp"
 
 namespace {
@@ -105,6 +109,89 @@ TEST_F(AllocBudget, PumpWithNothingToDoAllocatesNothing) {
   EXPECT_EQ(ep.last_dlvrd(sender.self()), 1);
 }
 
+// Heartbeats are wrapped once: a server's once, a client's once per
+// incarnation (DESIGN.md §11.5). A converged idle deployment sends nothing
+// else, so once its heartbeats are wrapped a second of them allocates
+// nothing. Each wrap cost two allocations before: the 16 B Heartbeat does
+// not fit std::any's inline buffer.
+TEST_F(AllocBudget, WarmedHeartbeatTicksAllocateNothing) {
+  w.run_for(500 * sim::kMillisecond);
+  const std::uint64_t before = allocations();
+  w.run_for(sim::kSecond);
+  EXPECT_EQ(allocations() - before, 0u);
+}
+
+// resync() moves the client's incarnation, so its next heartbeat is a new
+// one: the server sees the blip and runs a fresh round, from which every
+// client installs a new view.
+TEST_F(AllocBudget, HeartbeatAfterResyncCarriesTheNewIncarnation) {
+  const std::uint64_t rounds = w.server(0).stats().rounds_started;
+  const ViewId before = w.process(0).endpoint().current_view().id;
+  w.process(0).membership().resync();
+  ASSERT_EQ(w.process(0).membership().resyncs(), 1u);
+  w.run_for(100 * sim::kMillisecond);
+  EXPECT_GT(w.server(0).stats().rounds_started, rounds);
+  ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+  EXPECT_LT(before, w.process(0).endpoint().current_view().id);
+}
+
+/// A client that never answers block(), so its end-point sends no sync
+/// message until the test calls block_ok().
+class HoldClient : public gcs::Client {
+ public:
+  void deliver(ProcessId, const gcs::AppMsg&) override {}
+  void view(const View&, const std::set<ProcessId>&) override {}
+  void block() override {}
+};
+
+// Figure 10's reliable set is current_view.set ∪ start_change.set. The
+// end-point compares the desired set with the one it holds before it builds
+// anything (DESIGN.md §11.5), so a start_change whose set the current view
+// already covers allocates nothing and leaves the transport's set alone.
+TEST(AllocBudgetStartChange, CoveredSetAllocatesNothing) {
+  constexpr int kN = 3;
+  sim::Simulator sim;
+  net::Network network(sim, Rng(1), {});
+  membership::OracleMembership oracle;
+  std::vector<std::unique_ptr<transport::CoRfifoTransport>> xports;
+  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
+  std::vector<HoldClient> clients(kN);
+  std::set<ProcessId> all;
+  for (int i = 0; i < kN; ++i) {
+    const ProcessId p{static_cast<std::uint32_t>(i + 1)};
+    all.insert(p);
+    xports.push_back(std::make_unique<transport::CoRfifoTransport>(
+        sim, network, net::node_of(p)));
+    eps.push_back(std::make_unique<gcs::GcsEndpoint>(
+        sim, *xports.back(), p,
+        gcs::make_strategy(gcs::ForwardingKind::kMinCopies)));
+    gcs::GcsEndpoint* ep = eps.back().get();
+    ep->set_client(clients[static_cast<std::size_t>(i)]);
+    xports.back()->set_deliver_handler(
+        [ep](net::NodeId from, const std::any& payload) {
+          ep->on_co_rfifo_deliver(net::process_of(from), payload);
+        });
+    oracle.attach(p, *ep);
+  }
+  oracle.start_change(all);
+  for (auto& ep : eps) ep->block_ok();
+  sim.run_to_quiescence();
+  oracle.deliver_view(all);
+  sim.run_to_quiescence();
+  gcs::GcsEndpoint& ep = *eps[0];
+  ASSERT_EQ(ep.current_view().members(), all);
+
+  const ProcessSet covered(all);
+  const std::uint32_t generation = xports[0]->reliable_generation();
+  const std::uint64_t before = allocations();
+  oracle.start_change_to(ep.self(), covered);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(xports[0]->reliable_generation(), generation)
+      << "set_reliable was called";
+  ASSERT_TRUE(ep.start_change().has_value());
+  EXPECT_TRUE(ep.start_change()->second.shares_body_with(covered));
+}
+
 // Frames travel in recycled cells (DESIGN.md §11.1) and every holder of a
 // message shares its payload (§11.5). On this deployment a delivery
 // measured 7.16 allocations while every frame allocated its own cell, 2.80
@@ -175,81 +262,39 @@ TEST(AllocBudgetTransport, WarmedFrameAndAckAllocateOnlyThePayloadWrap) {
       << total << " allocations for " << kTrips << " round trips";
 }
 
-/// Heap allocations per view change over `cycles` crash-and-return cycles
-/// of perfbench's `churn` recipe on n clients and n/4 servers, checkers and
-/// recording off. Each cycle every client sends 64 B, one client crashes,
-/// the survivors reconverge, it recovers, and all n reconverge: two view
-/// changes. The first cycle warms the deployment up and is not counted.
+/// Heap allocations per view change of alloc_recipes::churn.
 double allocs_per_view_change(int n, int cycles) {
-  app::WorldConfig wc;
-  wc.num_clients = n;
-  wc.num_servers = n / 4;
-  wc.attach_checkers = false;
-  wc.record_trace = false;
-  app::World w(wc);
-  w.start();
-  const std::set<ProcessId> all = w.all_members();
-  EXPECT_TRUE(w.run_until_converged(all, 10 * sim::kSecond));
-  const std::string payload(64, 'c');
   std::uint64_t before = 0;
-  for (int k = 0; k <= cycles; ++k) {
-    if (k == 1) before = allocations();
-    for (int c = 0; c < n; ++c) w.client(c).send(payload);
-    const int victim = k % n;
-    std::set<ProcessId> survivors = all;
-    survivors.erase(w.process(victim).id());
-    w.process(victim).crash();
-    EXPECT_TRUE(w.run_until_converged(survivors, 5 * sim::kSecond))
-        << "cycle " << k << ": survivors did not reconverge";
-    w.process(victim).recover();
-    EXPECT_TRUE(w.run_until_converged(all, 5 * sim::kSecond))
-        << "cycle " << k << ": the group did not reconverge";
-  }
+  const int changes = alloc_recipes::churn(
+      n, cycles, [&before]() { before = allocations(); });
+  EXPECT_EQ(changes, 2 * cycles) << "a view change did not converge";
   return static_cast<double>(allocations() - before) / (2.0 * cycles);
 }
 
 // 8,411 allocations per view change while every transport frame allocated
-// its own cell, 5,408 with recycled cells, 5,287 with shared payloads.
+// its own cell, 5,408 with recycled cells, 5,287 with shared payloads,
+// 5,159 with flat per-peer tables, and 2,305 once a view change copies no
+// member set (one shared start_change set, pump caches rebuilt into kept
+// storage only when they change, heartbeats and server messages wrapped
+// once). The budget is the exact count.
 TEST(AllocBudgetChurn, ViewChangeStaysUnderBudget) {
   const double per_change = allocs_per_view_change(16, 4);
   RecordProperty("allocs_per_view_change", std::to_string(per_change));
-  EXPECT_LE(per_change, 6500.0);
+  EXPECT_LE(per_change, alloc_recipes::kChurnPerViewChange);
 }
 
 // A view change among n members moves O(n^2) sync, view and ack messages,
 // so its events grow about 16x from n = 8 to n = 32. Work per event that is
 // O(n) (a view or cut copied per message) grows allocations far faster.
-// Measured: 1,419 at n = 8 and 20,437 at n = 32, 14.4x.
+// Measured: 1,419 at n = 8 and 20,437 at n = 32 (14.4x) before shared
+// messages, 1,384 and 19,969 (14.4x) with flat per-peer tables, and 705
+// and 8,545 (12.1x) once a view change copies no member set.
 TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
   const double at8 = allocs_per_view_change(8, 4);
   const double at32 = allocs_per_view_change(32, 4);
   RecordProperty("allocs_per_view_change_n8", std::to_string(at8));
   RecordProperty("allocs_per_view_change_n32", std::to_string(at32));
-  EXPECT_LE(at32, 18.0 * at8) << at8 << " at n=8, " << at32 << " at n=32";
-}
-
-/// Heap allocations of one seed of perfbench's `stress` recipe, which is
-/// vsgc_stress's: 4 clients and 1 server under the exact checkers with the
-/// trace recorded, 25 churn steps drawn by the injector, then
-/// stabilize_and_check (reconverge, probe, finalize, liveness). The world
-/// is built and destroyed inside the count.
-std::uint64_t stress_seed_allocations(std::uint64_t seed) {
-  const std::uint64_t before = allocations();
-  {
-    app::WorldConfig wc;
-    wc.num_clients = 4;
-    wc.num_servers = 1;
-    wc.seed = seed;
-    app::World w(wc);
-    sim::FailureInjector::Policy policy;
-    policy.steps = 25;
-    sim::FailureInjector injector(w.fault_target(), policy, seed);
-    w.start();
-    EXPECT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
-    injector.run_churn();
-    w.stabilize_and_check(injector, "stress-probe-" + std::to_string(seed));
-  }
-  return allocations() - before;
+  EXPECT_LE(at32, 12.13 * at8) << at8 << " at n=8, " << at32 << " at n=32";
 }
 
 // Views are shared immutable values (DESIGN.md §11.5), so the checkers, the
@@ -257,13 +302,17 @@ std::uint64_t stress_seed_allocations(std::uint64_t seed) {
 // copying trees. On the first seed of perfbench's stress pool this seed
 // measured 7,536 allocations while every copy of a View copied its
 // member set and startId map, 4,686 with shared views, 4,354 once
-// transport frames travel in recycled cells, and 4,340 with shared
-// payloads: its payloads fit in a std::string with no allocation, so a
-// shared body gains little there.
+// transport frames travel in recycled cells, 4,340 with shared payloads
+// (its payloads fit in a std::string with no allocation, so a shared body
+// gains little there), 4,224 with flat per-peer tables, and 2,587 once
+// heartbeats are wrapped once and a view change copies no member set. The
+// budget is the exact count.
 TEST(AllocBudgetStress, CheckedSeedStaysUnderBudget) {
-  const std::uint64_t allocs = stress_seed_allocations(1000000000);
+  const std::uint64_t before = allocations();
+  EXPECT_TRUE(alloc_recipes::stress_seed(alloc_recipes::kStressSeed));
+  const std::uint64_t allocs = allocations() - before;
   RecordProperty("allocs_per_seed", std::to_string(allocs));
-  EXPECT_LE(allocs, 5000u);
+  EXPECT_LE(allocs, alloc_recipes::kStressSeedAllocations);
 }
 
 }  // namespace

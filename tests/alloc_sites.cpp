@@ -1,0 +1,270 @@
+// Allocation-site probe: runs alloc_budget_test's churn or stress recipe
+// (tests/alloc_recipes.hpp) and prints where its heap allocations come from.
+//
+//   alloc_sites [--recipe churn|stress] [--top K] [--check]
+//
+// Every operator new bumps one counter, as in alloc_budget_test; while the
+// recipe's counted part runs, each allocation also records its call stack.
+// After the run the stacks are symbolized and grouped by site: the innermost
+// vsgc:: frame and the first vsgc:: frame that calls it. The top K sites are
+// printed with their share of the total. With --check the tool exits 1
+// unless the sites add up to the total and the total equals the recipe's
+// exact count in alloc_recipes.hpp. Names come from the dynamic symbol table,
+// so a function with internal linkage shows under the exported symbol
+// before it, and an inlined callee under its caller.
+#include <cxxabi.h>
+#include <dlfcn.h>
+#include <execinfo.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "alloc_recipes.hpp"
+
+namespace {
+
+constexpr int kDepth = 24;          ///< frames kept per stack
+constexpr std::size_t kStacks = 1 << 15;  ///< distinct stacks kept
+
+struct Stack {
+  std::array<void*, kDepth> frames{};
+  int depth = 0;
+  std::uint64_t count = 0;
+};
+
+std::atomic<std::uint64_t> g_allocs{0};
+bool g_recording = false;
+thread_local bool g_in_hook = false;
+/// Open-addressed by a hash of the frames; a full table counts the rest
+/// in g_unrecorded.
+Stack g_stacks[kStacks];
+std::uint64_t g_unrecorded = 0;
+
+void record() {
+  if (!g_recording || g_in_hook) return;
+  g_in_hook = true;
+  std::array<void*, kDepth + 2> raw{};
+  // Frames 0 and 1 are record() and operator new.
+  const int n = backtrace(raw.data(), kDepth + 2) - 2;
+  std::uint64_t h = 1469598103934665603ull;
+  for (int i = 0; i < n; ++i) {
+    h = (h ^ reinterpret_cast<std::uintptr_t>(raw[i + 2])) * 1099511628211ull;
+  }
+  for (std::size_t probe = 0; probe < kStacks; ++probe) {
+    Stack& s = g_stacks[(h + probe) & (kStacks - 1)];
+    if (s.count == 0) {
+      std::copy_n(raw.begin() + 2, n, s.frames.begin());
+      s.depth = n;
+    } else if (s.depth != n ||
+               !std::equal(s.frames.begin(), s.frames.begin() + n,
+                           raw.begin() + 2)) {
+      continue;
+    }
+    ++s.count;
+    g_in_hook = false;
+    return;
+  }
+  ++g_unrecorded;
+  g_in_hook = false;
+}
+
+void* counted(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  record();
+  return std::malloc(size);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  if (void* p = counted(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted(size);
+}
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace {
+
+/// The demangled name of the function holding `pc`, without its parameter
+/// list, or "" when no symbol covers it.
+std::string symbol(void* pc) {
+  Dl_info info{};
+  // A return address points past its call; step back into the call.
+  void* at = static_cast<char*>(pc) - 1;
+  if (dladdr(at, &info) == 0 || info.dli_sname == nullptr) return "";
+  int status = 0;
+  char* plain = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
+  std::string name = status == 0 ? plain : info.dli_sname;
+  std::free(plain);
+  // Drop the parameter list: cut at the first '(' outside template
+  // arguments that does not open "(anonymous namespace)".
+  int depth = 0;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    if (name[i] == '<') {
+      ++depth;
+    } else if (name[i] == '>') {
+      --depth;
+    } else if (name[i] == '(' && depth == 0 &&
+               name.compare(i, 21, "(anonymous namespace)") != 0) {
+      name.resize(i);
+      break;
+    }
+  }
+  return name;
+}
+
+bool in_vsgc(const std::string& name) {
+  return name.compare(0, 6, "vsgc::") == 0;
+}
+
+/// "innermost vsgc frame <- its first vsgc caller" for one stack.
+std::string site(const Stack& s) {
+  std::string inner;
+  for (int i = 0; i < s.depth; ++i) {
+    const std::string name = symbol(s.frames[static_cast<std::size_t>(i)]);
+    if (!in_vsgc(name)) continue;
+    if (inner.empty()) {
+      inner = name;
+    } else if (name != inner) {
+      return inner + "  <-  " + name;
+    }
+  }
+  return inner.empty() ? "(no vsgc frame)" : inner;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: alloc_sites [--recipe churn|stress] [--top K] "
+               "[--check]\n");
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string recipe = "churn";
+  int top = 20;
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--recipe" && i + 1 < argc) {
+      recipe = argv[++i];
+    } else if (arg == "--top" && i + 1 < argc) {
+      top = std::atoi(argv[++i]);
+      if (top <= 0) return usage();
+    } else if (arg == "--check") {
+      check = true;
+    } else {
+      return usage();
+    }
+  }
+  if (recipe != "churn" && recipe != "stress") return usage();
+
+  // The unwinder loads itself on first use; do that outside the count.
+  std::array<void*, 4> warm{};
+  backtrace(warm.data(), static_cast<int>(warm.size()));
+
+  using namespace vsgc;
+  std::uint64_t before = 0;
+  const auto start = [&before]() {
+    before = g_allocs.load(std::memory_order_relaxed);
+    g_recording = true;
+  };
+  double per = 0;
+  double exact = 0;
+  const char* unit = "";
+  std::uint64_t total = 0;
+  if (recipe == "churn") {
+    const int changes = alloc_recipes::churn(16, 4, start);
+    g_recording = false;
+    total = g_allocs.load(std::memory_order_relaxed) - before;
+    if (changes == 0) {
+      std::fprintf(stderr, "alloc_sites: churn did not converge\n");
+      return 1;
+    }
+    per = static_cast<double>(total) / changes;
+    exact = alloc_recipes::kChurnPerViewChange;
+    unit = "view change";
+    std::printf("recipe churn: 16 clients, 4 servers, %d view changes\n",
+                changes);
+  } else {
+    start();
+    const bool ok = alloc_recipes::stress_seed(alloc_recipes::kStressSeed);
+    g_recording = false;
+    total = g_allocs.load(std::memory_order_relaxed) - before;
+    if (!ok) {
+      std::fprintf(stderr, "alloc_sites: stress seed did not converge\n");
+      return 1;
+    }
+    per = static_cast<double>(total);
+    exact = static_cast<double>(alloc_recipes::kStressSeedAllocations);
+    unit = "seed";
+    std::printf("recipe stress: seed %llu\n",
+                static_cast<unsigned long long>(alloc_recipes::kStressSeed));
+  }
+
+  std::map<std::string, std::uint64_t> by_site;
+  std::uint64_t recorded = g_unrecorded;
+  for (const Stack& s : g_stacks) {
+    if (s.count == 0) continue;
+    by_site[site(s)] += s.count;
+    recorded += s.count;
+  }
+  if (g_unrecorded > 0) by_site["(stack table full)"] += g_unrecorded;
+  std::vector<std::pair<std::uint64_t, std::string>> ranked;
+  for (const auto& [name, count] : by_site) ranked.emplace_back(count, name);
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+
+  std::printf("total %llu allocations, %.3f per %s (exact count %.3f)\n",
+              static_cast<unsigned long long>(total), per, unit, exact);
+  std::printf("%7s %9s  %s\n", "share", "count", "site");
+  const std::size_t shown =
+      std::min(ranked.size(), static_cast<std::size_t>(top));
+  for (std::size_t i = 0; i < shown; ++i) {
+    std::printf("%6.1f%% %9llu  %s\n",
+                100.0 * static_cast<double>(ranked[i].first) /
+                    static_cast<double>(total),
+                static_cast<unsigned long long>(ranked[i].first),
+                ranked[i].second.c_str());
+  }
+  if (!check) return 0;
+  if (recorded != total) {
+    std::fprintf(stderr, "alloc_sites: sites add up to %llu, not %llu\n",
+                 static_cast<unsigned long long>(recorded),
+                 static_cast<unsigned long long>(total));
+    return 1;
+  }
+  if (per != exact) {
+    std::fprintf(stderr,
+                 "alloc_sites: %.3f allocations per %s, exact count is %.3f "
+                 "(tests/alloc_recipes.hpp)\n",
+                 per, unit, exact);
+    return 1;
+  }
+  return 0;
+}

@@ -106,7 +106,7 @@ TEST(ChannelMux, ReliableSetIsUnionOfGroupSlices) {
   EXPECT_EQ(h.transport(0).reliable_set(), (std::set<net::NodeId>{kN1, kN2}));
 
   // Once no group needs kN2 the session stops being reliable toward it.
-  b.set_reliable({});
+  b.set_reliable(std::set<net::NodeId>{});
   EXPECT_EQ(h.transport(0).reliable_set(), (std::set<net::NodeId>{kN1}));
 }
 

@@ -26,9 +26,8 @@ class RecordingListener : public Listener {
   RecordingListener(ProcessId self, spec::TraceBus& bus, sim::Simulator& sim)
       : self_(self), bus_(bus), sim_(sim) {}
 
-  void on_start_change(StartChangeId cid,
-                       const std::set<ProcessId>& set) override {
-    start_changes.push_back({cid, set});
+  void on_start_change(StartChangeId cid, const ProcessSet& set) override {
+    start_changes.push_back({cid, set.get()});
     bus_.emit(sim_.now(), spec::MbrStartChange{self_, cid, set});
   }
 

@@ -2,10 +2,13 @@
 //
 // The pump re-evaluates desired_reliable_set() only after start_change, a
 // membership view, a view install or recovery; these tests check that after
-// each of those inputs the transport holds exactly node_of(desired ∪
-// {self}), for the paper's GCS end-point and for the two-round baseline,
-// and that a corrupted transport reliable set (sim::FaultOp::kCorruptReliable)
-// is re-asserted by the next input's pump.
+// each of those inputs the end-point's reliable set, its node image and the
+// transport's set equal a from-scratch reliable set (current_view.set ∪
+// start_change.set for the paper's GCS end-point, ∪ the pending views for
+// the two-round baseline, current_view.set alone for the bare WV_RFIFO
+// end-point, each ∪ {self}), that its view destinations equal
+// current_view.set − {self}, and that a corrupted transport reliable set
+// (sim::FaultOp::kCorruptReliable) is re-asserted by the next input's pump.
 //
 // The GCS end-point interns its views and caches the resolution of its
 // candidate view; these tests check that held views share one body and
@@ -17,12 +20,15 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "app/oracle_world.hpp"
+#include "app/world.hpp"
 #include "baseline/two_round_endpoint.hpp"
 
 namespace vsgc {
@@ -38,31 +44,68 @@ class GcsProbe : public gcs::GcsEndpoint {
                          gcs::make_strategy(gcs::ForwardingKind::kMinCopies),
                          trace) {}
   using gcs::GcsEndpoint::deliver_allowed;
-  using gcs::GcsEndpoint::desired_reliable_set;
   using gcs::GcsEndpoint::intern;
 };
 
-/// TwoRoundEndpoint with its reliable-set hook made readable.
+/// The two-round baseline under its own test name.
 class TwoRoundProbe : public baseline::TwoRoundEndpoint {
  public:
   using baseline::TwoRoundEndpoint::TwoRoundEndpoint;
-  using baseline::TwoRoundEndpoint::desired_reliable_set;
 };
+
+/// The reliable set of each end-point, from scratch: Figure 9's
+/// current_view.set, Figure 10's ∪ start_change.set, the baseline's ∪ the
+/// members of every pending view.
+std::set<ProcessId> want_reliable(const gcs::WvRfifoEndpoint& ep) {
+  return ep.current_view().members();
+}
+std::set<ProcessId> want_reliable(const gcs::VsRfifoTsEndpoint& ep) {
+  std::set<ProcessId> want = ep.current_view().members();
+  if (ep.start_change()) {
+    want.insert(ep.start_change()->second.begin(),
+                ep.start_change()->second.end());
+  }
+  return want;
+}
+std::set<ProcessId> want_reliable(const baseline::TwoRoundEndpoint& ep) {
+  std::set<ProcessId> want = ep.current_view().members();
+  for (const View& v : ep.pending()) {
+    want.insert(v.members().begin(), v.members().end());
+  }
+  return want;
+}
+
+std::vector<net::NodeId> image(const std::set<ProcessId>& procs) {
+  std::vector<net::NodeId> out;
+  for (ProcessId q : procs) out.push_back(net::node_of(q));
+  return out;
+}
 
 template <class Ep>
 class PumpCache : public ::testing::Test {
  protected:
   static constexpr int kN = 3;
 
-  /// Every live end-point's transport holds node_of(desired ∪ {self}).
+  /// Every live end-point's reliable set, its node image and its transport's
+  /// set equal the from-scratch set ∪ {self}, and its view destinations
+  /// equal current_view.set − {self}.
   void expect_in_sync(const std::string& when) {
     for (int i = 0; i < kN; ++i) {
       if (w.ep(i).crashed()) continue;
-      std::set<ProcessId> want = w.ep(i).desired_reliable_set();
+      std::set<ProcessId> want = want_reliable(w.ep(i));
       want.insert(w.pid(i));
-      std::set<net::NodeId> nodes;
-      for (ProcessId q : want) nodes.insert(net::node_of(q));
-      EXPECT_EQ(w.transport(i).reliable_set(), nodes)
+      const std::vector<net::NodeId> nodes = image(want);
+      EXPECT_EQ(w.ep(i).reliable_set(),
+                std::vector<ProcessId>(want.begin(), want.end()))
+          << "after " << when << " at endpoint " << i;
+      EXPECT_EQ(w.ep(i).reliable_nodes(), nodes)
+          << "after " << when << " at endpoint " << i;
+      EXPECT_EQ(w.transport(i).reliable_set(),
+                std::set<net::NodeId>(nodes.begin(), nodes.end()))
+          << "after " << when << " at endpoint " << i;
+      std::set<ProcessId> others = w.ep(i).current_view().members();
+      others.erase(w.pid(i));
+      EXPECT_EQ(w.ep(i).view_dests(), image(others))
           << "after " << when << " at endpoint " << i;
     }
   }
@@ -91,6 +134,11 @@ class PumpCache : public ::testing::Test {
     w.transport(i).crash();
   }
 
+  /// The bare WV_RFIFO end-point's checker has nothing to finalize.
+  void finalize() {
+    if constexpr (!app::OracleWorld<Ep>::kBareWv) w.checkers.finalize();
+  }
+
   void recover(int i) {
     w.transport(i).recover();
     w.ep(i).recover();
@@ -99,7 +147,8 @@ class PumpCache : public ::testing::Test {
   app::OracleWorld<Ep> w{kN};
 };
 
-using Endpoints = ::testing::Types<GcsProbe, TwoRoundProbe>;
+using Endpoints =
+    ::testing::Types<GcsProbe, TwoRoundProbe, gcs::WvRfifoEndpoint>;
 TYPED_TEST_SUITE(PumpCache, Endpoints);
 
 TYPED_TEST(PumpCache, TransportTracksDesiredSetAtEveryInvalidation) {
@@ -117,7 +166,7 @@ TYPED_TEST(PumpCache, TransportTracksDesiredSetAtEveryInvalidation) {
   w.client(0).send("after rejoin");
   w.settle();
   this->expect_in_sync("steady traffic");
-  w.checkers.finalize();
+  this->finalize();
 }
 
 TYPED_TEST(PumpCache, NextInputHealsCorruptedTransportReliableSet) {
@@ -139,7 +188,54 @@ TYPED_TEST(PumpCache, NextInputHealsCorruptedTransportReliableSet) {
   for (int i = 0; i < PumpCache<TypeParam>::kN; ++i) {
     EXPECT_EQ(w.ep(i).last_dlvrd(w.pid(0)), 1) << "endpoint " << i;
   }
-  w.checkers.finalize();
+  this->finalize();
+}
+
+/// A bare WV_RFIFO end-point whose hook leaves self out.
+class SelflessProbe : public gcs::WvRfifoEndpoint {
+ public:
+  using gcs::WvRfifoEndpoint::WvRfifoEndpoint;
+
+ protected:
+  void desired_reliable_set(std::vector<ProcessId>& out) const override {
+    for (ProcessId q : current_view().members()) {
+      if (q != self()) out.push_back(q);
+    }
+  }
+};
+
+// The pump adds self to whatever the hook writes before it compares.
+TEST(PumpCacheSelf, ReliableSetHoldsSelfWhateverTheHookWrites) {
+  sim::Simulator sim;
+  net::Network network(sim, Rng(1), {});
+  membership::OracleMembership oracle;
+  std::vector<std::unique_ptr<transport::CoRfifoTransport>> xports;
+  std::vector<std::unique_ptr<SelflessProbe>> eps;
+  const std::set<ProcessId> all{ProcessId{1}, ProcessId{2}};
+  for (ProcessId p : all) {
+    xports.push_back(std::make_unique<transport::CoRfifoTransport>(
+        sim, network, net::node_of(p)));
+    eps.push_back(std::make_unique<SelflessProbe>(sim, *xports.back(), p));
+    SelflessProbe* ep = eps.back().get();
+    xports.back()->set_deliver_handler(
+        [ep](net::NodeId from, const std::any& payload) {
+          ep->on_co_rfifo_deliver(net::process_of(from), payload);
+        });
+    oracle.attach(p, *ep);
+  }
+  oracle.start_change(all);
+  sim.run_to_quiescence();
+  oracle.deliver_view(all);
+  sim.run_to_quiescence();
+  for (std::size_t i = 0; i < eps.size(); ++i) {
+    EXPECT_EQ(eps[i]->current_view().members(), all) << "endpoint " << i;
+    EXPECT_EQ(eps[i]->reliable_set(),
+              std::vector<ProcessId>(all.begin(), all.end()))
+        << "endpoint " << i;
+    EXPECT_EQ(xports[i]->reliable_set(),
+              (std::set<net::NodeId>{net::NodeId{1}, net::NodeId{2}}))
+        << "endpoint " << i;
+  }
 }
 
 TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
@@ -345,6 +441,53 @@ TEST_F(CandidateCache, FreshAfterCorruptViewEpoch) {
   to_candidate_with_p2_sync();
   ep().corrupt_view_epoch(v2.id.epoch + 100);
   expect_fresh("corrupt_view_epoch");
+}
+
+// A membership server builds each round's start_change set once. Each
+// local client gets its own StartChange, yet every endpoint's start_change
+// and every MbrStartChange event of the round hold the server's one body.
+TEST(PumpCacheStartChange, OneRoundSharesOneSetBody) {
+  app::WorldConfig wc;
+  wc.num_clients = 4;
+  wc.num_servers = 1;
+  app::World w(wc);
+  w.start();
+  ASSERT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+  const std::size_t recorded = w.trace().recorded().size();
+
+  // The crash opens a round over the three survivors; catch them while
+  // each holds its start_change.
+  w.process(3).crash();
+  const auto pending = [&w](int i) -> const gcs::VsRfifoTsEndpoint& {
+    return w.process(i).endpoint();
+  };
+  const auto all_pending = [&]() {
+    for (int i = 0; i < 3; ++i) {
+      const auto& sc = pending(i).start_change();
+      if (!sc || sc->second.contains(w.process(3).id())) return false;
+    }
+    return true;
+  };
+  for (int k = 0; k < 10000 && !all_pending(); ++k) {
+    w.run_for(100 * sim::kMicrosecond);
+  }
+  ASSERT_TRUE(all_pending());
+
+  const ProcessSet& set = pending(0).start_change()->second;
+  EXPECT_EQ(set.size(), 3u);
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_TRUE(pending(i).start_change()->second.shares_body_with(set))
+        << "endpoint " << i;
+  }
+  std::size_t events = 0;
+  const auto& log = w.trace().recorded();
+  for (std::size_t k = recorded; k < log.size(); ++k) {
+    const auto* sc = std::get_if<spec::MbrStartChange>(&log[k].body);
+    if (sc == nullptr || sc->set != set) continue;
+    EXPECT_TRUE(sc->set.shares_body_with(set)) << "event " << k;
+    ++events;
+  }
+  EXPECT_EQ(events, 3u);
 }
 
 }  // namespace

@@ -369,7 +369,7 @@ TEST(WireMessages, SizesTrackPayloads) {
 TEST(Oracle, EnforcesStartChangeBeforeView) {
   membership::OracleMembership oracle;
   class Nop : public membership::Listener {
-    void on_start_change(StartChangeId, const std::set<ProcessId>&) override {}
+    void on_start_change(StartChangeId, const ProcessSet&) override {}
     void on_view(const View&) override {}
   } nop;
   oracle.attach(ProcessId{1}, nop);
@@ -383,7 +383,7 @@ TEST(Oracle, EnforcesStartChangeBeforeView) {
 TEST(Oracle, CidsIncreasePerProcess) {
   membership::OracleMembership oracle;
   class Nop : public membership::Listener {
-    void on_start_change(StartChangeId, const std::set<ProcessId>&) override {}
+    void on_start_change(StartChangeId, const ProcessSet&) override {}
     void on_view(const View&) override {}
   } nop;
   oracle.attach(ProcessId{1}, nop);
@@ -395,7 +395,7 @@ TEST(Oracle, CidsIncreasePerProcess) {
 TEST(Oracle, ViewCarriesLatestCids) {
   membership::OracleMembership oracle;
   class Nop : public membership::Listener {
-    void on_start_change(StartChangeId, const std::set<ProcessId>&) override {}
+    void on_start_change(StartChangeId, const ProcessSet&) override {}
     void on_view(const View&) override {}
   } nop;
   oracle.attach(ProcessId{1}, nop);
