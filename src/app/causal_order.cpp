@@ -87,7 +87,6 @@ void CausalOrder::drain() {
         Stamped m = std::move(queue.front());
         queue.pop_front();
         delivered_[from] += 1;
-        ++delivered_count_;
         if (deliver_) deliver_(from, m.payload);
         progress = true;
       }
@@ -110,7 +109,6 @@ void CausalOrder::handle_view(const View& v,
     while (!queue.empty()) {
       Stamped m = std::move(queue.front());
       queue.pop_front();
-      ++delivered_count_;
       if (deliver_) deliver_(from, m.payload);
     }
   }

@@ -38,7 +38,6 @@ class CausalOrder {
   void on_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void on_view(ViewFn fn) { view_ = std::move(fn); }
 
-  std::uint64_t delivered_count() const { return delivered_count_; }
   std::size_t buffered() const;
 
  private:
@@ -61,7 +60,6 @@ class CausalOrder {
   std::map<ProcessId, std::deque<Stamped>> pending_;  ///< FIFO per sender
   std::uint64_t own_sent_ = 0;  ///< our sends in this view (may lead clock)
   std::deque<std::string> outbox_;  ///< raw payloads deferred while blocked
-  std::uint64_t delivered_count_ = 0;
 };
 
 }  // namespace vsgc::app

@@ -90,7 +90,6 @@ void TotalOrder::try_deliver() {
     std::string payload = std::move(it->second);
     data_.erase(it);
     order_.pop_front();
-    ++delivered_count_;
     if (deliver_) deliver_(origin, payload);
   }
 }
@@ -108,7 +107,6 @@ void TotalOrder::flush_residue() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   data_.clear();
   for (auto& [id, payload] : residue) {
-    ++delivered_count_;
     if (deliver_) deliver_(id.first, payload);
   }
   unsequenced_.clear();

@@ -40,7 +40,6 @@ class TotalOrder {
   void on_view(ViewFn fn) { view_ = std::move(fn); }
 
   ProcessId sequencer() const { return sequencer_; }
-  std::uint64_t delivered_count() const { return delivered_count_; }
 
  private:
   using MsgId = std::pair<ProcessId, std::uint64_t>;  // (sender, uid)
@@ -60,7 +59,6 @@ class TotalOrder {
   std::deque<MsgId> order_;               ///< agreed sequence, pending data
   std::deque<MsgId> unsequenced_;         ///< arrival order (sequencer duty)
   std::set<MsgId> sequenced_;             ///< ids already covered by order msgs
-  std::uint64_t delivered_count_ = 0;
 };
 
 }  // namespace vsgc::app

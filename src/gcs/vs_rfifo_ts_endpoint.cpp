@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <span>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -24,12 +25,6 @@ const SyncMsgData* VsRfifoTsEndpoint::sync_msg(ProcessId q,
   if (itq == sync_msgs_.end()) return nullptr;
   auto itc = itq->second.find(cid);
   return itc == itq->second.end() ? nullptr : &itc->second;
-}
-
-const SyncMsgData* VsRfifoTsEndpoint::latest_sync_msg(ProcessId q) const {
-  auto itq = sync_msgs_.find(q);
-  if (itq == sync_msgs_.end() || itq->second.empty()) return nullptr;
-  return &itq->second.rbegin()->second;  // cids are monotone per sender
 }
 
 namespace {
@@ -230,7 +225,8 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
                         change_set.contains(my_leader);
   if (two_tier && my_leader != self_) {
     // Up-send to our designated leader only; it relays for us.
-    transport_.send({net::node_of(my_leader)}, net::Payload(std::move(full)),
+    const net::NodeId leader = net::node_of(my_leader);
+    transport_.send(std::span(&leader, 1), net::Payload(std::move(full)),
                     full_size);
     ++vs_stats_.sync_msgs_sent;
     vs_stats_.sync_bytes_sent += full_size;

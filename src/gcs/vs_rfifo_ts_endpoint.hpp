@@ -123,8 +123,6 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// sync_msg[q][cid], or nullptr.
   const SyncMsgData* sync_msg(ProcessId q, StartChangeId cid) const;
 
-  /// The latest (highest-cid) sync message received from q, or nullptr.
-  const SyncMsgData* latest_sync_msg(ProcessId q) const;
   const std::map<ProcessId, std::map<StartChangeId, SyncMsgData>>& sync_msgs()
       const {
     return sync_msgs_;

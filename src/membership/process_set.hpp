@@ -38,14 +38,6 @@ class ProcessSet {
   bool empty() const { return body_ == nullptr; }
   bool contains(ProcessId p) const { return get().contains(p); }
 
-  /// Builds a set one member at a time: the members go into a new body, so
-  /// a set already handed on never changes under its holders.
-  void insert(ProcessId p) {
-    std::set<ProcessId> next = get();
-    next.insert(p);
-    *this = ProcessSet(std::move(next));
-  }
-
   /// True when both sets hold one body (a set and its copies do).
   bool shares_body_with(const ProcessSet& o) const { return body_ == o.body_; }
   /// How many sets hold this one's body; 0 for the empty set.

@@ -18,6 +18,9 @@
 //     checker that raised it is rebuilt from the history with violations
 //     swallowed, so it tracks the post-recovery state instead of staying
 //     wedged on what the corruption invalidated.
+//   * vs_rfifo and self judge only events wv_rfifo accepted: a rejected one
+//     is not forwarded to them, and their rebuilds skip it. So one bad
+//     delivery counts once and shifts no cut or count they judge later.
 //   * A violation outside the window propagates unchanged.
 #pragma once
 
@@ -89,36 +92,45 @@ class AllCheckers : public TraceSink {
         deadline_ = event.at + *window_;
       }
     }
-    history_.push_back(event);
+    history_.push_back({event, true});
     forward(mbrshp, event);
-    forward(wv_rfifo, event);
-    forward(vs_rfifo, event);
+    const bool wv_ok = history_.back().wv_ok = forward(wv_rfifo, event);
+    if (wv_ok) forward(vs_rfifo, event, /*wv_ok_only=*/true);
     forward(trans_set, event);
-    forward(self, event);
+    if (wv_ok) forward(self, event, /*wv_ok_only=*/true);
     forward(client, event);
   }
 
+  /// Returns false when `checker` raised a (tolerated) violation.
   template <class Checker>
-  void forward(Checker& checker, const Event& event) {
+  bool forward(Checker& checker, const Event& event, bool wv_ok_only = false) {
     try {
       checker.on_event(event);
+      return true;
     } catch (const InvariantViolation&) {
       if (event.at > deadline_) throw;
       ++tolerated_;
       checker = Checker();
-      for (const Event& e : history_) {
+      for (const Recorded& r : history_) {
+        if (wv_ok_only && !r.wv_ok) continue;
         try {
-          checker.on_event(e);
+          checker.on_event(r.event);
         } catch (const InvariantViolation&) {
         }
       }
+      return false;
     }
   }
+
+  struct Recorded {
+    Event event;
+    bool wv_ok;  ///< wv_rfifo accepted it
+  };
 
   std::optional<sim::Time> window_;
   sim::Time deadline_ = std::numeric_limits<sim::Time>::min();
   std::uint64_t tolerated_ = 0;
-  std::vector<Event> history_;
+  std::vector<Recorded> history_;
 };
 
 }  // namespace vsgc::spec

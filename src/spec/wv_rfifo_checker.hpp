@@ -8,9 +8,13 @@
 //     last_dlvrd[q][p] + 1 (within-view, gap-free, FIFO, sent-view delivery);
 //   * view_p(v): p ∈ v.set and v.id > current_view[p].id.
 //
-// Children (VsRfifoChecker, SelfChecker) extend this checker the same way
-// VS_RFIFO:SPEC and SELF:SPEC extend WV_RFIFO:SPEC — extra preconditions run
-// before the parent's effects (Theorem A.2's structure).
+// Each check runs before its effect, so a rejected event changes nothing:
+// the state is a function of the events this checker accepted.
+//
+// VS_RFIFO:SPEC and SELF:SPEC are this automaton plus one extra view
+// precondition each. VsRfifoChecker and SelfChecker check only that
+// precondition, each over the events this checker accepted; AllCheckers
+// runs the three side by side (DESIGN.md §12.2).
 #pragma once
 
 #include <cstdint>
@@ -28,21 +32,21 @@ class WvRfifoChecker : public TraceSink {
  public:
   void on_event(const Event& event) override {
     if (const auto* s = std::get_if<GcsSend>(&event.body)) {
-      check_send(*s);
-      apply_send(*s);
+      msgs_[s->p][current_view(s->p)].push_back(s->msg);
     } else if (const auto* d = std::get_if<GcsDeliver>(&event.body)) {
       check_deliver(*d);
-      apply_deliver(*d);
+      ++last_dlvrd_[d->q][d->p];
     } else if (const auto* v = std::get_if<GcsView>(&event.body)) {
       check_view(*v);
-      apply_view(*v);
-    } else if (const auto* c = std::get_if<Crash>(&event.body)) {
-      apply_crash(c->p);
+      for (auto& [q, per_receiver] : last_dlvrd_) per_receiver[v->p] = 0;
+      last_dlvrd_[v->p][v->p] = 0;
+      current_view_.insert_or_assign(v->p, v->view);
     } else if (const auto* r = std::get_if<Recover>(&event.body)) {
-      apply_recover(r->p);
+      recover(r->p);
     }
   }
 
+ private:
   const View& current_view(ProcessId p) {
     auto it = current_view_.find(p);
     if (it == current_view_.end()) {
@@ -51,11 +55,7 @@ class WvRfifoChecker : public TraceSink {
     return it->second;
   }
 
- protected:
-  // ---- Extension points for child specifications ----
-  virtual void check_send(const GcsSend& e) { (void)e; }
-
-  virtual void check_deliver(const GcsDeliver& e) {
+  void check_deliver(const GcsDeliver& e) {
     const View& cv = current_view(e.p);
     const auto& queue = msgs_[e.q][cv];
     const std::int64_t next = last_dlvrd_[e.q][e.p] + 1;
@@ -70,7 +70,7 @@ class WvRfifoChecker : public TraceSink {
                      << " index " << next << " (uid " << e.msg.uid << ")");
   }
 
-  virtual void check_view(const GcsView& e) {
+  void check_view(const GcsView& e) {
     const View& cv = current_view(e.p);
     VSGC_REQUIRE(e.view.contains(e.p),
                  "WV_RFIFO: Self Inclusion violated at " << to_string(e.p));
@@ -82,31 +82,17 @@ class WvRfifoChecker : public TraceSink {
                      << to_string(e.p));
   }
 
-  virtual void apply_crash(ProcessId p) { (void)p; }
-
-  virtual void apply_recover(ProcessId p) {
+  void recover(ProcessId p) {
     // Section 8: the algorithm restarts from initial state, but the spec
     // preserves identifier floors for Local Monotonicity; the recovered
     // process's own initial-view queue restarts empty.
     auto& floor = monotonicity_floor_[p];
     const ViewId old = current_view(p).id;
     if (floor < old) floor = old;
-    current_view_.insert_or_assign(p, View::initial(p));
-    msgs_[p][View::initial(p)].clear();
+    const View initial = View::initial(p);
+    current_view_.insert_or_assign(p, initial);
+    msgs_[p][initial].clear();
     for (auto& [q, per_receiver] : last_dlvrd_) per_receiver[p] = 0;
-  }
-
-  // ---- Parent effects ----
-  void apply_send(const GcsSend& e) {
-    msgs_[e.p][current_view(e.p)].push_back(e.msg);
-  }
-
-  void apply_deliver(const GcsDeliver& e) { ++last_dlvrd_[e.q][e.p]; }
-
-  void apply_view(const GcsView& e) {
-    for (auto& [q, per_receiver] : last_dlvrd_) per_receiver[e.p] = 0;
-    last_dlvrd_[e.p][e.p] = 0;
-    current_view_.insert_or_assign(e.p, e.view);
   }
 
   /// msgs[q][v]: the sequence of messages q's application sent in view v.

@@ -29,7 +29,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <type_traits>
 
 #include "transport/co_rfifo.hpp"
 #include "util/assert.hpp"
@@ -50,12 +49,8 @@ class Channel {
   Channel(CoRfifoTransport& transport, ChannelMux* mux, std::uint32_t group)
       : transport_(&transport), mux_(mux), group_(group) {}
 
-  /// Each call takes a std::set or an ascending span without duplicates,
-  /// as CoRfifoTransport's send and set_reliable do.
-  void send(const std::set<net::NodeId>& dests, net::Payload payload,
-            std::size_t payload_size = 0) {
-    transport_->send(dests, std::move(payload), payload_size, group_);
-  }
+  /// Each call takes an ascending span without duplicates, as
+  /// CoRfifoTransport's send and set_reliable do.
   void send(std::span<const net::NodeId> dests, net::Payload payload,
             std::size_t payload_size = 0) {
     transport_->send(dests, std::move(payload), payload_size, group_);
@@ -64,22 +59,12 @@ class Channel {
   /// Ask for reliable gap-free delivery toward `set` on this channel. Under
   /// a mux this updates the group's slice and re-derives the union; direct
   /// channels pass straight through.
-  void set_reliable(const std::set<net::NodeId>& set) {
-    set_reliable_sorted(set);
-  }
-  void set_reliable(std::span<const net::NodeId> set) {
-    set_reliable_sorted(set);
-  }
+  inline void set_reliable(std::span<const net::NodeId> set);
 
   /// Does this channel's reliable slice already equal `set` (and is the
   /// underlying session reliable toward all of it)? Endpoints use this as
   /// their idempotence check before re-asserting the set.
-  bool reliable_matches(const std::set<net::NodeId>& set) const {
-    return reliable_matches_sorted(set);
-  }
-  bool reliable_matches(std::span<const net::NodeId> set) const {
-    return reliable_matches_sorted(set);
-  }
+  inline bool reliable_matches(std::span<const net::NodeId> set) const;
 
   /// The transport's reliable_generation(). Every slice write goes through
   /// the transport's set_reliable, so it moves whenever the answer of
@@ -93,11 +78,6 @@ class Channel {
   std::uint32_t group() const { return group_; }
 
  private:
-  template <class Sorted>
-  inline void set_reliable_sorted(const Sorted& set);
-  template <class Sorted>
-  inline bool reliable_matches_sorted(const Sorted& set) const;
-
   CoRfifoTransport* transport_;
   ChannelMux* mux_;
   std::uint32_t group_;
@@ -165,20 +145,16 @@ class ChannelMux {
   std::map<std::uint32_t, ChannelState> channels_;
 };
 
-template <class Sorted>
-void Channel::set_reliable_sorted(const Sorted& set) {
+void Channel::set_reliable(std::span<const net::NodeId> set) {
   if (mux_ == nullptr) {
     transport_->set_reliable(set);
-  } else if constexpr (std::is_same_v<Sorted, std::set<net::NodeId>>) {
-    mux_->set_group_reliable(group_, set);
   } else {
     mux_->set_group_reliable(group_,
                              std::set<net::NodeId>(set.begin(), set.end()));
   }
 }
 
-template <class Sorted>
-bool Channel::reliable_matches_sorted(const Sorted& set) const {
+bool Channel::reliable_matches(std::span<const net::NodeId> set) const {
   if (mux_ != nullptr) {
     if (!std::ranges::equal(mux_->group_reliable(group_), set)) return false;
     for (net::NodeId q : set) {

@@ -304,8 +304,9 @@ TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
 // member set and startId map, 4,686 with shared views, 4,354 once
 // transport frames travel in recycled cells, 4,340 with shared payloads
 // (its payloads fit in a std::string with no allocation, so a shared body
-// gains little there), 4,224 with flat per-peer tables, and 2,587 once
-// heartbeats are wrapped once and a view change copies no member set. The
+// gains little there), 4,224 with flat per-peer tables, 2,587 once
+// heartbeats are wrapped once and a view change copies no member set, and
+// 2,410 once the VS_RFIFO and SELF checkers stop re-running WV_RFIFO. The
 // budget is the exact count.
 TEST(AllocBudgetStress, CheckedSeedStaysUnderBudget) {
   const std::uint64_t before = allocations();

@@ -361,9 +361,9 @@ TEST(EventualBundle, ResyncTracksPostCorruptionStateAfterToleratedViolation) {
   b.emit(GcsSend{kP1, msg(kP1, 1)});
   b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
   b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});  // duplicate: tolerated
-  // Counted once per checker that raised it: WV_RFIFO, and the VS_RFIFO and
-  // SELF checkers that extend it.
-  EXPECT_EQ(b.checkers.tolerated(), 3u);
+  // Counted once: only WV_RFIFO raises it, and the VS_RFIFO and SELF
+  // checkers never see the rejected delivery.
+  EXPECT_EQ(b.checkers.tolerated(), 1u);
   // The rebuilt automaton keeps checking: the next legal pair passes, and a
   // post-window duplicate of it still fires.
   b.emit(GcsSend{kP1, msg(kP1, 2)});
@@ -392,7 +392,7 @@ TEST(EventualBundle, StabilizeExtendsAnOpenWindowButNeverReopensAClosedOne) {
     const std::string what = violation_of(
         [&] { b.emit_at(15 * sim::kSecond, GcsDeliver{kP2, kP1, msg(kP1, 1)}); });
     EXPECT_TRUE(what.empty()) << what;
-    EXPECT_EQ(b.checkers.tolerated(), 3u);
+    EXPECT_EQ(b.checkers.tolerated(), 1u);
   }
   {
     // stabilize at 20s arrives after the window closed at 11s: it must not
@@ -405,6 +405,56 @@ TEST(EventualBundle, StabilizeExtendsAnOpenWindowButNeverReopensAClosedOne) {
         [&] { b.emit_at(21 * sim::kSecond, GcsDeliver{kP2, kP1, msg(kP1, 1)}); });
     EXPECT_NE(what.find("WV_RFIFO"), std::string::npos) << what;
   }
+}
+
+TEST(EventualBundle, ForgedDuplicateCountsOnceAndShiftsNoLaterCut) {
+  // p1 delivers its own message a second time inside the window. Only
+  // WV_RFIFO raises it: VS_RFIFO and SELF never see the forged delivery, so
+  // p1's view change after the window is judged by the one delivery WV_RFIFO
+  // accepted. Its cut matches p2's, and it has delivered its one message.
+  EventualBundle b;
+  const View v1 = make_view(1, {kP1, kP2});
+  const View v2 = make_view(2, {kP1, kP2}, 2);
+  b.emit(FaultInjected{"corrupt_seq", ""});
+  b.emit(GcsView{kP1, v1, {kP1}});
+  b.emit(GcsView{kP2, v1, {kP2}});
+  b.emit(GcsSend{kP1, msg(kP1, 1)});
+  b.emit(GcsDeliver{kP1, kP1, msg(kP1, 1)});
+  b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
+  const std::string forged =
+      violation_of([&] { b.emit(GcsDeliver{kP1, kP1, msg(kP1, 1)}); });
+  EXPECT_TRUE(forged.empty()) << forged;
+  EXPECT_EQ(b.checkers.tolerated(), 1u);
+  b.t += kWindow;
+  b.emit(GcsView{kP2, v2, {kP1, kP2}});  // p2 fixes the v1 -> v2 cut
+  const std::string what =
+      violation_of([&] { b.emit(GcsView{kP1, v2, {kP1, kP2}}); });
+  EXPECT_TRUE(what.empty()) << what;
+  EXPECT_EQ(b.checkers.tolerated(), 1u);
+}
+
+TEST(EventualBundle, RebuildReplaysOnlyWhatWvRfifoAccepted) {
+  // Inside the window p1's forged duplicate (WV_RFIFO) and p2's view change
+  // before delivering its own m2 (SELF) are tolerated, and the SELF checker
+  // is rebuilt. Its replay skips the forged delivery, so p1's view change
+  // after the window finds 1 of its 1 own messages delivered.
+  EventualBundle b;
+  const View v1 = make_view(1, {kP1, kP2});
+  const View v2 = make_view(2, {kP1, kP2}, 2);
+  b.emit(FaultInjected{"corrupt_seq", ""});
+  b.emit(GcsView{kP1, v1, {kP1}});
+  b.emit(GcsView{kP2, v1, {kP2}});
+  b.emit(GcsSend{kP1, msg(kP1, 1)});
+  b.emit(GcsDeliver{kP1, kP1, msg(kP1, 1)});
+  b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
+  b.emit(GcsDeliver{kP1, kP1, msg(kP1, 1)});  // forged
+  b.emit(GcsSend{kP2, msg(kP2, 2)});
+  b.emit(GcsView{kP2, v2, {kP1, kP2}});  // m2 not delivered yet
+  EXPECT_EQ(b.checkers.tolerated(), 2u);
+  b.t += kWindow;
+  const std::string what =
+      violation_of([&] { b.emit(GcsView{kP1, v2, {kP1, kP2}}); });
+  EXPECT_TRUE(what.empty()) << what;
 }
 
 TEST(EventualBundle, FinalizeExemptsTransitionsInsideTheWindowOnly) {

@@ -173,9 +173,11 @@ const std::tuple kWireTypes{
         [](Rng& r) {
           membership::wire::StartChange sc;
           sc.cid = StartChangeId{r.next_u64() % 1000};
+          std::set<ProcessId> set;
           for (int k = static_cast<int>(r.next_in(1, 8)); k > 0; --k) {
-            sc.set.insert(random_process(r));
+            set.insert(random_process(r));
           }
+          sc.set = std::move(set);
           return sc;
         },
         membership::wire::StartChange{StartChangeId{9}, {p1, p3}},

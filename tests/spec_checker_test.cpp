@@ -3,6 +3,8 @@
 // checkers were vacuous, every integration test would be meaningless.)
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "spec/all_checkers.hpp"
 #include "util/assert.hpp"
 
@@ -27,6 +29,17 @@ template <typename Checker, typename... Events>
 void feed(Checker& c, Events&&... events) {
   sim::Time t = 0;
   (c.on_event(Event{++t, std::forward<Events>(events)}), ...);
+}
+
+/// Feeds `events` to `c`; returns the violation message (empty if none).
+template <typename Checker, typename... Events>
+std::string violation_of(Checker& c, Events&&... events) {
+  try {
+    feed(c, std::forward<Events>(events)...);
+  } catch (const InvariantViolation& e) {
+    return e.what();
+  }
+  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -176,6 +189,38 @@ TEST(VsRfifoCheckerSpec, AcceptsAgreedCuts) {
   EXPECT_EQ(c.cuts_fixed(), 3u);  // initial singleton moves + v1->v2
 }
 
+TEST(VsRfifoCheckerSpec, RecoveredProcessMovesFromItsInitialView) {
+  VsRfifoChecker c;
+  const View v1 = make_view(1, {kP1, kP2});
+  const View v2 = make_view(2, {kP1, kP2}, 2);
+  // p2 delivers m1 in v1 and crashes; p1 leaves v1 without it. Recovered,
+  // p2 is back in its initial view with nothing delivered, so its move to
+  // v2 is another transition than p1's and fixes its own cut.
+  EXPECT_NO_THROW(feed(c, GcsView{kP1, v1, {}}, GcsView{kP2, v1, {}},
+                       GcsSend{kP1, msg(kP1, 1)},
+                       GcsDeliver{kP2, kP1, msg(kP1, 1)}, Crash{kP2},
+                       Recover{kP2}, GcsView{kP1, v2, {}},
+                       GcsView{kP2, v2, {}}));
+  EXPECT_EQ(c.cuts_fixed(), 4u);  // two initial moves, v1->v2, p2's rejoin
+}
+
+TEST(VsRfifoCheckerSpec, RejectsMismatchedCutsAfterRecovery) {
+  VsRfifoChecker c;
+  const View v1 = make_view(1, {kP1, kP2});
+  const View v2 = make_view(2, {kP1, kP2}, 2);
+  const View v3 = make_view(3, {kP1, kP2}, 3);
+  // The recovered p2 rejoins p1 in v2; both leave v2 for v3, but only p2
+  // delivered p1's message.
+  const std::string what = violation_of(
+      c, GcsView{kP1, v1, {}}, GcsView{kP2, v1, {}}, Crash{kP2}, Recover{kP2},
+      GcsView{kP1, v2, {}}, GcsView{kP2, v2, {}}, GcsSend{kP1, msg(kP1, 1)},
+      GcsDeliver{kP2, kP1, msg(kP1, 1)}, GcsView{kP2, v3, {}},
+      GcsView{kP1, v3, {}});
+  EXPECT_NE(what.find("VS_RFIFO: Virtual Synchrony violated"),
+            std::string::npos)
+      << what;
+}
+
 // ---------------------------------------------------------------------------
 // TRANS_SET checker (Figure 6 / Property 4.1)
 // ---------------------------------------------------------------------------
@@ -233,6 +278,32 @@ TEST(SelfCheckerSpec, AcceptsViewAfterSelfDelivery) {
   EXPECT_NO_THROW(feed(c, GcsView{kP1, v1, {}}, GcsSend{kP1, msg(kP1, 1)},
                        GcsDeliver{kP1, kP1, msg(kP1, 1)},
                        GcsView{kP1, v2, {}}));
+}
+
+TEST(SelfCheckerSpec, RecoveryForgetsOwnMessagesOfTheLostView) {
+  SelfChecker c;
+  const View v1 = make_view(1, {kP1});
+  const View v2 = make_view(2, {kP1}, 2);
+  // p1 crashes before delivering its own m1; recovered, it restarts in its
+  // initial view with nothing sent, so its next view is legal.
+  EXPECT_NO_THROW(feed(c, GcsView{kP1, v1, {}}, GcsSend{kP1, msg(kP1, 1)},
+                       Crash{kP1}, Recover{kP1}, GcsView{kP1, v2, {}}));
+}
+
+TEST(SelfCheckerSpec, RejectsViewBeforeOwnMessagesDeliveredAfterRecovery) {
+  SelfChecker c;
+  const View v1 = make_view(1, {kP1});
+  const View v2 = make_view(2, {kP1}, 2);
+  // The counts restart at recovery: the violation counts only m2, sent in
+  // the initial view.
+  const std::string what = violation_of(
+      c, GcsView{kP1, v1, {}}, GcsSend{kP1, msg(kP1, 1)},
+      GcsDeliver{kP1, kP1, msg(kP1, 1)}, Crash{kP1}, Recover{kP1},
+      GcsSend{kP1, msg(kP1, 2)}, GcsView{kP1, v2, {}});
+  EXPECT_NE(what.find("delivered 0 of 1 own messages sent in " +
+                      to_string(ViewId::zero())),
+            std::string::npos)
+      << what;
 }
 
 // ---------------------------------------------------------------------------

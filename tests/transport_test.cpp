@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -362,7 +363,7 @@ TEST(CoRfifoFrameCells, AReusedCellCarriesNothingIntoTheNextFrame) {
   EXPECT_TRUE(at_p.frames[0].entries.empty());
 
   // 2. A group-7 data frame to q, which has sent nothing: no ack fields.
-  group7.send({q}, std::uint64_t{70}, 8);
+  group7.send(std::span(&q, 1), std::uint64_t{70}, 8);
   sim.run_to_quiescence();
   ASSERT_EQ(at_q.frames.size(), 1u);
   const Frame& data = at_q.frames[0];
