@@ -16,17 +16,6 @@ namespace {
 
 constexpr sim::Time kMembershipRound = 10 * sim::kMillisecond;
 
-gcs::SyncRouting two_tier(int n, int groups) {
-  gcs::SyncRouting routing;
-  routing.mode = gcs::SyncRouting::Mode::kTwoTier;
-  const int per_group = (n + groups - 1) / groups;
-  for (int i = 0; i < n; ++i) {
-    routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-        ProcessId{static_cast<std::uint32_t>((i / per_group) * per_group + 1)};
-  }
-  return routing;
-}
-
 struct Result {
   std::uint64_t sync_msgs;  ///< sync copies + leader relays, per change
   std::uint64_t sync_bytes;
@@ -38,7 +27,8 @@ Result measure(int n, int groups /* 0 = direct */, obs::BenchArtifact& art,
   net::Network::Config cfg;
   app::OracleWorld<> w(n, /*seed=*/1, cfg);
   if (groups > 0) {
-    for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(n, groups));
+    const auto routing = gcs::SyncRouting::two_tier(n, groups);
+    for (auto& ep : w.endpoints) ep->set_sync_routing(routing);
   }
   w.schedule_change(0, kMembershipRound, w.all());
   w.run_until(2 * sim::kSecond);

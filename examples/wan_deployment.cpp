@@ -20,11 +20,7 @@ int main() {
   config.net.base_latency = 20 * sim::kMillisecond;  // WAN-ish links
   config.net.jitter = 5 * sim::kMillisecond;
   // Site A: p1..p3 led by p1; site B: p4..p6 led by p4.
-  config.sync_routing.mode = gcs::SyncRouting::Mode::kTwoTier;
-  for (int i = 0; i < kClients; ++i) {
-    config.sync_routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-        ProcessId{static_cast<std::uint32_t>(i < 3 ? 1 : 4)};
-  }
+  config.sync_routing = gcs::SyncRouting::two_tier(kClients, 2);
   config.sync_routing.compact_sync_to_strangers = true;
   app::World world(config);
 

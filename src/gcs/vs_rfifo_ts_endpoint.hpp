@@ -84,6 +84,19 @@ struct SyncRouting {
     auto it = leader_of.find(p);
     return it == leader_of.end() ? p : it->second;
   }
+
+  /// Two-tier routing over p1..pn: `groups` consecutive blocks of
+  /// ceil(n / groups) processes, the first of each block its leader.
+  static SyncRouting two_tier(int n, int groups) {
+    SyncRouting routing;
+    routing.mode = Mode::kTwoTier;
+    const int per_group = (n + groups - 1) / groups;
+    for (int i = 0; i < n; ++i) {
+      routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
+          ProcessId{static_cast<std::uint32_t>(i / per_group * per_group + 1)};
+    }
+    return routing;
+  }
 };
 
 /// ForwardingStrategyPredicate (Section 5.2.2), as a pluggable policy.

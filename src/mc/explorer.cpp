@@ -208,9 +208,7 @@ std::string ScenarioRepro::check(const ScenarioConfig& sc,
 
 std::optional<RunResult> Explorer::explore() {
   stats_ = ExploreStats{};
-  std::set<std::uint64_t> seen_signatures;
   std::set<std::uint64_t> seen_traces;
-  std::set<std::vector<std::uint32_t>> seen_prefixes;
   std::vector<std::vector<std::uint32_t>> level;
   level.push_back({});  // the default schedule
 
@@ -244,11 +242,6 @@ std::optional<RunResult> Explorer::explore() {
         ++lvl.runs;
         stats_.choice_points += run.script.choices.size();
         tally(run);
-        if (!seen_signatures.insert(signature(run.script.choices)).second) {
-          ++stats_.deduped;
-          ++lvl.deduped;
-          continue;  // identical execution already explored: no new children
-        }
         if (seen_traces.insert(trace_hash(run.trace)).second) {
           ++stats_.unique_traces;
         }
@@ -258,6 +251,9 @@ std::optional<RunResult> Explorer::explore() {
           return std::move(run);
         }
         if (depth == xc_.max_deviations) continue;  // no children past bound
+        // A run is a function of its picks, and a child forces the parent's
+        // consumed picks before its own deviation, so every child is a new
+        // schedule (no pick is clamped) and is generated exactly once.
         const std::size_t horizon =
             std::min(run.script.choices.size(), xc_.horizon);
         for (std::size_t i = prefix.size(); i < horizon; ++i) {
@@ -269,13 +265,8 @@ std::optional<RunResult> Explorer::explore() {
               child.push_back(run.script.choices[k].pick);
             }
             child.push_back(pick);
-            if (seen_prefixes.insert(child).second) {
-              next.push_back(std::move(child));
-              ++lvl.enqueued;
-            } else {
-              ++stats_.deduped;
-              ++lvl.deduped;
-            }
+            next.push_back(std::move(child));
+            ++lvl.enqueued;
           }
         }
       }

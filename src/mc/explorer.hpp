@@ -14,9 +14,9 @@
 // the *deviation count* (delay-bounded exploration a la CHESS): level d
 // holds every schedule at distance d from the default; children of a run
 // add one deviation at a choice point at or after the parent's last forced
-// position (each schedule is generated once). State-hash dedup collapses
-// prefixes that decode to the same consumed-choice sequence — common when a
-// forced prefix outlives the choice points of the execution it lands in.
+// position. A child forces its parent's consumed picks, so it never outlives
+// the choice points it lands in and each schedule is generated exactly
+// once: explore() needs no dedup. (Only random_walk() drops repeats.)
 //
 // Fault decision points: scenarios with fault_slots > 0 consult the same
 // controller at "mc.fault" points whose alternatives are a deterministic
@@ -89,7 +89,8 @@ struct ExploreConfig {
 
 struct ExploreStats {
   std::uint64_t runs = 0;           ///< executions actually performed
-  std::uint64_t deduped = 0;        ///< schedules collapsed by state hash
+  std::uint64_t deduped = 0;        ///< repeated schedules skipped (only
+                                    ///< random_walk(): explore() is 0)
   std::uint64_t choice_points = 0;  ///< total consumed across all runs
   std::uint64_t unique_traces = 0;  ///< distinct observable JSONL traces
   std::uint64_t violations = 0;
@@ -106,7 +107,7 @@ struct ExploreStats {
   struct Level {
     int depth = 0;
     std::uint64_t runs = 0;
-    std::uint64_t deduped = 0;
+    std::uint64_t deduped = 0;   ///< 0: explore() generates no repeats
     std::uint64_t enqueued = 0;  ///< children scheduled for the next level
 
     template <class S, class V>

@@ -306,8 +306,9 @@ TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
 // (its payloads fit in a std::string with no allocation, so a shared body
 // gains little there), 4,224 with flat per-peer tables, 2,587 once
 // heartbeats are wrapped once and a view change copies no member set, and
-// 2,410 once the VS_RFIFO and SELF checkers stop re-running WV_RFIFO. The
-// budget is the exact count.
+// 2,410 once the VS_RFIFO and SELF checkers stop re-running WV_RFIFO, and
+// 2,407 once the trace bus holds the checker bundle as one sink instead of
+// six (one vector growth instead of four). The budget is the exact count.
 TEST(AllocBudgetStress, CheckedSeedStaysUnderBudget) {
   const std::uint64_t before = allocations();
   EXPECT_TRUE(alloc_recipes::stress_seed(alloc_recipes::kStressSeed));

@@ -254,10 +254,15 @@ struct EventualBundle {
 /// Plants the same violation twice: once inside a corruption tolerance window
 /// (must be swallowed and counted) and once after the window closed (must
 /// fire with `tag`). Proves each checker of the bundle is neither vacuous
-/// (post-window arm) nor exact (in-window arm).
+/// (post-window arm) nor exact (in-window arm). The third arm guards the
+/// rule the bundle relies on, that a checker tests before its effect: after
+/// the window, `probe` gets the same verdict from a bundle that tolerated the
+/// planted event as from one that never saw it. Each probe reads the state
+/// the planted event would have written had its effect run.
 void expect_tolerated_then_fires(
     const std::string& tag, const std::function<void(EventualBundle&)>& setup,
-    const std::function<void(EventualBundle&)>& plant) {
+    const std::function<void(EventualBundle&)>& plant,
+    const std::function<void(EventualBundle&)>& probe) {
   {
     EventualBundle b;
     b.emit(FaultInjected{"corrupt_seq", "in-window"});
@@ -275,6 +280,20 @@ void expect_tolerated_then_fires(
     const std::string what = violation_of([&] { plant(b); });
     EXPECT_NE(what.find(tag), std::string::npos) << what;
   }
+  {
+    EventualBundle saw;
+    EventualBundle never;
+    for (EventualBundle* b : {&saw, &never}) {
+      b->emit(FaultInjected{"corrupt_seq", "in-window"});
+      setup(*b);
+    }
+    const std::string planted = violation_of([&] { plant(saw); });
+    EXPECT_TRUE(planted.empty()) << planted;
+    saw.t = never.t = saw.t + kWindow + sim::kSecond;
+    EXPECT_EQ(violation_of([&] { probe(saw); }),
+              violation_of([&] { probe(never); }))
+        << tag << ": a tolerated event changed its checker";
+  }
 }
 
 TEST(EventualBundle, MbrshpToleratedInWindowFiresAfter) {
@@ -284,7 +303,12 @@ TEST(EventualBundle, MbrshpToleratedInWindowFiresAfter) {
         b.emit(MbrStartChange{kP1, StartChangeId{1}, {kP1}});
         b.emit(MbrView{kP1, make_view(1, {kP1})});
       },
-      [](EventualBundle& b) { b.emit(MbrView{kP2, make_view(1, {kP2})}); });
+      [](EventualBundle& b) { b.emit(MbrView{kP2, make_view(1, {kP2})}); },
+      // Trips Local Monotonicity if the rejected view advanced p2's floor.
+      [](EventualBundle& b) {
+        b.emit(MbrStartChange{kP2, StartChangeId{1}, {kP2}});
+        b.emit(MbrView{kP2, make_view(1, {kP2})});
+      });
 }
 
 TEST(EventualBundle, WvRfifoToleratedInWindowFiresAfter) {
@@ -297,7 +321,12 @@ TEST(EventualBundle, WvRfifoToleratedInWindowFiresAfter) {
         b.emit(GcsSend{kP1, msg(kP1, 1)});
         b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
       },
-      [&](EventualBundle& b) { b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)}); });
+      [&](EventualBundle& b) { b.emit(GcsDeliver{kP2, kP1, msg(kP1, 1)}); },
+      // Skips uid 2 if the rejected duplicate advanced p2's delivery index.
+      [](EventualBundle& b) {
+        b.emit(GcsSend{kP1, msg(kP1, 2)});
+        b.emit(GcsDeliver{kP2, kP1, msg(kP1, 2)});
+      });
 }
 
 TEST(EventualBundle, VsRfifoToleratedInWindowFiresAfter) {
@@ -312,7 +341,15 @@ TEST(EventualBundle, VsRfifoToleratedInWindowFiresAfter) {
         b.emit(GcsDeliver{kP1, kP1, msg(kP1, 1)});
         b.emit(GcsView{kP2, v2, {kP2}});
       },
-      [&](EventualBundle& b) { b.emit(GcsView{kP1, v2, {kP1}}); });
+      [&](EventualBundle& b) { b.emit(GcsView{kP1, v2, {kP1}}); },
+      // p2 fixes the v2 -> v3 cut at nothing delivered. p1's move to v3
+      // would break it had the rejected view moved p1 into v2 with its v1
+      // delivery still counted; p1 moves from v1 and fixes its own cut.
+      [&](EventualBundle& b) {
+        const View v3 = make_view(3, {kP1, kP2}, 3);
+        b.emit(GcsView{kP2, v3, {kP2}});
+        b.emit(GcsView{kP1, v3, {kP1}});
+      });
 }
 
 TEST(EventualBundle, TransSetToleratedInWindowFiresAfter) {
@@ -320,6 +357,11 @@ TEST(EventualBundle, TransSetToleratedInWindowFiresAfter) {
       "TRANS_SET", [](EventualBundle&) {},
       [](EventualBundle& b) {
         b.emit(GcsView{kP1, make_view(1, {kP1, kP2}), {kP1, kP2}});
+      },
+      // Fires only while p1's previous view excludes p2: it would pass had
+      // the rejected view become p1's current one.
+      [](EventualBundle& b) {
+        b.emit(GcsView{kP1, make_view(2, {kP1, kP2}, 2), {kP1, kP2}});
       });
 }
 
@@ -334,13 +376,20 @@ TEST(EventualBundle, SelfToleratedInWindowFiresAfter) {
       },
       [](EventualBundle& b) {
         b.emit(GcsView{kP1, make_view(2, {kP1, kP2}, 2), {kP1}});
+      },
+      // p1's m1 is still undelivered, so its next view fires; it would pass
+      // had the rejected view reset p1's own counts.
+      [](EventualBundle& b) {
+        b.emit(GcsView{kP1, make_view(3, {kP1, kP2}, 3), {kP1}});
       });
 }
 
 TEST(EventualBundle, ClientToleratedInWindowFiresAfter) {
   expect_tolerated_then_fires(
       "CLIENT", [](EventualBundle&) {},
-      [](EventualBundle& b) { b.emit(GcsBlockOk{kP1}); });
+      [](EventualBundle& b) { b.emit(GcsBlockOk{kP1}); },
+      // Fires if the rejected block_ok left p1 blocked.
+      [](EventualBundle& b) { b.emit(GcsSend{kP1, msg(kP1, 1)}); });
 }
 
 TEST(EventualBundle, NoCorruptionMeansExactSemantics) {
@@ -364,8 +413,9 @@ TEST(EventualBundle, ResyncTracksPostCorruptionStateAfterToleratedViolation) {
   // Counted once: only WV_RFIFO raises it, and the VS_RFIFO and SELF
   // checkers never see the rejected delivery.
   EXPECT_EQ(b.checkers.tolerated(), 1u);
-  // The rebuilt automaton keeps checking: the next legal pair passes, and a
-  // post-window duplicate of it still fires.
+  // The rejected duplicate left the automaton as it was, so it keeps
+  // checking: the next legal pair passes, and a post-window duplicate of it
+  // still fires.
   b.emit(GcsSend{kP1, msg(kP1, 2)});
   b.emit(GcsDeliver{kP2, kP1, msg(kP1, 2)});
   b.t += kWindow;
@@ -435,9 +485,10 @@ TEST(EventualBundle, ForgedDuplicateCountsOnceAndShiftsNoLaterCut) {
 
 TEST(EventualBundle, RebuildReplaysOnlyWhatWvRfifoAccepted) {
   // Inside the window p1's forged duplicate (WV_RFIFO) and p2's view change
-  // before delivering its own m2 (SELF) are tolerated, and the SELF checker
-  // is rebuilt. Its replay skips the forged delivery, so p1's view change
-  // after the window finds 1 of its 1 own messages delivered.
+  // before delivering its own m2 (SELF) are tolerated, and each rejected
+  // event is dropped for the checker that raised it. The SELF checker never
+  // saw the forged delivery, so p1's view change after the window finds 1 of
+  // its 1 own messages delivered.
   EventualBundle b;
   const View v1 = make_view(1, {kP1, kP2});
   const View v2 = make_view(2, {kP1, kP2}, 2);

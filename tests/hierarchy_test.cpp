@@ -12,23 +12,10 @@ namespace {
 
 using OracleWorld = app::OracleWorld<>;
 
-/// Assign a two-tier topology: processes are split into `groups` consecutive
-/// blocks; the first process of each block is its leader.
-gcs::SyncRouting two_tier(int n, int groups) {
-  gcs::SyncRouting routing;
-  routing.mode = gcs::SyncRouting::Mode::kTwoTier;
-  const int per_group = (n + groups - 1) / groups;
-  for (int i = 0; i < n; ++i) {
-    const int leader_index = (i / per_group) * per_group;
-    routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-        ProcessId{static_cast<std::uint32_t>(leader_index + 1)};
-  }
-  return routing;
-}
-
 TEST(TwoTier, ViewChangeCompletesWithAggregation) {
   OracleWorld w(6);
-  for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(6, 2));
+  const auto routing = gcs::SyncRouting::two_tier(6, 2);
+  for (auto& ep : w.endpoints) ep->set_sync_routing(routing);
   w.change_view(w.all());
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(w.ep(i).current_view().members(), w.all()) << "endpoint " << i;
@@ -41,7 +28,8 @@ TEST(TwoTier, ViewChangeCompletesWithAggregation) {
 
 TEST(TwoTier, VirtualSynchronyPreservedUnderTraffic) {
   OracleWorld w(6);
-  for (auto& ep : w.endpoints) ep->set_sync_routing(two_tier(6, 2));
+  const auto routing = gcs::SyncRouting::two_tier(6, 2);
+  for (auto& ep : w.endpoints) ep->set_sync_routing(routing);
   std::vector<int> rx(6, 0);
   for (int i = 0; i < 6; ++i) {
     w.client(i).on_deliver(
@@ -74,7 +62,8 @@ TEST(TwoTier, FewerSyncCopiesThanDirect) {
   direct.change_view(direct.all());
 
   OracleWorld tiered(n);
-  for (auto& ep : tiered.endpoints) ep->set_sync_routing(two_tier(n, 3));
+  const auto routing = gcs::SyncRouting::two_tier(n, 3);
+  for (auto& ep : tiered.endpoints) ep->set_sync_routing(routing);
   tiered.change_view(tiered.all());
   tiered.change_view(tiered.all());
 

@@ -48,13 +48,8 @@ app::WorldConfig MakeConfig(const ChurnParams& param) {
   cfg.forwarding = param.forwarding;
   cfg.net.drop_probability = param.drop_probability;
   if (param.two_tier) {
-    cfg.sync_routing.mode = gcs::SyncRouting::Mode::kTwoTier;
     // Two leader groups: first half led by p1, second half by the middle.
-    const int half = (param.clients + 1) / 2;
-    for (int i = 0; i < param.clients; ++i) {
-      cfg.sync_routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-          ProcessId{static_cast<std::uint32_t>(i < half ? 1 : half + 1)};
-    }
+    cfg.sync_routing = gcs::SyncRouting::two_tier(param.clients, 2);
   }
   return cfg;
 }

@@ -98,12 +98,7 @@ app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
   wc.net.drop_probability = cfg.drop;
   if (cfg.corrupt) wc.tolerance_window = cfg.eventual_window;
   if (cfg.two_tier) {
-    wc.sync_routing.mode = gcs::SyncRouting::Mode::kTwoTier;
-    const int half = (cfg.clients + 1) / 2;
-    for (int i = 0; i < cfg.clients; ++i) {
-      wc.sync_routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-          ProcessId{static_cast<std::uint32_t>(i < half ? 1 : half + 1)};
-    }
+    wc.sync_routing = gcs::SyncRouting::two_tier(cfg.clients, 2);
   }
   return wc;
 }

@@ -166,12 +166,7 @@ bool record_trace(const Options& opt, std::vector<spec::Event>* events,
   wc.lifecycle_spans = true;
   wc.attach_checkers = true;
   if (opt.two_tier) {
-    wc.sync_routing.mode = gcs::SyncRouting::Mode::kTwoTier;
-    const int half = (opt.clients + 1) / 2;
-    for (int i = 0; i < opt.clients; ++i) {
-      wc.sync_routing.leader_of[ProcessId{static_cast<std::uint32_t>(i + 1)}] =
-          ProcessId{static_cast<std::uint32_t>(i < half ? 1 : half + 1)};
-    }
+    wc.sync_routing = gcs::SyncRouting::two_tier(opt.clients, 2);
   }
   app::World world(wc);
   world.start();
