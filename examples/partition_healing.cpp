@@ -14,7 +14,7 @@ using namespace vsgc;
 
 namespace {
 
-void print_view(int idx, const View& v, const std::set<ProcessId>& t) {
+void print_view(int idx, const View& v, const ProcessSet& t) {
   std::cout << "  [p" << idx + 1 << "] view " << to_string(v.id) << " members={";
   for (ProcessId q : v.members()) std::cout << " " << to_string(q);
   std::cout << " } transitional={";
@@ -33,7 +33,7 @@ int main() {
   for (int i = 0; i < 4; ++i) {
     const int idx = i;
     world.client(i).on_view(
-        [idx](const View& v, const std::set<ProcessId>& t) {
+        [idx](const View& v, const ProcessSet& t) {
           print_view(idx, v, t);
         });
     world.client(i).on_deliver([idx](ProcessId from, const gcs::AppMsg& m) {

@@ -18,7 +18,7 @@ int main() {
   for (int i = 0; i < 3; ++i) {
     const int idx = i;
     world.client(i).on_view([idx](const View& v,
-                                  const std::set<ProcessId>& transitional) {
+                                  const ProcessSet& transitional) {
       std::cout << "  [p" << idx + 1 << "] view " << to_string(v)
                 << "  transitional={";
       for (ProcessId q : transitional) std::cout << " " << to_string(q);

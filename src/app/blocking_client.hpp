@@ -16,6 +16,8 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "gcs/client.hpp"
 #include "gcs/gcs_endpoint.hpp"
@@ -26,15 +28,30 @@ template <typename EndpointT>
 class BasicBlockingClient : public gcs::Client {
  public:
   using DeliverFn = std::function<void(ProcessId from, const gcs::AppMsg&)>;
-  using ViewFn =
-      std::function<void(const View&, const std::set<ProcessId>&)>;
+  using ViewFn = std::function<void(const View&, const ProcessSet&)>;
 
   explicit BasicBlockingClient(EndpointT& endpoint) : endpoint_(endpoint) {
     endpoint_.set_client(*this);
   }
 
   void on_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-  void on_view(ViewFn fn) { view_ = std::move(fn); }
+
+  /// The view callback gets T as the end-point's flat set. A callback that
+  /// takes the plain `const std::set<ProcessId>&` gets a set this client
+  /// keeps in step with T: each view erases and inserts only what changed,
+  /// so a T that moves by one member costs one node.
+  template <class F>
+  void on_view(F fn) {
+    if constexpr (std::is_invocable_v<F&, const View&, const ProcessSet&>) {
+      view_ = std::move(fn);
+    } else {
+      view_ = [fn = std::move(fn), plain = std::set<ProcessId>()](
+                  const View& v, const ProcessSet& t) mutable {
+        keep_in_step(plain, t);
+        fn(v, std::as_const(plain));
+      };
+    }
+  }
 
   /// Pre-delivery hook, independent of on_deliver: runs first and may veto
   /// the application callback (return false to swallow). Fault harnesses use
@@ -64,12 +81,16 @@ class BasicBlockingClient : public gcs::Client {
     if (deliver_) deliver_(from, msg);
   }
 
-  void view(const View& v, const std::set<ProcessId>& transitional) override {
+  void view(const View& v, const ProcessSet& transitional) override {
     blocked_ = false;
     if (view_) view_(v, transitional);
-    std::deque<std::string> queued;
-    queued.swap(pending_);
-    for (std::string& payload : queued) send(std::move(payload));
+    // Flush the sends queued while blocked, in order, from the queue itself.
+    // If a send blocks us again, the rest stay queued for the next view.
+    while (!blocked_ && !pending_.empty()) {
+      std::string payload = std::move(pending_.front());
+      pending_.pop_front();
+      endpoint_.send(std::move(payload));
+    }
   }
 
   void block() override {
@@ -78,6 +99,20 @@ class BasicBlockingClient : public gcs::Client {
   }
 
  private:
+  /// Makes `plain` equal `t` (both ascend), touching only the difference.
+  static void keep_in_step(std::set<ProcessId>& plain, const ProcessSet& t) {
+    auto it = plain.begin();
+    for (ProcessId p : t) {
+      while (it != plain.end() && *it < p) it = plain.erase(it);
+      if (it != plain.end() && *it == p) {
+        ++it;
+      } else {
+        plain.insert(it, p);
+      }
+    }
+    plain.erase(it, plain.end());
+  }
+
   EndpointT& endpoint_;
   DeliverFn deliver_;
   ViewFn view_;

@@ -39,7 +39,7 @@ CausalOrder::CausalOrder(BlockingClient& client, ProcessId self)
   client_.on_deliver([this](ProcessId from, const gcs::AppMsg& msg) {
     handle_deliver(from, msg);
   });
-  client_.on_view([this](const View& v, const std::set<ProcessId>& t) {
+  client_.on_view([this](const View& v, const ProcessSet& t) {
     handle_view(v, t);
   });
 }
@@ -101,7 +101,7 @@ void CausalOrder::handle_deliver(ProcessId from, const gcs::AppMsg& msg) {
 }
 
 void CausalOrder::handle_view(const View& v,
-                              const std::set<ProcessId>& transitional) {
+                              const ProcessSet& transitional) {
   // Virtual Synchrony: transitional members agreed on the delivered set, so
   // any residue is flushed in (sender) order and the clocks restart.
   drain();

@@ -27,8 +27,7 @@ class CausalOrder {
  public:
   using DeliverFn =
       std::function<void(ProcessId origin, const std::string& payload)>;
-  using ViewFn =
-      std::function<void(const View&, const std::set<ProcessId>&)>;
+  using ViewFn = std::function<void(const View&, const ProcessSet&)>;
 
   CausalOrder(BlockingClient& client, ProcessId self);
 
@@ -47,7 +46,7 @@ class CausalOrder {
   };
 
   void handle_deliver(ProcessId from, const gcs::AppMsg& msg);
-  void handle_view(const View& v, const std::set<ProcessId>& transitional);
+  void handle_view(const View& v, const ProcessSet& transitional);
   bool deliverable(ProcessId from, const Stamped& m) const;
   void drain();
 

@@ -45,7 +45,7 @@ ReplicatedKvStore::ReplicatedKvStore(TotalOrder& to, ProcessId self)
   to_.on_deliver([this](ProcessId origin, const std::string& payload) {
     handle_deliver(origin, payload);
   });
-  to_.on_view([this](const View& v, const std::set<ProcessId>& t) {
+  to_.on_view([this](const View& v, const ProcessSet& t) {
     handle_view(v, t);
   });
 }
@@ -122,7 +122,7 @@ void ReplicatedKvStore::handle_deliver(ProcessId origin,
 }
 
 void ReplicatedKvStore::handle_view(const View& v,
-                                    const std::set<ProcessId>& transitional) {
+                                    const ProcessSet& transitional) {
   snapshot_duty_ = false;
   const bool everyone_moved_together =
       transitional.size() == v.members().size();

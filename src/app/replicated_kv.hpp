@@ -39,7 +39,7 @@ class ReplicatedKvStore {
 
  private:
   void handle_deliver(ProcessId origin, const std::string& payload);
-  void handle_view(const View& v, const std::set<ProcessId>& transitional);
+  void handle_view(const View& v, const ProcessSet& transitional);
   void apply(const std::string& command);
 
   TotalOrder& to_;

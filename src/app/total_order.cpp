@@ -45,7 +45,7 @@ TotalOrder::TotalOrder(BlockingClient& client, ProcessId self)
   client_.on_deliver([this](ProcessId from, const gcs::AppMsg& msg) {
     handle_deliver(from, msg);
   });
-  client_.on_view([this](const View& v, const std::set<ProcessId>& t) {
+  client_.on_view([this](const View& v, const ProcessSet& t) {
     handle_view(v, t);
   });
 }
@@ -114,7 +114,7 @@ void TotalOrder::flush_residue() {
 }
 
 void TotalOrder::handle_view(const View& v,
-                             const std::set<ProcessId>& transitional) {
+                             const ProcessSet& transitional) {
   flush_residue();
   sequencer_ = *v.members().begin();
   if (view_) view_(v, transitional);

@@ -28,8 +28,7 @@ class TotalOrder {
  public:
   using DeliverFn =
       std::function<void(ProcessId origin, const std::string& payload)>;
-  using ViewFn =
-      std::function<void(const View&, const std::set<ProcessId>&)>;
+  using ViewFn = std::function<void(const View&, const ProcessSet&)>;
 
   TotalOrder(BlockingClient& client, ProcessId self);
 
@@ -45,7 +44,7 @@ class TotalOrder {
   using MsgId = std::pair<ProcessId, std::uint64_t>;  // (sender, uid)
 
   void handle_deliver(ProcessId from, const gcs::AppMsg& msg);
-  void handle_view(const View& v, const std::set<ProcessId>& transitional);
+  void handle_view(const View& v, const ProcessSet& transitional);
   void try_deliver();
   void flush_residue();
 

@@ -7,6 +7,7 @@
 // script plays the membership service.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,7 +118,7 @@ class World {
       if (!members.contains(p->id())) continue;
       if (p->crashed()) return false;
       const View& cv = p->endpoint().current_view();
-      if (cv.members() != members) return false;
+      if (!std::ranges::equal(cv.members(), members)) return false;
       if (seen != nullptr && !(*seen == cv)) return false;
       seen = &cv;
     }

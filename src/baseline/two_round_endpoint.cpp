@@ -149,8 +149,8 @@ bool TwoRoundEndpoint::try_send_agree() {
     return false;
   }
   wire::AgreeMsg am{target.id};
-  transport_.send(nodes_of(target.members(), /*exclude_self=*/true),
-                  net::Payload(am), codec::wire_size(am));
+  transport_.send(nodes_of(target.members()), net::Payload(am),
+                  codec::wire_size(am));
   agree_sent_.insert(target.id);
   agrees_[target.id].insert(self_);
   baseline_stats_.agrees_sent += target.members().size() - 1;  // per-dest copies
@@ -167,14 +167,16 @@ bool TwoRoundEndpoint::try_send_sync() {
   if (block_status_ != BlockStatus::kBlocked) return false;
 
   gcs::SyncMsgData& data = syncs_[target.id][self_];
-  data = gcs::SyncMsgData{current_view(), {}};
-  for (const Lane& lane : lanes()) {
-    data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
-  }
+  data = gcs::SyncMsgData{
+      current_view(), gcs::wire::Cut::build(lanes().size(), [&](auto* out) {
+        for (const Lane& lane : lanes()) {
+          *out++ = {lane.sender, lane.msgs->longest_prefix()};
+        }
+      })};
   wire::SyncMsg sm{target.id, data.view, data.cut};
   const std::size_t size = codec::wire_size(sm);
-  transport_.send(nodes_of(target.members(), /*exclude_self=*/true),
-                  net::Payload(std::move(sm)), size);
+  transport_.send(nodes_of(target.members()), net::Payload(std::move(sm)),
+                  size);
   sync_sent_.insert(target.id);
   baseline_stats_.sync_msgs_sent += target.members().size() - 1;  // per-dest
   return true;
@@ -209,20 +211,20 @@ bool TwoRoundEndpoint::deliver_allowed(std::size_t /*lane*/, ProcessId q,
   return next_index <= limit;
 }
 
-bool TwoRoundEndpoint::view_gate(const View& v,
-                                 std::set<ProcessId>& transitional) {
+bool TwoRoundEndpoint::view_gate(const View& v, ProcessSet& transitional) {
   if (pending_.empty() || pending_.front() != v) return false;
   for (ProcessId q : participants(v)) {
     if (sync_of(v.id, q) == nullptr) return false;
   }
-  transitional = transitional_for(v);
+  const std::set<ProcessId> t = transitional_for(v);
   for (ProcessId q : current_view().members()) {
     std::int64_t agreed = 0;
-    for (ProcessId r : transitional) {
+    for (ProcessId r : t) {
       agreed = std::max(agreed, sync_of(v.id, r)->cut_of(q));
     }
     if (last_dlvrd(q) != agreed) return false;
   }
+  transitional = t;
   return true;
 }
 
@@ -257,17 +259,16 @@ bool TwoRoundEndpoint::try_forward() {
       if (missing.empty() || forwarder != self_) continue;
       const gcs::AppMsg* m = buffer(r, current.id).get(i);
       if (m == nullptr) continue;
-      std::set<ProcessId> fresh;
+      std::vector<ProcessId> fresh;  // ascending, as `missing`
       for (ProcessId dest : missing) {
         if (forwarded_set_.emplace(dest, r, current.id, i).second) {
-          fresh.insert(dest);
+          fresh.push_back(dest);
         }
       }
       if (fresh.empty()) continue;
       gcs::wire::FwdMsg fm{r, current, i, *m};
       const std::size_t size = codec::wire_size(fm);
-      transport_.send(nodes_of(fresh, /*exclude_self=*/true),
-                      net::Payload(std::move(fm)), size);
+      transport_.send(nodes_of(fresh), net::Payload(std::move(fm)), size);
       baseline_stats_.forwards_sent += fresh.size();
       progress = true;
     }

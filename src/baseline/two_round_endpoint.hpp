@@ -101,7 +101,7 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(std::size_t lane, ProcessId q,
                        std::int64_t next_index) const override;
-  bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
+  bool view_gate(const View& v, ProcessSet& transitional) override;
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
   bool handle_child_message(ProcessId from, const std::any& payload) override;

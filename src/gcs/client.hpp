@@ -8,9 +8,8 @@
 // next view. gcs::BlockingClient (src/app) provides that behaviour for free.
 #pragma once
 
-#include <set>
-
 #include "gcs/app_msg.hpp"
+#include "membership/process_set.hpp"
 #include "membership/view.hpp"
 
 namespace vsgc::gcs {
@@ -22,8 +21,9 @@ class Client {
   /// deliver_p(q, m): message `m` from process `q`, in the current view.
   virtual void deliver(ProcessId from, const AppMsg& msg) = 0;
 
-  /// view_p(v, T): new view `v` with transitional set `T`.
-  virtual void view(const View& v, const std::set<ProcessId>& transitional) = 0;
+  /// view_p(v, T): new view `v` with transitional set `T`. T is the body
+  /// the end-point built and its GcsView event holds.
+  virtual void view(const View& v, const ProcessSet& transitional) = 0;
 
   /// block_p(): the service asks the client to stop sending; the client must
   /// eventually call GcsEndpoint::block_ok().

@@ -6,8 +6,9 @@
 // get() on it is O(1). Entries can also arrive out of order through
 // forwarding (fwd_msg); one past a gap waits in an ordered tail and drains
 // into the prefix once the gap closes. A vector, not a deque: a deque
-// allocates on construction, and every view change builds N^2 empty
-// buffers (DESIGN.md §11.5).
+// allocates on construction. An end-point reuses the buffer of a dead view
+// for the next one (clear()), so a view change allocates no buffer
+// (DESIGN.md §11.5).
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,14 @@ class FifoBuffer {
   }
 
   std::size_t size() const { return prefix_.size() + tail_.size(); }
+
+  /// Empty again, as a new buffer, for reuse by another view: drops every
+  /// message (and so its payload reference) but keeps the prefix's
+  /// capacity.
+  void clear() {
+    prefix_.clear();
+    tail_.clear();
+  }
 
  private:
   std::vector<AppMsg> prefix_;           ///< indices 1..prefix_.size()

@@ -19,13 +19,16 @@
 #include "gcs/app_msg.hpp"
 #include "membership/view.hpp"
 #include "util/ids.hpp"
+#include "util/shared_array.hpp"
 #include "util/wire_codec.hpp"
 
 namespace vsgc::gcs::wire {
 
 /// A sync message's cut: (sender, index) pairs, strictly ascending by
-/// sender. It encodes exactly as a std::map<ProcessId, std::int64_t>.
-using Cut = std::vector<std::pair<ProcessId, std::int64_t>>;
+/// sender, in one immutable refcounted body (DESIGN.md §11.5). The sender's
+/// own record, the SyncMsg it sends and every receiver's stored copy hold
+/// that one body. It encodes exactly as a std::map<ProcessId, std::int64_t>.
+using Cut = util::SharedArray<std::pair<ProcessId, std::int64_t>>;
 
 /// cut[q], or 0 for a sender the cut does not name.
 inline std::int64_t cut_of(const Cut& cut, ProcessId q) {

@@ -19,18 +19,26 @@ VsRfifoTsEndpoint::VsRfifoTsEndpoint(
   VSGC_REQUIRE(strategy_ != nullptr, "a forwarding strategy is required");
 }
 
-const SyncMsgData* VsRfifoTsEndpoint::sync_msg(ProcessId q,
-                                               StartChangeId cid) const {
-  auto itq = sync_msgs_.find(q);
-  if (itq == sync_msgs_.end()) return nullptr;
-  auto itc = itq->second.find(cid);
-  return itc == itq->second.end() ? nullptr : &itc->second;
-}
-
 namespace {
 
+/// The first sender entry not below q.
+template <class Senders>
+auto sender_at(Senders& senders, ProcessId q) {
+  return std::lower_bound(
+      senders.begin(), senders.end(), q,
+      [](const SenderSyncs& s, ProcessId p) { return s.sender < p; });
+}
+
+/// The first record of `by_cid` not below cid.
+template <class ByCid>
+auto cid_at(ByCid& by_cid, StartChangeId cid) {
+  return std::lower_bound(
+      by_cid.begin(), by_cid.end(), cid,
+      [](const auto& entry, StartChangeId c) { return entry.first < c; });
+}
+
 /// agreed[i] = max(agreed[i], cut[q]) for the i'th of `members`: both ascend.
-void fold_cut(const wire::Cut& cut, const std::set<ProcessId>& members,
+void fold_cut(const wire::Cut& cut, const ProcessSet& members,
               std::vector<std::int64_t>& agreed) {
   auto c = cut.begin();
   std::size_t i = 0;
@@ -44,6 +52,32 @@ void fold_cut(const wire::Cut& cut, const std::set<ProcessId>& members,
 }
 
 }  // namespace
+
+const SyncMsgData* VsRfifoTsEndpoint::sync_msg(ProcessId q,
+                                               StartChangeId cid) const {
+  const auto s = sender_at(sync_msgs_, q);
+  if (s == sync_msgs_.end() || s->sender != q) return nullptr;
+  const auto c = cid_at(s->by_cid, cid);
+  return c == s->by_cid.end() || c->first != cid ? nullptr : &c->second;
+}
+
+SyncMsgData& VsRfifoTsEndpoint::sync_slot(ProcessId q, StartChangeId cid,
+                                          bool& fresh) {
+  auto s = sender_at(sync_msgs_, q);
+  // A new sender entry moves the entries after it, but not their records:
+  // those sit in each entry's own `by_cid` storage.
+  if (s == sync_msgs_.end() || s->sender != q) {
+    s = sync_msgs_.insert(s, SenderSyncs{q, {}});
+  }
+  auto& by_cid = s->by_cid;
+  auto c = cid_at(by_cid, cid);
+  fresh = c == by_cid.end() || c->first != cid;
+  if (!fresh) return c->second;
+  if (c != by_cid.end() || by_cid.size() == by_cid.capacity()) {
+    candidate_stale_ = true;  // the insert moves q's records
+  }
+  return by_cid.emplace(c, cid, SyncMsgData{})->second;
+}
 
 void VsRfifoTsEndpoint::resolve(const View& v, const View& w,
                                 SyncResolution& out) const {
@@ -131,33 +165,33 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   }
   wire::AggregateSyncMsg for_locals{1, {}};
   wire::AggregateSyncMsg for_peers{0, {}};
-  for (const auto& [q, per_cid] : sync_msgs_) {
-    if (q == self_ || per_cid.empty()) continue;
-    const auto& [latest_cid, data] = *per_cid.rbegin();
+  for (const auto& [q, by_cid] : sync_msgs_) {
+    if (q == self_ || by_cid.empty()) continue;
+    const auto& [latest_cid, data] = by_cid.back();
     const wire::SyncMsg sync{latest_cid, data.view, data.cut};
     for_locals.entries.emplace_back(q, sync);
     if (routing_.leader(q) == self_) for_peers.entries.emplace_back(q, sync);
   }
-  std::set<ProcessId> locals;
-  std::set<ProcessId> peers;
+  std::vector<ProcessId> locals;  // ascending, as `set`
+  std::vector<ProcessId> peers;
   for (ProcessId q : set) {
     if (q == self_) continue;
     if (routing_.leader(q) == self_) {
-      locals.insert(q);
+      locals.push_back(q);
     } else if (!set.contains(routing_.leader(q))) {
-      peers.insert(q);  // orphan
+      peers.push_back(q);  // orphan
     } else if (routing_.leader(q) == q) {
-      peers.insert(q);  // another leader
+      peers.push_back(q);  // another leader
     }
   }
   if (!for_locals.entries.empty() && !locals.empty()) {
-    transport_.send(nodes_of(locals, /*exclude_self=*/true),
-                    net::Payload(for_locals), codec::wire_size(for_locals));
+    transport_.send(nodes_of(locals), net::Payload(for_locals),
+                    codec::wire_size(for_locals));
     vs_stats_.sync_bytes_sent += codec::wire_size(for_locals);
     ++vs_stats_.aggregates_relayed;
   }
   if (!for_peers.entries.empty() && !peers.empty()) {
-    transport_.send(nodes_of(peers, /*exclude_self=*/true),
+    transport_.send(nodes_of(peers),
                     net::Payload(for_peers), codec::wire_size(for_peers));
     vs_stats_.sync_bytes_sent += codec::wire_size(for_peers);
     ++vs_stats_.aggregates_relayed;
@@ -170,7 +204,7 @@ void VsRfifoTsEndpoint::desired_reliable_set(
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
   // (start_change_ moves only under on_start_change, view install and
   // recover: three of the parent's points that mark this set stale.)
-  const std::set<ProcessId>& view = current_view().members();
+  const ProcessSet& view = current_view().members();
   if (!start_change_) {
     out.assign(view.begin(), view.end());
     return;
@@ -181,7 +215,7 @@ void VsRfifoTsEndpoint::desired_reliable_set(
 }
 
 std::set<ProcessId> VsRfifoTsEndpoint::relay_dests(
-    const std::set<ProcessId>& change_set) const {
+    const ProcessSet& change_set) const {
   std::set<ProcessId> dests;
   for (ProcessId q : change_set) {
     if (q == self_) continue;
@@ -209,16 +243,19 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     return false;
   }
 
-  SyncMsgData& data = sync_msgs_[self_][cid];
+  bool fresh = false;
+  SyncMsgData& data = sync_slot(self_, cid, fresh);
   data.view = current_view();
-  data.cut.reserve(lanes().size());
-  for (const Lane& lane : lanes()) {
-    data.cut.emplace_back(lane.sender, lane.msgs->longest_prefix());
-  }
+  data.cut = wire::Cut::build(lanes().size(), [&](auto* out) {
+    for (const Lane& lane : lanes()) {
+      *out++ = {lane.sender, lane.msgs->longest_prefix()};
+    }
+  });
   candidate_stale_ = true;
+  // The message shares our record's cut body, as will every receiver's.
   wire::SyncMsg full{cid, data.view, data.cut};
   const std::size_t full_size = codec::wire_size(full);
-  const std::set<ProcessId>& change_set = start_change_->second.get();
+  const ProcessSet& change_set = start_change_->second;
 
   const ProcessId my_leader = routing_.leader(self_);
   const bool two_tier = routing_.mode == SyncRouting::Mode::kTwoTier &&
@@ -237,8 +274,7 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     const std::set<ProcessId> dests = relay_dests(change_set);
     if (!dests.empty()) {
       const std::size_t size = codec::wire_size(agg);
-      transport_.send(nodes_of(dests, /*exclude_self=*/true),
-                      net::Payload(std::move(agg)), size);
+      transport_.send(nodes_of(dests), net::Payload(std::move(agg)), size);
       vs_stats_.sync_msgs_sent += dests.size();
       vs_stats_.sync_bytes_sent += size;
     }
@@ -248,18 +284,18 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
                             change_set.begin(), change_set.end())) {
     // Direct all-to-all (Section 5.2) with the Section 5.2.4 compaction:
     // strangers (outside our view) never read our cut.
-    std::set<ProcessId> members;
-    std::set<ProcessId> strangers;
+    std::vector<ProcessId> members;  // ascending, as `change_set`
+    std::vector<ProcessId> strangers;
     for (ProcessId q : change_set) {
       if (q == self_) continue;
-      (current_view().contains(q) ? members : strangers).insert(q);
+      (current_view().contains(q) ? members : strangers).push_back(q);
     }
     wire::SyncMsg compact{cid, data.view, {}};
     const std::size_t compact_size = codec::wire_size(compact);
-    transport_.send(nodes_of(members, /*exclude_self=*/true),
-                    net::Payload(std::move(full)), full_size);
-    transport_.send(nodes_of(strangers, /*exclude_self=*/true),
-                    net::Payload(std::move(compact)), compact_size);
+    transport_.send(nodes_of(members), net::Payload(std::move(full)),
+                    full_size);
+    transport_.send(nodes_of(strangers), net::Payload(std::move(compact)),
+                    compact_size);
     vs_stats_.sync_bytes_sent +=
         full_size * members.size() + compact_size * strangers.size();
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
@@ -276,13 +312,14 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
 }
 
 void VsRfifoTsEndpoint::store_sync(ProcessId from, const wire::SyncMsg& sync) {
-  SyncMsgData data{intern(sync.view), sync.cut};
-  auto [it, fresh] = sync_msgs_[from].try_emplace(sync.cid, std::move(data));
+  bool fresh = false;
+  SyncMsgData& data = sync_slot(from, sync.cid, fresh);
+  // The record shares the sender's cut body: storing copies nothing.
+  data = SyncMsgData{intern(sync.view), sync.cut};
   if (fresh && from != self_) {
-    absorb(from, sync.cid, it->second);
+    absorb(from, sync.cid, data);
   } else {
     // A replaced message, or our own (which sets deliver_allowed's cut).
-    if (!fresh) it->second = std::move(data);
     candidate_stale_ = true;
   }
   ++vs_stats_.sync_msgs_received;
@@ -298,14 +335,13 @@ void VsRfifoTsEndpoint::relay_as_leader(ProcessId origin,
   // latest membership view. The latter matters when this leader already
   // installed the view while slower members are still synchronizing — their
   // late up-sends must still be disseminated or those members starve.
-  const std::set<ProcessId>& scope =
-      start_change_ ? start_change_->second.get() : mbrshp_view().members();
+  const ProcessSet& scope =
+      start_change_ ? start_change_->second : mbrshp_view().members();
   std::set<ProcessId> dests = relay_dests(scope);
   dests.erase(origin);
   if (dests.empty()) return;
   wire::AggregateSyncMsg agg{0, {{origin, sync}}};
-  transport_.send(nodes_of(dests, /*exclude_self=*/true), net::Payload(agg),
-                  codec::wire_size(agg));
+  transport_.send(nodes_of(dests), net::Payload(agg), codec::wire_size(agg));
   vs_stats_.sync_bytes_sent += codec::wire_size(agg);
   ++vs_stats_.aggregates_relayed;
 }
@@ -326,19 +362,18 @@ bool VsRfifoTsEndpoint::handle_child_message(ProcessId from,
     // for the same reason as in relay_as_leader).
     if (agg->hops == 0 && routing_.mode == SyncRouting::Mode::kTwoTier &&
         routing_.leader(self_) == self_) {
-      const std::set<ProcessId>& scope =
-          start_change_ ? start_change_->second.get()
-                        : mbrshp_view().members();
-      std::set<ProcessId> locals;
+      const ProcessSet& scope =
+          start_change_ ? start_change_->second : mbrshp_view().members();
+      std::vector<ProcessId> locals;  // ascending, as `scope`
       for (ProcessId q : scope) {
         if (q != self_ && q != from && routing_.leader(q) == self_) {
-          locals.insert(q);
+          locals.push_back(q);
         }
       }
       if (!locals.empty()) {
         wire::AggregateSyncMsg fwd{1, agg->entries};
-        transport_.send(nodes_of(locals, /*exclude_self=*/true),
-                        net::Payload(fwd), codec::wire_size(fwd));
+        transport_.send(nodes_of(locals), net::Payload(fwd),
+                        codec::wire_size(fwd));
         vs_stats_.sync_bytes_sent += codec::wire_size(fwd);
         ++vs_stats_.aggregates_relayed;
       }
@@ -354,8 +389,7 @@ bool VsRfifoTsEndpoint::deliver_allowed(std::size_t lane, ProcessId /*q*/,
   return next_index <= deliver_limit_[lane];
 }
 
-bool VsRfifoTsEndpoint::view_gate(const View& v,
-                                  std::set<ProcessId>& transitional) {
+bool VsRfifoTsEndpoint::view_gate(const View& v, ProcessSet& transitional) {
   // pre: v.startId(p) = start_change.id  (never deliver obsolete views)
   if (!start_change_ || v.start_id_of(self_) != start_change_->first) {
     return false;
@@ -368,10 +402,11 @@ bool VsRfifoTsEndpoint::view_gate(const View& v,
   for (std::size_t i = 0; i < lanes().size(); ++i) {
     if (lanes()[i].last_dlvrd != res.agreed[i]) return false;
   }
-  transitional.clear();
-  for (const auto& [r, sm] : res.transitional) {
-    transitional.insert(transitional.end(), r);
-  }
+  // T in one flat body, which the GcsView event and the client share.
+  transitional = ProcessSet(ProcessSet::Ids::build(
+      res.transitional.size(), [&](ProcessId* out) {
+        for (const auto& [r, sm] : res.transitional) *out++ = r;
+      }));
   return true;
 }
 
@@ -381,10 +416,9 @@ void VsRfifoTsEndpoint::pre_view_effects(const View& v) {
   // Garbage-collect sync messages that this transition consumed; keep only
   // entries with cids newer than the ones the view carries (they belong to
   // an already-announced next reconfiguration).
-  for (auto& [q, per_cid] : sync_msgs_) {
+  for (auto& [q, by_cid] : sync_msgs_) {
     const StartChangeId used = v.start_id_of(q);
-    std::erase_if(per_cid,
-                  [&](const auto& e) { return !(used < e.first); });
+    std::erase_if(by_cid, [&](const auto& e) { return !(used < e.first); });
   }
 }
 
@@ -403,20 +437,19 @@ bool VsRfifoTsEndpoint::try_forward() {
   for (ForwardAction& action : strategy_->select(*this)) {
     const AppMsg* m = buffer(action.orig, action.view.id).get(action.index);
     if (m == nullptr) continue;  // we do not hold the message
-    std::set<ProcessId> fresh;
+    std::vector<ProcessId> fresh;  // ascending, as `action.dests`
     for (ProcessId dest : action.dests) {
       if (dest == self_) continue;
       if (forwarded_set_.emplace(dest, action.orig, action.view.id,
                                  action.index)
               .second) {
-        fresh.insert(dest);
+        fresh.push_back(dest);
       }
     }
     if (fresh.empty()) continue;
     wire::FwdMsg fm{action.orig, action.view, action.index, *m};
     const std::size_t size = codec::wire_size(fm);
-    transport_.send(nodes_of(fresh, /*exclude_self=*/true),
-                    net::Payload(std::move(fm)), size);
+    transport_.send(nodes_of(fresh), net::Payload(std::move(fm)), size);
     vs_stats_.forwards_sent += fresh.size();
     if (lifecycle_on()) {
       emit(spec::MsgForward{self_, m->sender, m->uid, fresh.size()});
@@ -445,9 +478,9 @@ std::vector<ForwardAction> SimpleForwardingStrategy::select(
   if (own == nullptr) return actions;  // nothing committed yet
   const View& v = ep.current_view();
 
-  for (const auto& [q, per_cid] : ep.sync_msgs()) {
-    if (q == ep.self() || per_cid.empty()) continue;
-    const SyncMsgData& latest = per_cid.rbegin()->second;
+  for (const auto& [q, by_cid] : ep.sync_msgs()) {
+    if (q == ep.self() || by_cid.empty()) continue;
+    const SyncMsgData& latest = by_cid.back().second;
     // Forward to q only if we know of no later view of q than v.
     if (latest.view != ep.current_view()) continue;
     for (ProcessId r : v.members()) {

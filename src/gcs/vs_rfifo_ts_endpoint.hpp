@@ -24,12 +24,26 @@
 
 namespace vsgc::gcs {
 
-/// A received (or self-recorded) synchronization message.
+/// A received (or self-recorded) synchronization message. Its cut is the
+/// body the sender built: the sender's record, the SyncMsg it sent and each
+/// receiver's record share it.
 struct SyncMsgData {
   View view;  ///< sender's view when it sent the sync message
   wire::Cut cut;
 
   std::int64_t cut_of(ProcessId q) const { return wire::cut_of(cut, q); }
+  /// True when both records hold one cut body.
+  bool shares_cut_with(const SyncMsgData& o) const {
+    return cut.shares_body_with(o.cut);
+  }
+};
+
+/// sync_msg[q][·]: the sync messages held from one sender, ascending by cid.
+/// Garbage collection empties `by_cid` in place and keeps the entry, so the
+/// next round's messages from q reuse its storage.
+struct SenderSyncs {
+  ProcessId sender;
+  std::vector<std::pair<StartChangeId, SyncMsgData>> by_cid;
 };
 
 /// One forwarding decision: send msgs[orig][view][index] to `dests`.
@@ -136,10 +150,8 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// sync_msg[q][cid], or nullptr.
   const SyncMsgData* sync_msg(ProcessId q, StartChangeId cid) const;
 
-  const std::map<ProcessId, std::map<StartChangeId, SyncMsgData>>& sync_msgs()
-      const {
-    return sync_msgs_;
-  }
+  /// Every sender's sync messages, ascending by sender.
+  const std::vector<SenderSyncs>& sync_msgs() const { return sync_msgs_; }
 
   const VsStats& vs_stats() const { return vs_stats_; }
 
@@ -167,7 +179,7 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(std::size_t lane, ProcessId q,
                        std::int64_t next_index) const override;
-  bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
+  bool view_gate(const View& v, ProcessSet& transitional) override;
   void views_moved() override { candidate_stale_ = true; }
   void pre_view_effects(const View& v) override;
   bool run_child_tasks() override;
@@ -182,10 +194,14 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   bool try_send_sync_msg();
   bool try_forward();
   void store_sync(ProcessId from, const wire::SyncMsg& sync);
+  /// The slot for sync_msg[q][cid], made empty if absent; `fresh` tells
+  /// which. Marks the candidate cache stale when making it moves a record
+  /// the cache may point at.
+  SyncMsgData& sync_slot(ProcessId q, StartChangeId cid, bool& fresh);
   void relay_as_leader(ProcessId origin, const wire::SyncMsg& sync);
   /// Two-tier relay fan-out for a leader: other present leaders, own local
   /// members, and orphans (processes whose leader is absent).
-  std::set<ProcessId> relay_dests(const std::set<ProcessId>& change_set) const;
+  std::set<ProcessId> relay_dests(const ProcessSet& change_set) const;
   /// Rebuild candidate_ and deliver_limit_ if an input moved since the last
   /// build.
   void refresh_candidate() const;
@@ -199,7 +215,10 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
 
   // ---- Figure 10 state extension ----
   std::optional<std::pair<StartChangeId, ProcessSet>> start_change_;
-  std::map<ProcessId, std::map<StartChangeId, SyncMsgData>> sync_msgs_;
+  /// sync_msg, ascending by sender (the order handle_start_change and the
+  /// forwarding strategies emit in). A SyncMsgData never moves while its
+  /// sender's `by_cid` keeps its capacity and nothing is inserted before it.
+  std::vector<SenderSyncs> sync_msgs_;
   /// forwarded_set: (dest, orig, view, index) tuples already forwarded.
   std::set<std::tuple<ProcessId, ProcessId, ViewId, std::int64_t>>
       forwarded_set_;

@@ -16,7 +16,7 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
       trace_(trace),
       current_view_(views_.intern(View::initial(self))),
       mbrshp_view_(current_view_) {
-  view_msg_[self] = current_view_;
+  own_view_msg_ = current_view_;
   reliable_set_.assign(1, self);
   reliable_nodes_.assign(1, net::node_of(self));
   index_current_view();
@@ -28,14 +28,28 @@ void WvRfifoEndpoint::emit(spec::EventBody body) {
 
 const FifoBuffer& WvRfifoEndpoint::buffer(ProcessId q, ViewId v) const {
   static const FifoBuffer kEmpty;
-  auto itq = msgs_.find(q);
-  if (itq == msgs_.end()) return kEmpty;
-  auto itv = itq->second.find(v);
-  return itv == itq->second.end() ? kEmpty : itv->second;
+  const auto slot = senders_.find(q);
+  if (slot == senders_.kNone) return kEmpty;
+  for (const HeldBuffer& held : senders_.at(slot).buffers) {
+    if (held.live && held.view == v) return *held.msgs;
+  }
+  return kEmpty;
 }
 
 FifoBuffer& WvRfifoEndpoint::buffer_mut(ProcessId q, ViewId v) {
-  return msgs_[q][v];
+  std::vector<HeldBuffer>& buffers = senders_[q].buffers;
+  HeldBuffer* spare = nullptr;
+  for (HeldBuffer& held : buffers) {
+    if (held.live && held.view == v) return *held.msgs;
+    if (!held.live && spare == nullptr) spare = &held;
+  }
+  if (spare == nullptr) {
+    spare = &buffers.emplace_back();
+    spare->msgs = std::make_unique<FifoBuffer>();
+  }
+  spare->view = v;
+  spare->live = true;
+  return *spare->msgs;
 }
 
 std::int64_t WvRfifoEndpoint::last_dlvrd(ProcessId q) const {
@@ -114,27 +128,28 @@ bool WvRfifoEndpoint::on_co_rfifo_deliver(ProcessId from,
   if (crashed_) return false;
 
   if (const auto* vm = std::any_cast<wire::ViewMsg>(&payload)) {
-    view_msg_[from] = views_.intern(vm->view);
-    last_rcvd_[from] = 0;
+    Sender& sender = senders_[from];
+    sender.view_msg = views_.intern(vm->view);
+    sender.last_rcvd = 0;
     pump();
     return true;
   }
 
   if (const auto* am = std::any_cast<wire::AppMsgWire>(&payload)) {
-    // A peer with no view_msg yet is still in its initial view v_from. A
-    // message of the current view goes straight to the sender's lane.
-    auto vm = view_msg_.find(from);
-    const std::size_t lane = vm != view_msg_.end() && vm->second == current_view_
+    // A peer with no view_msg yet is still in its initial view v_from (its
+    // entry's empty view has that id, zero). A message of the current view
+    // goes straight to the sender's lane.
+    Sender& sender = senders_[from];
+    const std::size_t lane = sender.view_msg == current_view_
                                  ? lane_index(from)
                                  : lanes_.size();
-    const std::int64_t index = last_rcvd_[from] + 1;
+    const std::int64_t index = ++sender.last_rcvd;
     if (lane < lanes_.size()) {
       lanes_[lane].msgs->put(index, am->msg);
     } else {
-      const ViewId v = vm == view_msg_.end() ? ViewId::zero() : vm->second.id;
-      buffer_mut(from, v).put(index, am->msg);
+      // `from` has an entry, so this grows no table.
+      buffer_mut(from, sender.view_msg.id).put(index, am->msg);
     }
-    last_rcvd_[from] = index;
     if (lifecycle_on()) {
       emit(spec::MsgRecv{self_, from, am->msg.sender, am->msg.uid, false});
     }
@@ -233,7 +248,7 @@ bool WvRfifoEndpoint::try_set_reliable() {
 
 bool WvRfifoEndpoint::try_send_view_msg() {
   // co_rfifo.send_p(set, tag=view_msg, v)
-  if (view_msg_.at(self_) == current_view_) return false;
+  if (own_view_msg_ == current_view_) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
                      current_view_.members().begin(),
                      current_view_.members().end())) {
@@ -242,14 +257,14 @@ bool WvRfifoEndpoint::try_send_view_msg() {
   wire::ViewMsg vm{current_view_};
   const std::size_t size = codec::wire_size(vm);
   transport_.send(view_dests_, net::Payload(std::move(vm)), size);
-  view_msg_[self_] = current_view_;
+  own_view_msg_ = current_view_;
   ++stats_.view_msgs_sent;
   return true;
 }
 
 bool WvRfifoEndpoint::try_send_app_msgs() {
   // co_rfifo.send_p(set, tag=app_msg, m)
-  if (view_msg_.at(self_) != current_view_) return false;
+  if (own_view_msg_ != current_view_) return false;
   bool progress = false;
   const FifoBuffer& own = *lanes_[self_lane_].msgs;
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
@@ -300,7 +315,7 @@ bool WvRfifoEndpoint::try_deliver_view() {
   if (!(current_view_.id < candidate.id)) return false;
   VSGC_REQUIRE(candidate.contains(self_),
                "MBRSHP violated Self Inclusion at " << to_string(self_));
-  std::set<ProcessId> transitional;
+  ProcessSet transitional;
   if (!view_gate(candidate, transitional)) return false;
 
   // Hold a copy across the effects: TwoRoundEndpoint::pre_view_effects pops
@@ -312,10 +327,12 @@ bool WvRfifoEndpoint::try_deliver_view() {
   current_view_ = v;
   last_sent_ = 0;
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
-  // delivery only ever reads the current view's buffers from here on.
-  for (auto& [q, per_view] : msgs_) {
-    std::erase_if(per_view,
-                  [&](const auto& entry) { return entry.first != v.id; });
+  // delivery only ever reads the current view's buffers from here on. A dead
+  // buffer is emptied and kept for reuse.
+  for (auto& entry : senders_) {
+    for (HeldBuffer& held : entry.value.buffers) {
+      if (held.live && held.view != v.id) release(held);
+    }
   }
   index_current_view();
 
@@ -341,11 +358,16 @@ void WvRfifoEndpoint::recover() {
   // history variable (proof artifact only; see DESIGN.md).
   current_view_ = views_.intern(View::initial(self_));
   mbrshp_view_ = current_view_;
-  view_msg_.clear();
-  view_msg_[self_] = current_view_;
-  msgs_.clear();
+  own_view_msg_ = current_view_;
+  for (auto& entry : senders_) {
+    Sender& sender = entry.value;
+    sender.view_msg = View{};
+    sender.last_rcvd = 0;
+    for (HeldBuffer& held : sender.buffers) {
+      if (held.live) release(held);
+    }
+  }
   last_sent_ = 0;
-  last_rcvd_.clear();
   reliable_set_.assign(1, self_);
   reliable_nodes_.assign(1, net::node_of(self_));
   reliable_matched_at_.reset();

@@ -18,9 +18,8 @@
 
 #include <any>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "spec/events.hpp"
 #include "transport/channel_mux.hpp"
 #include "transport/co_rfifo.hpp"
+#include "util/flat_table.hpp"
 
 namespace vsgc::gcs {
 
@@ -134,10 +134,11 @@ class WvRfifoEndpoint : public membership::Listener {
   }
 
   /// Precondition + transitional-set computation the child adds to
-  /// view_p(v, T). Parent allows delivery with an empty transitional set.
-  virtual bool view_gate(const View& v, std::set<ProcessId>& transitional) {
+  /// view_p(v, T): `transitional` arrives empty and is written only when the
+  /// gate opens. Parent allows delivery with an empty transitional set.
+  virtual bool view_gate(const View& v, ProcessSet& transitional) {
     (void)v;
-    transitional.clear();
+    (void)transitional;
     return true;
   }
 
@@ -195,10 +196,14 @@ class WvRfifoEndpoint : public membership::Listener {
   /// Fire all enabled locally-controlled actions until quiescent.
   void pump();
 
+  /// msgs[q][v], or an empty buffer if this end-point holds none.
   const FifoBuffer& buffer(ProcessId q, ViewId v) const;
+  /// msgs[q][v], made if absent from a dead view's buffer of q when there
+  /// is one. It never moves a buffer: lanes() point into them.
   FifoBuffer& buffer_mut(ProcessId q, ViewId v);
-  /// node_of(q) for every q of the ascending `procs`, into `out`'s storage:
-  /// the ascending destination list CoRfifoTransport::send takes.
+  /// node_of(q) for every q of the ascending `procs` (a ProcessSet, a
+  /// view's members, a vector), into `out`'s storage: the ascending
+  /// destination list CoRfifoTransport::send takes.
   template <class Procs>
   void nodes_into(const Procs& procs, bool exclude_self,
                   std::vector<net::NodeId>& out) const {
@@ -208,11 +213,11 @@ class WvRfifoEndpoint : public membership::Listener {
       if (!exclude_self || q != self_) out.push_back(net::node_of(q));
     }
   }
-  /// The same into a fresh vector.
-  std::vector<net::NodeId> nodes_of(const std::set<ProcessId>& procs,
-                                    bool exclude_self) const {
+  /// The same, self excluded, into a fresh vector.
+  template <class Procs>
+  std::vector<net::NodeId> nodes_of(const Procs& procs) const {
     std::vector<net::NodeId> out;
-    nodes_into(procs, exclude_self, out);
+    nodes_into(procs, /*exclude_self=*/true, out);
     return out;
   }
   void emit(spec::EventBody body);
@@ -237,9 +242,7 @@ class WvRfifoEndpoint : public membership::Listener {
   Stats stats_;
 
   // ---- Figure 9 state (owned by the parent; children only read) ----
-  std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
-  std::map<ProcessId, std::int64_t> last_rcvd_;
   std::vector<ProcessId> reliable_set_;  ///< ascending
   std::uint64_t uid_counter_ = 0;  ///< history variable: survives recovery
   bool crashed_ = false;
@@ -251,8 +254,28 @@ class WvRfifoEndpoint : public membership::Listener {
   // mbrshp_view().
   View current_view_;
   View mbrshp_view_;
-  /// Latest view_msg from q; view_msg[self] is seeded with v_self.
-  std::map<ProcessId, View> view_msg_;
+  /// view_msg[self]: the view of our latest view_msg, seeded with v_self.
+  View own_view_msg_;
+
+  /// One held buffer msgs[q][view]. A dead one (its view garbage-collected)
+  /// is empty and waits for reuse. The buffer lives on the heap, so growing
+  /// the sender's list moves the pointer, never the buffer.
+  struct HeldBuffer {
+    ViewId view;
+    bool live = false;
+    std::unique_ptr<FifoBuffer> msgs;
+  };
+  /// The Figure 9 state of one peer q (DESIGN.md §11.5): view_msg[q],
+  /// last_rcvd[q] and the buffers msgs[q][·] this end-point holds.
+  struct Sender {
+    View view_msg{};  ///< latest view_msg from q; the empty view before one
+    std::int64_t last_rcvd = 0;
+    std::vector<HeldBuffer> buffers;
+  };
+  /// Every sender this end-point has heard of or holds a buffer for. An
+  /// entry outlives crash and recovery, reset to its initial values, so its
+  /// buffers keep their capacity.
+  util::FlatTable<ProcessId, Sender> senders_;
 
   bool try_set_reliable();
   bool try_send_view_msg();
@@ -264,6 +287,12 @@ class WvRfifoEndpoint : public membership::Listener {
   /// current view, with every cursor at 0; mark the reliable set stale and
   /// call views_moved().
   void index_current_view();
+
+  /// Marks a held buffer dead and empties it for reuse.
+  static void release(HeldBuffer& held) {
+    held.msgs->clear();
+    held.live = false;
+  }
 
   /// The index of q's lane, or lanes_.size() when q is not a member.
   std::size_t lane_index(ProcessId q) const;

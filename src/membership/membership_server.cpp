@@ -244,19 +244,22 @@ void MembershipServer::try_form() {
   }
   if (last_epoch_ >= round_) return;  // this round's view already formed
 
-  // Deterministic view from the (unique) round-`round_` proposal set.
-  std::set<ProcessId> members;
-  std::map<ProcessId, StartChangeId> start_id;
+  // Deterministic view from the (unique) round-`round_` proposal set,
+  // gathered in kept storage and built into its flat body: a process two
+  // proposals list takes the later participant's cid.
+  form_.clear();
   for (ServerId s : participants) {
     const wire::Proposal& prop = proposals_.at(s);
-    for (ProcessId p : prop.local_alive) {
-      members.insert(p);
-      start_id[p] = prop.cids.at(p);
-    }
+    for (ProcessId p : prop.local_alive) form_.emplace_back(p, prop.cids.at(p));
   }
-  if (members.empty()) return;
-  const View v(ViewId{round_, participants.begin()->value}, std::move(members),
-               std::move(start_id));
+  if (form_.empty()) return;
+  std::stable_sort(form_.begin(), form_.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto last_of_each = std::unique(
+      form_.rbegin(), form_.rend(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  const View v(ViewId{round_, participants.begin()->value},
+               View::StartIds(last_of_each.base(), form_.end()));
 
   // MBRSHP spec validation for our local clients: the view must reflect the
   // latest start_change each of them received. If the estimate drifted, run
@@ -266,7 +269,7 @@ void MembershipServer::try_form() {
     const bool ok = rec.change_started &&
                     std::includes(rec.last_sc_set.begin(), rec.last_sc_set.end(),
                                   v.members().begin(), v.members().end()) &&
-                    rec.last_cid == v.start_id().at(p);
+                    rec.last_cid == v.start_id_of(p);
     if (!ok) {
       ++stats_.obsolete_views_suppressed;
       reconfigure();

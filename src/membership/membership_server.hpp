@@ -32,6 +32,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "membership/failure_detector.hpp"
 #include "membership/view.hpp"
@@ -146,6 +148,8 @@ class MembershipServer {
   std::uint64_t round_ = 0;       ///< our current agreement round
   std::uint64_t last_epoch_ = 0;  ///< epoch of the last view we formed
   std::optional<View> last_formed_;
+  /// try_form's (member, cid) gathering buffer; keeps its capacity.
+  std::vector<std::pair<ProcessId, StartChangeId>> form_;
   /// The server's heartbeat never changes, so it is wrapped once.
   net::Payload heartbeat_;
   sim::TimerHandle heartbeat_timer_;

@@ -66,7 +66,7 @@ class OracleMembership {
                    "view member " << to_string(p) << " never attached");
       start_id[p] = it->second.last_cid;
     }
-    return View(ViewId{++epoch_, 0}, members, std::move(start_id));
+    return View(ViewId{++epoch_, 0}, start_id);
   }
 
   /// Deliver a previously built view to one process (staggered delivery).

@@ -8,10 +8,10 @@ std::string to_string(const View& v) {
   std::ostringstream os;
   os << to_string(v.id) << "{";
   bool first = true;
-  for (ProcessId p : v.members()) {
+  for (const auto& [p, cid] : v.start_id()) {
     if (!first) os << ",";
     first = false;
-    os << to_string(p) << "@" << v.start_id_of(p).value;
+    os << to_string(p) << "@" << cid.value;
   }
   os << "}";
   return os.str();

@@ -106,16 +106,15 @@ struct ViewDelta {
     d.id = next.id;
     d.base = base_view.id;
     for (ProcessId p : base_view.members()) {
-      if (!next.members().contains(p)) d.leaves.insert(p);
+      if (!next.contains(p)) d.leaves.insert(p);
     }
     bool bump_set = false;
-    for (ProcessId p : next.members()) {
-      const StartChangeId cid = next.start_id().at(p);
-      if (!base_view.members().contains(p)) {
+    for (const auto& [p, cid] : next.start_id()) {
+      if (!base_view.contains(p)) {
         d.joins[p] = cid;
         continue;
       }
-      const std::uint64_t b = base_view.start_id().at(p).value;
+      const std::uint64_t b = base_view.start_id_of(p).value;
       if (!bump_set && cid.value >= b) {
         // The first survivor fixes the common bump; outliers become
         // exceptions below (ordered iteration keeps this deterministic).
@@ -128,30 +127,45 @@ struct ViewDelta {
   }
 
   /// Reconstruct the full view, or nullopt if the delta does not apply to
-  /// `base_view` (id mismatch, a leave that is not a member, a join that
-  /// already is one) — the client-side forged/stale-delta rejection path.
+  /// `base_view` (id mismatch, a leave that is not a member, an exception
+  /// that is not a survivor, a join that already is one) — the client-side
+  /// forged/stale-delta rejection path. The new view is merged straight
+  /// into its flat body: survivors and joins in one ascending pass.
   std::optional<View> apply(const View& base_view) const {
     if (base_view.id != base) return std::nullopt;
-    std::set<ProcessId> members = base_view.members();
+    const auto survives = [&](ProcessId p) {
+      return base_view.contains(p) && !leaves.contains(p);
+    };
     for (ProcessId p : leaves) {
-      if (members.erase(p) == 0) return std::nullopt;
-    }
-    std::map<ProcessId, StartChangeId> start_id;
-    for (ProcessId p : members) {
-      start_id[p] =
-          StartChangeId{base_view.start_id().at(p).value + cid_bump};
+      if (!base_view.contains(p)) return std::nullopt;
     }
     for (const auto& [p, cid] : exceptions) {
-      auto it = start_id.find(p);
-      if (it == start_id.end()) return std::nullopt;
-      it->second = cid;
+      if (!survives(p)) return std::nullopt;
     }
     for (const auto& [p, cid] : joins) {
-      if (!members.insert(p).second) return std::nullopt;
-      start_id[p] = cid;
+      if (survives(p)) return std::nullopt;
     }
-    if (members.empty()) return std::nullopt;
-    return View(id, std::move(members), std::move(start_id));
+    const std::size_t n = base_view.members().size() - leaves.size() +
+                          joins.size();
+    if (n == 0) return std::nullopt;
+    return View(id, View::StartIds::build(n, [&](auto* out) {
+      auto left = leaves.begin();
+      auto exception = exceptions.begin();
+      auto join = joins.begin();
+      for (const auto& [p, base_cid] : base_view.start_id()) {
+        for (; join != joins.end() && join->first < p; ++join) *out++ = *join;
+        if (left != leaves.end() && *left == p) {
+          ++left;
+          continue;
+        }
+        StartChangeId cid{base_cid.value + cid_bump};
+        if (exception != exceptions.end() && exception->first == p) {
+          cid = exception++->second;
+        }
+        *out++ = {p, cid};
+      }
+      for (; join != joins.end(); ++join) *out++ = *join;
+    }));
   }
 
   friend bool operator==(const ViewDelta&, const ViewDelta&) = default;

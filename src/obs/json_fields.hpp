@@ -43,8 +43,9 @@
 //
 // Field mappings (JsonField<T> below): integers as JSON integers, doubles as
 // JSON numbers (an integer is accepted), bool, string, ProcessId and
-// StartChangeId as their integer value, std::set and std::vector as arrays,
-// std::map<ProcessId, V> as an object keyed by the decimal pid, a described
+// StartChangeId as their integer value, std::set, std::vector and
+// util::SharedArray as arrays, std::map<ProcessId, V> and a SharedArray of
+// (ProcessId, V) pairs as an object keyed by the decimal pid, a described
 // struct as a nested object.
 #pragma once
 
@@ -60,6 +61,7 @@
 
 #include "obs/json.hpp"
 #include "util/ids.hpp"
+#include "util/shared_array.hpp"
 
 namespace vsgc::obs {
 
@@ -211,6 +213,28 @@ struct JsonField<std::map<ProcessId, V>> {
       (*out)[p] = std::move(v);
     }
     return true;
+  }
+};
+
+/// A shared flat body is written as the container it stands for: an array,
+/// or, for (ProcessId, V) pairs, an object keyed by the decimal pid. Only
+/// writers see one: the types holding a body read the plain container and
+/// build the body from it.
+template <class T>
+struct JsonField<util::SharedArray<T>> {
+  static JsonValue put(const util::SharedArray<T>& a) {
+    return JsonArray<util::SharedArray<T>, T>::put(a);
+  }
+};
+
+template <class V>
+struct JsonField<util::SharedArray<std::pair<ProcessId, V>>> {
+  static JsonValue put(const util::SharedArray<std::pair<ProcessId, V>>& a) {
+    JsonValue out = JsonValue::object();
+    for (const auto& [p, v] : a) {
+      out[std::to_string(p.value)] = JsonField<V>::put(v);
+    }
+    return out;
   }
 };
 

@@ -84,7 +84,7 @@ struct ProcTimeline {
   struct Installed {
     sim::Time at = 0;
     View view;
-    std::set<ProcessId> transitional;
+    ProcessSet transitional;
   };
   std::vector<Installed> installs;
   std::vector<sim::Time> crashes;

@@ -28,12 +28,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string_view>
 
 #include "sim/time.hpp"
 #include "spec/client_checker.hpp"
 #include "spec/events.hpp"
+#include "spec/initial_views.hpp"
 #include "spec/liveness_checker.hpp"
 #include "spec/mbrshp_checker.hpp"
 #include "spec/self_checker.hpp"
@@ -49,10 +51,16 @@ class AllCheckers : public TraceSink {
   explicit AllCheckers(std::optional<sim::Time> window = std::nullopt)
       : window_(window) {}
 
+ private:
+  /// Each process's initial view, built once for the three checkers below
+  /// that track current views.
+  std::shared_ptr<InitialViews> initial_ = std::make_shared<InitialViews>();
+
+ public:
   MbrshpChecker mbrshp;
-  WvRfifoChecker wv_rfifo;
-  VsRfifoChecker vs_rfifo;
-  TransSetChecker trans_set;
+  WvRfifoChecker wv_rfifo{initial_};
+  VsRfifoChecker vs_rfifo{initial_};
+  TransSetChecker trans_set{initial_};
   SelfChecker self;
   ClientChecker client;
 

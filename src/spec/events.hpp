@@ -51,11 +51,13 @@ struct GcsView {
   static constexpr const char* kType = "gcs_view";
   ProcessId p;
   View view;
-  std::set<ProcessId> transitional;
+  ProcessSet transitional;  ///< the body the end-point built
 
   template <class S, class V>
   static void json_fields(S& s, V& v) {
-    v("p", s.p)("view", s.view)("transitional", s.transitional);
+    ProcessSet::with_plain(s.transitional, [&](auto& transitional) {
+      v("p", s.p)("view", s.view)("transitional", transitional);
+    });
   }
 };
 

@@ -13,17 +13,24 @@
 
 #include <limits>
 #include <map>
-#include <set>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 #include "spec/events.hpp"
+#include "spec/initial_views.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc::spec {
 
 class TransSetChecker : public TraceSink {
  public:
+  /// Reads initial views from `initial`, or from a table of its own.
+  explicit TransSetChecker(std::shared_ptr<InitialViews> initial = nullptr)
+      : initial_(initial ? std::move(initial)
+                         : std::make_shared<InitialViews>()) {}
+
   void on_event(const Event& event) override {
     if (const auto* v = std::get_if<GcsView>(&event.body)) {
       const View& prev = current_view(v->p);
@@ -42,7 +49,7 @@ class TransSetChecker : public TraceSink {
       return;
     }
     if (const auto* r = std::get_if<Recover>(&event.body)) {
-      current_view_.insert_or_assign(r->p, View::initial(r->p));
+      current_view_.insert_or_assign(r->p, initial_->of(r->p));
       return;
     }
   }
@@ -87,18 +94,19 @@ class TransSetChecker : public TraceSink {
     ProcessId p;
     View previous;
     View view;
-    std::set<ProcessId> transitional;
+    ProcessSet transitional;  ///< shares the event's body
     sim::Time at = 0;
   };
 
   const View& current_view(ProcessId p) {
     auto it = current_view_.find(p);
     if (it == current_view_.end()) {
-      it = current_view_.emplace(p, View::initial(p)).first;
+      it = current_view_.emplace(p, initial_->of(p)).first;
     }
     return it->second;
   }
 
+  std::shared_ptr<InitialViews> initial_;
   std::map<ProcessId, View> current_view_;
   std::vector<Delivery> deliveries_;
 };

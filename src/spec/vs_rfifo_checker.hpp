@@ -11,16 +11,23 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "membership/view.hpp"
 #include "spec/events.hpp"
+#include "spec/initial_views.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc::spec {
 
 class VsRfifoChecker : public TraceSink {
  public:
+  /// Reads initial views from `initial`, or from a table of its own.
+  explicit VsRfifoChecker(std::shared_ptr<InitialViews> initial = nullptr)
+      : initial_(initial ? std::move(initial)
+                         : std::make_shared<InitialViews>()) {}
+
   void on_event(const Event& event) override {
     if (const auto* d = std::get_if<GcsDeliver>(&event.body)) {
       ++delivered_[d->p][d->q];
@@ -28,7 +35,7 @@ class VsRfifoChecker : public TraceSink {
       check_view(*v);
       enter(v->p, v->view);
     } else if (const auto* r = std::get_if<Recover>(&event.body)) {
-      enter(r->p, View::initial(r->p));
+      enter(r->p, initial_->of(r->p));
     }
   }
 
@@ -39,7 +46,7 @@ class VsRfifoChecker : public TraceSink {
   void check_view(const GcsView& e) {
     auto cv = current_view_.find(e.p);
     const View old_view =
-        cv == current_view_.end() ? View::initial(e.p) : cv->second;
+        cv == current_view_.end() ? initial_->of(e.p) : cv->second;
     auto& delivered = delivered_[e.p];
     const std::pair<View, View> key{old_view, e.view};
     auto it = cut_.find(key);
@@ -67,6 +74,7 @@ class VsRfifoChecker : public TraceSink {
     for (auto& [q, n] : delivered_[p]) n = 0;
   }
 
+  std::shared_ptr<InitialViews> initial_;
   std::map<ProcessId, View> current_view_;
   /// delivered[p][q]: messages from q that p delivered in its current view.
   std::map<ProcessId, std::map<ProcessId, std::int64_t>> delivered_;

@@ -19,17 +19,25 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "gcs/app_msg.hpp"
 #include "membership/view.hpp"
 #include "spec/events.hpp"
+#include "spec/initial_views.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc::spec {
 
 class WvRfifoChecker : public TraceSink {
  public:
+  /// Reads initial views from `initial`, or from a table of its own.
+  explicit WvRfifoChecker(std::shared_ptr<InitialViews> initial = nullptr)
+      : initial_(initial ? std::move(initial)
+                         : std::make_shared<InitialViews>()) {}
+
   void on_event(const Event& event) override {
     if (const auto* s = std::get_if<GcsSend>(&event.body)) {
       msgs_[s->p][current_view(s->p)].push_back(s->msg);
@@ -50,7 +58,7 @@ class WvRfifoChecker : public TraceSink {
   const View& current_view(ProcessId p) {
     auto it = current_view_.find(p);
     if (it == current_view_.end()) {
-      it = current_view_.emplace(p, View::initial(p)).first;
+      it = current_view_.emplace(p, initial_->of(p)).first;
     }
     return it->second;
   }
@@ -89,12 +97,13 @@ class WvRfifoChecker : public TraceSink {
     auto& floor = monotonicity_floor_[p];
     const ViewId old = current_view(p).id;
     if (floor < old) floor = old;
-    const View initial = View::initial(p);
+    const View& initial = initial_->of(p);
     current_view_.insert_or_assign(p, initial);
     msgs_[p][initial].clear();
     for (auto& [q, per_receiver] : last_dlvrd_) per_receiver[p] = 0;
   }
 
+  std::shared_ptr<InitialViews> initial_;
   /// msgs[q][v]: the sequence of messages q's application sent in view v.
   std::map<ProcessId, std::map<View, std::vector<gcs::AppMsg>>> msgs_;
   /// last_dlvrd[q][p]: index of the last message from q delivered to p.

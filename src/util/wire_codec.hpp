@@ -19,7 +19,8 @@
 //
 // Field encodings (Field<T> below): integers little-endian at their width,
 // bool as one byte, the id types as their integer parts, strings and
-// containers as a u32 count then the elements in container order. A field
+// containers (util::SharedArray included) as a u32 count then the elements
+// in container order. A field
 // that is itself a described struct nests its own encoding, tag byte
 // included, and the decoder checks that tag too. Set elements and map keys
 // decode only in strictly ascending order, the order the encoder writes, so
@@ -36,6 +37,7 @@
 
 #include "util/ids.hpp"
 #include "util/serialization.hpp"
+#include "util/shared_array.hpp"
 
 namespace vsgc::codec {
 
@@ -190,6 +192,20 @@ struct Field<std::vector<std::pair<A, B>>>
       out.push_back(Field<std::pair<A, B>>::get(d));
     }
     return out;
+  }
+};
+
+/// A shared flat body (a view's start ids, a cut): it encodes as the
+/// container it stands for. Its elements decode in the order they come; the
+/// type that holds the body checks that order (validate()).
+template <class T>
+struct Field<util::SharedArray<T>> : Sequence<util::SharedArray<T>> {
+  static util::SharedArray<T> get(Decoder& d) {
+    std::vector<T> items;
+    for (std::uint32_t n = d.get_u32(); n > 0; --n) {
+      items.push_back(Field<T>::get(d));
+    }
+    return util::SharedArray<T>(items.begin(), items.end());
   }
 };
 

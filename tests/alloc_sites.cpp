@@ -1,15 +1,17 @@
 // Allocation-site probe: runs alloc_budget_test's churn or stress recipe
 // (tests/alloc_recipes.hpp) and prints where its heap allocations come from.
 //
-//   alloc_sites [--recipe churn|stress] [--top K] [--check]
+//   alloc_sites [--recipe churn|stress] [--clients N] [--top K] [--check]
 //
 // Every operator new bumps one counter, as in alloc_budget_test; while the
 // recipe's counted part runs, each allocation also records its call stack.
 // After the run the stacks are symbolized and grouped by site: the innermost
 // vsgc:: frame and the first vsgc:: frame that calls it. The top K sites are
-// printed with their share of the total. With --check the tool exits 1
-// unless the sites add up to the total and the total equals the recipe's
-// exact count in alloc_recipes.hpp. Names come from the dynamic symbol table,
+// printed with their share of the total. --clients N runs churn on N
+// clients and N/4 servers (default 16, the size the exact count is for; N
+// from 4 to 128). With --check the tool exits 1 unless the sites add up to
+// the total and the total equals the recipe's exact count in
+// alloc_recipes.hpp. Names come from the dynamic symbol table,
 // so a function with internal linkage shows under the exported symbol
 // before it, and an inlined callee under its caller.
 #include <cxxabi.h>
@@ -158,8 +160,8 @@ std::string site(const Stack& s) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: alloc_sites [--recipe churn|stress] [--top K] "
-               "[--check]\n");
+               "usage: alloc_sites [--recipe churn|stress] [--clients N] "
+               "[--top K] [--check]\n");
   return 2;
 }
 
@@ -167,12 +169,16 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string recipe = "churn";
+  int clients = 16;
   int top = 20;
   bool check = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--recipe" && i + 1 < argc) {
       recipe = argv[++i];
+    } else if (arg == "--clients" && i + 1 < argc) {
+      clients = std::atoi(argv[++i]);
+      if (clients < 4 || clients > 128) return usage();
     } else if (arg == "--top" && i + 1 < argc) {
       top = std::atoi(argv[++i]);
       if (top <= 0) return usage();
@@ -183,6 +189,8 @@ int main(int argc, char** argv) {
     }
   }
   if (recipe != "churn" && recipe != "stress") return usage();
+  // The exact counts are for the default size.
+  if (check && clients != 16) return usage();
 
   // The unwinder loads itself on first use; do that outside the count.
   std::array<void*, 4> warm{};
@@ -199,7 +207,7 @@ int main(int argc, char** argv) {
   const char* unit = "";
   std::uint64_t total = 0;
   if (recipe == "churn") {
-    const int changes = alloc_recipes::churn(16, 4, start);
+    const int changes = alloc_recipes::churn(clients, 4, start);
     g_recording = false;
     total = g_allocs.load(std::memory_order_relaxed) - before;
     if (changes == 0) {
@@ -207,10 +215,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     per = static_cast<double>(total) / changes;
-    exact = alloc_recipes::kChurnPerViewChange;
+    exact = clients == 16 ? alloc_recipes::kChurnPerViewChange : -1;
     unit = "view change";
-    std::printf("recipe churn: 16 clients, 4 servers, %d view changes\n",
-                changes);
+    std::printf("recipe churn: %d clients, %d servers, %d view changes\n",
+                clients, clients / 4, changes);
   } else {
     start();
     const bool ok = alloc_recipes::stress_seed(alloc_recipes::kStressSeed);
@@ -240,8 +248,10 @@ int main(int argc, char** argv) {
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
 
-  std::printf("total %llu allocations, %.3f per %s (exact count %.3f)\n",
-              static_cast<unsigned long long>(total), per, unit, exact);
+  std::printf("total %llu allocations, %.3f per %s",
+              static_cast<unsigned long long>(total), per, unit);
+  if (exact >= 0) std::printf(" (exact count %.3f)", exact);
+  std::printf("\n");
   std::printf("%7s %9s  %s\n", "share", "count", "site");
   const std::size_t shown =
       std::min(ranked.size(), static_cast<std::size_t>(top));

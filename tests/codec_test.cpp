@@ -49,9 +49,9 @@ gcs::AppMsg random_app_msg(Rng& rng) {
 }
 
 gcs::wire::Cut random_cut(Rng& rng, const View& v) {
-  gcs::wire::Cut cut;
+  std::vector<std::pair<ProcessId, std::int64_t>> cut;
   for (ProcessId p : v.members()) cut.emplace_back(p, rng.next_in(0, 1 << 16));
-  return cut;
+  return gcs::wire::Cut(cut.begin(), cut.end());
 }
 
 gcs::wire::SyncMsg random_sync(Rng& rng) {
@@ -75,7 +75,7 @@ std::pair<View, View> random_churn(Rng& rng) {
     for (ProcessId p : base.members()) {
       if (rng.next_below(4) == 0) continue;  // leave
       members.insert(p);
-      std::uint64_t cid = base.start_id().at(p).value + bump;
+      std::uint64_t cid = base.start_id_of(p).value + bump;
       if (rng.next_below(5) == 0) cid += 1 + rng.next_below(3);  // outlier
       start_id[p] = StartChangeId{cid};
     }
@@ -457,7 +457,7 @@ TEST(Codec, ViewDeltaForgedRejection) {
   {
     auto forged = delta;
     forged.joins.clear();
-    forged.leaves = base.members();
+    forged.leaves = {base.members().begin(), base.members().end()};
     EXPECT_FALSE(forged.apply(base).has_value());
   }
 
@@ -537,7 +537,7 @@ TEST(Codec, EncoderReserveNeverChangesEncoding) {
     for (Encoder* e : {&plain, &hinted}) {
       e->put_u8(0x7e);
       e->put_view_id(v.id);
-      codec::Field<std::set<ProcessId>>::put(*e, v.members());
+      codec::Field<ProcessSet::Ids>::put(*e, v.members().ids());
       e->put_string(s);
     }
     ASSERT_EQ(plain.bytes(), hinted.bytes()) << "round " << round;

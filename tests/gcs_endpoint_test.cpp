@@ -3,9 +3,11 @@
 // blocking, and message forwarding — all with the full checker suite attached.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
+#include "app/blocking_client.hpp"
 #include "app/oracle_world.hpp"
 #include "spec/liveness_checker.hpp"
 
@@ -232,7 +234,7 @@ TEST(Blocking, SyncMessageWithheldUntilBlockOk) {
    public:
     explicit SlowClient(gcs::GcsEndpoint& ep) : ep_(ep) { ep.set_client(*this); }
     void deliver(ProcessId, const gcs::AppMsg&) override {}
-    void view(const View&, const std::set<ProcessId>&) override {}
+    void view(const View&, const ProcessSet&) override {}
     void block() override { block_requested = true; }
     void ok() { ep_.block_ok(); }
     bool block_requested = false;
@@ -250,6 +252,93 @@ TEST(Blocking, SyncMessageWithheldUntilBlockOk) {
   slow.ok();
   w.run();
   EXPECT_EQ(w.ep(0).vs_stats().sync_msgs_sent, baseline + 1);
+}
+
+// A sync message's cut is one body: the sender's record, the message and
+// every receiver's stored record share it (DESIGN.md §11.5).
+TEST(VirtualSynchrony, StoredSyncSharesTheSendersCut) {
+  OracleWorld w(3);
+  w.change_view(w.all());
+  w.client(0).send("m");
+  w.settle();
+  w.oracle.start_change(w.all());
+  w.run();
+  for (int i = 0; i < 3; ++i) {
+    const ProcessId sender = w.pid(i);
+    const StartChangeId cid = w.oracle.last_cid(sender);
+    const gcs::SyncMsgData* own = w.ep(i).sync_msg(sender, cid);
+    ASSERT_NE(own, nullptr) << "endpoint " << i;
+    EXPECT_EQ(own->cut_of(w.pid(0)), 1);
+    for (int j = 0; j < 3; ++j) {
+      if (j == i) continue;
+      const gcs::SyncMsgData* got = w.ep(j).sync_msg(sender, cid);
+      ASSERT_NE(got, nullptr) << "endpoint " << j << " from " << i;
+      EXPECT_TRUE(got->shares_cut_with(*own))
+          << "endpoint " << j << " copied " << to_string(sender) << "'s cut";
+    }
+  }
+}
+
+/// The part of an end-point BasicBlockingClient drives, recorded.
+struct RecordingEndpoint {
+  gcs::Client* client = nullptr;
+  std::vector<std::string> sent;
+  /// A send of this payload makes the service block the client.
+  std::string blocks_on;
+
+  void set_client(gcs::Client& c) { client = &c; }
+  void send(std::string payload) {
+    const bool block = payload == blocks_on;
+    sent.push_back(std::move(payload));
+    if (block) client->block();
+  }
+};
+
+// A callback written against the plain std::set sees every T exactly, from
+// a set the client keeps in step with the end-point's flat one.
+TEST(BlockingClient, PlainSetCallbackSeesEveryTransitionalSet) {
+  RecordingEndpoint ep;
+  app::BasicBlockingClient<RecordingEndpoint> client(ep);
+  std::vector<std::set<ProcessId>> seen;
+  client.on_view([&seen](const View&, const std::set<ProcessId>& t) {
+    seen.push_back(t);
+  });
+  const std::vector<ProcessSet> ts = {
+      {ProcessId{1}, ProcessId{2}, ProcessId{3}},
+      {ProcessId{2}, ProcessId{3}, ProcessId{4}},
+      {},
+      {ProcessId{5}},
+      {ProcessId{1}, ProcessId{5}, ProcessId{9}},
+  };
+  const View v = View::initial(ProcessId{1});
+  for (const ProcessSet& t : ts) client.view(v, t);
+  ASSERT_EQ(seen.size(), ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(std::set<ProcessId>(ts[i].begin(), ts[i].end()), seen[i])
+        << "view " << i;
+  }
+}
+
+// Sends queued while blocked go out in order at the next view; a send that
+// blocks the client again leaves the rest queued, in order, for the view
+// after.
+TEST(BlockingClient, QueuedSendsFlushInOrderUntilBlockedAgain) {
+  RecordingEndpoint ep;
+  app::BasicBlockingClient<RecordingEndpoint> client(ep);
+  const View v = View::initial(ProcessId{1});
+  client.block();
+  EXPECT_FALSE(client.send("a"));
+  EXPECT_FALSE(client.send("b"));
+  EXPECT_FALSE(client.send("c"));
+  ep.blocks_on = "b";
+  client.view(v, {});
+  EXPECT_EQ(ep.sent, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(client.blocked());
+  EXPECT_EQ(client.pending(), 1u);
+  EXPECT_FALSE(client.send("d"));
+  client.view(v, {});
+  EXPECT_EQ(ep.sent, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(client.pending(), 0u);
 }
 
 TEST(ObsoleteViews, SupersededViewNeverDelivered) {

@@ -27,7 +27,7 @@ class RecordingListener : public Listener {
       : self_(self), bus_(bus), sim_(sim) {}
 
   void on_start_change(StartChangeId cid, const ProcessSet& set) override {
-    start_changes.push_back({cid, set.get()});
+    start_changes.push_back({cid, set});
     bus_.emit(sim_.now(), spec::MbrStartChange{self_, cid, set});
   }
 
@@ -36,7 +36,7 @@ class RecordingListener : public Listener {
     bus_.emit(sim_.now(), spec::MbrView{self_, v});
   }
 
-  std::vector<std::pair<StartChangeId, std::set<ProcessId>>> start_changes;
+  std::vector<std::pair<StartChangeId, ProcessSet>> start_changes;
   std::vector<View> views;
 
  private:

@@ -488,7 +488,7 @@ TEST(TraceRecorder, JsonlRoundTripOfScriptedTrace) {
   const auto* view = std::get_if<spec::GcsView>(&parsed[6].body);
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->view.id, (ViewId{2, 0}));
-  EXPECT_EQ(view->view.start_id().at(ProcessId{1}), StartChangeId{2});
+  EXPECT_EQ(view->view.start_id_of(ProcessId{1}), StartChangeId{2});
   EXPECT_EQ(view->transitional, (std::set<ProcessId>{{1}, {2}}));
 }
 

@@ -56,11 +56,14 @@ class TwoRoundProbe : public baseline::TwoRoundEndpoint {
 /// The reliable set of each end-point, from scratch: Figure 9's
 /// current_view.set, Figure 10's ∪ start_change.set, the baseline's ∪ the
 /// members of every pending view.
+std::set<ProcessId> members_of(const View& v) {
+  return {v.members().begin(), v.members().end()};
+}
 std::set<ProcessId> want_reliable(const gcs::WvRfifoEndpoint& ep) {
-  return ep.current_view().members();
+  return members_of(ep.current_view());
 }
 std::set<ProcessId> want_reliable(const gcs::VsRfifoTsEndpoint& ep) {
-  std::set<ProcessId> want = ep.current_view().members();
+  std::set<ProcessId> want = members_of(ep.current_view());
   if (ep.start_change()) {
     want.insert(ep.start_change()->second.begin(),
                 ep.start_change()->second.end());
@@ -68,7 +71,7 @@ std::set<ProcessId> want_reliable(const gcs::VsRfifoTsEndpoint& ep) {
   return want;
 }
 std::set<ProcessId> want_reliable(const baseline::TwoRoundEndpoint& ep) {
-  std::set<ProcessId> want = ep.current_view().members();
+  std::set<ProcessId> want = members_of(ep.current_view());
   for (const View& v : ep.pending()) {
     want.insert(v.members().begin(), v.members().end());
   }
@@ -103,7 +106,7 @@ class PumpCache : public ::testing::Test {
       EXPECT_EQ(w.transport(i).reliable_set(),
                 std::set<net::NodeId>(nodes.begin(), nodes.end()))
           << "after " << when << " at endpoint " << i;
-      std::set<ProcessId> others = w.ep(i).current_view().members();
+      std::set<ProcessId> others = members_of(w.ep(i).current_view());
       others.erase(w.pid(i));
       EXPECT_EQ(w.ep(i).view_dests(), image(others))
           << "after " << when << " at endpoint " << i;
@@ -272,16 +275,18 @@ TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
   // own.
   GcsProbe& ep = w.ep(0);
   const View& cv = ep.current_view();
-  const View rebuilt(cv.id, cv.members(), cv.start_id());
+  const std::map<ProcessId, StartChangeId> start_id(cv.start_id().begin(),
+                                                    cv.start_id().end());
+  const View rebuilt(cv.id, start_id);
   ASSERT_FALSE(rebuilt.shares_body_with(cv));
   EXPECT_TRUE(ep.intern(rebuilt).shares_body_with(cv));
-  std::set<ProcessId> fewer = cv.members();
+  std::set<ProcessId> fewer = members_of(cv);
   fewer.erase(w.pid(2));
-  const View forged(cv.id, fewer, cv.start_id());
+  const View forged(cv.id, fewer, start_id);
   const View held = ep.intern(forged);
   EXPECT_NE(held, cv);
   EXPECT_FALSE(held.shares_body_with(cv));
-  EXPECT_TRUE(ep.intern(View(forged.id, fewer, cv.start_id()))
+  EXPECT_TRUE(ep.intern(View(forged.id, fewer, start_id))
                   .shares_body_with(held));
   w.checkers.finalize();
 }
@@ -291,7 +296,7 @@ TEST(PumpCacheViews, HeldViewsShareOneInternedHandle) {
 class HoldClient : public gcs::Client {
  public:
   void deliver(ProcessId, const gcs::AppMsg&) override {}
-  void view(const View&, const std::set<ProcessId>&) override {}
+  void view(const View&, const ProcessSet&) override {}
   void block() override {}
 };
 
@@ -426,6 +431,21 @@ TEST_F(CandidateCache, FreshAfterEveryInvalidatingInput) {
   w.transport(0).recover();
   ep().recover();
   expect_fresh("recover");
+}
+
+// A peer's sync messages of other rounds can arrive while the candidate
+// points at the one it selects. Storing them moves that peer's records
+// (its storage grows, or one lands before the selected one), which must
+// not leave the candidate pointing at a moved record.
+TEST_F(CandidateCache, FreshAfterAPeersOtherSyncsMoveItsRecords) {
+  to_candidate_with_p2_sync();
+  const std::uint64_t c = cids.at(pid(1)).value;
+  deliver(1, sync(StartChangeId{c + 1}, v1, 2));
+  expect_fresh("p2's next sync, which grows its records");
+  deliver(1, sync(StartChangeId{c + 2}, v1, 2));
+  expect_fresh("p2's sync after that");
+  deliver(1, sync(StartChangeId{c - 1}, v1, 2));
+  expect_fresh("an older sync of p2, stored before the selected one");
 }
 
 TEST_F(CandidateCache, FreshAfterOurOwnSyncArrivesBeforeWeSendIt) {

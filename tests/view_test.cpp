@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -20,6 +21,7 @@
 #include "gcs/messages.hpp"
 #include "membership/oracle.hpp"
 #include "membership/view.hpp"
+#include "membership/wire.hpp"
 #include "obs/json_fields.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -146,7 +148,7 @@ TEST(View, CompareAgreesWithMemberwiseReference) {
     View forged = v;
     forged.id = ViewId{v.id.epoch + 1, v.id.origin};
     views.push_back(forged);
-    views.emplace_back(v.id, v.members(), v.start_id());
+    views.emplace_back(v.id, v.start_id());
   }
   // Same id, different members.
   views.push_back(view_of(ViewId{1, 0}, {ProcessId{1}, ProcessId{2}}, 1));
@@ -168,6 +170,31 @@ TEST(View, CompareAgreesWithMemberwiseReference) {
   EXPECT_GT(ties, 0u) << "no equal views in distinct bodies were compared";
 }
 
+// A delta rebuilds its view straight into the flat body: two allocations
+// (the start ids and the member set) however many members it has.
+TEST(View, DeltaApplyCostsTheSameAtAnySize) {
+  const auto cost = [](std::uint32_t n) {
+    std::map<ProcessId, StartChangeId> start_id;
+    for (std::uint32_t i = 1; i <= n; ++i) {
+      start_id[ProcessId{i}] = StartChangeId{3};
+    }
+    const View base(ViewId{1, 0}, start_id);
+    start_id.erase(ProcessId{2});
+    for (auto& [p, cid] : start_id) cid = StartChangeId{4};
+    start_id[ProcessId{5}] = StartChangeId{9};  // an exception
+    start_id[ProcessId{n + 1}] = StartChangeId{1};  // a join
+    const View next(ViewId{2, 0}, start_id);
+    const auto delta = membership::wire::ViewDelta::diff(base, next);
+    const std::uint64_t before = allocations();
+    const std::optional<View> applied = delta.apply(base);
+    const std::uint64_t spent = allocations() - before;
+    EXPECT_EQ(applied, next) << "at n = " << n;
+    return spent;
+  };
+  EXPECT_EQ(cost(8), 2u);
+  EXPECT_EQ(cost(64), cost(8));
+}
+
 TEST(View, EncodeDecodeRoundTrip) {
   const View v(ViewId{42, 3}, {ProcessId{1}, ProcessId{2}, ProcessId{9}},
                {{ProcessId{1}, StartChangeId{10}},
@@ -180,6 +207,19 @@ TEST(View, EncodeDecodeRoundTrip) {
   EXPECT_EQ(v, round);
   EXPECT_TRUE(dec.done());
   EXPECT_EQ(codec::wire_size(v), enc.size());
+}
+
+// A view's startId map names exactly its members; a decoded one that does
+// not could not re-encode to the bytes it came from.
+TEST(View, DecodeRejectsStartIdsThatAreNotTheMembers) {
+  Encoder enc;
+  enc.put_view_id(ViewId{3, 1});
+  codec::Field<std::set<ProcessId>>::put(
+      enc, std::set<ProcessId>{ProcessId{1}, ProcessId{2}});
+  codec::Field<std::map<ProcessId, StartChangeId>>::put(
+      enc, std::map<ProcessId, StartChangeId>{{ProcessId{1}, StartChangeId{4}}});
+  Decoder dec(enc.bytes());
+  EXPECT_THROW(codec::decode<View>(dec), DecodeError);
 }
 
 TEST(View, JsonRoundTripIsUnchanged) {
