@@ -1,6 +1,8 @@
 #include "membership/membership_server.hpp"
 
 #include <algorithm>
+#include <ranges>
+#include <span>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -57,40 +59,51 @@ void MembershipServer::heartbeat_tick() {
                                    [this]() { heartbeat_tick(); });
 }
 
-std::set<ProcessId> MembershipServer::alive_local_clients() const {
-  std::set<ProcessId> out;
+const std::vector<ProcessId>& MembershipServer::alive_local_clients() {
+  local_.clear();
   for (const auto& [p, rec] : clients_) {
-    if (fd_.alive(net::node_of(p))) out.insert(p);
+    if (fd_.alive(net::node_of(p))) local_.push_back(p);
   }
-  return out;
+  return local_;
 }
 
-std::set<ServerId> MembershipServer::alive_servers() const {
-  std::set<ServerId> out;
+const std::vector<ServerId>& MembershipServer::alive_servers() {
+  servers_.clear();
   for (ServerId s : all_servers_) {
-    if (s == self_ || fd_.alive(net::node_of(s))) out.insert(s);
+    if (s == self_ || fd_.alive(net::node_of(s))) servers_.push_back(s);
   }
-  return out;
+  return servers_;
 }
 
 ProcessSet MembershipServer::estimate(
-    const std::set<ProcessId>& local,
-    const std::set<ServerId>& participants) const {
-  std::set<ProcessId> est = local;
+    const ProcessSet& local, const wire::Proposal::Servers& participants) {
+  est_.assign(local.begin(), local.end());
   for (ServerId s : participants) {
     if (s == self_) continue;
     auto it = proposals_.find(s);
     if (it == proposals_.end()) continue;
-    est.insert(it->second.local_alive.begin(), it->second.local_alive.end());
+    est_.insert(est_.end(), it->second.local_alive.begin(),
+                it->second.local_alive.end());
   }
-  return est;
+  std::sort(est_.begin(), est_.end());
+  est_.erase(std::unique(est_.begin(), est_.end()), est_.end());
+  return ProcessSet(ProcessSet::Ids(est_.begin(), est_.end()));
 }
 
 void MembershipServer::update_reliable_set() {
-  std::set<net::NodeId> set;
-  for (ServerId s : alive_servers()) set.insert(net::node_of(s));
-  for (ProcessId p : alive_local_clients()) set.insert(net::node_of(p));
-  transport_->set_reliable(set);
+  // Client nodes sort below every server node (net::kServerBase), so the
+  // two ascending lists concatenate into one ascending set.
+  nodes_.clear();
+  for (ProcessId p : alive_local_clients()) nodes_.push_back(net::node_of(p));
+  for (ServerId s : alive_servers()) nodes_.push_back(net::node_of(s));
+  transport_->set_reliable(std::span<const net::NodeId>(nodes_));
+}
+
+void MembershipServer::send_to(ProcessId p, net::Payload payload,
+                               std::size_t size) {
+  const net::NodeId to = net::node_of(p);
+  transport_->send(std::span<const net::NodeId>(&to, 1), std::move(payload),
+                   size);
 }
 
 void MembershipServer::on_estimate_change() {
@@ -108,42 +121,50 @@ void MembershipServer::reconfigure(std::uint64_t min_round) {
   emit_phase("round_start", round_);
 
   // The (immutable) proposal for this round: the failure detector's output,
-  // read once, and fresh cids for local clients.
-  wire::Proposal prop;
+  // read once, and fresh cids for local clients, each in one flat body. A
+  // set equal to the one the last proposal sent keeps that body.
+  const std::vector<ProcessId>& local = alive_local_clients();
+  const std::vector<ServerId>& servers = alive_servers();
+  wire::Proposal& prop = proposals_[self_];
   prop.from = self_;
   prop.round = round_;
-  prop.local_alive = alive_local_clients();
-  prop.participants = alive_servers();
-  for (ProcessId p : prop.local_alive) {
-    auto& rec = clients_[p];
-    rec.last_cid = StartChangeId{rec.last_cid.value + 1};
-    prop.cids[p] = rec.last_cid;
+  if (!std::ranges::equal(prop.local_alive, local)) {
+    prop.local_alive = ProcessSet(ProcessSet::Ids(local.begin(), local.end()));
   }
-  proposals_[self_] = prop;
+  if (!std::ranges::equal(prop.participants, servers)) {
+    prop.participants = wire::Proposal::Servers(servers.begin(), servers.end());
+  }
+  prop.cids = wire::Proposal::Cids::build(local.size(), [&](auto* out) {
+    for (ProcessId p : local) {
+      auto& rec = clients_.at(p);
+      rec.last_cid = StartChangeId{rec.last_cid.value + 1};
+      *out++ = {p, rec.last_cid};
+    }
+  });
 
   // start_change to every alive local client, with the current estimate:
   // one set, whose body every client's StartChange and record share.
   const ProcessSet est = estimate(prop.local_alive, prop.participants);
   for (ProcessId p : prop.local_alive) {
-    auto& rec = clients_[p];
+    auto& rec = clients_.at(p);
     rec.last_sc_set = est;
     rec.change_started = true;
     wire::StartChange sc{rec.last_cid, est};
     ++stats_.start_changes_sent;
     const std::size_t size = codec::wire_size(sc);
-    transport_->send({net::node_of(p)}, net::Payload(std::move(sc)), size);
+    send_to(p, net::Payload(std::move(sc)), size);
   }
 
-  // Proposal to all other participant servers; the message moves into its
-  // payload.
-  std::set<net::NodeId> peers;
+  // Proposal to all other participant servers; the payload shares the
+  // proposal's bodies.
+  nodes_.clear();
   for (ServerId s : prop.participants) {
-    if (s != self_) peers.insert(net::node_of(s));
+    if (s != self_) nodes_.push_back(net::node_of(s));
   }
-  if (!peers.empty()) {
+  if (!nodes_.empty()) {
     ++stats_.proposals_sent;
-    const std::size_t size = codec::wire_size(prop);
-    transport_->send(peers, net::Payload(std::move(prop)), size);
+    transport_->send(std::span<const net::NodeId>(nodes_), net::Payload(prop),
+                     codec::wire_size(prop));
   }
 }
 
@@ -183,6 +204,12 @@ void MembershipServer::on_raw(net::NodeId from, const std::any& payload) {
 void MembershipServer::on_deliver(net::NodeId from, const std::any& payload) {
   fd_.heard(from);
   if (const auto* prop = std::any_cast<wire::Proposal>(&payload)) {
+    // A view takes each member's cid from its server's proposal, so one
+    // whose cids do not name exactly its local_alive is dropped like a stale
+    // round.
+    if (!std::ranges::equal(prop->local_alive, prop->cids | std::views::keys)) {
+      return;
+    }
     auto it = proposals_.find(prop->from);
     if (it != proposals_.end() && prop->round <= it->second.round) {
       return;  // stale round
@@ -231,7 +258,8 @@ void MembershipServer::try_form() {
   }
   // Now (or after reconfigure()) the own proposal's participants are exactly
   // alive_servers().
-  const std::set<ServerId>& participants = proposals_.at(self_).participants;
+  const wire::Proposal::Servers& participants =
+      proposals_.at(self_).participants;
 
   // Round completion: every participant proposed for round_ with the same
   // participant set.
@@ -249,8 +277,8 @@ void MembershipServer::try_form() {
   // proposals list takes the later participant's cid.
   form_.clear();
   for (ServerId s : participants) {
-    const wire::Proposal& prop = proposals_.at(s);
-    for (ProcessId p : prop.local_alive) form_.emplace_back(p, prop.cids.at(p));
+    const wire::Proposal::Cids& cids = proposals_.at(s).cids;
+    form_.insert(form_.end(), cids.begin(), cids.end());
   }
   if (form_.empty()) return;
   std::stable_sort(form_.begin(), form_.end(),
@@ -301,26 +329,34 @@ void MembershipServer::deliver_view(const View& v) {
     rec.last_view_id = v.id;
     rec.change_started = false;
     // Delta-encode against the last view this client received when that is
-    // cheaper; fall back to the full form otherwise (DESIGN.md §13).
-    bool sent_delta = false;
+    // cheaper; fall back to the full form otherwise (DESIGN.md §13). Clients
+    // whose last view sent is one view share its delta and payload.
+    const DeltaForm* delta = nullptr;
     if (rec.last_view_sent.has_value() && rec.last_view_sent->id < v.id) {
-      wire::ViewDelta delta = wire::ViewDelta::diff(*rec.last_view_sent, v);
-      const std::size_t delta_size = codec::wire_size(delta);
-      if (delta_size < full_size) {
-        ++stats_.delta_views_sent;
-        stats_.view_bytes_saved += full_size - delta_size;
-        transport_->send({net::node_of(p)}, net::Payload(std::move(delta)),
-                         delta_size);
-        sent_delta = true;
+      const View& base = *rec.last_view_sent;
+      auto d = std::ranges::find(deltas_, base, &DeltaForm::base);
+      if (d == deltas_.end()) {
+        wire::ViewDelta diff = wire::ViewDelta::diff(base, v);
+        const std::size_t size = codec::wire_size(diff);
+        d = deltas_.insert(d, {base,
+                               size < full_size ? net::Payload(std::move(diff))
+                                                : net::Payload(),
+                               size});
       }
+      delta = &*d;
     }
-    if (!sent_delta) {
+    if (delta != nullptr && delta->payload.has_value()) {
+      ++stats_.delta_views_sent;
+      stats_.view_bytes_saved += full_size - delta->size;
+      send_to(p, delta->payload, delta->size);
+    } else {
       ++stats_.full_views_sent;
       if (!full_payload.has_value()) full_payload = net::Payload(full);
-      transport_->send({net::node_of(p)}, full_payload, full_size);
+      send_to(p, full_payload, full_size);
     }
     rec.last_view_sent = v;
   }
+  deltas_.clear();
   VSGC_TRACE("mbrshp", to_string(self_) << " formed " << to_string(v));
 }
 

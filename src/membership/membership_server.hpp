@@ -124,12 +124,17 @@ class MembershipServer {
   bool matches_fd(const wire::Proposal& prop) const;
   void try_form();
   void deliver_view(const View& v);
-  std::set<ProcessId> alive_local_clients() const;
-  std::set<ServerId> alive_servers() const;
+  /// The failure detector's alive local clients, and the alive servers with
+  /// self, ascending, written into kept storage.
+  const std::vector<ProcessId>& alive_local_clients();
+  const std::vector<ServerId>& alive_servers();
   /// `local` ∪ the local_alive of every other participant's proposal: the
-  /// set of this round's start_changes, built once for every local client.
-  ProcessSet estimate(const std::set<ProcessId>& local,
-                      const std::set<ServerId>& participants) const;
+  /// set of this round's start_changes, built once for every local client
+  /// into one body.
+  ProcessSet estimate(const ProcessSet& local,
+                      const wire::Proposal::Servers& participants);
+  /// Reliable send to one local client.
+  void send_to(ProcessId p, net::Payload payload, std::size_t size);
   void update_reliable_set();
   void heartbeat_tick();
 
@@ -148,8 +153,23 @@ class MembershipServer {
   std::uint64_t round_ = 0;       ///< our current agreement round
   std::uint64_t last_epoch_ = 0;  ///< epoch of the last view we formed
   std::optional<View> last_formed_;
-  /// try_form's (member, cid) gathering buffer; keeps its capacity.
+  /// A round's gathering buffers; each keeps its capacity, so a round
+  /// allocates only the bodies it builds from them (DESIGN.md §11.5).
+  std::vector<ProcessId> local_;    ///< alive_local_clients()
+  std::vector<ServerId> servers_;   ///< alive_servers()
+  std::vector<ProcessId> est_;      ///< estimate()
+  std::vector<net::NodeId> nodes_;  ///< reliable set, proposal peers
+  /// try_form's (member, cid) gathering buffer.
   std::vector<std::pair<ProcessId, StartChangeId>> form_;
+  /// deliver_view's delta per distinct base: local clients whose last view
+  /// sent is one view share one ViewDelta payload (DESIGN.md §13.2). Emptied
+  /// when the delivery is done.
+  struct DeltaForm {
+    View base;
+    net::Payload payload;  ///< empty when the full form is no larger
+    std::size_t size = 0;
+  };
+  std::vector<DeltaForm> deltas_;
   /// The server's heartbeat never changes, so it is wrapped once.
   net::Payload heartbeat_;
   sim::TimerHandle heartbeat_timer_;

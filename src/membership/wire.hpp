@@ -6,6 +6,7 @@
 // every struct and pins its bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "membership/view.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
+#include "util/shared_array.hpp"
 #include "util/wire_codec.hpp"
 
 namespace vsgc::membership::wire {
@@ -180,17 +182,45 @@ struct ViewDelta {
 /// globally unique — every server that forms the round-r view computes the
 /// IDENTICAL view (id = (r, min participant), members/startId from the
 /// proposals). This is what makes concurrently formed views collision-free.
+///
+/// The three sets are flat shared bodies (DESIGN.md §11.5): `local_alive` a
+/// ProcessSet, `cids` (process, cid) pairs ascending by process, the type
+/// of a view's start ids, and `participants` ascending server ids. The
+/// proposer's own record, the payload it sends and every receiver's record
+/// share them, so handing a proposal on copies no node. Each encodes as the
+/// std::set or std::map it stands for. The decoder checks only the order
+/// those containers would; that the cids name exactly `local_alive` is for
+/// the receiving server to check.
 struct Proposal {
   static constexpr Tag kTag = Tag::kProposal;
+  using Cids = View::StartIds;
+  using Servers = util::SharedArray<ServerId>;
+
   ServerId from{};
   std::uint64_t round = 0;  ///< agreement round == epoch of the formed view
-  std::set<ProcessId> local_alive{};
-  std::map<ProcessId, StartChangeId> cids{};  ///< latest start_change ids issued
-  std::set<ServerId> participants{};        ///< servers the proposer deems alive
+  ProcessSet local_alive{};
+  Cids cids{};             ///< latest start_change ids issued
+  Servers participants{};  ///< servers the proposer deems alive
 
   template <class S, class V>
   static void fields(S& s, V& v) {
-    v(s.from, s.round, s.local_alive, s.cids, s.participants);
+    ProcessSet::with_plain(s.local_alive, [&](auto& local_alive) {
+      v(s.from, s.round, local_alive, s.cids, s.participants);
+    });
+  }
+
+  /// Decode check: cid keys and participants strictly ascending, as the
+  /// std::map and std::set decoders require of theirs.
+  void validate() const {
+    const auto out_of_order = [](const auto& a, const auto& b) {
+      return !(a < b);
+    };
+    if (std::ranges::adjacent_find(cids, out_of_order,
+                                   &Cids::value_type::first) != cids.end() ||
+        std::ranges::adjacent_find(participants, out_of_order) !=
+            participants.end()) {
+      throw DecodeError("container keys not strictly ascending");
+    }
   }
 
   friend bool operator==(const Proposal&, const Proposal&) = default;

@@ -1,65 +1,33 @@
 // Heap-allocation budgets of the steady-state data path and of a view change
 // (DESIGN.md §11.5).
-// Every operator new in this executable bumps one counter (the idiom of
-// perfbench/alloc_counter.cpp). A simulated execution is a pure function of
-// its seed, so the counts repeat exactly and the budgets below hold without
+// Every operator new in this executable bumps one counter
+// (tests/alloc_counter.hpp). A simulated execution is a pure function of its
+// seed, so the counts repeat exactly and the budgets below hold without
 // wall-clock noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
+#include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "alloc_recipes.hpp"
 #include "app/world.hpp"
 #include "gcs/process.hpp"
 #include "membership/oracle.hpp"
 #include "net/network.hpp"
+#include "spec/events.hpp"
 #include "transport/co_rfifo.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// std::stable_sort's temporary buffer comes from the nothrow form; it must
-// pair with the free() below as well.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-// Once these are inlined, GCC pairs the free() with the library's operator
-// new rather than the malloc() above and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace vsgc {
 namespace {
 
-std::uint64_t allocations() { return g_allocs.load(std::memory_order_relaxed); }
+using alloc_counter::allocations;
 
 /// perfbench's `steady` deployment: 8 clients, 2 servers, no checkers, no
 /// recording, converged into one view.
@@ -276,9 +244,10 @@ double allocs_per_view_change(int n, int cycles) {
 // 5,159 with flat per-peer tables, 2,305 once a view change copies no
 // member set (one shared start_change set, pump caches rebuilt into kept
 // storage only when they change, heartbeats and server messages wrapped
-// once), and 637 once views, sets and cuts are flat shared bodies and a
-// view install reuses its buffers (DESIGN.md §11.5). The budget is the
-// exact count.
+// once), 637 once views, sets and cuts are flat shared bodies and a view
+// install reuses its buffers (DESIGN.md §11.5), and 370 once a membership
+// round builds flat bodies from kept buffers and clients that share a base
+// share one view delta. The budget is the exact count.
 TEST(AllocBudgetChurn, ViewChangeStaysUnderBudget) {
   const double per_change = allocs_per_view_change(16, 4);
   RecordProperty("allocs_per_view_change", std::to_string(per_change));
@@ -290,15 +259,81 @@ TEST(AllocBudgetChurn, ViewChangeStaysUnderBudget) {
 // O(n) (a view or cut copied per message) grows allocations far faster.
 // Measured: 1,419 at n = 8 and 20,437 at n = 32 (14.4x) before shared
 // messages, 1,384 and 19,969 (14.4x) with flat per-peer tables, 705 and
-// 8,545 (12.1x) once a view change copies no member set, and 279 and
-// 1,631.1 (5.85x) once a view change allocates O(1) per end-point: what
-// grows now is the per-message traffic, not the bookkeeping.
+// 8,545 (12.1x) once a view change copies no member set, 279 and 1,631.1
+// (5.85x) once a view change allocates O(1) per end-point, and 176 and
+// 810.1 (4.60x) once a membership round allocates per server: what grows
+// now is the per-message traffic, not the bookkeeping.
 TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
   const double at8 = allocs_per_view_change(8, 4);
   const double at32 = allocs_per_view_change(32, 4);
   RecordProperty("allocs_per_view_change_n8", std::to_string(at8));
   RecordProperty("allocs_per_view_change_n32", std::to_string(at32));
   EXPECT_LE(at32, 6.1 * at8) << at8 << " at n=8, " << at32 << " at n=32";
+}
+
+/// Counts the heap allocations of one membership round at a server: from
+/// the server's "suspicion" phase marker (DESIGN.md §10), which opens the
+/// round its failure detector's change starts, to the end of the simulated
+/// event that raised it, closed by a zero-delay event scheduled at the
+/// marker. That span is update_reliable_set, reconfigure and try_form (and
+/// any event already queued for the same instant, which the exact pin
+/// below would show).
+class RoundMeter : public spec::TraceSink {
+ public:
+  explicit RoundMeter(sim::Simulator& sim) : sim_(sim) {}
+
+  void on_event(const spec::Event& event) override {
+    const auto* phase = std::get_if<spec::MbrPhase>(&event.body);
+    if (phase == nullptr || phase->phase != "suspicion" || armed_) return;
+    armed_ = true;
+    before_ = allocations();
+    sim_.schedule(0, [this]() { spent = allocations() - before_; });
+  }
+
+  std::optional<std::uint64_t> spent;
+
+ private:
+  sim::Simulator& sim_;
+  bool armed_ = false;
+  std::uint64_t before_ = 0;
+};
+
+/// Allocations of the round server 0 runs when one of its local clients
+/// leaves, in alloc_recipes::churn's deployment of n clients on n/4 servers
+/// (4 local clients each), converged and warmed.
+std::uint64_t allocs_per_round(int n) {
+  app::WorldConfig wc;
+  wc.num_clients = n;
+  wc.num_servers = n / 4;
+  wc.attach_checkers = false;
+  wc.record_trace = false;
+  app::World w(wc);
+  spec::TraceBus bus;
+  bus.set_lifecycle(true);
+  RoundMeter meter(w.sim());
+  bus.subscribe(meter);
+  w.start();
+  EXPECT_TRUE(w.run_until_converged(w.all_members(), 10 * sim::kSecond));
+  w.run_for(500 * sim::kMillisecond);
+  w.server(0).set_trace(&bus);
+  w.process(0).leave();
+  w.run_for(100 * sim::kMillisecond);
+  w.server(0).set_trace(nullptr);
+  EXPECT_TRUE(meter.spent.has_value()) << "no round at n = " << n;
+  return meter.spent.value_or(0);
+}
+
+// A membership round allocates per server, not per member (DESIGN.md
+// §11.5). Its sets are flat bodies built from kept buffers: the proposal's
+// local_alive and cids and the estimate, one allocation each (the
+// participants keep their body while the servers stand still). Each of the
+// three surviving local clients' start_change and the one proposal to every
+// peer is a payload: its cell and its std::any's copy. 3 + 2 x 4 = 11, in a
+// group of 16 or of 64. While the round built std::set and std::map trees
+// it cost 54 and 150.
+TEST(AllocBudgetMembership, RoundCostsTheSameAtAnySize) {
+  EXPECT_EQ(allocs_per_round(16), 11u);
+  EXPECT_EQ(allocs_per_round(64), allocs_per_round(16));
 }
 
 // Views are shared immutable values (DESIGN.md §11.5), so the checkers, the
@@ -312,10 +347,11 @@ TEST(AllocBudgetChurn, AllocationsPerViewChangeGrowWithTheEventCount) {
 // heartbeats are wrapped once and a view change copies no member set, and
 // 2,410 once the VS_RFIFO and SELF checkers stop re-running WV_RFIFO,
 // 2,407 once the trace bus holds the checker bundle as one sink instead of
-// six (one vector growth instead of four), and 1,773 once views, sets and
+// six (one vector growth instead of four), 1,773 once views, sets and
 // cuts are flat shared bodies, a view install reuses its buffers and the
-// checkers share one initial view per process. The budget is the exact
-// count.
+// checkers share one initial view per process, and 1,485 once a
+// membership round builds flat bodies from kept buffers. The budget is the
+// exact count.
 TEST(AllocBudgetStress, CheckedSeedStaysUnderBudget) {
   const std::uint64_t before = allocations();
   EXPECT_TRUE(alloc_recipes::stress_seed(alloc_recipes::kStressSeed));

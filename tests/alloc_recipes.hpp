@@ -16,8 +16,8 @@ namespace vsgc::alloc_recipes {
 
 /// The exact counts: allocations per view change of churn(16, 4), and
 /// allocations of stress_seed(kStressSeed).
-inline constexpr double kChurnPerViewChange = 637;
-inline constexpr std::uint64_t kStressSeedAllocations = 1773;
+inline constexpr double kChurnPerViewChange = 370;
+inline constexpr std::uint64_t kStressSeedAllocations = 1485;
 /// The seed stress_seed() runs: the first seed of perfbench's stress pool.
 inline constexpr std::uint64_t kStressSeed = 1000000000;
 

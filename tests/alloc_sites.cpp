@@ -3,8 +3,9 @@
 //
 //   alloc_sites [--recipe churn|stress] [--clients N] [--top K] [--check]
 //
-// Every operator new bumps one counter, as in alloc_budget_test; while the
-// recipe's counted part runs, each allocation also records its call stack.
+// Every operator new bumps the counter of tests/alloc_counter.hpp, as in
+// alloc_budget_test; while the recipe's counted part runs, the counter's
+// hook records each allocation's call stack.
 // After the run the stacks are symbolized and grouped by site: the innermost
 // vsgc:: frame and the first vsgc:: frame that calls it. The top K sites are
 // printed with their share of the total. --clients N runs churn on N
@@ -20,16 +21,15 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "alloc_recipes.hpp"
 
 namespace {
@@ -43,19 +43,15 @@ struct Stack {
   std::uint64_t count = 0;
 };
 
-std::atomic<std::uint64_t> g_allocs{0};
-bool g_recording = false;
-thread_local bool g_in_hook = false;
 /// Open-addressed by a hash of the frames; a full table counts the rest
 /// in g_unrecorded.
 Stack g_stacks[kStacks];
 std::uint64_t g_unrecorded = 0;
 
+/// The counter's hook: records the stack of one allocation.
 void record() {
-  if (!g_recording || g_in_hook) return;
-  g_in_hook = true;
   std::array<void*, kDepth + 2> raw{};
-  // Frames 0 and 1 are record() and operator new.
+  // Frames 0 and 1 are record() and the counter's frame that calls it.
   const int n = backtrace(raw.data(), kDepth + 2) - 2;
   std::uint64_t h = 1469598103934665603ull;
   for (int i = 0; i < n; ++i) {
@@ -72,44 +68,10 @@ void record() {
       continue;
     }
     ++s.count;
-    g_in_hook = false;
     return;
   }
   ++g_unrecorded;
-  g_in_hook = false;
 }
-
-void* counted(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  record();
-  return std::malloc(size);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = counted(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  if (void* p = counted(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted(size);
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
-
-namespace {
 
 /// The demangled name of the function holding `pc`, without its parameter
 /// list, or "" when no symbol covers it.
@@ -197,10 +159,11 @@ int main(int argc, char** argv) {
   backtrace(warm.data(), static_cast<int>(warm.size()));
 
   using namespace vsgc;
+  using alloc_counter::allocations;
   std::uint64_t before = 0;
   const auto start = [&before]() {
-    before = g_allocs.load(std::memory_order_relaxed);
-    g_recording = true;
+    before = allocations();
+    alloc_counter::set_hook(record);
   };
   double per = 0;
   double exact = 0;
@@ -208,8 +171,8 @@ int main(int argc, char** argv) {
   std::uint64_t total = 0;
   if (recipe == "churn") {
     const int changes = alloc_recipes::churn(clients, 4, start);
-    g_recording = false;
-    total = g_allocs.load(std::memory_order_relaxed) - before;
+    alloc_counter::set_hook(nullptr);
+    total = allocations() - before;
     if (changes == 0) {
       std::fprintf(stderr, "alloc_sites: churn did not converge\n");
       return 1;
@@ -222,8 +185,8 @@ int main(int argc, char** argv) {
   } else {
     start();
     const bool ok = alloc_recipes::stress_seed(alloc_recipes::kStressSeed);
-    g_recording = false;
-    total = g_allocs.load(std::memory_order_relaxed) - before;
+    alloc_counter::set_hook(nullptr);
+    total = allocations() - before;
     if (!ok) {
       std::fprintf(stderr, "alloc_sites: stress seed did not converge\n");
       return 1;

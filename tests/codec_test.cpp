@@ -10,6 +10,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "baseline/two_round_endpoint.hpp"
 #include "gcs/messages.hpp"
@@ -206,15 +207,21 @@ const std::tuple kWireTypes{
           membership::wire::Proposal p;
           p.from = ServerId{static_cast<std::uint32_t>(r.next_below(8))};
           p.round = r.next_u64() % 10000;
+          std::set<ProcessId> local_alive;
+          std::map<ProcessId, StartChangeId> cids;
           for (int k = static_cast<int>(r.next_in(0, 6)); k > 0; --k) {
             const ProcessId q = random_process(r);
-            p.local_alive.insert(q);
-            p.cids[q] = StartChangeId{r.next_u64() % 100};
+            local_alive.insert(q);
+            cids[q] = StartChangeId{r.next_u64() % 100};
           }
+          std::set<ServerId> participants;
           for (int k = static_cast<int>(r.next_in(1, 4)); k > 0; --k) {
-            p.participants.insert(
+            participants.insert(
                 ServerId{static_cast<std::uint32_t>(r.next_below(8))});
           }
+          p.local_alive = local_alive;
+          p.cids = {cids.begin(), cids.end()};
+          p.participants = {participants.begin(), participants.end()};
           return p;
         },
         membership::wire::Proposal{ServerId{1}, 8, {p1, p3},
@@ -408,6 +415,27 @@ TEST(Codec, SyncMsgCutSendersMustStrictlyAscend) {
     Decoder base_dec(base_enc.bytes());
     EXPECT_THROW(codec::decode<baseline::wire::SyncMsg>(base_dec),
                  DecodeError);
+  }
+}
+
+TEST(Codec, ProposalKeysMustStrictlyAscend) {
+  // The proposal's three sets are flat bodies that encode as a std::set, a
+  // std::map and a std::set, so each decodes only in their key order.
+  const membership::wire::Proposal fixed{ServerId{1}, 8, {p1, p3},
+                                         {{p1, StartChangeId{5}}},
+                                         {ServerId{0}, ServerId{1}}};
+  std::vector<membership::wire::Proposal> forged(6, fixed);
+  forged[0].local_alive = ProcessSet(ProcessSet::Ids{p1, p1});
+  forged[1].local_alive = ProcessSet(ProcessSet::Ids{p3, p1});
+  forged[2].cids = {{p1, StartChangeId{5}}, {p1, StartChangeId{6}}};
+  forged[3].cids = {{p3, StartChangeId{5}}, {p1, StartChangeId{6}}};
+  forged[4].participants = {ServerId{1}, ServerId{1}};
+  forged[5].participants = {ServerId{1}, ServerId{0}};
+  for (const membership::wire::Proposal& prop : forged) {
+    Encoder enc;
+    codec::encode(prop, enc);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(codec::decode<membership::wire::Proposal>(dec), DecodeError);
   }
 }
 

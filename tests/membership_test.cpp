@@ -4,6 +4,7 @@
 // client receives.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <map>
 #include <memory>
 #include <vector>
@@ -266,6 +267,98 @@ TEST(Membership, ViewIdsStrictlyIncreasePerClient) {
       EXPECT_LT(views[k - 1].id, views[k].id) << "client " << i;
     }
   }
+}
+
+// A view takes each member's cid from its server's proposal. A peer's
+// proposal whose cids do not name exactly its local_alive is dropped like a
+// stale round: the server throws nothing and forms no view from it.
+TEST(Membership, ProposalWithoutACidPerMemberIsDropped) {
+  Harness h(2, 4);
+  h.start();
+  h.run(3 * sim::kSecond);
+  ASSERT_NE(h.last_view(0), nullptr);
+  const std::uint64_t bogus_round = h.servers[0]->last_epoch() + 100;
+  wire::Proposal prop;
+  prop.from = ServerId{1};
+  prop.round = bogus_round;
+  prop.local_alive = {ProcessId{2}, ProcessId{4}};
+  prop.cids = {{ProcessId{2}, StartChangeId{1000}}};
+  prop.participants = {ServerId{0}, ServerId{1}};
+  const std::size_t size = codec::wire_size(prop);
+  h.servers[1]->transport().send({net::node_of(ServerId{0})},
+                                 net::Payload(std::move(prop)), size);
+  EXPECT_NO_THROW(h.run(sim::kSecond));
+  EXPECT_LT(h.servers[0]->last_epoch(), bogus_round);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(h.last_view(i), nullptr);
+    EXPECT_LT(h.last_view(i)->id.epoch, bogus_round) << "client " << i;
+    EXPECT_EQ(h.last_view(i)->members().size(), 4u) << "client " << i;
+  }
+}
+
+// Local clients whose last view sent is one view share one ViewDelta
+// (DESIGN.md §13): one body in one payload, which every one of them
+// receives. A client whose incarnation changed has no base and gets the
+// full view. The server's counters still count per client.
+TEST(Membership, ClientsSharingABaseShareOneDelta) {
+  Harness h(1, 4);
+  h.start();
+  h.run(2 * sim::kSecond);
+  ASSERT_NE(h.last_view(0), nullptr);
+
+  struct Receipt {
+    const std::any* payload = nullptr;  ///< the delivered payload's cell
+    bool delta = false;
+    std::size_t saved = 0;  ///< full form's bytes minus the delta's
+  };
+  std::vector<std::vector<Receipt>> got(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    h.transports[i]->set_deliver_handler(
+        [&h, &got, i](net::NodeId from, const std::any& payload) {
+          h.clients[i]->handle(from, payload);
+          if (const auto* d = std::any_cast<wire::ViewDelta>(&payload)) {
+            const View* v = h.last_view(static_cast<int>(i));
+            ASSERT_TRUE(v != nullptr && v->id == d->id) << "client " << i;
+            got[i].push_back(
+                {&payload, true,
+                 codec::wire_size(wire::ViewDelivery{*v}) -
+                     codec::wire_size(*d)});
+          } else if (std::any_cast<wire::ViewDelivery>(&payload) != nullptr) {
+            got[i].push_back({&payload, false, 0});
+          }
+        });
+  }
+  const MembershipServer::Stats before = h.servers[0]->stats();
+
+  // Client 4 blips: its new incarnation costs it its delta base.
+  h.clients[3]->crash();
+  h.transports[3]->crash();
+  h.transports[3]->recover();
+  h.clients[3]->recover();
+  h.run(2 * sim::kSecond);
+
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_FALSE(got[i].empty()) << i;
+  EXPECT_TRUE(got[0].front().delta);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(got[i].front().delta) << "client " << i;
+    EXPECT_EQ(got[i].front().payload, got[0].front().payload)
+        << "client " << i << " got its own delta";
+  }
+  EXPECT_FALSE(got[3].front().delta);
+
+  std::uint64_t deltas = 0;
+  std::uint64_t fulls = 0;
+  std::uint64_t saved = 0;
+  for (const auto& receipts : got) {
+    for (const Receipt& r : receipts) {
+      (r.delta ? deltas : fulls) += 1;
+      saved += r.saved;
+    }
+  }
+  const MembershipServer::Stats& after = h.servers[0]->stats();
+  EXPECT_EQ(after.delta_views_sent - before.delta_views_sent, deltas);
+  EXPECT_EQ(after.full_views_sent - before.full_views_sent, fulls);
+  EXPECT_EQ(after.view_bytes_saved - before.view_bytes_saved, saved);
 }
 
 }  // namespace

@@ -1,22 +1,19 @@
 // Unit tests: View type, AppMsg, FifoBuffer, wire message sizing, oracle
 // membership.
 //
-// This executable counts every operator new (the idiom of
-// alloc_budget_test.cpp), so a test can show that copying a view or a
-// message allocates nothing.
+// This executable counts every operator new (tests/alloc_counter.hpp), so a
+// test can show that copying a view or a message allocates nothing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "gcs/fifo_buffer.hpp"
 #include "gcs/messages.hpp"
 #include "membership/oracle.hpp"
@@ -27,43 +24,10 @@
 #include "util/rng.hpp"
 #include "util/wire_codec.hpp"
 
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// std::stable_sort's temporary buffer comes from the nothrow form; it must
-// pair with the free() below as well.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-// Once these are inlined, GCC pairs the free() with the library's operator
-// new rather than the malloc() above and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
-
 namespace vsgc {
 namespace {
 
-std::uint64_t allocations() { return g_allocs.load(std::memory_order_relaxed); }
+using alloc_counter::allocations;
 
 View view_of(ViewId id, std::set<ProcessId> members, std::uint64_t cid) {
   std::map<ProcessId, StartChangeId> start_id;
